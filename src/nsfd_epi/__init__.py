@@ -25,15 +25,13 @@ from .equilibria import (
 )
 from .harness import (
     INITIAL_POINT_PRESETS,
-    PRESET_INITIAL_POINTS,
     ConsistencyReport,
     SweepResult,
     consistency_experiment,
-    euler_failure_demo,
     first_negative_step,
     step_size_sweep,
 )
-from .integrators import ContinuousRun, euler_step, rk4_step, simulate_continuous
+from .integrators import ContinuousRun, euler_step, rk4_step, scheme_kernel, simulate_continuous
 from .model import (
     BlowUpError,
     DegenerateQuadraticError,
@@ -44,10 +42,11 @@ from .model import (
     State,
     VariantParameterError,
     Violation,
+    field_kernel,
     validate_params,
     vector_field,
 )
-from .nsfd import DenominatorPair, denominators, iterate, step, step_general, step_horizontal, step_vertical
+from .nsfd import DenominatorPair, denominators, iterate, map_kernel, step
 from .stability import (
     Classification,
     JuryConditions,

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .convergence import ConvergenceSettings, Trajectory, Verdict, VerdictStatus
-from .equilibria import Equilibrium, EquilibriumKind, all_equilibria, reproduction_numbers
+from .equilibria import Equilibrium, all_equilibria, reproduction_numbers
 from .harness import INITIAL_POINT_PRESETS, step_size_sweep
 from .integrators import ContinuousRun, simulate_continuous
 from .model import (
@@ -34,7 +34,7 @@ from .model import (
 )
 from .nsfd import iterate
 from .stability import Regime, stability_report
-from .verification import Scenario, acceptance_check_names, run_acceptance
+from .verification import FixtureError, acceptance_check_names, load_fixture_scenarios, run_acceptance
 
 __all__ = ["RunConfig", "main"]
 
@@ -155,27 +155,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         config = RunConfig.from_dict({**config.to_dict(), **data})
-    flag_to_field = {
-        "model": "model",
-        "scheme": "scheme",
-        "bx": "bx",
-        "by": "by",
-        "ux": "ux",
-        "uy": "uy",
-        "K": "K",
-        "e": "e",
-        "beta": "beta",
-        "dt": "dt",
-        "preset": "preset",
-        "steps": "steps",
-        "tol_eq": "tol_eq",
-        "tol_step": "tol_step",
-        "window": "window",
-        "format": "format",
-        "out": "out",
-    }
-    for flag, name in flag_to_field.items():
-        value = getattr(args, flag, None)
+    # A flag given on the command line overrides the config field of the
+    # same name; --h and --permissive are merged below instead.
+    for name in (f.name for f in fields(RunConfig) if f.name not in ("h", "permissive")):
+        value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
     if getattr(args, "permissive", False):
@@ -371,36 +354,29 @@ def _cmd_stability(config: RunConfig) -> int:
 def _simulate_one(config: RunConfig, s0: State):
     params, variant = config.params(), config.variant()
     settings = config.settings()
+    if config.scheme not in ("nsfd", "rk4", "euler"):
+        raise ConfigError(f"unknown scheme {config.scheme!r} (nsfd, rk4, euler)")
+    if config.steps == 0:
+        start = {
+            "steps": np.asarray([0]),
+            "times": np.asarray([0.0]),
+            "states": np.asarray([[s0.X, s0.Y]], dtype=float),
+            "verdict": Verdict(VerdictStatus.MAX_STEPS, at_step=0),
+        }
+        if config.scheme == "nsfd":
+            return Trajectory(h=config.h, **start)
+        return ContinuousRun(dt=config.dt, t_max=0.0, **start)
     if config.scheme == "nsfd":
-        if config.steps == 0:
-            return Trajectory(
-                h=config.h,
-                steps=np.asarray([0]),
-                times=np.asarray([0.0]),
-                states=np.asarray([[s0.X, s0.Y]], dtype=float),
-                verdict=Verdict(VerdictStatus.MAX_STEPS, at_step=0),
-            )
         return iterate(params, variant, config.h, s0, config.steps, settings=settings)
-    if config.scheme in ("rk4", "euler"):
-        if config.steps == 0:
-            return ContinuousRun(
-                dt=config.dt,
-                t_max=0.0,
-                steps=np.asarray([0]),
-                times=np.asarray([0.0]),
-                states=np.asarray([[s0.X, s0.Y]], dtype=float),
-                verdict=Verdict(VerdictStatus.MAX_STEPS, at_step=0),
-            )
-        return simulate_continuous(
-            params,
-            variant,
-            s0,
-            dt=config.dt,
-            t_max=config.steps * config.dt,
-            settings=settings,
-            scheme=config.scheme,
-        )
-    raise ConfigError(f"unknown scheme {config.scheme!r} (nsfd, rk4, euler)")
+    return simulate_continuous(
+        params,
+        variant,
+        s0,
+        dt=config.dt,
+        t_max=config.steps * config.dt,
+        settings=settings,
+        scheme=config.scheme,
+    )
 
 
 def _trajectory_csv(config: RunConfig, s0: State, run) -> str:
@@ -520,46 +496,11 @@ def _cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_fixture_scenarios() -> list[Scenario]:
-    seed_dir = os.environ.get(SEED_DIR_ENV)
-    if not seed_dir:
-        return []
-    path = Path(seed_dir)
-    if not path.is_dir():
-        raise ConfigError(f"{SEED_DIR_ENV}={seed_dir} is not a directory")
-    scenarios = []
-    for file in sorted(path.glob("*.json")):
-        try:
-            data = json.loads(file.read_text())
-            params = data["params"]
-            scenarios.append(
-                Scenario(
-                    name=data["name"],
-                    params=HostParams(
-                        b_x=params["bx"],
-                        b_y=params["by"],
-                        u_x=params["ux"],
-                        u_y=params["uy"],
-                        K=params["K"],
-                        e=params.get("e", 0.0),
-                        beta=params.get("beta", 0.0),
-                    ),
-                    variant=ModelVariant(data["model"]),
-                    expected_kind=EquilibriumKind(data["expected_kind"]),
-                    expected_point=tuple(data["expected_point"]),
-                    h=data.get("h", 0.1),
-                    dt=data.get("dt", 0.01),
-                    t_max=data.get("t_max", 2000.0),
-                    max_steps=data.get("max_steps", 100_000),
-                )
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad scenario fixture {file}: {exc}") from None
-    return scenarios
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    extra = _load_fixture_scenarios()
+    seed_dir = os.environ.get(SEED_DIR_ENV)
+    if seed_dir and not Path(seed_dir).is_dir():
+        raise ConfigError(f"{SEED_DIR_ENV}={seed_dir} is not a directory")
+    extra = load_fixture_scenarios(Path(seed_dir)) if seed_dir else []
     only = args.only
     if args.list:
         for name in acceptance_check_names(extra):
@@ -668,7 +609,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(config)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DomainError, VariantParameterError, BlowUpError) as exc:

@@ -11,14 +11,15 @@ carrying capacity) is declared diverged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind
-from .model import State
+from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
+from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State
 
 __all__ = [
     "ConvergenceMonitor",
@@ -128,6 +129,53 @@ class ConvergenceMonitor:
         if best is not None and best[0] <= self.settings.tol_eq:
             return best[1].kind, best[1].point
         return None
+
+
+def _run_monitored(
+    advance: Kernel,
+    params: HostParams,
+    variant: ModelVariant,
+    s0: tuple[float, float],
+    n_steps: int,
+    settings: ConvergenceSettings | None,
+    record_every: int,
+    scheme: str,
+) -> tuple[np.ndarray, np.ndarray, Verdict]:
+    """The run loop of the discrete and continuous runners: recorded steps, states and the verdict.
+
+    Steps at most ``min(n_steps, settings.max_steps)`` times, records
+    every ``record_every``-th state plus the first and last, and raises
+    BlowUpError for a state that is not finite before recording it.
+    """
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    if settings is None:
+        settings = ConvergenceSettings()
+    try:
+        known = all_equilibria(params, variant)
+    except DomainError:
+        known = ()  # implausible parameters: no limit matching, divergence only
+    monitor = ConvergenceMonitor(settings, known, params.K)
+    s = (float(s0[0]), float(s0[1]))
+    recorded_steps = [0]
+    recorded_states = [s]
+    verdict = monitor.start(s)
+    n = 0
+    n_limit = min(n_steps, settings.max_steps)
+    while verdict is None and n < n_limit:
+        n += 1
+        prev = s
+        s = advance(*prev)
+        if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+            raise BlowUpError(f"{scheme} update overflowed at step {n} from {prev!r}")
+        verdict = monitor.update(prev, s, n)
+        if n % record_every == 0 or verdict is not None or n == n_limit:
+            recorded_steps.append(n)
+            recorded_states.append(s)
+    if verdict is None:
+        verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
+    steps = np.asarray(recorded_steps, dtype=np.int64)
+    return steps, np.asarray(recorded_states, dtype=np.float64), verdict
 
 
 def detect_limit(

@@ -31,7 +31,6 @@ __all__ = [
     "ConvergenceMonitor",
     "ConvergenceSettings",
     "INITIAL_POINT_PRESETS",
-    "PRESET_INITIAL_POINTS",
     "SweepEntry",
     "SweepResult",
     "Trajectory",
@@ -39,22 +38,19 @@ __all__ = [
     "VerdictStatus",
     "consistency_experiment",
     "detect_limit",
-    "euler_failure_demo",
     "first_negative_step",
     "step_size_sweep",
 ]
 
-# Initial conditions used by the benchmark phase portraits.
-PRESET_INITIAL_POINTS: tuple[State, ...] = (
-    State(0.1, 0.1),
-    State(0.2, 0.4),
-    State(0.7, 0.6),
-    State(1.0, 0.4),
-    State(1.2, 0.15),
-)
-
+# Named initial-point sets; "paper-initials" starts the benchmark phase portraits.
 INITIAL_POINT_PRESETS: dict[str, tuple[State, ...]] = {
-    "paper-initials": PRESET_INITIAL_POINTS,
+    "paper-initials": (
+        State(0.1, 0.1),
+        State(0.2, 0.4),
+        State(0.7, 0.6),
+        State(1.0, 0.4),
+        State(1.2, 0.15),
+    ),
 }
 
 
@@ -221,14 +217,3 @@ def first_negative_step(
         if max(abs(s[0]), abs(s[1])) > limit:
             return None
     return None
-
-
-def euler_failure_demo(
-    params: HostParams,
-    variant: ModelVariant,
-    s0: tuple[float, float],
-    h: float,
-    max_steps: int = 10_000,
-) -> int | None:
-    """First step at which forward Euler leaves the positive quadrant."""
-    return first_negative_step(params, variant, s0, h, scheme="euler", max_steps=max_steps)

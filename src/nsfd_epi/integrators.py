@@ -4,62 +4,62 @@ RK4 serves as the trusted approximation of the flow; forward Euler is
 kept deliberately naive to demonstrate the positivity failures the
 nonstandard maps avoid.  Neither scheme clamps states: negative or
 diverging trajectories are reported as-is.
+
+Both schemes call the one vector-field expression, ``model.field_kernel``,
+with the parameters bound once per run: RK4 for each of its four
+stages, Euler once per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
 import numpy as np
 
-from .convergence import ConvergenceMonitor, ConvergenceSettings, Verdict, VerdictStatus
-from .equilibria import all_equilibria
-from .model import BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates
+from .convergence import ConvergenceSettings, Verdict, _run_monitored
+from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State, field_kernel
 
-__all__ = ["ContinuousRun", "euler_step", "rk4_step", "simulate_continuous"]
+__all__ = ["ContinuousRun", "euler_step", "rk4_step", "scheme_kernel", "simulate_continuous"]
 
+def _rk4(field: Kernel, dt: float) -> Kernel:
+    half, sixth = 0.5 * dt, dt / 6.0
 
-def _rk4_kernel(
-    b_x: float, b_y: float, u_x: float, u_y: float, big_k: float, e: float, beta: float,
-    x: float, y: float, dt: float,
-) -> tuple[float, float]:
-    # Hot loop: the vector field is inlined so a long integration does
-    # not pay attribute lookups four times per step.
-    g = 1.0 - (x + y) / big_k
-    k1x = (b_x * g - u_x - beta * y) * x + e * g * y
-    k1y = (b_y * g - u_y + beta * x) * y
-    half = 0.5 * dt
-    x2, y2 = x + half * k1x, y + half * k1y
-    g = 1.0 - (x2 + y2) / big_k
-    k2x = (b_x * g - u_x - beta * y2) * x2 + e * g * y2
-    k2y = (b_y * g - u_y + beta * x2) * y2
-    x3, y3 = x + half * k2x, y + half * k2y
-    g = 1.0 - (x3 + y3) / big_k
-    k3x = (b_x * g - u_x - beta * y3) * x3 + e * g * y3
-    k3y = (b_y * g - u_y + beta * x3) * y3
-    x4, y4 = x + dt * k3x, y + dt * k3y
-    g = 1.0 - (x4 + y4) / big_k
-    k4x = (b_x * g - u_x - beta * y4) * x4 + e * g * y4
-    k4y = (b_y * g - u_y + beta * x4) * y4
-    sixth = dt / 6.0
-    return x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x), y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+    def advance(x: float, y: float) -> tuple[float, float]:
+        k1x, k1y = field(x, y)
+        k2x, k2y = field(x + half * k1x, y + half * k1y)
+        k3x, k3y = field(x + half * k2x, y + half * k2y)
+        k4x, k4y = field(x + dt * k3x, y + dt * k3y)
+        return x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x), y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+
+    return advance
 
 
-def _euler_kernel(
-    b_x: float, b_y: float, u_x: float, u_y: float, big_k: float, e: float, beta: float,
-    x: float, y: float, dt: float,
-) -> tuple[float, float]:
-    g = 1.0 - (x + y) / big_k
-    return (
-        x + dt * ((b_x * g - u_x - beta * y) * x + e * g * y),
-        y + dt * ((b_y * g - u_y + beta * x) * y),
-    )
+def _euler(field: Kernel, dt: float) -> Kernel:
+    def advance(x: float, y: float) -> tuple[float, float]:
+        fx, fy = field(x, y)
+        return x + dt * fx, y + dt * fy
+
+    return advance
 
 
-def _check_dt(dt: float) -> None:
+_SCHEMES = {"rk4": _rk4, "euler": _euler}
+
+
+def scheme_kernel(params: HostParams, variant: ModelVariant, dt: float, scheme: str = "rk4") -> Kernel:
+    """One unchecked step ``(X, Y) -> (X', Y')`` of ``scheme`` ("rk4" or "euler") at dt."""
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt!r}")
+    if scheme not in _SCHEMES:
+        raise DomainError(f"unknown continuous scheme {scheme!r}")
+    return _SCHEMES[scheme](field_kernel(params, variant), dt)
+
+
+def _step_once(params: HostParams, variant: ModelVariant, s: tuple[float, float], dt: float, scheme: str) -> State:
+    advance = scheme_kernel(params, variant, dt, scheme)
+    x, y = s
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
+    return State(*advance(x, y))
 
 
 def rk4_step(params: HostParams, variant: ModelVariant, s: tuple[float, float], dt: float) -> State:
@@ -69,25 +69,15 @@ def rk4_step(params: HostParams, variant: ModelVariant, s: tuple[float, float], 
     stages can overflow even when ``s`` itself is moderate; the NaN/inf
     then propagates to the result).
     """
-    _check_dt(dt)
-    x, y = s
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
-    e, beta = effective_rates(params, variant)
-    out_x, out_y = _rk4_kernel(params.b_x, params.b_y, params.u_x, params.u_y, params.K, e, beta, x, y, dt)
-    if not (math.isfinite(out_x) and math.isfinite(out_y)):
-        raise BlowUpError(f"RK4 update overflowed from state ({x!r}, {y!r}) at dt = {dt!r}")
-    return State(out_x, out_y)
+    out = _step_once(params, variant, s, dt, "rk4")
+    if not (math.isfinite(out.X) and math.isfinite(out.Y)):
+        raise BlowUpError(f"RK4 update overflowed from state ({s[0]!r}, {s[1]!r}) at dt = {dt!r}")
+    return out
 
 
 def euler_step(params: HostParams, variant: ModelVariant, s: tuple[float, float], dt: float) -> State:
     """Forward Euler: s + dt * f(s).  May leave the positive quadrant."""
-    _check_dt(dt)
-    x, y = s
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
-    e, beta = effective_rates(params, variant)
-    return State(*_euler_kernel(params.b_x, params.b_y, params.u_x, params.u_y, params.K, e, beta, x, y, dt))
+    return _step_once(params, variant, s, dt, "euler")
 
 
 @dataclass(frozen=True)
@@ -119,50 +109,16 @@ def simulate_continuous(
     """Integrate from s0 until convergence, divergence, or t_max.
 
     ``scheme`` is "rk4" (default) or "euler" (for the positivity
-    demonstrations); both share the convergence monitor used by the
-    discrete runner.  BlowUpError propagates from the stepper.
+    demonstrations); both share the convergence monitor and run loop
+    of the discrete runner.  BlowUpError is raised for the first update
+    that is not finite.
     """
-    _check_dt(dt)
+    advance = scheme_kernel(params, variant, dt, scheme)
     if t_max < dt:
         raise DomainError(f"t_max = {t_max!r} must be at least dt = {dt!r}")
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    if scheme == "rk4":
-        kernel = _rk4_kernel
-    elif scheme == "euler":
-        kernel = _euler_kernel
-    else:
-        raise DomainError(f"unknown continuous scheme {scheme!r}")
-    if settings is None:
-        settings = ConvergenceSettings()
-    e, beta = effective_rates(params, variant)
-    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
-
-    try:
-        known = all_equilibria(params, variant)
-    except DomainError:
-        known = ()  # implausible parameters: no limit matching, divergence only
-    monitor = ConvergenceMonitor(settings, known, params.K)
     s = (float(s0[0]), float(s0[1]))
     if not (math.isfinite(s[0]) and math.isfinite(s[1])):
         raise DomainError(f"initial state {s!r} is not finite")
-    recorded_steps = [0]
-    recorded_states = [s]
-    verdict = monitor.start(s)
-    n = 0
-    n_limit = min(int(t_max / dt + 1e-9), settings.max_steps)
-    while verdict is None and n < n_limit:
-        n += 1
-        prev = s
-        s = kernel(b_x, b_y, u_x, u_y, big_k, e, beta, prev[0], prev[1], dt)
-        if not (math.isfinite(s[0]) and math.isfinite(s[1])):
-            raise BlowUpError(f"{scheme} update overflowed at step {n} from {prev!r}")
-        verdict = monitor.update(prev, s, n)
-        if n % record_every == 0 or verdict is not None or n == n_limit:
-            recorded_steps.append(n)
-            recorded_states.append(s)
-    if verdict is None:
-        verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
-    steps = np.asarray(recorded_steps, dtype=np.int64)
-    states = np.asarray(recorded_states, dtype=np.float64)
+    n_steps = int(t_max / dt + 1e-9)
+    steps, states, verdict = _run_monitored(advance, params, variant, s, n_steps, settings, record_every, scheme)
     return ContinuousRun(dt=dt, t_max=t_max, steps=steps, times=steps * dt, states=states, verdict=verdict)

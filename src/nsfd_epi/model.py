@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 __all__ = [
     "BlowUpError",
     "DegenerateQuadraticError",
     "DomainError",
     "HostParams",
+    "Kernel",
     "ModelVariant",
     "NotAnEquilibriumError",
     "State",
@@ -38,6 +39,7 @@ __all__ = [
     "VariantParameterError",
     "Violation",
     "effective_rates",
+    "field_kernel",
     "validate_params",
     "vector_field",
 ]
@@ -118,6 +120,9 @@ class ModelVariant(Enum):
 
 ValidationMode = Literal["strict", "permissive"]
 
+# A one-step update or a vector field: (X, Y) -> a pair of floats.
+Kernel = Callable[[float, float], tuple[float, float]]
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -196,6 +201,24 @@ def effective_rates(params: HostParams, variant: ModelVariant) -> tuple[float, f
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def field_kernel(params: HostParams, variant: ModelVariant) -> Kernel:
+    """The variant's right-hand side ``(X, Y) -> (dX/dt, dY/dt)``, parameters bound once.
+
+    The returned function does not check the state.  Raises
+    VariantParameterError if ``params`` contradicts ``variant``.
+    """
+    e, beta = effective_rates(params, variant)
+    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
+
+    def field(x: float, y: float) -> tuple[float, float]:
+        crowding = 1.0 - (x + y) / big_k
+        dx = (b_x * crowding - u_x - beta * y) * x + e * crowding * y
+        dy = (b_y * crowding - u_y + beta * x) * y
+        return dx, dy
+
+    return field
+
+
 def vector_field(params: HostParams, variant: ModelVariant, s: tuple[float, float]) -> tuple[float, float]:
     """Right-hand side (dX/dt, dY/dt) of the variant's ODE system at s.
 
@@ -209,8 +232,4 @@ def vector_field(params: HostParams, variant: ModelVariant, s: tuple[float, floa
     x, y = s
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"state ({x!r}, {y!r}) is not finite")
-    e, beta = effective_rates(params, variant)
-    crowding = 1.0 - (x + y) / params.K
-    dx = (params.b_x * crowding - params.u_x - beta * y) * x + e * crowding * y
-    dy = (params.b_y * crowding - params.u_y + beta * x) * y
-    return dx, dy
+    return field_kernel(params, variant)(x, y)

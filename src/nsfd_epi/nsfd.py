@@ -9,7 +9,7 @@ denominator.  The denominator functions are
     phi1(h) = b_y (1 - exp(-beta K u_y h / b_y)) / (beta K u_y)
     phi2(h) = h
 
-with phi1 -> h as beta -> 0.  The general map is
+with phi1 -> h as beta -> 0.  One map serves the whole model family:
 
     X_{n+1} = [X_n (1 + phi1 b_x) + phi1 e Y_n]
               / [1 + phi1 (b_x X_n/K + b_x Y_n/K + u_x + beta Y_n
@@ -17,37 +17,34 @@ with phi1 -> h as beta -> 0.  The general map is
     Y_{n+1} = Y_n [1 + phi2 (b_y + beta X_n)]
               / [1 + phi2 (b_y X_n/K + b_y Y_n/K + u_y)]
 
-and the sub-variant maps drop the e terms (horizontal) and additionally
-set beta = 0, phi1 = h (vertical).  Every term on each side is
-nonnegative for states in the positive quadrant, so positivity holds
-for every step size h > 0, and the fixed points coincide with the
-continuous equilibria.
+The horizontal variant is this map with e = 0, the vertical one with
+e = 0 and beta = 0 (so phi1 = h).  Their zero rates make the e and beta
+terms +0.0, and adding +0.0 changes no value other than -0.0, so each
+variant keeps the bits of a map written for it alone.  The Y^2/X ratio
+is formed only for the general variant with Y != 0; at X = 0 it is
+infinite, and 0 * inf would turn the horizontal map's invariant X = 0
+axis into NaN.  The general map refuses X <= 0 with Y > 0 and extends
+continuously along the X axis (Y = 0).
 
-The e Y^2/X term makes the general map undefined on the Y axis; along
-the X axis (Y = 0) all the X-ratio terms vanish identically and the
-map extends continuously, which the implementation uses.  States with
-X <= 0 and Y > 0 are refused.
+Every term on each side is nonnegative for states in the positive
+quadrant, so positivity holds for every step size h > 0, and the fixed
+points coincide with the continuous equilibria.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-from .convergence import ConvergenceMonitor, ConvergenceSettings, Trajectory, Verdict, VerdictStatus
-from .equilibria import all_equilibria
-from .model import DomainError, HostParams, ModelVariant, State, effective_rates
+from .convergence import ConvergenceSettings, Trajectory, _run_monitored
+from .model import DomainError, HostParams, Kernel, ModelVariant, State, effective_rates
 
 __all__ = [
     "DenominatorPair",
     "denominators",
     "iterate",
+    "map_kernel",
     "step",
-    "step_general",
-    "step_horizontal",
-    "step_vertical",
 ]
 
 # Below this value of (beta K u_y / b_y) * h the closed form for phi1 is
@@ -60,11 +57,6 @@ class DenominatorPair(NamedTuple):
     phi2: float
 
 
-def _check_step_size(h: float) -> None:
-    if not (math.isfinite(h) and h > 0):
-        raise DomainError(f"step size must be finite and positive, got {h!r}")
-
-
 def denominators(params: HostParams, variant: ModelVariant, h: float) -> DenominatorPair:
     """Denominator functions (phi1, phi2) for a variant at step size h.
 
@@ -72,7 +64,8 @@ def denominators(params: HostParams, variant: ModelVariant, h: float) -> Denomin
     and saturates at b_y / (beta K u_y); the vertical variant (and any
     parameter set with beta K u_y = 0) uses phi1 = h exactly.
     """
-    _check_step_size(h)
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"step size must be finite and positive, got {h!r}")
     _, beta = effective_rates(params, variant)
     decay = beta * params.K * params.u_y
     if decay == 0.0:
@@ -88,81 +81,42 @@ def denominators(params: HostParams, variant: ModelVariant, h: float) -> Denomin
     return DenominatorPair(phi1, h)
 
 
-def _check_state(x: float, y: float) -> None:
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
-    if x < 0 or y < 0:
-        raise DomainError(f"state ({x!r}, {y!r}) leaves the nonnegative quadrant")
+def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
+    """The variant's update ``(X_n, Y_n) -> (X_{n+1}, Y_{n+1})`` at step size h.
 
-
-def step_general(params: HostParams, h: float, s: tuple[float, float]) -> State:
-    """One update of the general map (imperfect vertical transmission).
-
-    Requires X > 0 unless Y = 0: the e Y^2/X term has no limit as the
-    Y axis is approached with Y > 0.
+    Checks the parameters and h and computes phi1 and phi2 once.  The
+    update raises DomainError for a state that is not finite, leaves the
+    nonnegative quadrant, or has X = 0 < Y under the general variant.
     """
-    x, y = s
-    _check_state(x, y)
-    if x == 0 and y > 0:
-        raise DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
-    phi1, phi2 = denominators(params, ModelVariant.GENERAL, h)
-    b_x, b_y, u_x, u_y, big_k, e, beta = (
-        params.b_x,
-        params.b_y,
-        params.u_x,
-        params.u_y,
-        params.K,
-        params.e,
-        params.beta,
-    )
-    ratio = y * y / x if y != 0 else 0.0
-    num_x = x * (1.0 + phi1 * b_x) + phi1 * e * y
-    den_x = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio)
-    num_y = y * (1.0 + phi2 * (b_y + beta * x))
-    den_y = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
-    return State(num_x / den_x, num_y / den_y)
+    e, beta = effective_rates(params, variant)
+    phi1, phi2 = denominators(params, variant, h)
+    general = variant is ModelVariant.GENERAL
+    b_x, b_y, u_x, u_y = params.b_x, params.b_y, params.u_x, params.u_y
+    gain_x, phi1_e = 1.0 + phi1 * b_x, phi1 * e
+    bx_k, by_k, e_k = b_x / params.K, b_y / params.K, e / params.K
 
+    def advance(x: float, y: float) -> tuple[float, float]:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"state ({x!r}, {y!r}) is not finite")
+        if x < 0 or y < 0:
+            raise DomainError(f"state ({x!r}, {y!r}) leaves the nonnegative quadrant")
+        ratio = 0.0
+        if general and y != 0:
+            if x == 0:
+                raise DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
+            ratio = y * y / x
+        num_x = x * gain_x + phi1_e * y
+        den_x = 1.0 + phi1 * (bx_k * x + bx_k * y + u_x + beta * y + e_k * y + e_k * ratio)
+        num_y = y * (1.0 + phi2 * (b_y + beta * x))
+        den_y = 1.0 + phi2 * (by_k * x + by_k * y + u_y)
+        return num_x / den_x, num_y / den_y
 
-def step_horizontal(params: HostParams, h: float, s: tuple[float, float]) -> State:
-    """One update of the perfect-vertical-transmission map (e = 0).
-
-    Defined on the whole nonnegative quadrant; both axes are invariant.
-    """
-    x, y = s
-    _check_state(x, y)
-    phi1, phi2 = denominators(params, ModelVariant.HORIZONTAL, h)
-    b_x, b_y, u_x, u_y, big_k, beta = params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.beta
-    num_x = x * (1.0 + phi1 * b_x)
-    den_x = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y)
-    num_y = y * (1.0 + phi2 * (b_y + beta * x))
-    den_y = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
-    return State(num_x / den_x, num_y / den_y)
-
-
-def step_vertical(params: HostParams, h: float, s: tuple[float, float]) -> State:
-    """One update of the no-contact map (e = 0, beta = 0, phi1 = phi2 = h)."""
-    x, y = s
-    _check_state(x, y)
-    effective_rates(params, ModelVariant.VERTICAL)
-    _check_step_size(h)
-    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
-    num_x = x * (1.0 + h * b_x)
-    den_x = 1.0 + h * (b_x / big_k * x + b_x / big_k * y + u_x)
-    num_y = y * (1.0 + h * b_y)
-    den_y = 1.0 + h * (b_y / big_k * x + b_y / big_k * y + u_y)
-    return State(num_x / den_x, num_y / den_y)
-
-
-_STEPPERS: dict[ModelVariant, Callable[[HostParams, float, tuple[float, float]], State]] = {
-    ModelVariant.GENERAL: step_general,
-    ModelVariant.HORIZONTAL: step_horizontal,
-    ModelVariant.VERTICAL: step_vertical,
-}
+    return advance
 
 
 def step(params: HostParams, variant: ModelVariant, h: float, s: tuple[float, float]) -> State:
-    """Variant-dispatched single update."""
-    return _STEPPERS[variant](params, h, s)
+    """One update of the variant's map from s (see map_kernel)."""
+    return State(*map_kernel(params, variant, h)(*s))
 
 
 def iterate(
@@ -183,34 +137,6 @@ def iterate(
     """
     if n_max <= 0:
         raise DomainError(f"n_max must be positive, got {n_max!r}")
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    if settings is None:
-        settings = ConvergenceSettings()
-    stepper = _STEPPERS[variant]
-    effective_rates(params, variant)  # fail fast on variant/parameter mismatch
-
-    try:
-        known = all_equilibria(params, variant)
-    except DomainError:
-        known = ()  # implausible parameters: no limit matching, divergence only
-    monitor = ConvergenceMonitor(settings, known, params.K)
-    s = (float(s0[0]), float(s0[1]))
-    recorded_steps = [0]
-    recorded_states = [s]
-    verdict = monitor.start(s)
-    n = 0
-    n_limit = min(n_max, settings.max_steps)
-    while verdict is None and n < n_limit:
-        n += 1
-        prev = s
-        s = stepper(params, h, prev)
-        verdict = monitor.update(prev, s, n)
-        if n % record_every == 0 or verdict is not None or n == n_limit:
-            recorded_steps.append(n)
-            recorded_states.append(s)
-    if verdict is None:
-        verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
-    steps = np.asarray(recorded_steps, dtype=np.int64)
-    states = np.asarray(recorded_states, dtype=np.float64)
+    advance = map_kernel(params, variant, h)
+    steps, states, verdict = _run_monitored(advance, params, variant, s0, n_max, settings, record_every, "nsfd")
     return Trajectory(h=h, steps=steps, times=steps * h, states=states, verdict=verdict)

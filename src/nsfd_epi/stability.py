@@ -290,18 +290,14 @@ def stability_conditions(params: HostParams, variant: ModelVariant, eq: Equilibr
     return StabilityConditions(TheoremPrediction.NOT_COVERED, conds, (), notes)
 
 
-def theorem_prediction(
-    params: HostParams, variant: ModelVariant, eq: Equilibrium, regime: Regime
-) -> TheoremPrediction:
+def theorem_prediction(params: HostParams, variant: ModelVariant, eq: Equilibrium) -> TheoremPrediction:
     """Stability verdict from the closed-form criteria, if they apply.
 
     The criteria are identical for the continuous system and the
-    discrete maps (``regime`` does not change the outcome; it is kept
-    for symmetry with the eigenvalue classification).  Returns
+    discrete maps, so one verdict serves both regimes.  Returns
     NOT_COVERED when the equilibrium does not exist or no criterion's
     hypotheses are met.
     """
-    del regime
     if not eq.exists:
         return TheoremPrediction.NOT_COVERED
     return stability_conditions(params, variant, eq).prediction

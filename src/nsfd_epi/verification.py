@@ -11,8 +11,10 @@ the benchmark phase portraits, hence the default match tolerance of
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,10 +26,10 @@ from .equilibria import (
     interior_equilibrium,
     reproduction_numbers,
 )
-from .harness import PRESET_INITIAL_POINTS, first_negative_step, step_size_sweep
-from .integrators import _rk4_kernel, simulate_continuous
-from .model import HostParams, ModelVariant, State, validate_params, vector_field
-from .nsfd import denominators, iterate, step
+from .harness import INITIAL_POINT_PRESETS, first_negative_step, step_size_sweep
+from .integrators import scheme_kernel, simulate_continuous
+from .model import HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
+from .nsfd import denominators, iterate, map_kernel
 from .stability import (
     Classification,
     Matrix2,
@@ -41,10 +43,12 @@ from .stability import (
 
 __all__ = [
     "CheckResult",
+    "FixtureError",
     "Scenario",
     "SCENARIOS",
     "acceptance_check_names",
     "benchmark_params",
+    "load_fixture_scenarios",
     "run_acceptance",
 ]
 
@@ -73,7 +77,7 @@ class Scenario:
     dt: float = 0.01
     t_max: float = 2000.0
     max_steps: int = 100_000
-    initial_points: tuple[State, ...] = PRESET_INITIAL_POINTS
+    initial_points: tuple[State, ...] = INITIAL_POINT_PRESETS["paper-initials"]
 
 
 SCENARIOS: tuple[Scenario, ...] = (
@@ -142,21 +146,19 @@ def convergence_check(scenario: Scenario, match_tol: float = 1e-3) -> CheckResul
     name = f"converges:{scenario.name}"
     worst = 0.0
     ex, ey = scenario.expected_point
+    p, variant = scenario.params, scenario.variant
     for s0 in scenario.initial_points:
-        run = simulate_continuous(scenario.params, scenario.variant, s0, dt=scenario.dt, t_max=scenario.t_max)
-        if not run.verdict.converged:
-            return _fail(name, f"continuous run from {tuple(s0)} ended {run.verdict.status.value}")
-        d = max(abs(run.final_state.X - ex), abs(run.final_state.Y - ey))
-        worst = max(worst, d)
-        if d > match_tol:
-            return _fail(name, f"continuous run from {tuple(s0)} ended at {tuple(run.final_state)}, off by {d:.3g}")
-        traj = iterate(scenario.params, scenario.variant, scenario.h, s0, scenario.max_steps)
-        if not traj.verdict.converged:
-            return _fail(name, f"discrete run from {tuple(s0)} ended {traj.verdict.status.value}")
-        d = max(abs(traj.final_state.X - ex), abs(traj.final_state.Y - ey))
-        worst = max(worst, d)
-        if d > match_tol:
-            return _fail(name, f"discrete run from {tuple(s0)} ended at {tuple(traj.final_state)}, off by {d:.3g}")
+        for label, start in (
+            ("continuous", lambda: simulate_continuous(p, variant, s0, dt=scenario.dt, t_max=scenario.t_max)),
+            ("discrete", lambda: iterate(p, variant, scenario.h, s0, scenario.max_steps)),
+        ):
+            run = start()
+            if not run.verdict.converged:
+                return _fail(name, f"{label} run from {tuple(s0)} ended {run.verdict.status.value}")
+            d = max(abs(run.final_state.X - ex), abs(run.final_state.Y - ey))
+            worst = max(worst, d)
+            if d > match_tol:
+                return _fail(name, f"{label} run from {tuple(s0)} ended at {tuple(run.final_state)}, off by {d:.3g}")
     return _ok(
         name,
         f"{2 * len(scenario.initial_points)} runs reached "
@@ -243,8 +245,9 @@ def positivity_check(n_samples: int = 10_000, n_steps: int = 50) -> CheckResult:
         x0 = rng.uniform(1e-6, 2.0 * params.K)
         y0 = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 2.0 * params.K)
         s = (x0, y0)
+        advance = map_kernel(params, variant, h)
         for n in range(n_steps):
-            s = step(params, variant, h, s)
+            s = advance(*s)
             if not (math.isfinite(s[0]) and math.isfinite(s[1])):
                 return _fail(name, f"sample {i}: state became non-finite at step {n + 1}")
             if s[1] < 0 or s[0] < 0 or (variant is ModelVariant.GENERAL and s[0] <= 0):
@@ -377,13 +380,15 @@ def consistency_order_check() -> CheckResult:
         params = benchmark_params(variant, beta)
         grid = [(x, y) for x in (0.1, 0.5, 1.1) for y in (0.1, 0.4, 0.9)]
         defects = []
+        field = field_kernel(params, variant)
         for h in h_values:
             phi1, phi2 = denominators(params, variant, h)
+            advance = map_kernel(params, variant, h)
             worst = 0.0
-            for s in grid:
-                s1 = step(params, variant, h, s)
-                fx, fy = vector_field(params, variant, s)
-                worst = max(worst, abs((s1.X - s[0]) / phi1 - fx), abs((s1.Y - s[1]) / phi2 - fy))
+            for x, y in grid:
+                x1, y1 = advance(x, y)
+                fx, fy = field(x, y)
+                worst = max(worst, abs((x1 - x) / phi1 - fx), abs((y1 - y) / phi2 - fy))
             defects.append(worst)
         ratios = [defects[i + 1] / defects[i] for i in range(len(defects) - 1)]
         if not all(lo <= r <= hi for r in ratios):
@@ -393,9 +398,10 @@ def consistency_order_check() -> CheckResult:
     horizon = 5.0
     finals = {}
     for dt in (1e-4, 0.1, 0.05):
+        advance = scheme_kernel(params, ModelVariant.GENERAL, dt)
         x, y = 0.1, 0.1
         for _ in range(round(horizon / dt)):
-            x, y = _rk4_kernel(params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta, x, y, dt)
+            x, y = advance(x, y)
         finals[dt] = (x, y)
     ref = finals[1e-4]
     err_coarse = max(abs(finals[0.1][0] - ref[0]), abs(finals[0.1][1] - ref[1]))
@@ -406,17 +412,12 @@ def consistency_order_check() -> CheckResult:
     return _ok(name, f"defect ratios near 0.1 for all variants; RK4 halving ratio {richardson:.1f}")
 
 
-def run_acceptance(
-    match_tol: float = 1e-3,
-    only: str | None = None,
-    extra_scenarios: Sequence[Scenario] = (),
-) -> list[CheckResult]:
-    """Run every acceptance check (optionally filtered by substring)."""
-    checks: list[tuple[str, Callable[[], CheckResult]]] = []
-    for scenario in tuple(SCENARIOS) + tuple(extra_scenarios):
-        checks.append(
-            (f"converges:{scenario.name}", lambda s=scenario: convergence_check(s, match_tol))
-        )
+def _checks(match_tol: float, extra_scenarios: Sequence[Scenario]) -> list[tuple[str, Callable[[], CheckResult]]]:
+    """Every acceptance check, in ``verify`` order, under its name."""
+    checks: list[tuple[str, Callable[[], CheckResult]]] = [
+        (f"converges:{scenario.name}", lambda s=scenario: convergence_check(s, match_tol))
+        for scenario in (*SCENARIOS, *extra_scenarios)
+    ]
     checks.extend(
         [
             ("interior-equilibrium-algebra", interior_algebra_check),
@@ -428,25 +429,70 @@ def run_acceptance(
             ("consistency-order", consistency_order_check),
         ]
     )
-    results = []
-    for check_name, fn in checks:
-        if only is not None and only not in check_name:
-            continue
-        results.append(fn())
-    return results
+    return checks
+
+
+def run_acceptance(
+    match_tol: float = 1e-3,
+    only: str | None = None,
+    extra_scenarios: Sequence[Scenario] = (),
+) -> list[CheckResult]:
+    """Run every acceptance check (optionally filtered by substring)."""
+    return [fn() for name, fn in _checks(match_tol, extra_scenarios) if only is None or only in name]
 
 
 def acceptance_check_names(extra_scenarios: Sequence[Scenario] = ()) -> list[str]:
-    names = [f"converges:{s.name}" for s in tuple(SCENARIOS) + tuple(extra_scenarios)]
-    names.extend(
-        [
-            "interior-equilibrium-algebra",
-            "reproduction-number-threshold",
-            "positivity",
-            "step-size-independence",
-            "jury-eigenvalue-oracle",
-            "theorem-crosscheck",
-            "consistency-order",
-        ]
+    return [name for name, _ in _checks(1e-3, extra_scenarios)]
+
+
+class FixtureError(ValueError):
+    """A scenario fixture file cannot be read as a valid Scenario."""
+
+
+def _fixture_scenario(data: dict) -> Scenario:
+    params = data["params"]
+    host = HostParams(
+        b_x=float(params["bx"]),
+        b_y=float(params["by"]),
+        u_x=float(params["ux"]),
+        u_y=float(params["uy"]),
+        K=float(params["K"]),
+        e=float(params.get("e", 0.0)),
+        beta=float(params.get("beta", 0.0)),
     )
-    return names
+    variant = ModelVariant(data["model"])
+    effective_rates(host, variant)
+    point = data["expected_point"]
+    if not (
+        isinstance(point, list)
+        and len(point) == 2
+        and all(isinstance(v, (int, float)) and math.isfinite(v) for v in point)
+    ):
+        raise ValueError(f"expected_point must be a list of two finite numbers, got {point!r}")
+    return Scenario(
+        name=str(data["name"]),
+        params=host,
+        variant=variant,
+        expected_kind=EquilibriumKind(data["expected_kind"]),
+        expected_point=tuple(point),
+        h=float(data.get("h", 0.1)),
+        dt=float(data.get("dt", 0.01)),
+        t_max=float(data.get("t_max", 2000.0)),
+        max_steps=int(data.get("max_steps", 100_000)),
+    )
+
+
+def load_fixture_scenarios(directory: Path) -> list[Scenario]:
+    """One Scenario per ``*.json`` file in ``directory``, in file-name order.
+
+    Raises FixtureError unless each file names a known model and
+    expected kind, with parameters that fit the model and an
+    ``expected_point`` of two finite numbers.
+    """
+    scenarios = []
+    for file in sorted(directory.glob("*.json")):
+        try:
+            scenarios.append(_fixture_scenario(json.loads(file.read_text())))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise FixtureError(f"bad scenario fixture {file}: {exc}") from None
+    return scenarios

@@ -47,12 +47,13 @@ def test_criterion(name, acceptance_results):
     assert result.passed, f"criterion {CRITERION[name]} ({name}): {result.details}"
 
 
-def test_stock_verify_command_exits_zero():
+def test_stock_verify_command_exits_zero(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "nsfd_epi.cli", "verify"],
         capture_output=True,
         text=True,
         timeout=300,
+        env=package_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout

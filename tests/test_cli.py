@@ -278,12 +278,40 @@ class TestVerifyCommand:
         assert code == 2
         assert "fixture" in err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"expected_point": [1.0, 0.0, 0.0]},
+            {"expected_point": [1.0, float("nan")]},
+            {"expected_point": 1.0},
+            {"model": "diagonal"},
+            {"expected_kind": "chaotic"},
+            {"model": "horizontal", "params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": 1.2, "e": 0.02}},
+        ],
+        ids=["three-entry-point", "nan-point", "scalar-point", "model", "kind", "params-misfit"],
+    )
+    @pytest.mark.parametrize("args", [["verify", "--list"], ["verify", "--only", "fixture"]], ids=["list", "run"])
+    def test_fixture_is_validated_at_load(self, tmp_path, monkeypatch, capsys, change, args):
+        fixture = {
+            "name": "fixture-vertical",
+            "model": "vertical",
+            "params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": 1.2},
+            "expected_kind": "disease_free",
+            "expected_point": [1.0, 0.0],
+        }
+        (tmp_path / "bad.json").write_text(json.dumps({**fixture, **change}))
+        monkeypatch.setenv("NSFD_EPI_SEED_DIR", str(tmp_path))
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert f"bad scenario fixture {tmp_path / 'bad.json'}: " in err
 
-def test_console_entry_point_runs():
+
+def test_console_entry_point_runs(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "nsfd_epi.cli", "equilibria", "--beta", "0.3", "--format", "json"],
         capture_output=True,
         text=True,
+        env=package_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["model"] == "general"

@@ -2,14 +2,7 @@ import pytest
 
 from nsfd_epi.convergence import ConvergenceSettings, VerdictStatus, detect_limit
 from nsfd_epi.equilibria import EquilibriumKind, all_equilibria, interior_equilibrium, trivial_equilibrium
-from nsfd_epi.harness import (
-    INITIAL_POINT_PRESETS,
-    PRESET_INITIAL_POINTS,
-    consistency_experiment,
-    euler_failure_demo,
-    first_negative_step,
-    step_size_sweep,
-)
+from nsfd_epi.harness import INITIAL_POINT_PRESETS, consistency_experiment, first_negative_step, step_size_sweep
 from nsfd_epi.model import DomainError, ModelVariant
 from nsfd_epi.stability import Classification
 from nsfd_epi.verification import SCENARIOS, benchmark_params
@@ -62,7 +55,7 @@ class TestConsistencyExperiment:
         report = consistency_experiment(
             GENERAL_LOW,
             ModelVariant.GENERAL,
-            PRESET_INITIAL_POINTS,
+            INITIAL_POINT_PRESETS["paper-initials"],
             h_list=[0.1],
             scenario="general-disease-free",
         )
@@ -139,14 +132,16 @@ class TestStepSizeSweep:
 
 class TestEulerFailureDemo:
     def test_large_step_fails_at_step_one(self):
-        assert euler_failure_demo(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9), 10.0) == 1
+        assert first_negative_step(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="euler") == 1
 
     def test_nonstandard_control_never_fails(self):
         idx = first_negative_step(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="nsfd", max_steps=2000)
         assert idx is None
 
     def test_small_step_euler_stays_positive(self):
-        idx = euler_failure_demo(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9), 1e-3, max_steps=10_000)
+        idx = first_negative_step(
+            GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9), 1e-3, scheme="euler", max_steps=10_000
+        )
         assert idx is None
 
     def test_unknown_scheme_rejected(self):
@@ -155,5 +150,4 @@ class TestEulerFailureDemo:
 
 
 def test_preset_registry():
-    assert INITIAL_POINT_PRESETS["paper-initials"] == PRESET_INITIAL_POINTS
-    assert PRESET_INITIAL_POINTS == ((0.1, 0.1), (0.2, 0.4), (0.7, 0.6), (1.0, 0.4), (1.2, 0.15))
+    assert INITIAL_POINT_PRESETS["paper-initials"] == ((0.1, 0.1), (0.2, 0.4), (0.7, 0.6), (1.0, 0.4), (1.2, 0.15))

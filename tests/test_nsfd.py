@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.convergence import ConvergenceSettings, VerdictStatus
+from nsfd_epi.integrators import euler_step, rk4_step
 from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interior_equilibrium
-from nsfd_epi.model import DomainError, HostParams, ModelVariant, vector_field
-from nsfd_epi.nsfd import denominators, iterate, step, step_general, step_horizontal, step_vertical
+from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, vector_field
+from nsfd_epi.nsfd import denominators, iterate, step
 from nsfd_epi.verification import SCENARIOS, benchmark_params
 
 GENERAL_LOW = benchmark_params(ModelVariant.GENERAL, 0.1)
@@ -76,14 +78,14 @@ class TestStepGeneral:
     def test_interior_fixed_point(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
         for h in (0.1, 1.0, 50.0):
-            out = step_general(GENERAL_HIGH, h, eq.point)
+            out = step(GENERAL_HIGH, ModelVariant.GENERAL, h, eq.point)
             assert max(abs(out.X - eq.point.X), abs(out.Y - eq.point.Y)) <= 1e-12
 
     def test_axis_follows_logistic_update(self):
         p = GENERAL_HIGH
         h = 0.1
         phi1 = denominators(p, ModelVariant.GENERAL, h).phi1
-        out = step_general(p, h, (0.4, 0.0))
+        out = step(p, ModelVariant.GENERAL, h, (0.4, 0.0))
         assert out.Y == 0.0
         expected = 0.4 * (1.0 + phi1 * p.b_x) / (1.0 + phi1 * (p.b_x / p.K * 0.4 + p.u_x))
         assert out.X == pytest.approx(expected, rel=1e-14)
@@ -101,51 +103,51 @@ class TestStepGeneral:
         )
         num_y = y + h * (p.b_y + p.beta * x) * y
         den_y = 1.0 + h * (p.b_y * x / p.K + p.b_y * y / p.K + p.u_y)
-        out = step_general(p, h, (x, y))
+        out = step(p, ModelVariant.GENERAL, h, (x, y))
         assert out.X == pytest.approx(num_x / den_x, rel=1e-13)
         assert out.Y == pytest.approx(num_y / den_y, rel=1e-13)
         assert out.X > 0 and out.Y > 0
 
     def test_origin_is_fixed(self):
-        assert step_general(GENERAL_HIGH, 0.1, (0.0, 0.0)) == (0.0, 0.0)
+        assert step(GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (0.0, 0.0)) == (0.0, 0.0)
 
     def test_infected_axis_rejected(self):
         with pytest.raises(DomainError):
-            step_general(GENERAL_HIGH, 0.1, (0.0, 0.5))
+            step(GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (0.0, 0.5))
         with pytest.raises(DomainError):
-            step_general(GENERAL_HIGH, 0.1, (-0.1, 0.5))
+            step(GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (-0.1, 0.5))
 
 
 class TestStepHorizontal:
     def test_interior_fixed_point(self):
         eq = interior_equilibrium(HORIZ_MID, ModelVariant.HORIZONTAL)
-        out = step_horizontal(HORIZ_MID, 0.1, eq.point)
+        out = step(HORIZ_MID, ModelVariant.HORIZONTAL, 0.1, eq.point)
         assert max(abs(out.X - eq.point.X), abs(out.Y - eq.point.Y)) <= 1e-12
 
     def test_infected_axis_is_invariant(self):
-        out = step_horizontal(HORIZ_MID, 0.7, (0.0, 0.45))
+        out = step(HORIZ_MID, ModelVariant.HORIZONTAL, 0.7, (0.0, 0.45))
         assert out.X == 0.0 and out.Y > 0
 
     def test_small_vertical_leakage_limit(self):
         leaky = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.2, e=1e-12, beta=0.3)
-        a = step_general(leaky, 0.1, (0.5, 0.5))
-        b = step_horizontal(HORIZ_MID, 0.1, (0.5, 0.5))
+        a = step(leaky, ModelVariant.GENERAL, 0.1, (0.5, 0.5))
+        b = step(HORIZ_MID, ModelVariant.HORIZONTAL, 0.1, (0.5, 0.5))
         assert max(abs(a.X - b.X), abs(a.Y - b.Y)) <= 1e-9
 
 
 class TestStepVertical:
     def test_disease_free_fixed_point(self):
         eq = disease_free_equilibrium(VERT)
-        out = step_vertical(VERT, 0.1, eq.point)
+        out = step(VERT, ModelVariant.VERTICAL, 0.1, eq.point)
         assert max(abs(out.X - eq.point.X), abs(out.Y - eq.point.Y)) <= 1e-12
 
     def test_origin_fixed(self):
-        assert step_vertical(VERT, 0.1, (0.0, 0.0)) == (0.0, 0.0)
+        assert step(VERT, ModelVariant.VERTICAL, 0.1, (0.0, 0.0)) == (0.0, 0.0)
 
     def test_small_contact_limit(self):
         weak = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.2, e=0.0, beta=1e-12)
-        a = step_horizontal(weak, 0.1, (0.3, 0.3))
-        b = step_vertical(VERT, 0.1, (0.3, 0.3))
+        a = step(weak, ModelVariant.HORIZONTAL, 0.1, (0.3, 0.3))
+        b = step(VERT, ModelVariant.VERTICAL, 0.1, (0.3, 0.3))
         assert max(abs(a.X - b.X), abs(a.Y - b.Y)) <= 1e-9
 
 
@@ -257,6 +259,155 @@ strict_params = st.builds(
 def test_general_map_preserves_positivity(params, h, x_frac, y_frac):
     s = (x_frac * params.K, y_frac * params.K)
     for _ in range(30):
-        s = step_general(params, h, s)
+        s = step(params, ModelVariant.GENERAL, h, s)
         assert s.X > 0 and s.Y >= 0
         assert math.isfinite(s.X) and math.isfinite(s.Y)
+
+
+# Reference formulas: the per-variant updates and the inlined RK4 and
+# Euler kernels that the shared map and vector field replaced.  The
+# shared code must reproduce them bit for bit.
+
+
+def _ref_check_state(x, y):
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
+    if x < 0 or y < 0:
+        raise DomainError(f"state ({x!r}, {y!r}) leaves the nonnegative quadrant")
+
+
+def ref_step_general(params, h, s):
+    x, y = s
+    _ref_check_state(x, y)
+    if x == 0 and y > 0:
+        raise DomainError("general map is undefined at X = 0 with Y > 0")
+    phi1, phi2 = denominators(params, ModelVariant.GENERAL, h)
+    b_x, b_y, u_x, u_y, big_k, e, beta = params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta
+    ratio = y * y / x if y != 0 else 0.0
+    num_x = x * (1.0 + phi1 * b_x) + phi1 * e * y
+    den_x = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio)
+    num_y = y * (1.0 + phi2 * (b_y + beta * x))
+    den_y = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
+    return num_x / den_x, num_y / den_y
+
+
+def ref_step_horizontal(params, h, s):
+    x, y = s
+    _ref_check_state(x, y)
+    phi1, phi2 = denominators(params, ModelVariant.HORIZONTAL, h)
+    b_x, b_y, u_x, u_y, big_k, beta = params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.beta
+    num_x = x * (1.0 + phi1 * b_x)
+    den_x = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y)
+    num_y = y * (1.0 + phi2 * (b_y + beta * x))
+    den_y = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
+    return num_x / den_x, num_y / den_y
+
+
+def ref_step_vertical(params, h, s):
+    x, y = s
+    _ref_check_state(x, y)
+    effective_rates(params, ModelVariant.VERTICAL)
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"step size must be finite and positive, got {h!r}")
+    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
+    num_x = x * (1.0 + h * b_x)
+    den_x = 1.0 + h * (b_x / big_k * x + b_x / big_k * y + u_x)
+    num_y = y * (1.0 + h * b_y)
+    den_y = 1.0 + h * (b_y / big_k * x + b_y / big_k * y + u_y)
+    return num_x / den_x, num_y / den_y
+
+
+REFERENCE_MAPS = {
+    ModelVariant.GENERAL: ref_step_general,
+    ModelVariant.HORIZONTAL: ref_step_horizontal,
+    ModelVariant.VERTICAL: ref_step_vertical,
+}
+
+
+def ref_rk4(b_x, b_y, u_x, u_y, big_k, e, beta, x, y, dt):
+    g = 1.0 - (x + y) / big_k
+    k1x = (b_x * g - u_x - beta * y) * x + e * g * y
+    k1y = (b_y * g - u_y + beta * x) * y
+    half = 0.5 * dt
+    x2, y2 = x + half * k1x, y + half * k1y
+    g = 1.0 - (x2 + y2) / big_k
+    k2x = (b_x * g - u_x - beta * y2) * x2 + e * g * y2
+    k2y = (b_y * g - u_y + beta * x2) * y2
+    x3, y3 = x + half * k2x, y + half * k2y
+    g = 1.0 - (x3 + y3) / big_k
+    k3x = (b_x * g - u_x - beta * y3) * x3 + e * g * y3
+    k3y = (b_y * g - u_y + beta * x3) * y3
+    x4, y4 = x + dt * k3x, y + dt * k3y
+    g = 1.0 - (x4 + y4) / big_k
+    k4x = (b_x * g - u_x - beta * y4) * x4 + e * g * y4
+    k4y = (b_y * g - u_y + beta * x4) * y4
+    sixth = dt / 6.0
+    return x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x), y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+
+
+def ref_euler(b_x, b_y, u_x, u_y, big_k, e, beta, x, y, dt):
+    g = 1.0 - (x + y) / big_k
+    return x + dt * ((b_x * g - u_x - beta * y) * x + e * g * y), y + dt * ((b_y * g - u_y + beta * x) * y)
+
+
+def fit_variant(params, variant):
+    """Zero the rates the variant leaves out."""
+    if variant is ModelVariant.HORIZONTAL:
+        return dataclasses.replace(params, e=0.0)
+    if variant is ModelVariant.VERTICAL:
+        return dataclasses.replace(params, e=0.0, beta=0.0)
+    return params
+
+
+def bits(state):
+    return tuple(float(v).hex() for v in state)
+
+
+def map_outcome(fn, *args):
+    try:
+        return bits(fn(*args))
+    except DomainError:
+        return "DomainError"
+
+
+# Zero, the smallest subnormal, and anything up to far past K.
+densities = st.one_of(st.just(0.0), st.just(5e-324), st.floats(5e-324, 1e3))
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    params=strict_params,
+    variant=st.sampled_from(list(ModelVariant)),
+    h=st.floats(-12.0, 12.0).map(lambda k: 10.0**k),
+    x=densities,
+    y=densities,
+)
+def test_map_matches_per_variant_formulas_bit_for_bit(params, variant, h, x, y):
+    params = fit_variant(params, variant)
+    got = map_outcome(step, params, variant, h, (x, y))
+    assert got == map_outcome(REFERENCE_MAPS[variant], params, h, (x, y))
+    if variant is ModelVariant.GENERAL and x == 0.0 and y > 0.0:
+        assert got == "DomainError"
+    elif variant is not ModelVariant.GENERAL and x == 0.0:
+        assert got != "DomainError"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=strict_params,
+    variant=st.sampled_from(list(ModelVariant)),
+    dt=st.sampled_from([1e-3, 0.01, 0.1, 1.0, 10.0, 1e3]),
+    x=st.floats(-10.0, 10.0),
+    y=st.floats(-10.0, 10.0),
+)
+def test_rk4_and_euler_match_inlined_kernels_bit_for_bit(params, variant, dt, x, y):
+    params = fit_variant(params, variant)
+    e, beta = effective_rates(params, variant)
+    args = (params.b_x, params.b_y, params.u_x, params.u_y, params.K, e, beta, x, y, dt)
+    expected = ref_rk4(*args)
+    if all(math.isfinite(v) for v in expected):
+        assert bits(rk4_step(params, variant, (x, y), dt)) == bits(expected)
+    else:
+        with pytest.raises(BlowUpError):
+            rk4_step(params, variant, (x, y), dt)
+    assert bits(euler_step(params, variant, (x, y), dt)) == bits(ref_euler(*args))

@@ -225,31 +225,31 @@ class TestTheoremPrediction:
     def test_disease_free_switches_with_threshold(self):
         eq = disease_free_equilibrium(GENERAL_LOW)
         assert (
-            theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq, Regime.CONTINUOUS)
+            theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq)
             is TheoremPrediction.STABLE
         )
         eq_high = disease_free_equilibrium(GENERAL_HIGH)
         assert (
-            theorem_prediction(GENERAL_HIGH, ModelVariant.GENERAL, eq_high, Regime.CONTINUOUS)
+            theorem_prediction(GENERAL_HIGH, ModelVariant.GENERAL, eq_high)
             is TheoremPrediction.UNSTABLE
         )
 
     def test_susceptible_free_always_unstable_without_contact(self):
         eq = susceptible_free_equilibrium(VERT, ModelVariant.VERTICAL)
-        assert theorem_prediction(VERT, ModelVariant.VERTICAL, eq, Regime.DISCRETE) is TheoremPrediction.UNSTABLE
+        assert theorem_prediction(VERT, ModelVariant.VERTICAL, eq) is TheoremPrediction.UNSTABLE
 
     def test_nonexistent_equilibrium_not_covered(self):
         eq = interior_equilibrium(GENERAL_LOW, ModelVariant.GENERAL)
-        assert theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq, Regime.CONTINUOUS) is (
+        assert theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq) is (
             TheoremPrediction.NOT_COVERED
         )
 
     def test_trivial_point_covered_only_when_both_rates_decay(self):
         dying = HostParams(b_x=0.05, b_y=0.03, u_x=0.3, u_y=0.4, K=1.0, e=0.02, beta=0.1)
         eq = trivial_equilibrium()
-        assert theorem_prediction(dying, ModelVariant.GENERAL, eq, Regime.CONTINUOUS) is TheoremPrediction.STABLE
+        assert theorem_prediction(dying, ModelVariant.GENERAL, eq) is TheoremPrediction.STABLE
         assert (
-            theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq, Regime.CONTINUOUS)
+            theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq)
             is TheoremPrediction.NOT_COVERED
         )
 
