@@ -508,6 +508,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(name)
         return EXIT_OK
     match_tol = args.tol_eq if args.tol_eq is not None else 1e-3
+    if not 0 < match_tol < math.inf:
+        raise ConfigError(f"--tol-eq must be finite and positive, got {match_tol!r}")
     results = run_acceptance(match_tol=match_tol, only=only, extra_scenarios=extra)
     if not results:
         print(f"no checks match --only {only!r}", file=sys.stderr)

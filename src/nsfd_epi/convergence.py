@@ -7,11 +7,23 @@ consecutive steps (quiescence) and the current state lies within
 positives during slow passages near saddle points.  A state whose
 infinity norm exceeds ``divergence_factor * scale`` (scale is the
 carrying capacity) is declared diverged.
+
+The rule lives in one place, the run loop ``_scan``.  It tests
+divergence, movement and the quiet-run count with local comparisons on
+every step, and calls ``ConvergenceMonitor.update``, the proximity
+test, only on steps where the run has been quiet for at least a window.
+The runners (``nsfd.iterate``, ``integrators.simulate_continuous``)
+reach the loop through ``_run_monitored``; ``detect_limit`` replays a
+recorded sequence through it.  ``ConvergenceMonitor`` holds the
+settings, the known equilibria and the divergence limit.  It stays a
+class with an ``update`` method because the benchmark's tracer wraps
+``ConvergenceMonitor.update`` to count proximity tests.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -87,7 +99,7 @@ class Trajectory:
 
 
 class ConvergenceMonitor:
-    """Online detector fed one state per step."""
+    """The detector's fixed inputs and its proximity test."""
 
     def __init__(
         self,
@@ -98,37 +110,79 @@ class ConvergenceMonitor:
         self.settings = settings
         self.known = [eq for eq in equilibria if eq.exists]
         self.limit = DIVERGENCE_FACTOR * max(scale, 0.0)
-        self.quiet_run = 0
 
-    def _diverged(self, s: tuple[float, float]) -> bool:
-        return max(abs(s[0]), abs(s[1])) > self.limit
+    def update(self, s: tuple[float, float], step: int) -> Verdict | None:
+        """A converged verdict if the nearest known equilibrium lies within ``tol_eq`` of s, else None.
 
-    def start(self, s0: tuple[float, float]) -> Verdict | None:
-        if self._diverged(s0):
-            return Verdict(VerdictStatus.DIVERGED, at_step=0)
-        return None
-
-    def update(self, prev: tuple[float, float], cur: tuple[float, float], step: int) -> Verdict | None:
-        if self._diverged(cur):
-            return Verdict(VerdictStatus.DIVERGED, at_step=step)
-        movement = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-        self.quiet_run = self.quiet_run + 1 if movement < self.settings.tol_step else 0
-        if self.quiet_run >= self.settings.window:
-            nearest = self._nearest(cur)
-            if nearest is not None:
-                kind, point = nearest
-                return Verdict(VerdictStatus.CONVERGED, kind=kind, point=point, at_step=step)
-        return None
-
-    def _nearest(self, s: tuple[float, float]) -> tuple[EquilibriumKind, State] | None:
+        The run loop calls this once the run has been quiet for ``window`` steps.
+        """
         best: tuple[float, Equilibrium] | None = None
         for eq in self.known:
             d = max(abs(s[0] - eq.point.X), abs(s[1] - eq.point.Y))
             if best is None or d < best[0]:
                 best = (d, eq)
         if best is not None and best[0] <= self.settings.tol_eq:
-            return best[1].kind, best[1].point
+            return Verdict(VerdictStatus.CONVERGED, kind=best[1].kind, point=best[1].point, at_step=step)
         return None
+
+
+def _scan(
+    monitor: ConvergenceMonitor,
+    advance: Kernel,
+    s0: tuple[float, float],
+    n_limit: int,
+    record_every: int,
+    scheme: str,
+) -> tuple[list[int], list[tuple[float, float]], Verdict]:
+    """Step s0 by ``advance`` up to ``n_limit`` times under the convergence rule.
+
+    Returns the recorded step indices and states (every
+    ``record_every``-th one plus the first and last) and the verdict.
+    Raises BlowUpError for a state that is not finite.  One chained
+    comparison per component passes a state that is finite and not
+    diverged; only a state that fails it is tested for finiteness.  Past
+    that test the state is finite, so ``max(|dx|, |dy|) < tol`` is
+    ``-tol < dx < tol and -tol < dy < tol``.
+    """
+    x, y = s0
+    steps, states = [0], [s0]
+    limit = monitor.limit
+    # The start is not checked for finiteness.  The max() form decides
+    # which starts with an inf or a NaN are diverged at step 0: max()
+    # drops a NaN in second place but returns one in first place.
+    if max(abs(x), abs(y)) > limit:
+        return steps, states, Verdict(VerdictStatus.DIVERGED, at_step=0)
+    # A NaN or infinite limit never declares a finite state diverged.
+    bound = limit if limit < math.inf else sys.float_info.max
+    tol, window, update = monitor.settings.tol_step, monitor.settings.window, monitor.update
+    verdict = None
+    quiet = n = 0
+    while n < n_limit:
+        n += 1
+        px, py = x, y
+        x, y = advance(px, py)
+        if not (-bound <= x <= bound and -bound <= y <= bound):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise BlowUpError(f"{scheme} update overflowed at step {n} from {(px, py)!r}")
+            verdict = Verdict(VerdictStatus.DIVERGED, at_step=n)
+            break
+        if -tol < x - px < tol and -tol < y - py < tol:
+            quiet += 1
+            if quiet >= window:
+                verdict = update((x, y), n)
+                if verdict is not None:
+                    break
+        else:
+            quiet = 0
+        if n % record_every == 0:
+            steps.append(n)
+            states.append((x, y))
+    if steps[-1] != n:
+        steps.append(n)
+        states.append((x, y))
+    if verdict is None:
+        verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
+    return steps, states, verdict
 
 
 def _run_monitored(
@@ -137,15 +191,16 @@ def _run_monitored(
     variant: ModelVariant,
     s0: tuple[float, float],
     n_steps: int,
+    step_size: float,
     settings: ConvergenceSettings | None,
     record_every: int,
     scheme: str,
-) -> tuple[np.ndarray, np.ndarray, Verdict]:
-    """The run loop of the discrete and continuous runners: recorded steps, states and the verdict.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Verdict]:
+    """The run of the discrete and continuous runners: recorded steps, times, states and the verdict.
 
-    Steps at most ``min(n_steps, settings.max_steps)`` times, records
-    every ``record_every``-th state plus the first and last, and raises
-    BlowUpError for a state that is not finite before recording it.
+    Steps at most ``min(n_steps, settings.max_steps)`` times and matches
+    the variant's equilibria; see ``_scan``.  Times are steps times
+    ``step_size``; one that overflows is inf, without a warning.
     """
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
@@ -157,25 +212,13 @@ def _run_monitored(
         known = ()  # implausible parameters: no limit matching, divergence only
     monitor = ConvergenceMonitor(settings, known, params.K)
     s = (float(s0[0]), float(s0[1]))
-    recorded_steps = [0]
-    recorded_states = [s]
-    verdict = monitor.start(s)
-    n = 0
-    n_limit = min(n_steps, settings.max_steps)
-    while verdict is None and n < n_limit:
-        n += 1
-        prev = s
-        s = advance(*prev)
-        if not (math.isfinite(s[0]) and math.isfinite(s[1])):
-            raise BlowUpError(f"{scheme} update overflowed at step {n} from {prev!r}")
-        verdict = monitor.update(prev, s, n)
-        if n % record_every == 0 or verdict is not None or n == n_limit:
-            recorded_steps.append(n)
-            recorded_states.append(s)
-    if verdict is None:
-        verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
+    recorded_steps, recorded_states, verdict = _scan(
+        monitor, advance, s, min(n_steps, settings.max_steps), record_every, scheme
+    )
     steps = np.asarray(recorded_steps, dtype=np.int64)
-    return steps, np.asarray(recorded_states, dtype=np.float64), verdict
+    with np.errstate(over="ignore"):
+        times = steps * step_size
+    return steps, times, np.asarray(recorded_states, dtype=np.float64), verdict
 
 
 def detect_limit(
@@ -186,20 +229,25 @@ def detect_limit(
 ) -> Verdict:
     """Classify an already-recorded state sequence.
 
-    ``scale`` defaults to the largest known equilibrium coordinate (at
-    least 1) when the caller does not pass the carrying capacity.
+    The sequence is replayed through the run loop, whatever its length
+    (``settings.max_steps`` does not cap it).  A state that is not
+    finite is diverged at its index.  ``scale`` defaults to the largest
+    known equilibrium coordinate (at least 1) when the caller does not
+    pass the carrying capacity.
     """
     states = list(states)
     if scale is None:
         scale = max([1.0] + [max(abs(eq.point.X), abs(eq.point.Y)) for eq in equilibria if eq.exists])
-    monitor = ConvergenceMonitor(settings, equilibria, scale)
     if not states:
         return Verdict(VerdictStatus.MAX_STEPS, at_step=0)
-    verdict = monitor.start(states[0])
-    if verdict is not None:
-        return verdict
-    for n in range(1, len(states)):
-        verdict = monitor.update(states[n - 1], states[n], n)
-        if verdict is not None:
-            return verdict
-    return Verdict(VerdictStatus.MAX_STEPS, at_step=len(states) - 1)
+    n_finite = next(
+        (i for i, (x, y) in enumerate(states) if not (math.isfinite(x) and math.isfinite(y))), len(states)
+    )
+    if n_finite == 0:
+        return Verdict(VerdictStatus.DIVERGED, at_step=0)
+    monitor = ConvergenceMonitor(settings, equilibria, scale)
+    replay = iter(states[1:n_finite])
+    _, _, verdict = _scan(monitor, lambda x, y: next(replay), states[0], n_finite - 1, n_finite, "replay")
+    if verdict.status is VerdictStatus.MAX_STEPS and n_finite < len(states):
+        return Verdict(VerdictStatus.DIVERGED, at_step=n_finite)
+    return verdict

@@ -119,6 +119,10 @@ def simulate_continuous(
     s = (float(s0[0]), float(s0[1]))
     if not (math.isfinite(s[0]) and math.isfinite(s[1])):
         raise DomainError(f"initial state {s!r} is not finite")
-    n_steps = int(t_max / dt + 1e-9)
-    steps, states, verdict = _run_monitored(advance, params, variant, s, n_steps, settings, record_every, scheme)
-    return ContinuousRun(dt=dt, t_max=t_max, steps=steps, times=steps * dt, states=states, verdict=verdict)
+    n_steps = t_max / dt + 1e-9
+    if not math.isfinite(n_steps):
+        raise DomainError(f"t_max = {t_max!r} over dt = {dt!r} gives no finite step count")
+    steps, times, states, verdict = _run_monitored(
+        advance, params, variant, s, int(n_steps), dt, settings, record_every, scheme
+    )
+    return ContinuousRun(dt=dt, t_max=t_max, steps=steps, times=times, states=states, verdict=verdict)

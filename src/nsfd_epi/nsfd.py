@@ -138,5 +138,7 @@ def iterate(
     if n_max <= 0:
         raise DomainError(f"n_max must be positive, got {n_max!r}")
     advance = map_kernel(params, variant, h)
-    steps, states, verdict = _run_monitored(advance, params, variant, s0, n_max, settings, record_every, "nsfd")
-    return Trajectory(h=h, steps=steps, times=steps * h, states=states, verdict=verdict)
+    steps, times, states, verdict = _run_monitored(
+        advance, params, variant, s0, n_max, h, settings, record_every, "nsfd"
+    )
+    return Trajectory(h=h, steps=steps, times=times, states=states, verdict=verdict)

@@ -171,6 +171,24 @@ class TestSimulateCommand:
         assert code == 3
         assert "undefined" in err
 
+    def test_huge_dt_is_runtime_error(self, capsys):
+        # --steps 2 at dt = 1e308 asks for t_max = inf.
+        code, _, err = run_cli(["simulate", "--scheme", "rk4", "--dt", "1e308", "--steps", "2"], capsys)
+        assert code == 3
+        assert "t_max = inf" in err
+
+    def test_huge_h_writes_infinite_times_without_warning(self, package_env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsfd_epi.cli", "simulate", "--h", "1e308", "--steps", "3"],
+            capture_output=True,
+            text=True,
+            env=package_env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        rows = lines[lines.index("n,t,X,Y") + 1 : -1]
+        assert [row.split(",")[:2] for row in rows] == [["0", "0.0"], ["1", "1e+308"], ["2", "inf"], ["3", "inf"]]
+
     def test_multiple_points_rejected(self, capsys):
         code, _, err = run_cli(self.ARGS + ["--x0", "0.5", "--y0", "0.5"], capsys)
         assert code == 2
@@ -249,6 +267,15 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--only", "converges:vertical", "--tol-eq", "1e-9"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3"])
+    def test_match_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        # "d > nan" is always false, so a NaN (or infinite) tolerance
+        # would pass every convergence check vacuously.
+        code, out, err = run_cli(["verify", "--only", "converges", f"--tol-eq={tol}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--tol-eq must be finite and positive" in err
 
     def test_unmatched_filter_is_config_error(self, capsys):
         code, _, _ = run_cli(["verify", "--only", "no-such-check"], capsys)

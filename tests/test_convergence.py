@@ -1,0 +1,300 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from nsfd_epi.convergence import (
+    ConvergenceMonitor,
+    ConvergenceSettings,
+    Verdict,
+    VerdictStatus,
+    _run_monitored,
+    detect_limit,
+)
+from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
+from nsfd_epi.integrators import scheme_kernel
+from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State
+from nsfd_epi.nsfd import map_kernel
+
+# Reference run loop: the per-step monitor, the run loop and
+# detect_limit as they were before the rule moved into local
+# comparisons.  The new loop must reproduce them bit for bit.
+
+
+class RefMonitor:
+    def __init__(self, settings, equilibria, scale):
+        self.settings = settings
+        self.known = [eq for eq in equilibria if eq.exists]
+        self.limit = 1e6 * max(scale, 0.0)
+        self.quiet_run = 0
+
+    def _diverged(self, s):
+        return max(abs(s[0]), abs(s[1])) > self.limit
+
+    def start(self, s0):
+        if self._diverged(s0):
+            return Verdict(VerdictStatus.DIVERGED, at_step=0)
+        return None
+
+    def update(self, prev, cur, step):
+        if self._diverged(cur):
+            return Verdict(VerdictStatus.DIVERGED, at_step=step)
+        movement = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
+        self.quiet_run = self.quiet_run + 1 if movement < self.settings.tol_step else 0
+        if self.quiet_run >= self.settings.window:
+            nearest = self._nearest(cur)
+            if nearest is not None:
+                kind, point = nearest
+                return Verdict(VerdictStatus.CONVERGED, kind=kind, point=point, at_step=step)
+        return None
+
+    def _nearest(self, s):
+        best = None
+        for eq in self.known:
+            d = max(abs(s[0] - eq.point.X), abs(s[1] - eq.point.Y))
+            if best is None or d < best[0]:
+                best = (d, eq)
+        if best is not None and best[0] <= self.settings.tol_eq:
+            return best[1].kind, best[1].point
+        return None
+
+
+def ref_run_monitored(advance, params, variant, s0, n_steps, settings, record_every, scheme):
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    try:
+        known = all_equilibria(params, variant)
+    except DomainError:
+        known = ()
+    monitor = RefMonitor(settings, known, params.K)
+    s = (float(s0[0]), float(s0[1]))
+    recorded_steps = [0]
+    recorded_states = [s]
+    verdict = monitor.start(s)
+    n = 0
+    n_limit = min(n_steps, settings.max_steps)
+    while verdict is None and n < n_limit:
+        n += 1
+        prev = s
+        s = advance(*prev)
+        if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+            raise BlowUpError(f"{scheme} update overflowed at step {n} from {prev!r}")
+        verdict = monitor.update(prev, s, n)
+        if n % record_every == 0 or verdict is not None or n == n_limit:
+            recorded_steps.append(n)
+            recorded_states.append(s)
+    if verdict is None:
+        verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
+    steps = np.asarray(recorded_steps, dtype=np.int64)
+    return steps, np.asarray(recorded_states, dtype=np.float64), verdict
+
+
+def ref_detect_limit(states, settings, equilibria, scale):
+    states = list(states)
+    monitor = RefMonitor(settings, equilibria, scale)
+    if not states:
+        return Verdict(VerdictStatus.MAX_STEPS, at_step=0)
+    verdict = monitor.start(states[0])
+    if verdict is not None:
+        return verdict
+    for n in range(1, len(states)):
+        verdict = monitor.update(states[n - 1], states[n], n)
+        if verdict is not None:
+            return verdict
+    return Verdict(VerdictStatus.MAX_STEPS, at_step=len(states) - 1)
+
+
+def outcome(run):
+    """The result of ``run()`` as comparable bits, or the exception's type and message."""
+    try:
+        return ("ok", run())
+    except (DomainError, ArithmeticError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def same_bits(a, b):
+    assert a[0] == b[0], (a, b)
+    if a[0] == "raised":
+        assert a == b
+        return
+    (steps_a, states_a, verdict_a), (steps_b, states_b, verdict_b) = a[1], b[1]
+    assert steps_a.dtype == steps_b.dtype and steps_a.tobytes() == steps_b.tobytes()
+    assert states_a.dtype == states_b.dtype and states_a.shape == states_b.shape
+    assert states_a.tobytes() == states_b.tobytes()
+    assert verdict_a == verdict_b
+
+
+rates = st.floats(0.0, 3.0)
+
+
+@st.composite
+def runs(draw):
+    variant = draw(st.sampled_from(list(ModelVariant)))
+    params = HostParams(
+        b_x=draw(rates),
+        b_y=draw(rates),
+        u_x=draw(rates),
+        u_y=draw(rates),
+        K=draw(st.one_of(st.floats(0.05, 3.0), st.floats(1e100, 1e150))),  # a huge K lets RK4 overflow
+        e=draw(st.floats(0.0, 1.0)) if variant is ModelVariant.GENERAL else 0.0,
+        beta=draw(rates) if variant is not ModelVariant.VERTICAL else 0.0,
+    )
+    window = draw(st.integers(1, 6))
+    run_settings = ConvergenceSettings(
+        tol_step=draw(st.sampled_from([1e-10, 1e-6, 1e-3, 1e-1])),
+        window=window,
+        tol_eq=draw(st.sampled_from([1e-6, 1e-3, 1e-1, 1.0])),
+        max_steps=draw(st.integers(1, 4 * window)),
+    )
+    try:
+        known = [eq.point for eq in all_equilibria(params, variant) if eq.exists and eq.point.X >= 0 <= eq.point.Y]
+    except (DomainError, ArithmeticError):
+        known = []
+    x0 = draw(
+        st.one_of(
+            st.floats(0.0, 2.0 * params.K),
+            st.floats(0.0, 2.0),
+            st.floats(5e-324, 1e-300),  # subnormal and tiny X
+            st.sampled_from([eq.X for eq in known] or [0.5]),
+        )
+    )
+    y0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * params.K), st.sampled_from([eq.Y for eq in known] or [0.5])))
+    return (
+        params,
+        variant,
+        draw(st.sampled_from(["nsfd", "rk4", "euler"])),
+        draw(st.floats(1e-3, 10.0)),
+        (x0, y0),
+        draw(st.integers(1, 3 * window)),
+        run_settings,
+        draw(st.integers(1, 60)),
+    )
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_run_loop_matches_reference_bit_for_bit(case):
+    params, variant, scheme, h, s0, n_steps, run_settings, record_every = case
+    try:
+        advance = map_kernel(params, variant, h) if scheme == "nsfd" else scheme_kernel(params, variant, h, scheme)
+    except DomainError:
+        assume(False)
+    ref = outcome(lambda: ref_run_monitored(advance, params, variant, s0, n_steps, run_settings, record_every, scheme))
+    new = outcome(
+        lambda: _run_monitored(advance, params, variant, s0, n_steps, h, run_settings, record_every, scheme)
+    )
+    if new[0] == "ok":
+        steps, times, states, verdict = new[1]
+        with np.errstate(over="ignore"):
+            assert times.tobytes() == (steps * h).tobytes()
+        new = ("ok", (steps, states, verdict))
+    same_bits(ref, new)
+
+
+def test_run_loop_reaches_each_verdict():
+    """Convergence, divergence, blow-up and the map's domain error each match the reference."""
+    general = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.3)
+    huge = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1e100, e=0.02, beta=0.3)
+    few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3, max_steps=50)
+    eq = [e for e in all_equilibria(general, ModelVariant.GENERAL) if e.kind is EquilibriumKind.INTERIOR][0]
+    cases = [
+        (general, map_kernel(general, ModelVariant.GENERAL, 0.1), eq.point, "nsfd"),
+        (general, scheme_kernel(general, ModelVariant.GENERAL, 10.0, "euler"), (0.1, 0.9), "euler"),
+        (huge, scheme_kernel(huge, ModelVariant.GENERAL, 10.0, "rk4"), (1.2, 0.15), "rk4"),
+        (general, map_kernel(general, ModelVariant.GENERAL, 1.0), (1e-320, 1.0), "nsfd"),
+    ]
+    seen = []
+    for params, advance, s0, scheme in cases:
+        ref = outcome(lambda: ref_run_monitored(advance, params, ModelVariant.GENERAL, s0, 6, few, 4, scheme))
+        new = outcome(lambda: _run_monitored(advance, params, ModelVariant.GENERAL, s0, 6, 1.0, few, 4, scheme))
+        if new[0] == "ok":
+            new = ("ok", (new[1][0], new[1][2], new[1][3]))
+            seen.append(new[1][2].status)
+        else:
+            seen.append(new[1])
+        same_bits(ref, new)
+    assert seen == [VerdictStatus.CONVERGED, VerdictStatus.DIVERGED, BlowUpError, DomainError]
+
+
+# detect_limit replays recorded states through the run loop.  The
+# sequences walk a grid of binary fractions, so a movement exactly equal
+# to tol_step is common and the strict "<" of the quiet test is
+# exercised; a jump to a grid multiple of the divergence limit lands on
+# the limit or beyond it.
+
+GRID = st.integers(-4, 20).map(lambda k: k / 8.0)
+MOVES = st.sampled_from([0.0, 0.0, 0.0, 0.125, -0.125, 0.25])
+TIE = Equilibrium(EquilibriumKind.INTERIOR, State(0.625, 0.5), True)
+
+
+@st.composite
+def sequences(draw):
+    window = draw(st.integers(1, 3))
+    limit_settings = ConvergenceSettings(
+        tol_step=draw(st.sampled_from([0.125, 0.25])),
+        window=window,
+        tol_eq=draw(st.sampled_from([0.0625, 0.125, 0.5])),
+        max_steps=draw(st.integers(1, 10)),
+    )
+    scale = draw(st.sampled_from([0.25, 1.0, 2.0, math.inf, math.nan]))
+    x, y = draw(GRID), draw(GRID)
+    states = []
+    for dx, dy in draw(st.lists(st.tuples(MOVES, MOVES), max_size=40)):
+        states.append((x, y))
+        x, y = x + dx, y + dy
+    if states and draw(st.booleans()):
+        at = draw(st.integers(0, len(states) - 1))
+        states[at] = (states[at][0] * 1e6 * (scale if math.isfinite(scale) else 1.0), states[at][1])
+    kinds = list(EquilibriumKind)
+    points = st.sampled_from(states) if states else st.tuples(GRID, GRID)
+    equilibria = [
+        Equilibrium(kinds[i % len(kinds)], State(*draw(st.one_of(points, st.tuples(GRID, GRID)))), draw(st.booleans()))
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    return states, limit_settings, equilibria, scale
+
+
+@settings(max_examples=600, deadline=None)
+@given(sequences())
+@example(([(0.5, 0.5), (0.625, 0.5)], ConvergenceSettings(tol_step=0.125, window=1), [TIE], 1.0))
+@example(([(0.5, 0.5), (1e6, 0.5)], ConvergenceSettings(), [], 1.0))
+def test_detect_limit_matches_reference(case):
+    states, limit_settings, equilibria, scale = case
+    assert detect_limit(states, limit_settings, equilibria, scale) == ref_detect_limit(
+        states, limit_settings, equilibria, scale
+    )
+
+
+def test_detect_limit_is_not_capped_by_max_steps():
+    point = State(1.0, 0.0)
+    equilibria = [Equilibrium(EquilibriumKind.DISEASE_FREE, point, True)]
+    short = ConvergenceSettings(window=30, max_steps=5)
+    states = [(0.5 + 0.01 * n, 0.0) for n in range(50)] + [point] * 31
+    verdict = detect_limit(states, short, equilibria, scale=1.0)
+    assert verdict == ref_detect_limit(states, short, equilibria, 1.0)
+    assert verdict.status is VerdictStatus.CONVERGED and verdict.at_step == 80
+
+
+@pytest.mark.parametrize(
+    "bad, index",
+    [((math.inf, 0.5), 3), ((0.5, -math.inf), 3), ((math.nan, 0.5), 3), ((0.5, math.nan), 0)],
+)
+def test_detect_limit_treats_a_state_that_is_not_finite_as_diverged(bad, index):
+    point = State(1.0, 0.0)
+    equilibria = [Equilibrium(EquilibriumKind.DISEASE_FREE, point, True)]
+    states = [point] * index + [bad] + [point] * 60
+    verdict = detect_limit(states, ConvergenceSettings(), equilibria, scale=1.0)
+    assert verdict == Verdict(VerdictStatus.DIVERGED, at_step=index)
+
+
+def test_proximity_test_names_the_nearest_equilibrium():
+    near = Equilibrium(EquilibriumKind.INTERIOR, State(0.5, 0.5), True)
+    far = Equilibrium(EquilibriumKind.DISEASE_FREE, State(1.0, 0.0), True)
+    absent = Equilibrium(EquilibriumKind.TRIVIAL, State(0.5, 0.5), False)
+    monitor = ConvergenceMonitor(ConvergenceSettings(tol_eq=0.01), [far, absent, near], scale=1.0)
+    assert monitor.update((0.505, 0.5), 7) == Verdict(
+        VerdictStatus.CONVERGED, kind=EquilibriumKind.INTERIOR, point=near.point, at_step=7
+    )
+    assert monitor.update((0.7, 0.5), 7) is None
