@@ -13,9 +13,10 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -152,6 +153,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         config = RunConfig.from_dict({**config.to_dict(), **data})
@@ -189,13 +192,23 @@ def _check_params(config: RunConfig) -> None:
             print(f"warning: {v}", file=sys.stderr)
 
 
+@contextmanager
+def _writing(out: str) -> Iterator[None]:
+    """Report a failed write to ``--out`` (a directory, a missing parent, no permission) as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        with _writing(out):
+            Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
 def _verdict_dict(verdict: Verdict) -> dict[str, Any]:
@@ -434,16 +447,17 @@ def _cmd_portrait(config: RunConfig) -> int:
     if config.out is None:
         raise ConfigError("portrait with csv output needs --out DIRECTORY")
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     index_lines = ["point,x0,y0,file,verdict,final_X,final_Y"]
-    for i, (s0, run) in enumerate(runs, start=1):
-        fname = f"trajectory_{i:02d}.csv"
-        (out_dir / fname).write_text(_trajectory_csv(config, s0, run) + "\n")
-        final = run.final_state
-        index_lines.append(
-            f"{i},{_fmt(s0.X)},{_fmt(s0.Y)},{fname},{run.verdict.status.value},{_fmt(final.X)},{_fmt(final.Y)}"
-        )
-    (out_dir / "index.csv").write_text("\n".join(index_lines) + "\n")
+    with _writing(config.out):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, (s0, run) in enumerate(runs, start=1):
+            fname = f"trajectory_{i:02d}.csv"
+            (out_dir / fname).write_text(_trajectory_csv(config, s0, run) + "\n")
+            final = run.final_state
+            index_lines.append(
+                f"{i},{_fmt(s0.X)},{_fmt(s0.Y)},{fname},{run.verdict.status.value},{_fmt(final.X)},{_fmt(final.Y)}"
+            )
+        (out_dir / "index.csv").write_text("\n".join(index_lines) + "\n")
     print(f"wrote {len(runs)} trajectories and index.csv to {out_dir}")
     return EXIT_OK
 

@@ -160,6 +160,8 @@ def interior_coefficients(params: HostParams) -> InteriorCoefficients:
 
     A carries a factor beta and C a factor e, so the quadratic
     degenerates in the sub-variants (handled by interior_equilibrium).
+    Raises DomainError when b_y <= 0, or when K or b_y is so large or
+    so small that a coefficient's squares overflow or divide by zero.
     """
     if params.b_y <= 0:
         raise DomainError(f"interior coefficients need b_y > 0, got {params.b_y!r}")
@@ -172,14 +174,20 @@ def interior_coefficients(params: HostParams) -> InteriorCoefficients:
         params.e,
         params.beta,
     )
-    a = beta * big_k / b_y**2 * (b_y * (b_x - b_y - e) + beta * big_k * (b_y + e))
-    b = (
-        -big_k * (b_x - u_x)
-        + big_k * (b_x + beta * big_k + e) * (b_y - u_y) / b_y
-        + 2.0 * e * big_k * (beta * big_k - b_y) * (b_y - u_y) / b_y**2
-        - e * big_k * (beta * big_k - b_y) / b_y
-    )
-    c = -e * big_k**2 * (b_y - u_y) * u_y / b_y**2
+    try:
+        a = beta * big_k / b_y**2 * (b_y * (b_x - b_y - e) + beta * big_k * (b_y + e))
+        b = (
+            -big_k * (b_x - u_x)
+            + big_k * (b_x + beta * big_k + e) * (b_y - u_y) / b_y
+            + 2.0 * e * big_k * (beta * big_k - b_y) * (b_y - u_y) / b_y**2
+            - e * big_k * (beta * big_k - b_y) / b_y
+        )
+        c = -e * big_k**2 * (b_y - u_y) * u_y / b_y**2
+    except (OverflowError, ZeroDivisionError):
+        # K**2 overflows above about 1.3e154; b_y**2 underflows to 0 below about 1.5e-154.
+        raise DomainError(
+            f"interior coefficients are out of floating-point range at K = {big_k!r}, b_y = {b_y!r}"
+        ) from None
     return InteriorCoefficients(a, b, c)
 
 

@@ -115,6 +115,8 @@ def discrete_jacobian(params: HostParams, variant: ModelVariant, point: tuple[fl
     the closed forms extend continuously, so boundary equilibria
     (including the origin) are handled; X <= 0 with Y > 0 is refused
     for the general variant, where the map itself is undefined there.
+    DomainError is also raised when a denominator or its square leaves
+    the floating-point range (overflow, or zero after underflow).
     """
     x, y = point
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -123,22 +125,28 @@ def discrete_jacobian(params: HostParams, variant: ModelVariant, point: tuple[fl
     phi1, phi2 = nsfd.denominators(params, variant, h)
     b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
 
-    if e != 0.0 and y != 0.0:
-        if x <= 0.0:
-            raise DomainError("discrete variational matrix needs X > 0 when e > 0 and Y > 0 (contains Y^2/X^2)")
-        ratio1, ratio2, ratio3 = y * y / x, y * y / (x * x), y / x
-    else:
-        ratio1 = ratio2 = ratio3 = 0.0
+    try:
+        if e != 0.0 and y != 0.0:
+            if x <= 0.0:
+                raise DomainError("discrete variational matrix needs X > 0 when e > 0 and Y > 0 (contains Y^2/X^2)")
+            ratio1, ratio2, ratio3 = y * y / x, y * y / (x * x), y / x
+        else:
+            ratio1 = ratio2 = ratio3 = 0.0
 
-    den1 = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio1)
-    num1 = x * (1.0 + phi1 * b_x) + phi1 * e * y
-    a11 = (1.0 + phi1 * b_x) / den1 - num1 * phi1 * (b_x / big_k - e / big_k * ratio2) / den1**2
-    a12 = phi1 * e / den1 - num1 * phi1 * (b_x / big_k + beta + e / big_k + 2.0 * e / big_k * ratio3) / den1**2
+        den1 = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio1)
+        num1 = x * (1.0 + phi1 * b_x) + phi1 * e * y
+        a11 = (1.0 + phi1 * b_x) / den1 - num1 * phi1 * (b_x / big_k - e / big_k * ratio2) / den1**2
+        a12 = phi1 * e / den1 - num1 * phi1 * (b_x / big_k + beta + e / big_k + 2.0 * e / big_k * ratio3) / den1**2
 
-    den2 = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
-    num2 = 1.0 + phi2 * (b_y + beta * x)
-    a21 = phi2 * beta * y / den2 - y * num2 * phi2 * (b_y / big_k) / den2**2
-    a22 = num2 / den2 - y * num2 * phi2 * (b_y / big_k) / den2**2
+        den2 = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
+        num2 = 1.0 + phi2 * (b_y + beta * x)
+        a21 = phi2 * beta * y / den2 - y * num2 * phi2 * (b_y / big_k) / den2**2
+        a22 = num2 / den2 - y * num2 * phi2 * (b_y / big_k) / den2**2
+    except (OverflowError, ZeroDivisionError):
+        # A squared denominator overflows, a denominator is 0, or X * X underflows to 0.
+        raise DomainError(
+            f"discrete variational matrix at ({x!r}, {y!r}) with h = {h!r} is out of floating-point range"
+        ) from None
     return Matrix2(a11, a12, a21, a22)
 
 
@@ -196,11 +204,26 @@ class JuryConditions(NamedTuple):
 
 
 def jury_conditions(m: Matrix2) -> JuryConditions:
-    """Both eigenvalue moduli < 1 iff 1 - det > 0, 1 - tr + det > 0 and
-    the diagonal entries lie in (0, 1)."""
+    """The 2x2 inside-the-unit-circle test.
+
+    For a matrix whose diagonal entries lie in (0, 1), both eigenvalue
+    moduli are < 1 iff 1 - det > 0 and 1 - tr + det > 0.  The diagonal
+    range is a hypothesis of that rule, not a consequence: the verdict
+    is True only when all three hold, and False for any matrix with a
+    diagonal entry outside (0, 1).  The entries may be floats (the
+    verdict is then a bool) or float64 arrays of matrices (one verdict
+    per element).
+    """
     one_minus_det = 1.0 - m.det
     one_minus_trace_plus_det = 1.0 - m.trace + m.det
-    verdict = one_minus_det > 0 and one_minus_trace_plus_det > 0 and 0 < m.a11 < 1 and 0 < m.a22 < 1
+    verdict = (
+        (one_minus_det > 0)
+        & (one_minus_trace_plus_det > 0)
+        & (0 < m.a11)
+        & (m.a11 < 1)
+        & (0 < m.a22)
+        & (m.a22 < 1)
+    )
     return JuryConditions(one_minus_det, one_minus_trace_plus_det, m.a11, m.a22, verdict)
 
 

@@ -30,7 +30,7 @@ from .equilibria import (
 from .harness import INITIAL_POINT_PRESETS, first_negative_step, step_size_sweep
 from .integrators import scheme_kernel, simulate_continuous
 from .model import HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
-from .nsfd import denominators, iterate, map_kernel
+from .nsfd import denominators, iterate, map_kernel, map_lanes
 from .stability import (
     Classification,
     Matrix2,
@@ -56,6 +56,12 @@ __all__ = [
 SEED = 987134834
 
 SWEEP_H_LIST = (0.01, 0.1, 1.0, 10.0, 50.0)
+
+# Samples per batch of map lanes in positivity_check, and matrices per
+# batch in jury_oracle_check: big enough that numpy's per-call cost is
+# spread thin, small enough that the temporaries stay a few hundred kB.
+POSITIVITY_BLOCK = 1_000
+JURY_BLOCK = 10_000
 
 
 def benchmark_params(variant: ModelVariant, beta: float) -> HostParams:
@@ -237,28 +243,59 @@ def _draw_strict_params(rng: np.random.Generator, variant: ModelVariant) -> Host
             return params
 
 
+def _first_lane_failure(
+    lanes: Sequence[tuple[HostParams, ModelVariant, float]], starts: Sequence[tuple[float, float]], n_steps: int
+) -> tuple[int, int, tuple[float, float]] | None:
+    """The lowest-numbered lane that fails, its first failing step and its state there; None if none fails.
+
+    A lane fails at a step that leaves it not finite or outside the
+    quadrant; a general lane also fails at X = 0.
+    """
+    advance = map_lanes(lanes)
+    general = np.array([variant is ModelVariant.GENERAL for _, variant, _ in lanes])
+    x, y = np.array(starts, dtype=np.float64).T.copy()
+    failed_at = np.zeros(len(lanes), dtype=np.int64)
+    failed_x, failed_y = np.zeros(len(lanes)), np.zeros(len(lanes))
+    for n in range(1, n_steps + 1):
+        x, y = advance(x, y)
+        with np.errstate(invalid="ignore"):
+            bad = ~(np.isfinite(x) & np.isfinite(y)) | (y < 0) | (x < 0) | (general & (x <= 0))
+        new = bad & (failed_at == 0)
+        if new.any():
+            failed_at[new], failed_x[new], failed_y[new] = n, x[new], y[new]
+    failed = np.flatnonzero(failed_at)
+    if failed.size == 0:
+        return None
+    i = int(failed[0])
+    return i, int(failed_at[i]), (float(failed_x[i]), float(failed_y[i]))
+
+
 def positivity_check(n_samples: int = 10_000, n_steps: int = 50) -> CheckResult:
-    """Random nonstandard runs stay in the quadrant; Euler does not."""
+    """Random nonstandard runs stay in the quadrant; Euler does not.
+
+    The samples are drawn one at a time, in a fixed order, and run
+    ``POSITIVITY_BLOCK`` at a time as lanes of one map.
+    """
     name = "positivity"
     rng = np.random.default_rng(SEED)
     variants = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
-    for i in range(n_samples):
-        variant = variants[int(rng.integers(len(variants)))]
-        params = _draw_strict_params(rng, variant)
-        h = rng.uniform(1e-3, 100.0)
-        x0 = rng.uniform(1e-6, 2.0 * params.K)
-        y0 = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 2.0 * params.K)
-        s = (x0, y0)
-        advance = map_kernel(params, variant, h)
-        for n in range(n_steps):
-            s = advance(*s)
+    for first in range(0, n_samples, POSITIVITY_BLOCK):
+        lanes, starts = [], []
+        for _ in range(min(POSITIVITY_BLOCK, n_samples - first)):
+            variant = variants[int(rng.integers(len(variants)))]
+            params = _draw_strict_params(rng, variant)
+            h = rng.uniform(1e-3, 100.0)
+            x0 = rng.uniform(1e-6, 2.0 * params.K)
+            y0 = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 2.0 * params.K)
+            lanes.append((params, variant, h))
+            starts.append((x0, y0))
+        failure = _first_lane_failure(lanes, starts, n_steps)
+        if failure is not None:
+            lane, n, s = failure
+            i, (_, variant, h) = first + lane, lanes[lane]
             if not (math.isfinite(s[0]) and math.isfinite(s[1])):
-                return _fail(name, f"sample {i}: state became non-finite at step {n + 1}")
-            if s[1] < 0 or s[0] < 0 or (variant is ModelVariant.GENERAL and s[0] <= 0):
-                return _fail(
-                    name,
-                    f"sample {i} ({variant.value}, h={h:.3g}): state {s} left the quadrant at step {n + 1}",
-                )
+                return _fail(name, f"sample {i}: state became non-finite at step {n}")
+            return _fail(name, f"sample {i} ({variant.value}, h={h:.3g}): state {s} left the quadrant at step {n}")
     demo = benchmark_params(ModelVariant.GENERAL, 0.3)
     euler_idx = first_negative_step(demo, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="euler")
     nsfd_idx = first_negative_step(demo, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="nsfd", max_steps=1000)
@@ -292,40 +329,39 @@ def step_size_independence_check() -> CheckResult:
 
 
 def jury_oracle_check(n_samples: int = 100_000) -> CheckResult:
-    """Inside-the-unit-circle test against direct eigenvalue moduli."""
+    """Inside-the-unit-circle test against direct eigenvalue moduli, ``JURY_BLOCK`` matrices at a time."""
     name = "jury-eigenvalue-oracle"
     rng = np.random.default_rng(SEED + 1)
     a11 = rng.uniform(0.0, 1.0, n_samples)
     a22 = rng.uniform(0.0, 1.0, n_samples)
     a12 = rng.uniform(-2.0, 2.0, n_samples)
     a21 = rng.uniform(-2.0, 2.0, n_samples)
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a21
-    disc = tr * tr - 4.0 * det
-    # Independent modulus oracle, vectorized: real pair or conjugate pair.
-    sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
-    mod_big = np.where(
-        disc >= 0,
-        np.maximum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
-        np.sqrt(np.maximum(det, 0.0)),
-    )
-    mod_small = np.where(
-        disc >= 0,
-        np.minimum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
-        np.sqrt(np.maximum(det, 0.0)),
-    )
-    inside = mod_big < 1.0
-    near_circle = (np.abs(mod_big - 1.0) <= 1e-9) | (np.abs(mod_small - 1.0) <= 1e-9)
-    mismatches = 0
-    for i in range(n_samples):
-        if near_circle[i]:
-            continue
-        verdict = jury_conditions(Matrix2(a11[i], a12[i], a21[i], a22[i])).verdict
-        if verdict != bool(inside[i]):
-            mismatches += 1
+    mismatches = near = 0
+    for first in range(0, n_samples, JURY_BLOCK):
+        block = slice(first, first + JURY_BLOCK)
+        b11, b12, b21, b22 = a11[block], a12[block], a21[block], a22[block]
+        tr = b11 + b22
+        det = b11 * b22 - b12 * b21
+        disc = tr * tr - 4.0 * det
+        # Independent modulus oracle, vectorized: real pair or conjugate pair.
+        sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
+        mod_big = np.where(
+            disc >= 0,
+            np.maximum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
+            np.sqrt(np.maximum(det, 0.0)),
+        )
+        mod_small = np.where(
+            disc >= 0,
+            np.minimum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
+            np.sqrt(np.maximum(det, 0.0)),
+        )
+        near_circle = (np.abs(mod_big - 1.0) <= 1e-9) | (np.abs(mod_small - 1.0) <= 1e-9)
+        verdict = jury_conditions(Matrix2(b11, b12, b21, b22)).verdict
+        mismatches += int(np.count_nonzero((verdict != (mod_big < 1.0)) & ~near_circle))
+        near += int(np.count_nonzero(near_circle))
     if mismatches:
         return _fail(name, f"{mismatches} of {n_samples} matrices disagree with the modulus test")
-    return _ok(name, f"{n_samples} random matrices agree with the modulus test ({int(near_circle.sum())} skipped near the circle)")
+    return _ok(name, f"{n_samples} random matrices agree with the modulus test ({near} skipped near the circle)")
 
 
 def theorem_crosscheck(n_draws: int = 1000, margin: float = 1e-6) -> CheckResult:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nsfd_epi.cli import RunConfig, main
 
@@ -342,3 +347,133 @@ def test_console_entry_point_runs(package_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["model"] == "general"
+
+
+class TestOutOfRangeInputs:
+    """Inputs whose arithmetic leaves the float range exit 3 with an error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["equilibria", "--K", "1e300"],
+            ["equilibria", "--by", "2.2e-313", "--bx", "1", "--ux", "0", "--uy", "0", "--e", "0", "--beta", "0",
+             "--permissive"],
+            ["stability", "--bx", "1e300"],
+            ["sweep", "--bx", "1.3e154", "--by", "1.3e154", "--ux", "2.9", "--uy", "1.3e154", "--beta", "2.9"],
+            ["stability", "--uy", "2.2e-313", "--permissive", "--h", "2.2e-313"],
+        ],
+        ids=["interior-K-overflow", "interior-b_y-underflow", "jacobian-overflow", "sweep-overflow",
+             "jacobian-underflow"],
+    )
+    def test_domain_error(self, args, capsys):
+        code, _, err = run_cli(args, capsys)
+        assert code == 3
+        assert "out of floating-point range" in err.splitlines()[-1]
+
+    def test_huge_capacity_simulates_without_limit_matching(self, capsys):
+        # The equilibria cannot be computed, so the run matches divergence only.
+        code, out, _ = run_cli(["simulate", "--K", "1e300", "--steps", "3"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "# verdict=max_steps n=3"
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate", "--steps", "3"], ["portrait", "--format", "json", "--steps", "3"], ["equilibria"]],
+        ids=["simulate", "portrait-json", "equilibria"],
+    )
+    def test_directory_is_config_error(self, args, tmp_path, capsys):
+        code, _, err = run_cli([*args, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err == f"error: cannot write --out {tmp_path}: Is a directory\n"
+
+    def test_missing_parent_is_config_error(self, tmp_path, capsys):
+        code, _, err = run_cli(["simulate", "--steps", "3", "--out", str(tmp_path / "no" / "run.csv")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot write --out {tmp_path / 'no' / 'run.csv'}: ")
+
+    def test_portrait_directory_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run_cli(["portrait", "--steps", "3", "--out", str(taken)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot write --out {taken}: ")
+
+    def test_config_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        code, _, err = run_cli(["equilibria", "--config", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read config file {tmp_path}: ")
+
+
+# The flag grammar of the trajectory and analysis commands.  Values
+# are passed as --flag=value, so that argparse reads "-inf" or "-1e-05"
+# as a value and not as an option.
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-313, 1.3e154, -1.3e154, 1e300, -1e300]
+cli_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-3.0, 3.0), st.floats())
+OUT_TARGETS = (None, "-", "file", "existing-file", "dir", "missing-parent")
+
+
+@st.composite
+def cli_cases(draw):
+    def flag(name, strategy):
+        return f"--{name}={draw(strategy)!r}"
+
+    def maybe(name, strategy):
+        return [flag(name, strategy)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["equilibria", "stability", "simulate", "portrait", "sweep"]))
+    argv = [command]
+    argv += [f"--model={m}" for m in draw(st.lists(st.sampled_from(["general", "horizontal", "vertical"]), max_size=1))]
+    for name in ("bx", "by", "ux", "uy", "K", "e", "beta"):
+        argv += maybe(name, cli_floats)
+    argv += ["--permissive"] if draw(st.booleans()) else []
+    argv += [f"--format={f}" for f in draw(st.lists(st.sampled_from(["csv", "json", "text"]), max_size=1))]
+    if command != "equilibria":
+        argv += [f"--h={h!r}" for h in draw(st.lists(cli_floats, max_size=3))]
+    if command in ("simulate", "portrait"):
+        argv.append(flag("steps", st.integers(-2, 40)))
+        argv += [f"--scheme={s}" for s in draw(st.lists(st.sampled_from(["nsfd", "rk4", "euler"]), max_size=1))]
+        argv += maybe("dt", cli_floats)
+        n_points = draw(st.integers(0, 3))
+        argv += [flag("x0", cli_floats) for _ in range(n_points)]
+        argv += [flag("y0", cli_floats) for _ in range(draw(st.sampled_from([n_points, n_points, n_points + 1])))]
+        argv += [f"--preset={p}" for p in draw(st.lists(st.sampled_from(["paper-initials", "nowhere"]), max_size=1))]
+        argv += maybe("tol-eq", cli_floats) + maybe("tol-step", cli_floats) + maybe("window", st.integers(-1, 60))
+    return argv, draw(st.sampled_from(OUT_TARGETS))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_cases())
+@example(case=(["equilibria", "--K=1e300"], None))
+@example(case=(["simulate", "--K=1e300", "--steps=3"], None))
+@example(case=(["equilibria", "--by=2.2e-313", "--bx=1.0", "--ux=0.0", "--uy=0.0", "--e=0.0", "--beta=0.0",
+                "--permissive"], None))
+@example(case=(["stability", "--bx=1e300"], None))
+@example(case=(["sweep", "--bx=1.3e154", "--by=1.3e154", "--ux=2.9", "--uy=1.3e154", "--beta=2.9"], None))
+@example(case=(["stability", "--uy=2.2e-313", "--permissive", "--h=2.2e-313"], None))
+@example(case=(["simulate", "--steps=3"], "dir"))
+@example(case=(["portrait", "--format=json", "--steps=3"], "dir"))
+def test_cli_exits_with_a_documented_code(tmp_path, case):
+    argv, out = case
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    (tmp_path / "existing-file").write_text("")
+    targets = {
+        "-": "-",
+        "file": tmp_path / "out.txt",
+        "existing-file": tmp_path / "existing-file",
+        "dir": tmp_path / "dir",
+        "missing-parent": tmp_path / "missing" / "out.txt",
+    }
+    if out is not None:
+        argv = [*argv, f"--out={targets[out]}"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert stderr.getvalue().splitlines()[-1].startswith("error: ")

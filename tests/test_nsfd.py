@@ -10,7 +10,7 @@ from nsfd_epi.convergence import ConvergenceSettings, VerdictStatus
 from nsfd_epi.integrators import euler_step, rk4_step
 from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interior_equilibrium
 from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, vector_field
-from nsfd_epi.nsfd import denominators, iterate, step
+from nsfd_epi.nsfd import denominators, iterate, map_kernel, map_lanes, step
 from nsfd_epi.verification import SCENARIOS, benchmark_params
 
 GENERAL_LOW = benchmark_params(ModelVariant.GENERAL, 0.1)
@@ -411,3 +411,79 @@ def test_rk4_and_euler_match_inlined_kernels_bit_for_bit(params, variant, dt, x,
         with pytest.raises(BlowUpError):
             rk4_step(params, variant, (x, y), dt)
     assert bits(euler_step(params, variant, (x, y), dt)) == bits(ref_euler(*args))
+
+
+# The lanes kernel against the scalar one: every state of every lane,
+# bit for bit, sign of zero included, for as long as the scalar update
+# accepts the lane's state.
+
+permissive_params = st.builds(
+    HostParams,
+    b_x=st.floats(0.0, 3.0),
+    b_y=st.floats(0.0, 3.0),
+    u_x=st.floats(0.0, 3.0),
+    u_y=st.floats(0.0, 3.0),
+    K=st.one_of(st.floats(0.05, 3.0), st.floats(1e100, 1e150)),
+    e=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 3.0),
+)
+
+
+@st.composite
+def lane_setups(draw):
+    variant = draw(st.sampled_from(list(ModelVariant)))
+    params = fit_variant(draw(st.one_of(strict_params, permissive_params)), variant)
+    h = draw(st.floats(-12.0, 12.0).map(lambda k: 10.0**k))
+    x = draw(st.one_of(densities, st.just(-0.0)))
+    y = draw(st.one_of(densities, st.just(-0.0)))
+    if variant is ModelVariant.GENERAL and x == 0.0 and y != 0.0:
+        x = draw(st.sampled_from([5e-324, 1e-300]))  # the scalar map refuses X = 0 < Y here
+    return (params, variant, h), (x, y)
+
+
+def scalar_states(setup, start, n_steps):
+    """The scalar kernel's states after each step, up to the first state it refuses."""
+    advance = map_kernel(*setup)
+    states, s = [], start
+    for _ in range(n_steps):
+        try:
+            s = advance(*s)
+        except DomainError:
+            break
+        states.append(bits(s))
+    return states
+
+
+@settings(max_examples=400, deadline=None)
+@given(cases=st.lists(lane_setups(), min_size=1, max_size=6), n_steps=st.integers(1, 12))
+def test_lanes_match_scalar_kernel_bit_for_bit(cases, n_steps):
+    setups = [setup for setup, _ in cases]
+    try:
+        expected = [scalar_states(setup, start, n_steps) for setup, start in cases]
+    except DomainError:  # a lane's constants are refused
+        with pytest.raises(DomainError):
+            map_lanes(setups)
+        return
+    advance = map_lanes(setups)
+    x = np.array([start[0] for _, start in cases])
+    y = np.array([start[1] for _, start in cases])
+    got = [[] for _ in cases]
+    for _ in range(n_steps):
+        x, y = advance(x, y)
+        assert x.dtype == y.dtype == np.float64
+        for lane, state in enumerate(zip(x.tolist(), y.tolist())):
+            got[lane].append(bits(state))
+    for lane, states in enumerate(expected):
+        assert got[lane][: len(states)] == states
+
+
+def test_lanes_step_refused_states_without_a_warning():
+    # The general map refuses X = 0 < Y (Y^2/X is infinite) and a
+    # negative X; the lanes step both, and the good lane beside them
+    # keeps the scalar bits.  A numpy warning would fail the test.
+    setups = [(GENERAL_HIGH, ModelVariant.GENERAL, 1.0)] * 3
+    x, y = map_lanes(setups)(np.array([0.0, -1.0, 0.3]), np.array([0.5, 0.2, 0.2]))
+    assert bits((x[2], y[2])) == bits(map_kernel(*setups[2])(0.3, 0.2))
+    for start in ((0.0, 0.5), (-1.0, 0.2)):
+        with pytest.raises(DomainError):
+            map_kernel(*setups[0])(*start)

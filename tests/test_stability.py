@@ -199,6 +199,16 @@ class TestJury:
     def test_diagonal_outside_unit_interval(self):
         assert not jury_conditions(Matrix2(1.2, 0.0, 0.0, 0.5)).verdict
 
+    @pytest.mark.parametrize("a11", [0.0, 1.0])
+    def test_diagonal_at_an_interval_end_is_outside_the_hypothesis(self, a11):
+        # Both eigenvalues lie inside the unit circle and both determinant
+        # conditions hold, but a diagonal entry is not in (0, 1): False.
+        m = Matrix2(a11, 0.5, -0.2, 0.5)
+        assert all(abs(z) < 1.0 for z in eigenvalues2(m))
+        res = jury_conditions(m)
+        assert res.one_minus_det > 0 and res.one_minus_trace_plus_det > 0
+        assert res.verdict is False
+
     def test_discrete_interior_jacobian_verdict(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
         m = discrete_jacobian(GENERAL_HIGH, ModelVariant.GENERAL, eq.point, 0.1)
@@ -219,6 +229,22 @@ def test_jury_matches_eigenvalue_moduli(a11, a22, a12, a21):
     moduli = [abs(z) for z in eigenvalues2(m)]
     assume(all(abs(mod - 1.0) > 1e-9 for mod in moduli))
     assert jury_conditions(m).verdict == all(mod < 1.0 for mod in moduli)
+
+
+jury_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan, math.inf]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.tuples(jury_entries, jury_entries, jury_entries, jury_entries), min_size=1, max_size=8))
+def test_jury_on_arrays_matches_jury_on_floats(entries):
+    """One call on arrays of matrices gives each matrix's float verdict and quantities, bit for bit."""
+    with np.errstate(invalid="ignore"):
+        batched = jury_conditions(Matrix2(*(np.array(column) for column in zip(*entries))))
+    for i, entry in enumerate(entries):
+        single = jury_conditions(Matrix2(*entry))
+        assert type(single.verdict) is bool
+        assert batched.verdict[i] == single.verdict
+        assert [float(v[i]).hex() for v in batched[:4]] == [float(v).hex() for v in single[:4]]
 
 
 class TestTheoremPrediction:

@@ -1,0 +1,233 @@
+"""The batched positivity and Jury-oracle checks against the per-sample loops they replaced.
+
+``ref_positivity_check`` and ``ref_jury_oracle_check`` are the scalar
+loops as they were before the checks ran on lanes and blocks.  Both
+versions must return the same CheckResult, on passing runs and on
+runs forced to fail.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from nsfd_epi import nsfd, verification
+from nsfd_epi.harness import first_negative_step
+from nsfd_epi.model import ModelVariant
+from nsfd_epi.nsfd import map_kernel
+from nsfd_epi.stability import Matrix2, jury_conditions
+from nsfd_epi.verification import (
+    JURY_BLOCK,
+    POSITIVITY_BLOCK,
+    SEED,
+    _draw_strict_params,
+    _fail,
+    _ok,
+    benchmark_params,
+    jury_oracle_check,
+    positivity_check,
+)
+
+
+def ref_positivity_check(n_samples=10_000, n_steps=50):
+    name = "positivity"
+    rng = np.random.default_rng(SEED)
+    variants = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
+    for i in range(n_samples):
+        variant = variants[int(rng.integers(len(variants)))]
+        params = _draw_strict_params(rng, variant)
+        h = rng.uniform(1e-3, 100.0)
+        x0 = rng.uniform(1e-6, 2.0 * params.K)
+        y0 = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 2.0 * params.K)
+        s = (x0, y0)
+        advance = map_kernel(params, variant, h)
+        for n in range(n_steps):
+            s = advance(*s)
+            if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+                return _fail(name, f"sample {i}: state became non-finite at step {n + 1}")
+            if s[1] < 0 or s[0] < 0 or (variant is ModelVariant.GENERAL and s[0] <= 0):
+                return _fail(
+                    name,
+                    f"sample {i} ({variant.value}, h={h:.3g}): state {s} left the quadrant at step {n + 1}",
+                )
+    demo = benchmark_params(ModelVariant.GENERAL, 0.3)
+    euler_idx = first_negative_step(demo, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="euler")
+    nsfd_idx = first_negative_step(demo, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="nsfd", max_steps=1000)
+    if euler_idx != 1:
+        return _fail(name, f"forward Euler at h=10 should go negative at step 1, got {euler_idx!r}")
+    if nsfd_idx is not None:
+        return _fail(name, f"nonstandard map went negative at step {nsfd_idx}")
+    return _ok(name, f"{n_samples} random runs ({n_steps} steps each) stayed positive; Euler h=10 fails at step 1")
+
+
+def ref_jury_oracle_check(n_samples=100_000):
+    name = "jury-eigenvalue-oracle"
+    rng = np.random.default_rng(SEED + 1)
+    a11 = rng.uniform(0.0, 1.0, n_samples)
+    a22 = rng.uniform(0.0, 1.0, n_samples)
+    a12 = rng.uniform(-2.0, 2.0, n_samples)
+    a21 = rng.uniform(-2.0, 2.0, n_samples)
+    tr = a11 + a22
+    det = a11 * a22 - a12 * a21
+    disc = tr * tr - 4.0 * det
+    sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
+    mod_big = np.where(
+        disc >= 0,
+        np.maximum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
+        np.sqrt(np.maximum(det, 0.0)),
+    )
+    mod_small = np.where(
+        disc >= 0,
+        np.minimum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
+        np.sqrt(np.maximum(det, 0.0)),
+    )
+    inside = mod_big < 1.0
+    near_circle = (np.abs(mod_big - 1.0) <= 1e-9) | (np.abs(mod_small - 1.0) <= 1e-9)
+    mismatches = 0
+    for i in range(n_samples):
+        if near_circle[i]:
+            continue
+        verdict = verification.jury_conditions(Matrix2(a11[i], a12[i], a21[i], a22[i])).verdict
+        if verdict != bool(inside[i]):
+            mismatches += 1
+    if mismatches:
+        return _fail(name, f"{mismatches} of {n_samples} matrices disagree with the modulus test")
+    return _ok(name, f"{n_samples} random matrices agree with the modulus test ({int(near_circle.sum())} skipped near the circle)")
+
+
+@pytest.mark.parametrize(
+    "n_samples, n_steps",
+    [(1, 1), (7, 50), (POSITIVITY_BLOCK, 5), (POSITIVITY_BLOCK + 1, 3), (2 * POSITIVITY_BLOCK + 500, 50)],
+)
+def test_positivity_matches_scalar_loop(n_samples, n_steps):
+    assert positivity_check(n_samples, n_steps) == ref_positivity_check(n_samples, n_steps)
+
+
+def drawn_lanes(monkeypatch, n_samples):
+    """The (params, variant, h) of each positivity sample, in draw order."""
+    lanes = []
+    real = verification.map_lanes
+
+    def spy(block):
+        lanes.extend(block)
+        return real(block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "map_lanes", spy)
+        positivity_check(n_samples, 1)
+    return lanes
+
+
+PHI2 = 7  # position of phi2, which equals h, in the constants _map_update takes
+
+
+def break_map(monkeypatch, faults):
+    """Patch the shared map update: the sample with step size h gets ``value`` as X after step ``n``.
+
+    ``faults`` maps h to (n, value).  Each update that the scalar and
+    lane kernels build counts its own calls, so the n-th call is step n
+    of its sample or block.
+    """
+    real = nsfd._map_update
+
+    def broken(*constants):
+        update, phi2, calls = real(*constants), constants[PHI2], [0]
+
+        def faulty(x, y, ratio):
+            calls[0] += 1
+            x1, y1 = update(x, y, ratio)
+            for h, (n, value) in faults.items():
+                if calls[0] == n:
+                    x1 = np.where(phi2 == h, value, x1) if isinstance(x1, np.ndarray) else (value if phi2 == h else x1)
+            return x1, y1
+
+        return faulty
+
+    monkeypatch.setattr(nsfd, "_map_update", broken)
+
+
+@pytest.mark.parametrize(
+    "faults, failing",
+    [
+        ({1234: (7, -0.25)}, 1234),
+        ({1234: (7, math.nan)}, 1234),
+        ({1234: (40, -1.0), 1700: (2, math.inf), 2100: (1, -1.0)}, 1234),  # lowest sample, not earliest step
+        ({2499: (50, math.nan)}, 2499),  # last sample of a partial block
+    ],
+    ids=["negative", "nan", "lowest-sample", "last-sample"],
+)
+def test_positivity_reports_the_scalar_loops_failure(monkeypatch, faults, failing):
+    n_samples = 2500
+    lanes = drawn_lanes(monkeypatch, n_samples)
+    break_map(monkeypatch, {lanes[i][2]: fault for i, fault in faults.items()})
+    got = positivity_check(n_samples)
+    assert got == ref_positivity_check(n_samples)
+    assert not got.passed and got.details.startswith(f"sample {failing}")
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0])
+@pytest.mark.parametrize("general", [True, False], ids=["general", "sub-variant"])
+def test_positivity_x_zero_fails_only_the_general_map(monkeypatch, general, x):
+    lanes = drawn_lanes(monkeypatch, 200)
+    lane = next(i for i, (_, variant, _) in enumerate(lanes) if (variant is ModelVariant.GENERAL) is general)
+    break_map(monkeypatch, {lanes[lane][2]: (3, x)})
+    got = positivity_check(200)
+    assert got == ref_positivity_check(200)
+    assert got.passed is not general
+    if general:
+        assert got.details.startswith(f"sample {lane} (general, ") and "left the quadrant at step 3" in got.details
+
+
+@pytest.mark.parametrize("n_samples", [1, JURY_BLOCK, 2 * JURY_BLOCK + 1234])
+def test_jury_oracle_matches_scalar_loop(n_samples):
+    assert jury_oracle_check(n_samples) == ref_jury_oracle_check(n_samples)
+
+
+def flip(verdicts):
+    """jury_conditions with its verdict negated where ``verdicts(m)`` is true."""
+
+    def flipped(m):
+        result = jury_conditions(m)
+        return result._replace(verdict=result.verdict ^ verdicts(m))
+
+    return flipped
+
+
+def test_jury_oracle_counts_every_matrix_like_scalar_loop(monkeypatch):
+    monkeypatch.setattr(verification, "jury_conditions", flip(lambda m: True))
+    got = jury_oracle_check(2 * JURY_BLOCK + 5000)
+    assert got == ref_jury_oracle_check(2 * JURY_BLOCK + 5000)
+    assert got.details == "25000 of 25000 matrices disagree with the modulus test"
+
+
+@pytest.mark.parametrize(
+    "grid, flipped, passed",
+    [
+        (lambda u: (np.floor(u * 8.0) + 0.5) / 8.0, None, True),  # odd sixteenths: diagonal inside (0, 1)
+        (lambda u: (np.floor(u * 8.0) + 0.5) / 8.0, lambda m: m.a12 > 1.9, False),
+        (lambda u: np.round(u * 8.0) / 8.0, None, False),  # eighths: some diagonal entries are 0 or 1
+    ],
+    ids=["odd-sixteenths", "odd-sixteenths-flipped", "eighths"],
+)
+def test_jury_oracle_on_a_grid_matches_scalar_loop(monkeypatch, grid, flipped, passed):
+    # Matrices on a grid put eigenvalues exactly on the unit circle, so
+    # some are skipped; a flipped verdict there must not count.  Where a
+    # diagonal entry is 0 or 1 the Jury rule's hypothesis fails, its
+    # verdict is False, and the moduli may say inside.
+    real = np.random.default_rng
+
+    class GridRng:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def uniform(self, low, high, size):
+            return grid(self.rng.uniform(low, high, size))
+
+    monkeypatch.setattr(np.random, "default_rng", GridRng)
+    if flipped is not None:
+        monkeypatch.setattr(verification, "jury_conditions", flip(flipped))
+    got = jury_oracle_check(JURY_BLOCK + 5000)
+    assert got == ref_jury_oracle_check(JURY_BLOCK + 5000)
+    assert got.passed is passed
+    if passed:
+        assert "(0 skipped" not in got.details
