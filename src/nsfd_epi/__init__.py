@@ -31,7 +31,7 @@ from .harness import (
     first_negative_step,
     step_size_sweep,
 )
-from .integrators import ContinuousRun, euler_step, rk4_step, scheme_kernel, simulate_continuous
+from .integrators import euler_step, rk4_step, scheme_kernel, simulate_continuous
 from .model import (
     BlowUpError,
     DegenerateQuadraticError,

@@ -18,12 +18,10 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-import numpy as np
-
-from .convergence import ConvergenceSettings, Trajectory, Verdict, VerdictStatus
+from .convergence import ConvergenceSettings, Trajectory, Verdict
 from .equilibria import Equilibrium, all_equilibria, reproduction_numbers
 from .harness import INITIAL_POINT_PRESETS, step_size_sweep
-from .integrators import ContinuousRun, simulate_continuous
+from .integrators import simulate_continuous
 from .model import (
     BlowUpError,
     DomainError,
@@ -364,21 +362,11 @@ def _cmd_stability(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _simulate_one(config: RunConfig, s0: State):
+def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
     params, variant = config.params(), config.variant()
     settings = config.settings()
     if config.scheme not in ("nsfd", "rk4", "euler"):
         raise ConfigError(f"unknown scheme {config.scheme!r} (nsfd, rk4, euler)")
-    if config.steps == 0:
-        start = {
-            "steps": np.asarray([0]),
-            "times": np.asarray([0.0]),
-            "states": np.asarray([[s0.X, s0.Y]], dtype=float),
-            "verdict": Verdict(VerdictStatus.MAX_STEPS, at_step=0),
-        }
-        if config.scheme == "nsfd":
-            return Trajectory(h=config.h, **start)
-        return ContinuousRun(dt=config.dt, t_max=0.0, **start)
     if config.scheme == "nsfd":
         return iterate(params, variant, config.h, s0, config.steps, settings=settings)
     return simulate_continuous(
@@ -392,7 +380,7 @@ def _simulate_one(config: RunConfig, s0: State):
     )
 
 
-def _trajectory_csv(config: RunConfig, s0: State, run) -> str:
+def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory) -> str:
     meta = _params_dict(config)
     step_txt = f"h={_fmt(config.h)}" if config.scheme == "nsfd" else f"dt={_fmt(config.dt)}"
     lines = [
@@ -408,7 +396,7 @@ def _trajectory_csv(config: RunConfig, s0: State, run) -> str:
     return "\n".join(lines)
 
 
-def _trajectory_json(config: RunConfig, s0: State, run) -> dict[str, Any]:
+def _trajectory_json(config: RunConfig, s0: State, run: Trajectory) -> dict[str, Any]:
     return {
         "config": config.to_dict(),
         "initial": [s0.X, s0.Y],

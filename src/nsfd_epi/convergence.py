@@ -44,6 +44,9 @@ __all__ = [
 
 DIVERGENCE_FACTOR = 1e6
 
+# A record_every that no run reaches, so only the first and last states are kept.
+ENDS_ONLY = sys.maxsize
+
 
 @dataclass(frozen=True)
 class ConvergenceSettings:
@@ -56,10 +59,9 @@ class ConvergenceSettings:
     tol_step: float = 1e-10
     window: int = 50
     tol_eq: float = 1e-3
-    max_steps: int = 10**6
 
     def __post_init__(self) -> None:
-        if not (self.tol_step > 0 and self.tol_eq > 0 and self.max_steps > 0 and self.window >= 1):
+        if not (self.tol_step > 0 and self.tol_eq > 0 and self.window >= 1):
             raise ValueError(f"convergence settings must be positive with window >= 1: {self}")
 
 
@@ -85,9 +87,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A recorded discrete orbit: iteration indices, times, states, verdict."""
+    """A recorded run of either runner: step indices, times, states, verdict."""
 
-    h: float
     steps: np.ndarray
     times: np.ndarray
     states: np.ndarray
@@ -195,12 +196,12 @@ def _run_monitored(
     settings: ConvergenceSettings | None,
     record_every: int,
     scheme: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Verdict]:
-    """The run of the discrete and continuous runners: recorded steps, times, states and the verdict.
+) -> Trajectory:
+    """The run of the discrete and continuous runners.
 
-    Steps at most ``min(n_steps, settings.max_steps)`` times and matches
-    the variant's equilibria; see ``_scan``.  Times are steps times
-    ``step_size``; one that overflows is inf, without a warning.
+    Steps at most ``n_steps`` times (0 gives the start alone) and
+    matches the variant's equilibria; see ``_scan``.  Times are steps
+    times ``step_size``; one that overflows is inf, without a warning.
     """
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
@@ -212,13 +213,11 @@ def _run_monitored(
         known = ()  # implausible parameters: no limit matching, divergence only
     monitor = ConvergenceMonitor(settings, known, params.K)
     s = (float(s0[0]), float(s0[1]))
-    recorded_steps, recorded_states, verdict = _scan(
-        monitor, advance, s, min(n_steps, settings.max_steps), record_every, scheme
-    )
+    recorded_steps, recorded_states, verdict = _scan(monitor, advance, s, n_steps, record_every, scheme)
     steps = np.asarray(recorded_steps, dtype=np.int64)
     with np.errstate(over="ignore"):
         times = steps * step_size
-    return steps, times, np.asarray(recorded_states, dtype=np.float64), verdict
+    return Trajectory(steps, times, np.asarray(recorded_states, dtype=np.float64), verdict)
 
 
 def detect_limit(
@@ -229,11 +228,10 @@ def detect_limit(
 ) -> Verdict:
     """Classify an already-recorded state sequence.
 
-    The sequence is replayed through the run loop, whatever its length
-    (``settings.max_steps`` does not cap it).  A state that is not
-    finite is diverged at its index.  ``scale`` defaults to the largest
-    known equilibrium coordinate (at least 1) when the caller does not
-    pass the carrying capacity.
+    The sequence is replayed through the run loop, whatever its length.
+    A state that is not finite is diverged at its index.  ``scale``
+    defaults to the largest known equilibrium coordinate (at least 1)
+    when the caller does not pass the carrying capacity.
     """
     states = list(states)
     if scale is None:

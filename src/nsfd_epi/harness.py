@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convergence import (
-    ConvergenceMonitor,
-    ConvergenceSettings,
-    Trajectory,
-    Verdict,
-    VerdictStatus,
-    detect_limit,
-)
+from .convergence import ENDS_ONLY, ConvergenceSettings, Verdict
 from .equilibria import Equilibrium
 from .integrators import euler_step, simulate_continuous
 from .model import DomainError, HostParams, ModelVariant, State
@@ -28,16 +21,10 @@ from .stability import Classification, Regime, classify, discrete_jacobian, eige
 __all__ = [
     "ConsistencyCell",
     "ConsistencyReport",
-    "ConvergenceMonitor",
-    "ConvergenceSettings",
     "INITIAL_POINT_PRESETS",
     "SweepEntry",
     "SweepResult",
-    "Trajectory",
-    "Verdict",
-    "VerdictStatus",
     "consistency_experiment",
-    "detect_limit",
     "first_negative_step",
     "step_size_sweep",
 ]
@@ -103,7 +90,8 @@ def consistency_experiment(
 
     A failed run (domain error, blow-up) is recorded in the cell rather
     than aborting the experiment; a cell agrees only when every run
-    converged and all limits coincide within ``tol_eq``.
+    converged and all limits coincide within ``tol_eq``.  Only each
+    run's verdict and final state are read, so only the ends are recorded.
     """
     if settings is None:
         settings = ConvergenceSettings()
@@ -113,14 +101,16 @@ def consistency_experiment(
         cont_verdict: Verdict | None = None
         cont_final: State | None = None
         try:
-            run = simulate_continuous(params, variant, point, dt=dt, t_max=t_max, settings=settings)
+            run = simulate_continuous(
+                params, variant, point, dt=dt, t_max=t_max, settings=settings, record_every=ENDS_ONLY
+            )
             cont_verdict, cont_final = run.verdict, run.final_state
         except (DomainError, ArithmeticError) as exc:
             errors.append(f"continuous: {exc}")
         discrete_entries: list[tuple[float, Verdict | None, State | None]] = []
         for h in h_list:
             try:
-                traj = iterate(params, variant, h, point, n_max, settings=settings)
+                traj = iterate(params, variant, h, point, n_max, settings=settings, record_every=ENDS_ONLY)
                 discrete_entries.append((h, traj.verdict, traj.final_state))
             except (DomainError, ArithmeticError) as exc:
                 errors.append(f"discrete h={h!r}: {exc}")

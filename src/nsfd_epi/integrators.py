@@ -13,13 +13,11 @@ stages, Euler once per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-import numpy as np
 
-from .convergence import ConvergenceSettings, Verdict, _run_monitored
+from .convergence import ConvergenceSettings, Trajectory, _run_monitored
 from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State, field_kernel
 
-__all__ = ["ContinuousRun", "euler_step", "rk4_step", "scheme_kernel", "simulate_continuous"]
+__all__ = ["euler_step", "rk4_step", "scheme_kernel", "simulate_continuous"]
 
 def _rk4(field: Kernel, dt: float) -> Kernel:
     half, sixth = 0.5 * dt, dt / 6.0
@@ -80,22 +78,6 @@ def euler_step(params: HostParams, variant: ModelVariant, s: tuple[float, float]
     return _step_once(params, variant, s, dt, "euler")
 
 
-@dataclass(frozen=True)
-class ContinuousRun:
-    """A sampled continuous-time trajectory with its convergence verdict."""
-
-    dt: float
-    t_max: float
-    steps: np.ndarray
-    times: np.ndarray
-    states: np.ndarray
-    verdict: Verdict
-
-    @property
-    def final_state(self) -> State:
-        return State(float(self.states[-1, 0]), float(self.states[-1, 1]))
-
-
 def simulate_continuous(
     params: HostParams,
     variant: ModelVariant,
@@ -105,8 +87,8 @@ def simulate_continuous(
     settings: ConvergenceSettings | None = None,
     scheme: str = "rk4",
     record_every: int = 1,
-) -> ContinuousRun:
-    """Integrate from s0 until convergence, divergence, or t_max.
+) -> Trajectory:
+    """Integrate from s0 until convergence, divergence, or t_max (0 gives the start alone).
 
     ``scheme`` is "rk4" (default) or "euler" (for the positivity
     demonstrations); both share the convergence monitor and run loop
@@ -114,15 +96,14 @@ def simulate_continuous(
     that is not finite.
     """
     advance = scheme_kernel(params, variant, dt, scheme)
-    if t_max < dt:
-        raise DomainError(f"t_max = {t_max!r} must be at least dt = {dt!r}")
+    if t_max < 0:
+        raise DomainError(f"t_max must be nonnegative, got {t_max!r}")
     s = (float(s0[0]), float(s0[1]))
     if not (math.isfinite(s[0]) and math.isfinite(s[1])):
         raise DomainError(f"initial state {s!r} is not finite")
-    n_steps = t_max / dt + 1e-9
+    # The relative slack absorbs the rounding of t_max = N * dt, so such
+    # a t_max gives N steps for every N below about 1e12.
+    n_steps = t_max / dt * (1.0 + 1e-12)
     if not math.isfinite(n_steps):
         raise DomainError(f"t_max = {t_max!r} over dt = {dt!r} gives no finite step count")
-    steps, times, states, verdict = _run_monitored(
-        advance, params, variant, s, int(n_steps), dt, settings, record_every, scheme
-    )
-    return ContinuousRun(dt=dt, t_max=t_max, steps=steps, times=times, states=states, verdict=verdict)
+    return _run_monitored(advance, params, variant, s, int(n_steps), dt, settings, record_every, scheme)

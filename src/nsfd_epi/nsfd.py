@@ -183,17 +183,14 @@ def iterate(
     settings: ConvergenceSettings | None = None,
     record_every: int = 1,
 ) -> Trajectory:
-    """Run the variant's map from s0 for up to n_max steps.
+    """Run the variant's map from s0 for up to n_max steps (0 gives the start alone).
 
     Stops early once the convergence monitor matches a known
     equilibrium of the variant (or flags divergence).  Every state is
     recorded unless ``record_every`` thins the output; the initial and
     final states are always present.
     """
-    if n_max <= 0:
-        raise DomainError(f"n_max must be positive, got {n_max!r}")
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
     advance = map_kernel(params, variant, h)
-    steps, times, states, verdict = _run_monitored(
-        advance, params, variant, s0, n_max, h, settings, record_every, "nsfd"
-    )
-    return Trajectory(h=h, steps=steps, times=times, states=states, verdict=verdict)
+    return _run_monitored(advance, params, variant, s0, n_max, h, settings, record_every, "nsfd")

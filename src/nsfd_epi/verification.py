@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convergence import ConvergenceSettings
+from .convergence import ENDS_ONLY
 from .equilibria import (
     EquilibriumKind,
     all_equilibria,
@@ -154,13 +154,11 @@ def convergence_check(scenario: Scenario, match_tol: float = 1e-3) -> CheckResul
     worst = 0.0
     ex, ey = scenario.expected_point
     p, variant = scenario.params, scenario.variant
-    # Only the final state and the verdict are read, and no run steps
-    # more than the default settings' max_steps: record just the ends.
-    ends = ConvergenceSettings().max_steps
+    # Only the final state and the verdict are read: record just the ends.
     for s0 in scenario.initial_points:
         for label, start in (
-            ("continuous", lambda: simulate_continuous(p, variant, s0, scenario.dt, scenario.t_max, record_every=ends)),
-            ("discrete", lambda: iterate(p, variant, scenario.h, s0, scenario.max_steps, record_every=ends)),
+            ("continuous", lambda: simulate_continuous(p, variant, s0, scenario.dt, scenario.t_max, record_every=ENDS_ONLY)),
+            ("discrete", lambda: iterate(p, variant, scenario.h, s0, scenario.max_steps, record_every=ENDS_ONLY)),
         ):
             run = start()
             if not run.verdict.converged:

@@ -146,6 +146,14 @@ class TestSimulateCommand:
         assert data == ["n,t,X,Y", "0,0.0,1.2,0.15"]
         assert lines[-1] == "# verdict=max_steps n=0"
 
+    @pytest.mark.parametrize(
+        "flags", [["--h", "-1"], ["--h", "nan"], ["--scheme", "rk4", "--dt", "-1"]], ids=["h-negative", "h-nan", "dt"]
+    )
+    def test_zero_steps_checks_the_step_size(self, flags, capsys):
+        code, out, err = run_cli(["simulate", "--steps", "0", *flags], capsys)
+        assert code == 3
+        assert out == "" and "must be finite and positive" in err
+
     def test_euler_demo_records_negative_state(self, capsys):
         code, out, _ = run_cli(
             [
@@ -454,8 +462,9 @@ def cli_cases(draw):
 @example(case=(["stability", "--uy=2.2e-313", "--permissive", "--h=2.2e-313"], None))
 @example(case=(["simulate", "--steps=3"], "dir"))
 @example(case=(["portrait", "--format=json", "--steps=3"], "dir"))
-def test_cli_exits_with_a_documented_code(tmp_path, case):
+def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
     argv, out = case
+    monkeypatch.chdir(tmp_path)  # portrait --out=- writes a directory named "-"
     (tmp_path / "dir").mkdir(exist_ok=True)
     (tmp_path / "existing-file").write_text("")
     targets = {

@@ -74,15 +74,14 @@ def ref_run_monitored(advance, params, variant, s0, n_steps, settings, record_ev
     recorded_states = [s]
     verdict = monitor.start(s)
     n = 0
-    n_limit = min(n_steps, settings.max_steps)
-    while verdict is None and n < n_limit:
+    while verdict is None and n < n_steps:
         n += 1
         prev = s
         s = advance(*prev)
         if not (math.isfinite(s[0]) and math.isfinite(s[1])):
             raise BlowUpError(f"{scheme} update overflowed at step {n} from {prev!r}")
         verdict = monitor.update(prev, s, n)
-        if n % record_every == 0 or verdict is not None or n == n_limit:
+        if n % record_every == 0 or verdict is not None or n == n_steps:
             recorded_steps.append(n)
             recorded_states.append(s)
     if verdict is None:
@@ -146,7 +145,6 @@ def runs(draw):
         tol_step=draw(st.sampled_from([1e-10, 1e-6, 1e-3, 1e-1])),
         window=window,
         tol_eq=draw(st.sampled_from([1e-6, 1e-3, 1e-1, 1.0])),
-        max_steps=draw(st.integers(1, 4 * window)),
     )
     try:
         known = [eq.point for eq in all_equilibria(params, variant) if eq.exists and eq.point.X >= 0 <= eq.point.Y]
@@ -167,7 +165,7 @@ def runs(draw):
         draw(st.sampled_from(["nsfd", "rk4", "euler"])),
         draw(st.floats(1e-3, 10.0)),
         (x0, y0),
-        draw(st.integers(1, 3 * window)),
+        draw(st.integers(0, 3 * window)),
         run_settings,
         draw(st.integers(1, 60)),
     )
@@ -186,10 +184,10 @@ def test_run_loop_matches_reference_bit_for_bit(case):
         lambda: _run_monitored(advance, params, variant, s0, n_steps, h, run_settings, record_every, scheme)
     )
     if new[0] == "ok":
-        steps, times, states, verdict = new[1]
+        run = new[1]
         with np.errstate(over="ignore"):
-            assert times.tobytes() == (steps * h).tobytes()
-        new = ("ok", (steps, states, verdict))
+            assert run.times.tobytes() == (run.steps * h).tobytes()
+        new = ("ok", (run.steps, run.states, run.verdict))
     same_bits(ref, new)
 
 
@@ -197,7 +195,7 @@ def test_run_loop_reaches_each_verdict():
     """Convergence, divergence, blow-up and the map's domain error each match the reference."""
     general = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.3)
     huge = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1e100, e=0.02, beta=0.3)
-    few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3, max_steps=50)
+    few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3)
     eq = [e for e in all_equilibria(general, ModelVariant.GENERAL) if e.kind is EquilibriumKind.INTERIOR][0]
     cases = [
         (general, map_kernel(general, ModelVariant.GENERAL, 0.1), eq.point, "nsfd"),
@@ -210,8 +208,9 @@ def test_run_loop_reaches_each_verdict():
         ref = outcome(lambda: ref_run_monitored(advance, params, ModelVariant.GENERAL, s0, 6, few, 4, scheme))
         new = outcome(lambda: _run_monitored(advance, params, ModelVariant.GENERAL, s0, 6, 1.0, few, 4, scheme))
         if new[0] == "ok":
-            new = ("ok", (new[1][0], new[1][2], new[1][3]))
-            seen.append(new[1][2].status)
+            run = new[1]
+            new = ("ok", (run.steps, run.states, run.verdict))
+            seen.append(run.verdict.status)
         else:
             seen.append(new[1])
         same_bits(ref, new)
@@ -236,7 +235,6 @@ def sequences(draw):
         tol_step=draw(st.sampled_from([0.125, 0.25])),
         window=window,
         tol_eq=draw(st.sampled_from([0.0625, 0.125, 0.5])),
-        max_steps=draw(st.integers(1, 10)),
     )
     scale = draw(st.sampled_from([0.25, 1.0, 2.0, math.inf, math.nan]))
     x, y = draw(GRID), draw(GRID)
@@ -270,7 +268,7 @@ def test_detect_limit_matches_reference(case):
 def test_detect_limit_is_not_capped_by_max_steps():
     point = State(1.0, 0.0)
     equilibria = [Equilibrium(EquilibriumKind.DISEASE_FREE, point, True)]
-    short = ConvergenceSettings(window=30, max_steps=5)
+    short = ConvergenceSettings(window=30)
     states = [(0.5 + 0.01 * n, 0.0) for n in range(50)] + [point] * 31
     verdict = detect_limit(states, short, equilibria, scale=1.0)
     assert verdict == ref_detect_limit(states, short, equilibria, 1.0)

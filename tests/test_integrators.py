@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nsfd_epi.convergence import ConvergenceSettings, VerdictStatus
+from nsfd_epi import integrators
+from nsfd_epi.convergence import ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.equilibria import disease_free_equilibrium, interior_equilibrium
 from nsfd_epi.integrators import euler_step, rk4_step, simulate_continuous
 from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant
@@ -100,6 +101,33 @@ class TestSimulateContinuous:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(DomainError):
             simulate_continuous(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.1), scheme="leapfrog")
+
+    def test_zero_t_max_returns_the_start_alone(self):
+        for t_max in (0.0, 0.005):
+            run = simulate_continuous(HORIZ_MID, ModelVariant.HORIZONTAL, (0.2, 0.4), dt=0.01, t_max=t_max)
+            assert run.steps.tolist() == [0] and run.times.tolist() == [0.0]
+            assert run.states.tolist() == [[0.2, 0.4]]
+            assert run.verdict == Verdict(VerdictStatus.MAX_STEPS, at_step=0)
+
+    def test_rejects_negative_t_max(self):
+        with pytest.raises(DomainError):
+            simulate_continuous(HORIZ_MID, ModelVariant.HORIZONTAL, (0.2, 0.4), dt=0.01, t_max=-0.005)
+
+    @pytest.mark.parametrize(
+        "n, dt", [(200_000, 0.01), (234_914_347, 0.6378795625311319), (7, 0.1), (10**11 + 3, 1e-3)]
+    )
+    def test_t_max_of_n_steps_gives_n_steps(self, monkeypatch, n, dt):
+        # The run loop is stubbed out: only the budget it receives is checked.
+        class Budget(Exception):
+            pass
+
+        def stop_with_budget(advance, params, variant, s0, n_steps, *rest):
+            raise Budget(n_steps)
+
+        monkeypatch.setattr(integrators, "_run_monitored", stop_with_budget)
+        with pytest.raises(Budget) as stopped:
+            simulate_continuous(HORIZ_MID, ModelVariant.HORIZONTAL, (0.2, 0.4), dt=dt, t_max=n * dt)
+        assert stopped.value.args == (n,)
 
     def test_sampling_grid_and_times(self):
         run = simulate_continuous(HORIZ_MID, ModelVariant.HORIZONTAL, (0.2, 0.4), dt=0.5, t_max=50.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfd_epi.convergence import ConvergenceSettings, VerdictStatus
+from nsfd_epi.convergence import ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.integrators import euler_step, rk4_step
 from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interior_equilibrium
 from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, vector_field
@@ -173,7 +173,23 @@ class TestIterate:
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(DomainError):
-            iterate(GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (0.1, 0.1), 0)
+            iterate(GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (0.1, 0.1), -1)
+
+    def test_zero_budget_returns_the_start_alone(self):
+        traj = iterate(GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (0.1, 0.1), 0)
+        assert traj.steps.tolist() == [0] and traj.times.tolist() == [0.0]
+        assert traj.states.tolist() == [[0.1, 0.1]]
+        assert traj.verdict == Verdict(VerdictStatus.MAX_STEPS, at_step=0)
+
+    def test_budget_above_a_million_steps_runs_in_full(self):
+        # A window longer than the run keeps it from converging.
+        budget = 1_000_005
+        never = ConvergenceSettings(window=budget + 1)
+        traj = iterate(
+            GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (1.2, 0.15), budget, settings=never, record_every=budget + 1
+        )
+        assert traj.verdict == Verdict(VerdictStatus.MAX_STEPS, at_step=budget)
+        assert traj.steps.tolist() == [0, budget]
 
     def test_thinning_keeps_endpoints_and_verdict(self):
         full = iterate(GENERAL_HIGH, ModelVariant.GENERAL, 0.1, (0.2, 0.4), 100_000)
