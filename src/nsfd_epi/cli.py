@@ -9,6 +9,7 @@ verification failure, 2 configuration error, 3 runtime/domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -105,7 +106,7 @@ class RunConfig:
                     coerced[key] = [[float(x), float(y)] for x, y in value]
                 else:  # preset, out: optional strings
                     coerced[key] = None if value is None else str(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad config value for {key!r}: {value!r} ({exc})") from None
         return cls(**coerced)
 
@@ -390,8 +391,15 @@ def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory) -> str:
         + f" x0={_fmt(s0.X)} y0={_fmt(s0.Y)}",
         "n,t,X,Y",
     ]
-    for n, t, (x, y) in zip(run.steps, run.times, run.states):
-        lines.append(f"{int(n)},{_fmt(t)},{_fmt(x)},{_fmt(y)}")
+    # Iterating a memoryview yields Python ints and floats one at a time,
+    # so no numpy scalar is made per cell and no column is copied to a list.
+    rows = zip(
+        map(str, memoryview(run.steps)),
+        map(repr, memoryview(run.times)),
+        map(repr, memoryview(run.states[:, 0])),
+        map(repr, memoryview(run.states[:, 1])),
+    )
+    lines.extend(map(",".join, rows))
     lines.append(_verdict_comment(run.verdict))
     return "\n".join(lines)
 
@@ -400,10 +408,10 @@ def _trajectory_json(config: RunConfig, s0: State, run: Trajectory) -> dict[str,
     return {
         "config": config.to_dict(),
         "initial": [s0.X, s0.Y],
-        "n": [int(n) for n in run.steps],
-        "t": [float(t) for t in run.times],
-        "X": [float(x) for x in run.states[:, 0]],
-        "Y": [float(y) for y in run.states[:, 1]],
+        "n": run.steps.tolist(),
+        "t": run.times.tolist(),
+        "X": run.states[:, 0].tolist(),
+        "Y": run.states[:, 1].tolist(),
         "verdict": _verdict_dict(run.verdict),
     }
 
@@ -432,8 +440,8 @@ def _cmd_portrait(config: RunConfig) -> int:
         }
         _emit(json.dumps(doc, indent=2), config.out)
         return EXIT_OK
-    if config.out is None:
-        raise ConfigError("portrait with csv output needs --out DIRECTORY")
+    if config.out is None or config.out == "-":
+        raise ConfigError("portrait with csv output needs --out DIRECTORY; only --format json writes to stdout")
     out_dir = Path(config.out)
     index_lines = ["point,x0,y0,file,verdict,final_X,final_Y"]
     with _writing(config.out):
@@ -514,8 +522,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--tol-eq must be finite and positive, got {match_tol!r}")
     results = run_acceptance(match_tol=match_tol, only=only, extra_scenarios=extra)
     if not results:
-        print(f"no checks match --only {only!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"no checks match --only {only!r}")
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:{width}s}  {r.details}")
@@ -556,7 +563,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", type=int, default=None, help="quiet steps required before declaring convergence")
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later ``main`` in the process.
+
+    Reuse is safe because every default is None or False and
+    ``parse_args`` leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="nsfd-epi",
         description="Host-parasite epidemic models: equilibria, stability, and positivity-preserving simulation.",

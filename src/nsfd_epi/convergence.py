@@ -148,9 +148,8 @@ def _scan(
     x, y = s0
     steps, states = [0], [s0]
     limit = monitor.limit
-    # The start is not checked for finiteness.  The max() form decides
-    # which starts with an inf or a NaN are diverged at step 0: max()
-    # drops a NaN in second place but returns one in first place.
+    # The callers pass a finite start: _run_monitored refuses any other,
+    # and detect_limit returns before the loop when its first state is not finite.
     if max(abs(x), abs(y)) > limit:
         return steps, states, Verdict(VerdictStatus.DIVERGED, at_step=0)
     # A NaN or infinite limit never declares a finite state diverged.
@@ -200,11 +199,15 @@ def _run_monitored(
     """The run of the discrete and continuous runners.
 
     Steps at most ``n_steps`` times (0 gives the start alone) and
-    matches the variant's equilibria; see ``_scan``.  Times are steps
+    matches the variant's equilibria; see ``_scan``.  Raises DomainError
+    for a start that is not finite, whatever the budget.  Times are steps
     times ``step_size``; one that overflows is inf, without a warning.
     """
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    s = (float(s0[0]), float(s0[1]))
+    if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+        raise DomainError(f"initial state {s!r} is not finite")
     if settings is None:
         settings = ConvergenceSettings()
     try:
@@ -212,7 +215,6 @@ def _run_monitored(
     except DomainError:
         known = ()  # implausible parameters: no limit matching, divergence only
     monitor = ConvergenceMonitor(settings, known, params.K)
-    s = (float(s0[0]), float(s0[1]))
     recorded_steps, recorded_states, verdict = _scan(monitor, advance, s, n_steps, record_every, scheme)
     steps = np.asarray(recorded_steps, dtype=np.int64)
     with np.errstate(over="ignore"):

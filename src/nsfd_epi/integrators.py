@@ -98,12 +98,9 @@ def simulate_continuous(
     advance = scheme_kernel(params, variant, dt, scheme)
     if t_max < 0:
         raise DomainError(f"t_max must be nonnegative, got {t_max!r}")
-    s = (float(s0[0]), float(s0[1]))
-    if not (math.isfinite(s[0]) and math.isfinite(s[1])):
-        raise DomainError(f"initial state {s!r} is not finite")
     # The relative slack absorbs the rounding of t_max = N * dt, so such
     # a t_max gives N steps for every N below about 1e12.
     n_steps = t_max / dt * (1.0 + 1e-12)
     if not math.isfinite(n_steps):
         raise DomainError(f"t_max = {t_max!r} over dt = {dt!r} gives no finite step count")
-    return _run_monitored(advance, params, variant, s, int(n_steps), dt, settings, record_every, scheme)
+    return _run_monitored(advance, params, variant, s0, int(n_steps), dt, settings, record_every, scheme)

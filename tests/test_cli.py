@@ -4,12 +4,18 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from nsfd_epi import cli
 from nsfd_epi.cli import RunConfig, main
+from nsfd_epi.convergence import Trajectory, Verdict, VerdictStatus
+from nsfd_epi.equilibria import EquilibriumKind
+from nsfd_epi.model import State
 
 BENCH = ["--bx", "0.6", "--by", "0.4", "--ux", "0.1", "--uy", "0.2"]
 
@@ -154,6 +160,14 @@ class TestSimulateCommand:
         assert code == 3
         assert out == "" and "must be finite and positive" in err
 
+    @pytest.mark.parametrize("steps", ["0", "5"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("scheme", ["nsfd", "rk4", "euler"])
+    def test_start_that_is_not_finite_is_runtime_error(self, scheme, value, steps, capsys):
+        code, out, err = run_cli(["simulate", f"--scheme={scheme}", f"--x0={value}", "--y0=0.1", f"--steps={steps}"], capsys)
+        assert code == 3
+        assert out == "" and err == f"error: initial state ({value}, 0.1) is not finite\n"
+
     def test_euler_demo_records_negative_state(self, capsys):
         code, out, _ = run_cli(
             [
@@ -246,6 +260,21 @@ class TestPortraitCommand:
         assert code == 2
         assert "preset" in err
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"], ["--format", "text"]], ids=["default", "csv", "text"])
+    def test_stdout_is_config_error_for_csv(self, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["portrait", "--steps", "3", *fmt, "--out", "-"], capsys)
+        assert code == 2
+        assert out == "" and "only --format json writes to stdout" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_to_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["portrait", "--steps", "3", "--format", "json", "--out", "-"], capsys)
+        assert code == 0
+        assert [t["n"] for t in json.loads(out)["trajectories"]] == [[0, 1, 2, 3]]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_uniform_across_step_sizes(self, capsys):
@@ -291,8 +320,9 @@ class TestVerifyCommand:
         assert "--tol-eq must be finite and positive" in err
 
     def test_unmatched_filter_is_config_error(self, capsys):
-        code, _, _ = run_cli(["verify", "--only", "no-such-check"], capsys)
+        code, _, err = run_cli(["verify", "--only", "no-such-check"], capsys)
         assert code == 2
+        assert err == "error: no checks match --only 'no-such-check'\n"
 
     def test_fixture_scenarios_from_seed_dir(self, tmp_path, monkeypatch, capsys):
         fixture = {
@@ -414,12 +444,150 @@ class TestUnwritableOut:
         assert err.startswith(f"error: cannot read config file {tmp_path}: ")
 
 
-# The flag grammar of the trajectory and analysis commands.  Values
-# are passed as --flag=value, so that argparse reads "-inf" or "-1e-05"
-# as a value and not as an option.
+# The trajectory writers as they were when they walked the arrays one
+# numpy scalar at a time.  The column-wise writers must give the same bytes.
+
+
+def ref_trajectory_csv(config, s0, run):
+    fmt = cli._fmt
+    step_txt = f"h={fmt(config.h)}" if config.scheme == "nsfd" else f"dt={fmt(config.dt)}"
+    lines = [
+        "# nsfd-epi simulate",
+        f"# model={config.model} scheme={config.scheme} {step_txt} steps={config.steps} "
+        + " ".join(f"{k}={fmt(v)}" for k, v in cli._params_dict(config).items())
+        + f" x0={fmt(s0.X)} y0={fmt(s0.Y)}",
+        "n,t,X,Y",
+    ]
+    for n, t, (x, y) in zip(run.steps, run.times, run.states):
+        lines.append(f"{int(n)},{fmt(t)},{fmt(x)},{fmt(y)}")
+    lines.append(cli._verdict_comment(run.verdict))
+    return "\n".join(lines)
+
+
+def ref_trajectory_json(config, s0, run):
+    return {
+        "config": config.to_dict(),
+        "initial": [s0.X, s0.Y],
+        "n": [int(n) for n in run.steps],
+        "t": [float(t) for t in run.times],
+        "X": [float(x) for x in run.states[:, 0]],
+        "Y": [float(y) for y in run.states[:, 1]],
+        "verdict": cli._verdict_dict(run.verdict),
+    }
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+VERDICTS = [
+    Verdict(VerdictStatus.MAX_STEPS, at_step=3),
+    Verdict(VerdictStatus.DIVERGED, at_step=0),
+    Verdict(VerdictStatus.CONVERGED, kind=EquilibriumKind.INTERIOR, point=State(0.25, -0.0), at_step=2**62),
+]
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(st.integers(0, 2**62), cells, cells, cells), min_size=n, max_size=n))
+    steps, times, xs, ys = zip(*rows)
+    run = Trajectory(
+        np.array(steps, dtype=np.int64),
+        np.array(times, dtype=np.float64),
+        np.array(list(zip(xs, ys)), dtype=np.float64),
+        draw(st.sampled_from(VERDICTS)),
+    )
+    config = RunConfig(scheme=draw(st.sampled_from(["nsfd", "rk4"])), h=draw(cells), dt=draw(cells))
+    return config, State(draw(cells), draw(cells)), run
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=trajectories())
+def test_trajectory_writers_match_the_scalar_loops(case):
+    config, s0, run = case
+    assert cli._trajectory_csv(config, s0, run) == ref_trajectory_csv(config, s0, run)
+    new, ref = cli._trajectory_json(config, s0, run), ref_trajectory_json(config, s0, run)
+    assert json.dumps(new, indent=2) == json.dumps(ref, indent=2)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--beta=0.3", "--x0=1.2", "--y0=0.15"],
+        ["--scheme=rk4", "--steps=40"],
+        ["--scheme=euler", "--dt=10", "--x0=0.1", "--y0=0.9", "--beta=0.3", "--steps=100"],
+        ["--h=1e308", "--steps=3"],
+    ],
+    ids=["default", "converges", "rk4", "euler-diverges", "infinite-times"],
+)
+def test_simulate_json_matches_the_scalar_builder(flags, capsys):
+    argv = ["simulate", "--format=json", *flags]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    config = cli._build_config(cli._make_parser().parse_args(argv))
+    s0 = config.points()[0]
+    assert out == json.dumps(ref_trajectory_json(config, s0, cli._simulate_one(config, s0)), indent=2) + "\n"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    sequence = [
+        ["stability", "--h", "0.5", "--h", "1", "--format", "json"],
+        ["stability", "--format", "json"],
+        ["--help"],
+        ["--help"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        cli._make_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._make_parser.cache_clear()
+    reused = [outcome(argv) for argv in sequence]
+    assert reused == fresh
+    assert cli._make_parser.cache_info().misses == 1
+    assert json.loads(reused[1][1])["h_list"] == [0.1]
+
+
+# The flag grammar of the commands, and the contents of a --config file.
+# Values are passed as --flag=value, so that argparse reads "-inf" or
+# "-1e-05" as a value and not as an option.
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-313, 1.3e154, -1.3e154, 1e300, -1e300]
 cli_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-3.0, 3.0), st.floats())
 OUT_TARGETS = (None, "-", "file", "existing-file", "dir", "missing-parent")
+# Checks that take milliseconds, and a name that matches none.
+CHEAP_CHECKS = [
+    "interior-equilibrium-algebra",
+    "reproduction-number-threshold",
+    "step-size-independence",
+    "jury-eigenvalue-oracle",
+    "no-such-check",
+]
+# Config values of every JSON type.  The strings are plain relative
+# names, because "out" may take one and the test runs in tmp_path.
+config_values = st.one_of(
+    cli_floats,
+    st.integers(-2, 40),
+    st.sampled_from(["", "x", "7", "general", "rk4", "json", "paper-initials", "-"]),
+    st.none(),
+    st.booleans(),
+    st.lists(cli_floats, max_size=2),
+    st.lists(st.lists(cli_floats, max_size=3), max_size=2),
+)
+config_files = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.sampled_from([f.name for f in fields(RunConfig)] + ["betta"]), config_values, max_size=4
+    ).map(json.dumps),
+    st.sampled_from(["[]", "3", "null", "{", ""]),
+)
 
 
 @st.composite
@@ -430,7 +598,13 @@ def cli_cases(draw):
     def maybe(name, strategy):
         return [flag(name, strategy)] if draw(st.booleans()) else []
 
-    command = draw(st.sampled_from(["equilibria", "stability", "simulate", "portrait", "sweep"]))
+    command = draw(st.sampled_from(["equilibria", "stability", "simulate", "portrait", "sweep", "verify"]))
+    if command == "verify":
+        listing = draw(st.booleans())
+        argv = ["verify", *(["--list"] if listing else [])]
+        if not listing or draw(st.booleans()):
+            argv.append(f"--only={draw(st.sampled_from(CHEAP_CHECKS))}")
+        return argv + maybe("tol-eq", cli_floats), None, None
     argv = [command]
     argv += [f"--model={m}" for m in draw(st.lists(st.sampled_from(["general", "horizontal", "vertical"]), max_size=1))]
     for name in ("bx", "by", "ux", "uy", "K", "e", "beta"):
@@ -440,31 +614,36 @@ def cli_cases(draw):
     if command != "equilibria":
         argv += [f"--h={h!r}" for h in draw(st.lists(cli_floats, max_size=3))]
     if command in ("simulate", "portrait"):
+        # Always given, so that a config file's steps never sets a long run.
         argv.append(flag("steps", st.integers(-2, 40)))
         argv += [f"--scheme={s}" for s in draw(st.lists(st.sampled_from(["nsfd", "rk4", "euler"]), max_size=1))]
         argv += maybe("dt", cli_floats)
         n_points = draw(st.integers(0, 3))
-        argv += [flag("x0", cli_floats) for _ in range(n_points)]
+        argv += [flag("x0", st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), cli_floats)) for _ in range(n_points)]
         argv += [flag("y0", cli_floats) for _ in range(draw(st.sampled_from([n_points, n_points, n_points + 1])))]
         argv += [f"--preset={p}" for p in draw(st.lists(st.sampled_from(["paper-initials", "nowhere"]), max_size=1))]
         argv += maybe("tol-eq", cli_floats) + maybe("tol-step", cli_floats) + maybe("window", st.integers(-1, 60))
-    return argv, draw(st.sampled_from(OUT_TARGETS))
+    return argv, draw(st.sampled_from(OUT_TARGETS)), draw(config_files)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cli_cases())
-@example(case=(["equilibria", "--K=1e300"], None))
-@example(case=(["simulate", "--K=1e300", "--steps=3"], None))
+@example(case=(["equilibria", "--K=1e300"], None, None))
+@example(case=(["simulate", "--K=1e300", "--steps=3"], None, None))
 @example(case=(["equilibria", "--by=2.2e-313", "--bx=1.0", "--ux=0.0", "--uy=0.0", "--e=0.0", "--beta=0.0",
-                "--permissive"], None))
-@example(case=(["stability", "--bx=1e300"], None))
-@example(case=(["sweep", "--bx=1.3e154", "--by=1.3e154", "--ux=2.9", "--uy=1.3e154", "--beta=2.9"], None))
-@example(case=(["stability", "--uy=2.2e-313", "--permissive", "--h=2.2e-313"], None))
-@example(case=(["simulate", "--steps=3"], "dir"))
-@example(case=(["portrait", "--format=json", "--steps=3"], "dir"))
+                "--permissive"], None, None))
+@example(case=(["stability", "--bx=1e300"], None, None))
+@example(case=(["sweep", "--bx=1.3e154", "--by=1.3e154", "--ux=2.9", "--uy=1.3e154", "--beta=2.9"], None, None))
+@example(case=(["stability", "--uy=2.2e-313", "--permissive", "--h=2.2e-313"], None, None))
+@example(case=(["simulate", "--steps=3"], "dir", None))
+@example(case=(["portrait", "--format=json", "--steps=3"], "dir", None))
+@example(case=(["portrait", "--steps=3"], "-", None))
+@example(case=(["simulate", "--x0=nan", "--y0=0.1", "--steps=0"], None, None))
+@example(case=(["equilibria"], None, '{"window": Infinity}'))
+@example(case=(["verify", "--only=jury-eigenvalue-oracle", "--tol-eq=nan"], None, None))
 def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
-    argv, out = case
-    monkeypatch.chdir(tmp_path)  # portrait --out=- writes a directory named "-"
+    argv, out, config = case
+    monkeypatch.chdir(tmp_path)  # a relative --out, such as a config file's, lands here
     (tmp_path / "dir").mkdir(exist_ok=True)
     (tmp_path / "existing-file").write_text("")
     targets = {
@@ -476,6 +655,9 @@ def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
     }
     if out is not None:
         argv = [*argv, f"--out={targets[out]}"]
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv = [*argv, f"--config={tmp_path / 'run.json'}"]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:
@@ -486,3 +668,4 @@ def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
         assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "-").exists()
