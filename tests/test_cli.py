@@ -164,7 +164,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("scheme", ["nsfd", "rk4", "euler"])
     def test_start_that_is_not_finite_is_runtime_error(self, scheme, value, steps, capsys):
-        code, out, err = run_cli(["simulate", f"--scheme={scheme}", f"--x0={value}", "--y0=0.1", f"--steps={steps}"], capsys)
+        argv = ["simulate", f"--scheme={scheme}", f"--x0={value}", "--y0=0.1", f"--steps={steps}"]
+        code, out, err = run_cli(argv, capsys)
         assert code == 3
         assert out == "" and err == f"error: initial state ({value}, 0.1) is not finite\n"
 
@@ -561,6 +562,7 @@ def test_parser_is_built_once_and_reused(capsys):
 # "-1e-05" as a value and not as an option.
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-313, 1.3e154, -1.3e154, 1e300, -1e300]
 cli_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(-3.0, 3.0), st.floats())
+start_floats = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), cli_floats)
 OUT_TARGETS = (None, "-", "file", "existing-file", "dir", "missing-parent")
 # Checks that take milliseconds, and a name that matches none.
 CHEAP_CHECKS = [
@@ -619,7 +621,7 @@ def cli_cases(draw):
         argv += [f"--scheme={s}" for s in draw(st.lists(st.sampled_from(["nsfd", "rk4", "euler"]), max_size=1))]
         argv += maybe("dt", cli_floats)
         n_points = draw(st.integers(0, 3))
-        argv += [flag("x0", st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), cli_floats)) for _ in range(n_points)]
+        argv += [flag("x0", start_floats) for _ in range(n_points)]
         argv += [flag("y0", cli_floats) for _ in range(draw(st.sampled_from([n_points, n_points, n_points + 1])))]
         argv += [f"--preset={p}" for p in draw(st.lists(st.sampled_from(["paper-initials", "nowhere"]), max_size=1))]
         argv += maybe("tol-eq", cli_floats) + maybe("tol-step", cli_floats) + maybe("window", st.integers(-1, 60))
