@@ -432,6 +432,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 def _cmd_portrait(config: RunConfig) -> int:
     _check_params(config)
     points = config.points()
+    if config.format != "json" and (config.out is None or config.out == "-"):
+        raise ConfigError("portrait with csv output needs --out DIRECTORY; only --format json writes to stdout")
     runs = [(s0, _simulate_one(config, s0)) for s0 in points]
     if config.format == "json":
         doc = {
@@ -440,8 +442,6 @@ def _cmd_portrait(config: RunConfig) -> int:
         }
         _emit(json.dumps(doc, indent=2), config.out)
         return EXIT_OK
-    if config.out is None or config.out == "-":
-        raise ConfigError("portrait with csv output needs --out DIRECTORY; only --format json writes to stdout")
     out_dir = Path(config.out)
     index_lines = ["point,x0,y0,file,verdict,final_X,final_Y"]
     with _writing(config.out):

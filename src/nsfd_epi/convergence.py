@@ -26,12 +26,13 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConvergenceMonitor",
@@ -216,6 +217,10 @@ def _run_monitored(
         known = ()  # implausible parameters: no limit matching, divergence only
     monitor = ConvergenceMonitor(settings, known, params.K)
     recorded_steps, recorded_states, verdict = _scan(monitor, advance, s, n_steps, record_every, scheme)
+    # Imported here, not at module level, so that the commands that build no
+    # array (equilibria, stability, sweep, verify --list) start without numpy.
+    import numpy as np
+
     steps = np.asarray(recorded_steps, dtype=np.int64)
     with np.errstate(over="ignore"):
         times = steps * step_size

@@ -218,7 +218,10 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
     General variant: X* is the positive quadratic root and
     Y* = (beta K - b_y) X*/b_y + K(b_y - u_y)/b_y; it exists iff
     b_x > u_x, b_y > u_y, b_y > beta K and K/X* > (b_y - beta K)/(b_y - u_y),
-    with the root additionally required to satisfy 0 < X* < K.
+    with the root additionally required to satisfy 0 < X* < K.  When K
+    or b_y puts the quadratic's coefficients out of floating-point
+    range, the candidate does not exist, at (nan, nan), and its last
+    condition, "coefficients in floating-point range", fails.
 
     Horizontal variant (e = 0): rational closed forms; exists iff
     b_x > u_x, b_y > u_y, b_x u_y / b_y > u_x + beta K (1 - u_y/b_y)
@@ -237,19 +240,25 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
     b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
 
     if variant is ModelVariant.GENERAL:
-        coeffs = interior_coefficients(params)
+        conditions = [
+            Condition("b_x > u_x", b_x > u_x, b_x - u_x),
+            Condition("b_y > u_y", b_y > u_y, b_y - u_y),
+            Condition("b_y > beta*K", b_y > params.beta * big_k, b_y - params.beta * big_k),
+        ]
+        try:
+            coeffs = interior_coefficients(params)
+        except DomainError:
+            if not b_y > 0:
+                raise
+            conditions.append(Condition("coefficients in floating-point range", False, math.nan))
+            return Equilibrium(EquilibriumKind.INTERIOR, State(math.nan, math.nan), False, tuple(conditions))
         if coeffs.A == 0.0:
             raise DegenerateQuadraticError(
                 "interior quadratic degenerates (A = 0, typically beta = 0); "
                 "use the horizontal or vertical variant for this parameter set"
             )
         x, disc = _positive_quadratic_root(coeffs)
-        conditions = [
-            Condition("b_x > u_x", b_x > u_x, b_x - u_x),
-            Condition("b_y > u_y", b_y > u_y, b_y - u_y),
-            Condition("b_y > beta*K", b_y > params.beta * big_k, b_y - params.beta * big_k),
-            Condition("B^2 - 4AC >= 0", disc >= 0, disc),
-        ]
+        conditions.append(Condition("B^2 - 4AC >= 0", disc >= 0, disc))
         if math.isnan(x):
             conditions.append(Condition("0 < X* < K", False, math.nan))
             conditions.append(Condition("K/X* > (b_y - beta*K)/(b_y - u_y)", False, math.nan))

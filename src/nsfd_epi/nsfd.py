@@ -40,12 +40,15 @@ more than the scalar steps it replaces.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored
 from .model import DomainError, HostParams, Kernel, ModelVariant, State, effective_rates
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    LanesKernel = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 __all__ = [
     "DenominatorPair",
@@ -145,9 +148,6 @@ def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
     return advance
 
 
-LanesKernel = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
 def map_lanes(lanes: Sequence[tuple[HostParams, ModelVariant, float]]) -> LanesKernel:
     """One map update for many ``(params, variant, h)`` lanes at once, on float64 arrays.
 
@@ -159,6 +159,8 @@ def map_lanes(lanes: Sequence[tuple[HostParams, ModelVariant, float]]) -> LanesK
     on to whatever the arithmetic gives, without a numpy warning, so
     the caller tests the states it gets back.
     """
+    import numpy as np
+
     general = np.array([variant is ModelVariant.GENERAL for _, variant, _ in lanes])
     update = _map_update(*np.array([_map_constants(*lane) for lane in lanes], dtype=np.float64).T.copy())
 

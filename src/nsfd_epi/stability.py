@@ -23,6 +23,7 @@ against the eigenvalue classification at any step size.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -155,6 +156,8 @@ def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
 
     Evaluated in the cancellation-free form (larger root first by
     modulus, ties broken by descending real then imaginary part).
+    Raises DomainError when an eigenvalue comes out not finite, as when
+    the squared trace overflows.
     """
     tr, det = m.trace, m.det
     disc = tr * tr - 4.0 * det
@@ -169,6 +172,8 @@ def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
     else:
         re, im = 0.5 * tr, 0.5 * math.sqrt(-disc)
         eigs = (complex(re, im), complex(re, -im))
+    if not all(cmath.isfinite(z) for z in eigs):
+        raise DomainError(f"eigenvalues of {tuple(m)!r}: the characteristic quadratic is out of floating-point range")
     return tuple(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))  # type: ignore[return-value]
 
 

@@ -15,9 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .convergence import ENDS_ONLY
 from .equilibria import (
@@ -41,6 +39,9 @@ from .stability import (
     stability_conditions,
     stability_report,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CheckResult",
@@ -249,6 +250,8 @@ def _first_lane_failure(
     A lane fails at a step that leaves it not finite or outside the
     quadrant; a general lane also fails at X = 0.
     """
+    import numpy as np
+
     advance = map_lanes(lanes)
     general = np.array([variant is ModelVariant.GENERAL for _, variant, _ in lanes])
     x, y = np.array(starts, dtype=np.float64).T.copy()
@@ -274,6 +277,8 @@ def positivity_check(n_samples: int = 10_000, n_steps: int = 50) -> CheckResult:
     The samples are drawn one at a time, in a fixed order, and run
     ``POSITIVITY_BLOCK`` at a time as lanes of one map.
     """
+    import numpy as np
+
     name = "positivity"
     rng = np.random.default_rng(SEED)
     variants = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
@@ -328,6 +333,8 @@ def step_size_independence_check() -> CheckResult:
 
 def jury_oracle_check(n_samples: int = 100_000) -> CheckResult:
     """Inside-the-unit-circle test against direct eigenvalue moduli, ``JURY_BLOCK`` matrices at a time."""
+    import numpy as np
+
     name = "jury-eigenvalue-oracle"
     rng = np.random.default_rng(SEED + 1)
     a11 = rng.uniform(0.0, 1.0, n_samples)
@@ -364,6 +371,8 @@ def jury_oracle_check(n_samples: int = 100_000) -> CheckResult:
 
 def theorem_crosscheck(n_draws: int = 1000, margin: float = 1e-6) -> CheckResult:
     """Closed-form predictions match eigenvalues for random strict draws."""
+    import numpy as np
+
     name = "theorem-crosscheck"
     rng = np.random.default_rng(SEED + 2)
     variants = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)

@@ -263,11 +263,14 @@ class TestPortraitCommand:
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "csv"], ["--format", "text"]], ids=["default", "csv", "text"])
     def test_stdout_is_config_error_for_csv(self, fmt, tmp_path, monkeypatch, capsys):
+        # The --out test comes before the runs: no trajectory is computed.
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(["portrait", "--steps", "3", *fmt, "--out", "-"], capsys)
-        assert code == 2
-        assert out == "" and "only --format json writes to stdout" in err
-        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(cli, "_simulate_one", lambda *args: pytest.fail("portrait ran before testing --out"))
+        for out_args in (["--out", "-"], []):
+            code, out, err = run_cli(["portrait", "--steps", "3", *fmt, *out_args], capsys)
+            assert code == 2
+            assert out == "" and "error: portrait with csv output needs --out" in err
+            assert list(tmp_path.iterdir()) == []
 
     def test_json_to_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -388,29 +391,101 @@ def test_console_entry_point_runs(package_env):
     assert json.loads(proc.stdout)["model"] == "general"
 
 
+# Run in a fresh interpreter: notes whether numpy is loaded after importing
+# the CLI and after each command, then prints the simulate output.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from nsfd_epi.cli import main
+loaded = {"import": "numpy" in sys.modules}
+for args in (["equilibria"], ["stability", "--format", "json"], ["sweep"], ["verify", "--list"],
+             ["simulate", "--steps", "5"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(args) == 0
+    loaded[args[0]] = "numpy" in sys.modules
+print(json.dumps(loaded))
+print(out.getvalue(), end="")
+"""
+
+
+def test_commands_without_arrays_start_without_numpy(package_env, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, timeout=60, env=package_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, simulated = proc.stdout.split("\n", 1)
+    assert json.loads(loaded) == {
+        "import": False, "equilibria": False, "stability": False, "sweep": False, "verify": False, "simulate": True,
+    }
+    assert simulated == run_cli(["simulate", "--steps", "5"], capsys)[1]
+
+
 class TestOutOfRangeInputs:
     """Inputs whose arithmetic leaves the float range exit 3 with an error line, never a traceback."""
 
     @pytest.mark.parametrize(
         "args",
         [
-            ["equilibria", "--K", "1e300"],
-            ["equilibria", "--by", "2.2e-313", "--bx", "1", "--ux", "0", "--uy", "0", "--e", "0", "--beta", "0",
-             "--permissive"],
             ["stability", "--bx", "1e300"],
             ["sweep", "--bx", "1.3e154", "--by", "1.3e154", "--ux", "2.9", "--uy", "1.3e154", "--beta", "2.9"],
             ["stability", "--uy", "2.2e-313", "--permissive", "--h", "2.2e-313"],
         ],
-        ids=["interior-K-overflow", "interior-b_y-underflow", "jacobian-overflow", "sweep-overflow",
-             "jacobian-underflow"],
+        ids=["jacobian-overflow", "sweep-overflow", "jacobian-underflow"],
     )
     def test_domain_error(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 3
         assert "out of floating-point range" in err.splitlines()[-1]
 
+    # Each case: its arguments and the points listed as existing.  The
+    # interior point's quadratic coefficients leave the float range.
+    OVERFLOWING_INTERIOR = {
+        "interior-K-overflow": (
+            ["--K", "1e300"], [("trivial", 0.0, 0.0), ("disease_free", 8.333333333333334e299, 0.0)]
+        ),
+        "interior-b_y-underflow": (
+            ["--by", "2.2e-313", "--bx", "1", "--ux", "0", "--uy", "1e-313", "--e", "0", "--beta", "0", "--permissive"],
+            [("trivial", 0.0, 0.0), ("disease_free", 1.0, 0.0), ("susceptible_free", 0.0, 0.5454545454525039)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", OVERFLOWING_INTERIOR)
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_equilibria_list_the_points_that_exist(self, case, fmt, capsys):
+        args, existing = self.OVERFLOWING_INTERIOR[case]
+        code, out, err = run_cli(["equilibria", *args, "--format", fmt], capsys)
+        assert code == 0 and "error" not in err
+        if fmt == "json":
+            listed = json.loads(out)["equilibria"]
+            assert [(eq["kind"], *eq["point"]) for eq in listed if eq["exists"]] == existing
+            assert listed[-1]["kind"] == "interior" and listed[-1]["point"] == [None, None]
+            assert listed[-1]["conditions"][-1] == {
+                "name": "coefficients in floating-point range", "holds": False, "margin": None,
+            }
+        elif fmt == "csv":
+            rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+            assert [(kind, float(x), float(y)) for kind, x, y, exists, _ in rows if exists == "1"] == existing
+            assert rows[-1][:4] == ["interior", "nan", "nan", "0"]
+            assert rows[-1][4].endswith("coefficients in floating-point range")
+        else:
+            assert [line.split()[0] for line in out.splitlines() if line.endswith("  exists")] == [
+                kind for kind, _, _ in existing
+            ]
+            words = " ".join(out.split())
+            assert "interior (nan, nan) does not exist" in words
+            assert "coefficients in floating-point range FAILS margin +nan" in words
+
+    @pytest.mark.parametrize("command", ["stability", "sweep"])
+    def test_eigenvalues_out_of_range_are_domain_error(self, command, capsys):
+        # At K = 1e300 the equilibria are listed, but the squared trace of the
+        # disease-free point's matrix overflows: no verdict, exit 3.
+        code, out, err = run_cli([command, "--K", "1e300"], capsys)
+        assert code == 3 and out == ""
+        assert err.splitlines()[-1].endswith("the characteristic quadratic is out of floating-point range")
+
     def test_huge_capacity_simulates_without_limit_matching(self, capsys):
-        # The equilibria cannot be computed, so the run matches divergence only.
+        # Only the interior point is not computable, so the run matches the
+        # other equilibria; K * DIVERGENCE_FACTOR is inf, so no finite state diverges.
         code, out, _ = run_cli(["simulate", "--K", "1e300", "--steps", "3"], capsys)
         assert code == 0
         assert out.splitlines()[-1] == "# verdict=max_steps n=3"

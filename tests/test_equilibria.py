@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -124,6 +127,15 @@ class TestInteriorCoefficients:
 
 
 class TestInteriorEquilibrium:
+    def test_general_coefficients_out_of_range(self):
+        # K**2 overflows: a candidate that does not exist, not an exception.
+        eq = interior_equilibrium(replace(GENERAL_HIGH, K=1e300), ModelVariant.GENERAL)
+        assert not eq.exists and math.isnan(eq.point.X) and math.isnan(eq.point.Y)
+        assert eq.conditions[-1].name == "coefficients in floating-point range" and not eq.conditions[-1].holds
+        # b_y <= 0 is no range problem: it still raises.
+        with pytest.raises(DomainError, match="need b_y > 0"):
+            interior_equilibrium(replace(GENERAL_HIGH, b_y=0.0), ModelVariant.GENERAL)
+
     def test_general_benchmark_point(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
         assert eq.exists
