@@ -16,7 +16,6 @@ from .equilibria import (
     ReproductionNumbers,
     all_equilibria,
     disease_free_equilibrium,
-    equilibrium_residual,
     interior_coefficients,
     interior_equilibrium,
     reproduction_numbers,

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, Verdict
-from .equilibria import Equilibrium, all_equilibria, reproduction_numbers
+from .equilibria import Equilibrium, ReproductionNumbers, all_equilibria, reproduction_numbers
 from .harness import INITIAL_POINT_PRESETS, step_size_sweep
 from .integrators import simulate_continuous
 from .model import (
@@ -250,12 +250,16 @@ def _cmd_equilibria(config: RunConfig) -> int:
     _check_params(config)
     params, variant = config.params(), config.variant()
     equilibria = all_equilibria(params, variant)
-    r = reproduction_numbers(params)
+    try:
+        r = reproduction_numbers(params)
+    except DomainError:  # u_y = 0 passes --permissive: the points exist, R0 does not
+        r = ReproductionNumbers(math.nan, math.nan, math.nan)
     if config.format == "json":
         doc = {
             "model": variant.value,
             "params": _params_dict(config),
-            "reproduction": {"V0": r.V0, "H0": r.H0, "R0": r.R0, "xbar_negative": r.xbar_negative},
+            "reproduction": {"V0": _num(r.V0), "H0": _num(r.H0), "R0": _num(r.R0),
+                             "xbar_negative": None if math.isnan(r.R0) else r.xbar_negative},
             "equilibria": [_eq_dict(eq) for eq in equilibria],
         }
         _emit(json.dumps(doc, indent=2), config.out)

@@ -33,7 +33,6 @@ from .model import (
     ModelVariant,
     NotAnEquilibriumError,
     State,
-    vector_field,
 )
 
 __all__ = [
@@ -44,10 +43,8 @@ __all__ = [
     "ReproductionNumbers",
     "all_equilibria",
     "disease_free_equilibrium",
-    "equilibrium_residual",
     "interior_coefficients",
     "interior_equilibrium",
-    "near_boundary_conditions",
     "reproduction_numbers",
     "susceptible_free_equilibrium",
     "trivial_equilibrium",
@@ -316,20 +313,3 @@ def all_equilibria(params: HostParams, variant: ModelVariant) -> tuple[Equilibri
         except DegenerateQuadraticError:
             pass
     return tuple(out)
-
-
-def equilibrium_residual(params: HostParams, variant: ModelVariant, eq: Equilibrium) -> float:
-    """Infinity norm of the vector field at the equilibrium point."""
-    dx, dy = vector_field(params, variant, eq.point)
-    return max(abs(dx), abs(dy))
-
-
-def near_boundary_conditions(eq: Equilibrium, eps_cond: float = 0.0) -> tuple[Condition, ...]:
-    """Conditions sitting within ``eps_cond`` of their boundary.
-
-    Existence always uses exact strict comparisons; this helper lets
-    callers flag parameter sets whose verdicts could flip under
-    perturbations of size ``eps_cond`` (NaN margins are always
-    reported).  The default of zero flags nothing but exact ties.
-    """
-    return tuple(c for c in eq.conditions if math.isnan(c.margin) or abs(c.margin) <= eps_cond)

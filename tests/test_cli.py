@@ -475,6 +475,34 @@ class TestOutOfRangeInputs:
             assert "interior (nan, nan) does not exist" in words
             assert "coefficients in floating-point range FAILS margin +nan" in words
 
+    # u_y = 0 passes --permissive: every point can be computed, R0 cannot.
+    UNDEFINED_R0 = {
+        "defaults": ([], [("trivial", 0.0, 0.0), ("disease_free", 0.8333333333333333, 0.0)]),
+        "e-zero": (
+            ["--e", "0"],
+            [("trivial", 0.0, 0.0), ("disease_free", 0.8333333333333333, 0.0), ("susceptible_free", 0.0, 1.0)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", UNDEFINED_R0)
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_equilibria_list_the_points_when_r0_is_undefined(self, case, fmt, capsys):
+        args, existing = self.UNDEFINED_R0[case]
+        code, out, err = run_cli(["equilibria", "--uy", "0", "--permissive", *args, "--format", fmt], capsys)
+        assert code == 0 and "error" not in err
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["reproduction"] == {"V0": None, "H0": None, "R0": None, "xbar_negative": None}
+            assert [(eq["kind"], *eq["point"]) for eq in doc["equilibria"] if eq["exists"]] == existing
+        elif fmt == "csv":
+            assert "# V0=nan H0=nan R0=nan" in out.splitlines()
+            rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+            assert [(kind, float(x), float(y)) for kind, x, y, exists, _ in rows if exists == "1"] == existing
+        else:
+            assert "R0 = nan (V0 = nan, H0 = nan)" in out.splitlines()
+            listed = [" ".join(line.split()) for line in out.splitlines() if line.endswith("  exists")]
+            assert listed == [f"{kind} ({x:.6g}, {y:.6g}) exists" for kind, x, y in existing]
+
     @pytest.mark.parametrize("command", ["stability", "sweep"])
     def test_eigenvalues_out_of_range_are_domain_error(self, command, capsys):
         # At K = 1e300 the equilibria are listed, but the squared trace of the

@@ -9,10 +9,8 @@ from nsfd_epi.equilibria import (
     EquilibriumKind,
     all_equilibria,
     disease_free_equilibrium,
-    equilibrium_residual,
     interior_coefficients,
     interior_equilibrium,
-    near_boundary_conditions,
     reproduction_numbers,
     susceptible_free_equilibrium,
     trivial_equilibrium,
@@ -23,8 +21,16 @@ from nsfd_epi.model import (
     HostParams,
     ModelVariant,
     NotAnEquilibriumError,
+    vector_field,
 )
 from nsfd_epi.verification import benchmark_params
+
+
+def equilibrium_residual(params, variant, eq):
+    """Infinity norm of the vector field at the equilibrium point."""
+    dx, dy = vector_field(params, variant, eq.point)
+    return max(abs(dx), abs(dy))
+
 
 GENERAL_LOW = benchmark_params(ModelVariant.GENERAL, 0.1)
 GENERAL_HIGH = benchmark_params(ModelVariant.GENERAL, 0.3)
@@ -234,22 +240,6 @@ class TestAllEquilibria:
                 if eq.exists:
                     res = equilibrium_residual(params, variant, eq)
                     assert res <= 1e-9 * (1.0 + max(abs(eq.point.X), abs(eq.point.Y)))
-
-
-class TestNearBoundaryConditions:
-    def test_default_flags_only_exact_ties(self):
-        at_tie = HostParams(b_x=0.2, b_y=0.2, u_x=0.1, u_y=0.2, K=1.2)
-        eq = susceptible_free_equilibrium(at_tie, ModelVariant.HORIZONTAL)
-        assert [c.name for c in near_boundary_conditions(eq)] == ["b_y > u_y"]
-        solid = susceptible_free_equilibrium(HORIZ_HIGH, ModelVariant.HORIZONTAL)
-        assert near_boundary_conditions(solid) == ()
-
-    def test_custom_margin_catches_close_calls(self):
-        eq = interior_equilibrium(HORIZ_MID, ModelVariant.HORIZONTAL)
-        # invasion-threshold margin is 0.02 at beta = 0.3
-        names = [c.name for c in near_boundary_conditions(eq, eps_cond=0.05)]
-        assert "b_x*u_y/b_y > u_x + beta*K*(1 - u_y/b_y)" in names
-        assert "b_y > u_y" not in names
 
 
 @settings(max_examples=300, deadline=None)

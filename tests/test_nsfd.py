@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.convergence import ConvergenceSettings, Verdict, VerdictStatus
-from nsfd_epi.integrators import euler_step, rk4_step
+from nsfd_epi.integrators import euler_step, rk4_step, scheme_kernel
 from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interior_equilibrium
-from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, vector_field
+from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, field_kernel, vector_field
 from nsfd_epi.nsfd import denominators, iterate, map_kernel, map_lanes, step
 from nsfd_epi.verification import SCENARIOS, benchmark_params
 
@@ -503,3 +503,47 @@ def test_lanes_step_refused_states_without_a_warning():
     for start in ((0.0, 0.5), (-1.0, 0.2)):
         with pytest.raises(DomainError):
             map_kernel(*setups[0])(*start)
+
+
+# The RK4 kernel writes the field out in each stage for speed.  Staged
+# through model.field_kernel, as four calls, it must give the same bits.
+
+
+def staged_rk4(field, dt):
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def advance(x, y):
+        k1x, k1y = field(x, y)
+        k2x, k2y = field(x + half * k1x, y + half * k1y)
+        k3x, k3y = field(x + half * k2x, y + half * k2y)
+        k4x, k4y = field(x + dt * k3x, y + dt * k3y)
+        return x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x), y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+
+    return advance
+
+
+# Zeros of both signs, the smallest subnormals, and magnitudes whose
+# products overflow in the inner stages (1e154 squared, 1e300 times a
+# rate).  A regrouped product changes the result for only about 1 in 40
+# random general-variant states, so each example steps a list of them,
+# and the general scenario (K = 1) at dt = 1 always steps a 32 x 32 grid.
+rk4_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e154, -1e154, 1e300, -1e300]),
+    st.floats(-10.0, 10.0),
+)
+phase_grid = [(0.05 * i, 0.05 * j) for i in range(32) for j in range(32)]
+
+
+@settings(max_examples=600, deadline=None)
+@example(params=GENERAL_HIGH, variant=ModelVariant.GENERAL, dt=1.0, states=phase_grid)
+@given(
+    params=st.one_of(strict_params, permissive_params),
+    variant=st.sampled_from(list(ModelVariant)),
+    dt=st.floats(-12.0, 12.0).map(lambda k: 10.0**k),
+    states=st.lists(st.tuples(rk4_coords, rk4_coords), min_size=1, max_size=8),
+)
+def test_fused_rk4_matches_field_kernel_staged_bit_for_bit(params, variant, dt, states):
+    params = fit_variant(params, variant)
+    fused = scheme_kernel(params, variant, dt, "rk4")
+    staged = staged_rk4(field_kernel(params, variant), dt)
+    assert [bits(fused(x, y)) for x, y in states] == [bits(staged(x, y)) for x, y in states]
