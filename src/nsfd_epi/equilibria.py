@@ -126,11 +126,17 @@ def trivial_equilibrium() -> Equilibrium:
 
 
 def disease_free_equilibrium(params: HostParams) -> Equilibrium:
-    """(K(1 - u_x/b_x), 0); exists iff b_x > u_x."""
-    if params.b_x <= 0:
-        raise DomainError(f"disease-free equilibrium needs b_x > 0, got {params.b_x!r}")
-    xbar = params.K * (1.0 - params.u_x / params.b_x)
+    """(K(1 - u_x/b_x), 0); exists iff b_x > u_x.
+
+    With b_x <= 0, which permissive validation lets through, there is no
+    such point: the candidate does not exist, at (nan, 0), and a
+    condition b_x > 0 fails beside b_x > u_x.
+    """
     cond = Condition("b_x > u_x", params.b_x > params.u_x, params.b_x - params.u_x)
+    if params.b_x <= 0:
+        no_births = Condition("b_x > 0", False, params.b_x)
+        return Equilibrium(EquilibriumKind.DISEASE_FREE, State(math.nan, 0.0), False, (cond, no_births))
+    xbar = params.K * (1.0 - params.u_x / params.b_x)
     return Equilibrium(EquilibriumKind.DISEASE_FREE, State(xbar, 0.0), cond.holds, (cond,))
 
 

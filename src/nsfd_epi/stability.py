@@ -23,7 +23,6 @@ against the eigenvalue classification at any step size.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -151,14 +150,8 @@ def discrete_jacobian(params: HostParams, variant: ModelVariant, point: tuple[fl
     return Matrix2(a11, a12, a21, a22)
 
 
-def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
-    """Eigenvalues of a 2x2 matrix via its characteristic quadratic.
-
-    Evaluated in the cancellation-free form (larger root first by
-    modulus, ties broken by descending real then imaginary part).
-    Raises DomainError when an eigenvalue comes out not finite, as when
-    the squared trace overflows.
-    """
+def _characteristic_roots(m: Matrix2) -> tuple[complex, complex]:
+    """The roots of lambda^2 - trace lambda + det, in the cancellation-free form."""
     tr, det = m.trace, m.det
     disc = tr * tr - 4.0 * det
     if disc >= 0:
@@ -168,11 +161,34 @@ def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
         else:
             r1 = 0.5 * (tr - root)
         r2 = det / r1 if r1 != 0.0 else tr - r1
-        eigs = (complex(r1), complex(r2))
-    else:
-        re, im = 0.5 * tr, 0.5 * math.sqrt(-disc)
-        eigs = (complex(re, im), complex(re, -im))
-    if not all(cmath.isfinite(z) for z in eigs):
+        return complex(r1), complex(r2)
+    re, im = 0.5 * tr, 0.5 * math.sqrt(-disc)
+    return complex(re, im), complex(re, -im)
+
+
+def _moduli_finite(eigs: tuple[complex, complex]) -> bool:
+    return all(math.isfinite(math.hypot(z.real, z.imag)) for z in eigs)
+
+
+def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
+    """Eigenvalues of a 2x2 matrix via its characteristic quadratic.
+
+    Evaluated in the cancellation-free form (larger root first by
+    modulus, ties broken by descending real then imaginary part).  When
+    the quadratic leaves the float range (the squared trace or the
+    determinant overflows) but every entry is finite, the matrix is
+    divided by the power of two 2^k that brings its largest entry below
+    2, solved, and the eigenvalues are multiplied by 2^k.  Both scalings
+    are exact unless an entry turns subnormal; no other matrix is
+    scaled.  Raises DomainError when an eigenvalue or its modulus is
+    still not finite.
+    """
+    eigs = _characteristic_roots(m)
+    if not _moduli_finite(eigs) and all(math.isfinite(a) for a in m):
+        scale = 2.0 ** min(math.frexp(max(abs(a) for a in m))[1], 1023)
+        scaled = _characteristic_roots(Matrix2(*(a / scale for a in m)))
+        eigs = tuple(complex(z.real * scale, z.imag * scale) for z in scaled)  # type: ignore[assignment]
+    if not _moduli_finite(eigs):
         raise DomainError(f"eigenvalues of {tuple(m)!r}: the characteristic quadratic is out of floating-point range")
     return tuple(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))  # type: ignore[return-value]
 

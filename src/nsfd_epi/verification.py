@@ -58,6 +58,10 @@ SEED = 987134834
 
 SWEEP_H_LIST = (0.01, 0.1, 1.0, 10.0, 50.0)
 
+# The random checks draw a variant as an index into this tuple; the
+# positivity sampler reads index 0 as general and 2 as vertical.
+_VARIANTS = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
+
 # Samples per batch of map lanes in positivity_check, and matrices per
 # batch in jury_oracle_check: big enough that numpy's per-call cost is
 # spread thin, small enough that the temporaries stay a few hundred kB.
@@ -231,7 +235,7 @@ def reproduction_threshold_check() -> CheckResult:
 def _draw_strict_params(rng: np.random.Generator, variant: ModelVariant) -> HostParams:
     while True:
         b_x = rng.uniform(0.05, 2.0)
-        b_y = rng.uniform(0.02, b_x) if b_x > 0.02 else b_x
+        b_y = rng.uniform(0.02, b_x)
         e = rng.uniform(0.0, b_x - b_y) if variant is ModelVariant.GENERAL else 0.0
         u_x = rng.uniform(0.01, 1.0)
         u_y = u_x + rng.uniform(0.01, 1.0)
@@ -240,6 +244,42 @@ def _draw_strict_params(rng: np.random.Generator, variant: ModelVariant) -> Host
         params = HostParams(b_x=b_x, b_y=b_y, u_x=u_x, u_y=u_y, K=big_k, e=e, beta=beta)
         if not validate_params(params, "strict"):
             return params
+
+
+def _draw_positivity_block(
+    rng: np.random.Generator, size: int
+) -> tuple[list[tuple[HostParams, ModelVariant, float]], list[tuple[float, float]]]:
+    """``size`` positivity samples: their ``(params, variant, h)`` lanes and their starts.
+
+    Each field is drawn as one array from the distribution that
+    ``_draw_strict_params`` draws a single set from, then converted to
+    Python floats.  Lanes that fail strict validation are dropped and
+    drawn again until the block is full.
+    """
+    import numpy as np
+
+    lanes: list[tuple[HostParams, ModelVariant, float]] = []
+    starts: list[tuple[float, float]] = []
+    while len(lanes) < size:
+        n = size - len(lanes)
+        kind = rng.integers(len(_VARIANTS), size=n)
+        b_x = rng.uniform(0.05, 2.0, n)
+        b_y = rng.uniform(0.02, b_x)
+        e = np.where(kind == 0, rng.uniform(0.0, b_x - b_y), 0.0)
+        u_x = rng.uniform(0.01, 1.0, n)
+        u_y = u_x + rng.uniform(0.01, 1.0, n)
+        big_k = rng.uniform(0.2, 5.0, n)
+        beta = np.where(kind == 2, 0.0, rng.uniform(0.01, 1.5, n))
+        h = rng.uniform(1e-3, 100.0, n)
+        x0 = rng.uniform(1e-6, 2.0 * big_k)
+        y0 = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 2.0 * big_k))
+        columns = (kind, b_x, b_y, u_x, u_y, big_k, e, beta, h, x0, y0)
+        for k, *rates, step, x, y in zip(*(column.tolist() for column in columns)):
+            params = HostParams(*rates)
+            if not validate_params(params, "strict"):
+                lanes.append((params, _VARIANTS[k], step))
+                starts.append((x, y))
+    return lanes, starts
 
 
 def _first_lane_failure(
@@ -274,24 +314,16 @@ def _first_lane_failure(
 def positivity_check(n_samples: int = 10_000, n_steps: int = 50) -> CheckResult:
     """Random nonstandard runs stay in the quadrant; Euler does not.
 
-    The samples are drawn one at a time, in a fixed order, and run
-    ``POSITIVITY_BLOCK`` at a time as lanes of one map.
+    The samples are drawn ``POSITIVITY_BLOCK`` at a time, each block as
+    arrays by ``_draw_positivity_block``, and each block runs as lanes
+    of one map.
     """
     import numpy as np
 
     name = "positivity"
     rng = np.random.default_rng(SEED)
-    variants = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
     for first in range(0, n_samples, POSITIVITY_BLOCK):
-        lanes, starts = [], []
-        for _ in range(min(POSITIVITY_BLOCK, n_samples - first)):
-            variant = variants[int(rng.integers(len(variants)))]
-            params = _draw_strict_params(rng, variant)
-            h = rng.uniform(1e-3, 100.0)
-            x0 = rng.uniform(1e-6, 2.0 * params.K)
-            y0 = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 2.0 * params.K)
-            lanes.append((params, variant, h))
-            starts.append((x0, y0))
+        lanes, starts = _draw_positivity_block(rng, min(POSITIVITY_BLOCK, n_samples - first))
         failure = _first_lane_failure(lanes, starts, n_steps)
         if failure is not None:
             lane, n, s = failure
@@ -375,7 +407,6 @@ def theorem_crosscheck(n_draws: int = 1000, margin: float = 1e-6) -> CheckResult
 
     name = "theorem-crosscheck"
     rng = np.random.default_rng(SEED + 2)
-    variants = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
     accepted = 0
     covered = 0
     attempts = 0
@@ -383,7 +414,7 @@ def theorem_crosscheck(n_draws: int = 1000, margin: float = 1e-6) -> CheckResult
         attempts += 1
         if attempts > 50 * n_draws:
             return _fail(name, f"sampler stalled after {attempts} attempts ({accepted} accepted)")
-        variant = variants[int(rng.integers(len(variants)))]
+        variant = _VARIANTS[int(rng.integers(len(_VARIANTS)))]
         params = _draw_strict_params(rng, variant)
         equilibria = all_equilibria(params, variant)
         # Keep draws that sit safely away from every decision boundary.

@@ -503,13 +503,56 @@ class TestOutOfRangeInputs:
             listed = [" ".join(line.split()) for line in out.splitlines() if line.endswith("  exists")]
             assert listed == [f"{kind} ({x:.6g}, {y:.6g}) exists" for kind, x, y in existing]
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_equilibria_list_no_disease_free_point_without_births(self, fmt, capsys):
+        # b_x = 0 passes --permissive: K(1 - u_x/b_x) is undefined, so E1 does not exist.
+        code, out, err = run_cli(["equilibria", "--bx", "0", "--permissive", "--format", fmt], capsys)
+        assert code == 0 and "error" not in err
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["reproduction"]["R0"] is None
+            assert doc["equilibria"][1] == {
+                "kind": "disease_free", "point": [None, 0.0], "exists": False,
+                "conditions": [
+                    {"name": "b_x > u_x", "holds": False, "margin": -0.1},
+                    {"name": "b_x > 0", "holds": False, "margin": 0.0},
+                ],
+            }
+        elif fmt == "csv":
+            assert "# V0=nan H0=nan R0=nan" in out.splitlines()
+            assert "disease_free,nan,0.0,0,b_x > u_x;b_x > 0" in out.splitlines()
+        else:
+            assert "R0 = nan (V0 = nan, H0 = nan)" in out.splitlines()
+            words = " ".join(out.split())
+            assert "disease_free (nan, 0) does not exist b_x > u_x FAILS margin -0.1 b_x > 0 FAILS" in words
+
     @pytest.mark.parametrize("command", ["stability", "sweep"])
-    def test_eigenvalues_out_of_range_are_domain_error(self, command, capsys):
-        # At K = 1e300 the equilibria are listed, but the squared trace of the
-        # disease-free point's matrix overflows: no verdict, exit 3.
-        code, out, err = run_cli([command, "--K", "1e300"], capsys)
-        assert code == 3 and out == ""
-        assert err.splitlines()[-1].endswith("the characteristic quadratic is out of floating-point range")
+    def test_analysis_without_births_skips_the_disease_free_point(self, command, capsys):
+        code, out, err = run_cli([command, "--bx", "0", "--permissive", "--format", "json"], capsys)
+        assert code == 0 and "error" not in err
+        listed = json.loads(out)["equilibria"]
+        if command == "stability":
+            assert [(eq["equilibrium"]["kind"], len(eq["reports"])) for eq in listed] == [
+                ("trivial", 2), ("disease_free", 0), ("interior", 0),
+            ]
+        else:
+            assert [(eq["kind"], eq["continuous"]) for eq in listed] == [("trivial", "saddle")]
+
+    @pytest.mark.parametrize("command", ["stability", "sweep"])
+    def test_overflowing_quadratic_lists_eigenvalues(self, command, capsys):
+        # At K = 1e300 the squared trace of the disease-free point's matrix
+        # overflows, but its eigenvalues (about 8.33e298 and -0.5) do not.
+        code, out, err = run_cli([command, "--K", "1e300", "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        listed = json.loads(out)["equilibria"]
+        if command == "stability":
+            e1 = listed[1]
+            assert e1["equilibrium"]["kind"] == "disease_free"
+            continuous = e1["reports"][0]
+            assert continuous["regime"] == "continuous" and continuous["classification"] == "saddle"
+            assert continuous["eigenvalues"] == [[pytest.approx(8.3333333333e298), 0.0], [-0.5, 0.0]]
+        else:
+            assert [(eq["kind"], eq["continuous"]) for eq in listed] == [("trivial", "source"), ("disease_free", "saddle")]
 
     def test_huge_capacity_simulates_without_limit_matching(self, capsys):
         # Only the interior point is not computable, so the run matches the

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,39 @@ class TestEigenvalues2:
             want = sorted(np.linalg.eigvals(np.array(m).reshape(2, 2)), key=lambda z: (z.real, z.imag))
             for g, w in zip(got, want):
                 assert cmath.isclose(g, complex(w), rel_tol=1e-8, abs_tol=1e-10)
+
+    def test_overflowing_quadratic_at_huge_capacity(self):
+        # E1's continuous matrix at K = 1e300: its squared trace overflows.
+        params = dataclasses.replace(GENERAL_LOW, K=1e300)
+        m = continuous_jacobian(params, ModelVariant.GENERAL, disease_free_equilibrium(params).point)
+        assert not math.isfinite(m.trace * m.trace)
+        eigs = eigenvalues2(m)
+        assert eigs == (pytest.approx(8.3333333333e298), -0.5)
+        assert classify(eigs, Regime.CONTINUOUS) is Classification.SADDLE
+
+    def test_eigenvalues_past_the_float_range_are_domain_error(self):
+        for m in (Matrix2(1.5e308, -1.5e308, 1.5e308, 1.5e308), Matrix2(1.7e308, 1.7e308, 1.7e308, 1.7e308)):
+            with pytest.raises(DomainError, match="out of floating-point range"):
+                eigenvalues2(m)
+        with pytest.raises(DomainError):
+            eigenvalues2(Matrix2(math.inf, 0.0, 0.0, 1.0))
+
+
+unit_entries = st.one_of(st.just(0.0), st.floats(2.0**-60, 1.0), st.floats(-1.0, -(2.0**-60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.tuples(unit_entries, unit_entries, unit_entries, unit_entries), k=st.integers(520, 1020))
+def test_overflowing_eigenvalues_are_2_to_the_k_times_those_of_the_matrix_over_2_to_the_k(entries, k):
+    m = Matrix2(*(math.ldexp(a, k) for a in entries))
+    assume(not (math.isfinite(m.trace * m.trace) and math.isfinite(m.det)))
+    small = eigenvalues2(Matrix2(*entries))
+    want = tuple(complex(z.real * 2.0**k, z.imag * 2.0**k) for z in small)
+    if all(math.isfinite(math.hypot(z.real, z.imag)) for z in want):
+        assert eigenvalues2(m) == want
+    else:
+        with pytest.raises(DomainError):
+            eigenvalues2(m)
 
 
 class TestClassify:

@@ -1,9 +1,10 @@
 """The batched positivity and Jury-oracle checks against the per-sample loops they replaced.
 
 ``ref_positivity_check`` and ``ref_jury_oracle_check`` are the scalar
-loops as they were before the checks ran on lanes and blocks.  Both
-versions must return the same CheckResult, on passing runs and on
-runs forced to fail.
+loops as they were before the checks ran on lanes and blocks (the
+positivity loop draws its samples through the same block sampler).
+Both versions must return the same CheckResult, on passing runs and
+on runs forced to fail.
 """
 
 import math
@@ -13,14 +14,14 @@ import pytest
 
 from nsfd_epi import nsfd, verification
 from nsfd_epi.harness import first_negative_step
-from nsfd_epi.model import ModelVariant
+from nsfd_epi.model import ModelVariant, effective_rates, validate_params
 from nsfd_epi.nsfd import map_kernel
 from nsfd_epi.stability import Matrix2, jury_conditions
 from nsfd_epi.verification import (
     JURY_BLOCK,
     POSITIVITY_BLOCK,
     SEED,
-    _draw_strict_params,
+    _draw_positivity_block,
     _fail,
     _ok,
     benchmark_params,
@@ -32,24 +33,19 @@ from nsfd_epi.verification import (
 def ref_positivity_check(n_samples=10_000, n_steps=50):
     name = "positivity"
     rng = np.random.default_rng(SEED)
-    variants = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
-    for i in range(n_samples):
-        variant = variants[int(rng.integers(len(variants)))]
-        params = _draw_strict_params(rng, variant)
-        h = rng.uniform(1e-3, 100.0)
-        x0 = rng.uniform(1e-6, 2.0 * params.K)
-        y0 = 0.0 if rng.uniform() < 0.1 else rng.uniform(0.0, 2.0 * params.K)
-        s = (x0, y0)
-        advance = map_kernel(params, variant, h)
-        for n in range(n_steps):
-            s = advance(*s)
-            if not (math.isfinite(s[0]) and math.isfinite(s[1])):
-                return _fail(name, f"sample {i}: state became non-finite at step {n + 1}")
-            if s[1] < 0 or s[0] < 0 or (variant is ModelVariant.GENERAL and s[0] <= 0):
-                return _fail(
-                    name,
-                    f"sample {i} ({variant.value}, h={h:.3g}): state {s} left the quadrant at step {n + 1}",
-                )
+    for first in range(0, n_samples, POSITIVITY_BLOCK):
+        lanes, starts = _draw_positivity_block(rng, min(POSITIVITY_BLOCK, n_samples - first))
+        for i, ((params, variant, h), s) in enumerate(zip(lanes, starts), start=first):
+            advance = map_kernel(params, variant, h)
+            for n in range(n_steps):
+                s = advance(*s)
+                if not (math.isfinite(s[0]) and math.isfinite(s[1])):
+                    return _fail(name, f"sample {i}: state became non-finite at step {n + 1}")
+                if s[1] < 0 or s[0] < 0 or (variant is ModelVariant.GENERAL and s[0] <= 0):
+                    return _fail(
+                        name,
+                        f"sample {i} ({variant.value}, h={h:.3g}): state {s} left the quadrant at step {n + 1}",
+                    )
     demo = benchmark_params(ModelVariant.GENERAL, 0.3)
     euler_idx = first_negative_step(demo, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="euler")
     nsfd_idx = first_negative_step(demo, ModelVariant.GENERAL, (0.1, 0.9), 10.0, scheme="nsfd", max_steps=1000)
@@ -101,6 +97,59 @@ def ref_jury_oracle_check(n_samples=100_000):
 )
 def test_positivity_matches_scalar_loop(n_samples, n_steps):
     assert positivity_check(n_samples, n_steps) == ref_positivity_check(n_samples, n_steps)
+
+
+@pytest.fixture(scope="module")
+def positivity_draw():
+    """10,000 samples from the positivity check's sampler and seed, drawn as one block."""
+    return _draw_positivity_block(np.random.default_rng(SEED), 10_000)
+
+
+def test_positivity_draw_is_strict_and_fits_each_variant(positivity_draw):
+    lanes, starts = positivity_draw
+    assert len(lanes) == len(starts) == 10_000
+    for (params, variant, h), (x0, y0) in zip(lanes, starts):
+        assert validate_params(params, "strict") == []
+        assert effective_rates(params, variant) == (params.e, params.beta)
+        assert (params.e == 0.0) is not (variant is ModelVariant.GENERAL)
+        assert (params.beta == 0.0) is (variant is ModelVariant.VERTICAL)
+        assert 0.0 < x0 <= 2.0 * params.K and 0.0 <= y0 <= 2.0 * params.K
+        assert 1e-3 <= h <= 100.0
+        fields = (*(getattr(params, name) for name in params._FIELDS), h, x0, y0)
+        assert all(type(value) is float for value in fields)
+
+
+def test_positivity_draw_mixes_variants_and_axis_starts(positivity_draw):
+    lanes, starts = positivity_draw
+    for variant in ModelVariant:
+        assert 3_000 < sum(v is variant for _, v, _ in lanes) < 3_700
+    assert 800 < sum(y0 == 0.0 for _, y0 in starts) < 1_200
+
+
+def test_positivity_draw_repeats_from_the_seed(positivity_draw):
+    assert _draw_positivity_block(np.random.default_rng(SEED), 10_000) == positivity_draw
+
+
+def test_positivity_draw_refills_rejected_lanes(monkeypatch):
+    real = verification.validate_params
+    calls, accepted = [0], []
+
+    def reject_every_seventh(params, mode):
+        calls[0] += 1
+        if calls[0] % 7 == 0:
+            return ["rejected"]
+        violations = real(params, mode)
+        if not violations:
+            accepted.append(params)
+        return violations
+
+    monkeypatch.setattr(verification, "validate_params", reject_every_seventh)
+    for size in (1, 7, POSITIVITY_BLOCK):
+        calls[0], accepted[:] = 0, []
+        lanes, starts = _draw_positivity_block(np.random.default_rng(SEED), size)
+        assert len(lanes) == len(starts) == size
+        assert [params for params, _, _ in lanes] == accepted
+        assert calls[0] >= size + size // 6
 
 
 def drawn_lanes(monkeypatch, n_samples):
