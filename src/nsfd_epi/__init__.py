@@ -3,11 +3,11 @@
 Continuous two-class models (uninfected/infected hosts with vertical
 and horizontal transmission), their equilibria and linear stability,
 nonstandard finite difference counterparts that keep trajectories
-positive and equilibria stable for every step size, and a harness that
-demonstrates the dynamic consistency numerically.
+positive and equilibria stable for every step size, and acceptance
+checks that test the dynamic consistency numerically.
 """
 
-from .convergence import ConvergenceSettings, Trajectory, Verdict, VerdictStatus, detect_limit
+from .convergence import ConvergenceSettings, Trajectory, Verdict, VerdictStatus
 from .equilibria import (
     Condition,
     Equilibrium,
@@ -22,14 +22,7 @@ from .equilibria import (
     susceptible_free_equilibrium,
     trivial_equilibrium,
 )
-from .harness import (
-    INITIAL_POINT_PRESETS,
-    ConsistencyReport,
-    SweepResult,
-    consistency_experiment,
-    first_negative_step,
-    step_size_sweep,
-)
+from .harness import INITIAL_POINT_PRESETS, SweepResult, first_negative_step, step_size_sweep
 from .integrators import euler_step, rk4_step, scheme_kernel, simulate_continuous
 from .model import (
     BlowUpError,

@@ -21,7 +21,7 @@ from typing import Any, Iterator, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, Verdict
 from .equilibria import Equilibrium, ReproductionNumbers, all_equilibria, reproduction_numbers
-from .harness import INITIAL_POINT_PRESETS, step_size_sweep
+from .harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, step_size_sweep
 from .integrators import simulate_continuous
 from .model import (
     BlowUpError,
@@ -465,7 +465,7 @@ def _cmd_portrait(config: RunConfig) -> int:
 def _cmd_sweep(config: RunConfig) -> int:
     _check_params(config)
     params, variant = config.params(), config.variant()
-    h_list = config.h_list or [0.01, 0.1, 1.0, 10.0, 50.0]
+    h_list = config.h_list or SWEEP_H_LIST
     results = []
     for eq in all_equilibria(params, variant):
         if not eq.exists:

@@ -13,11 +13,10 @@ divergence, movement and the quiet-run count with local comparisons on
 every step, and calls ``ConvergenceMonitor.update``, the proximity
 test, only on steps where the run has been quiet for at least a window.
 The runners (``nsfd.iterate``, ``integrators.simulate_continuous``)
-reach the loop through ``_run_monitored``; ``detect_limit`` replays a
-recorded sequence through it.  ``ConvergenceMonitor`` holds the
-settings, the known equilibria and the divergence limit.  It stays a
-class with an ``update`` method because the benchmark's tracer wraps
-``ConvergenceMonitor.update`` to count proximity tests.
+reach the loop through ``_run_monitored``.  ``ConvergenceMonitor``
+holds the settings, the known equilibria and the divergence limit.  It
+stays a class with an ``update`` method because the benchmark's tracer
+wraps ``ConvergenceMonitor.update`` to count proximity tests.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State
@@ -40,7 +39,6 @@ __all__ = [
     "Trajectory",
     "Verdict",
     "VerdictStatus",
-    "detect_limit",
 ]
 
 DIVERGENCE_FACTOR = 1e6
@@ -149,8 +147,7 @@ def _scan(
     x, y = s0
     steps, states = [0], [s0]
     limit = monitor.limit
-    # The callers pass a finite start: _run_monitored refuses any other,
-    # and detect_limit returns before the loop when its first state is not finite.
+    # The start is finite: _run_monitored refuses any other.
     if max(abs(x), abs(y)) > limit:
         return steps, states, Verdict(VerdictStatus.DIVERGED, at_step=0)
     # A NaN or infinite limit never declares a finite state diverged.
@@ -226,33 +223,3 @@ def _run_monitored(
         times = steps * step_size
     return Trajectory(steps, times, np.asarray(recorded_states, dtype=np.float64), verdict)
 
-
-def detect_limit(
-    states: Iterable[tuple[float, float]],
-    settings: ConvergenceSettings,
-    equilibria: Sequence[Equilibrium],
-    scale: float | None = None,
-) -> Verdict:
-    """Classify an already-recorded state sequence.
-
-    The sequence is replayed through the run loop, whatever its length.
-    A state that is not finite is diverged at its index.  ``scale``
-    defaults to the largest known equilibrium coordinate (at least 1)
-    when the caller does not pass the carrying capacity.
-    """
-    states = list(states)
-    if scale is None:
-        scale = max([1.0] + [max(abs(eq.point.X), abs(eq.point.Y)) for eq in equilibria if eq.exists])
-    if not states:
-        return Verdict(VerdictStatus.MAX_STEPS, at_step=0)
-    n_finite = next(
-        (i for i, (x, y) in enumerate(states) if not (math.isfinite(x) and math.isfinite(y))), len(states)
-    )
-    if n_finite == 0:
-        return Verdict(VerdictStatus.DIVERGED, at_step=0)
-    monitor = ConvergenceMonitor(settings, equilibria, scale)
-    replay = iter(states[1:n_finite])
-    _, _, verdict = _scan(monitor, lambda x, y: next(replay), states[0], n_finite - 1, n_finite, "replay")
-    if verdict.status is VerdictStatus.MAX_STEPS and n_finite < len(states):
-        return Verdict(VerdictStatus.DIVERGED, at_step=n_finite)
-    return verdict

@@ -1,30 +1,26 @@
-"""Dynamic-consistency experiments and step-size sweeps.
+"""Initial-point presets, step-size sweeps and the Euler positivity demo.
 
-The qualitative agreement between the continuous flow and its
-nonstandard discretization is operationalized as: from the same
-initial point, both settle on the same equilibrium (within the match
-radius of the convergence detector), for every tested step size.
-Transient paths are deliberately not compared.
+``step_size_sweep`` classifies one equilibrium under the discrete map
+at each step size of a list, and ``first_negative_step`` finds the
+first iterate of forward Euler, or of the nonstandard map, with a
+negative component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convergence import ENDS_ONLY, ConvergenceSettings, Verdict
 from .equilibria import Equilibrium
-from .integrators import euler_step, simulate_continuous
+from .integrators import euler_step
 from .model import DomainError, HostParams, ModelVariant, State
-from .nsfd import iterate, step
+from .nsfd import step
 from .stability import Classification, Regime, classify, discrete_jacobian, eigenvalues2, stability_report
 
 __all__ = [
-    "ConsistencyCell",
-    "ConsistencyReport",
     "INITIAL_POINT_PRESETS",
+    "SWEEP_H_LIST",
     "SweepEntry",
     "SweepResult",
-    "consistency_experiment",
     "first_negative_step",
     "step_size_sweep",
 ]
@@ -40,95 +36,8 @@ INITIAL_POINT_PRESETS: dict[str, tuple[State, ...]] = {
     ),
 }
 
-
-@dataclass(frozen=True)
-class ConsistencyCell:
-    """Continuous vs discrete limits from one initial point."""
-
-    initial: State
-    continuous: Verdict | None
-    continuous_final: State | None
-    discrete: tuple[tuple[float, Verdict | None, State | None], ...]
-    errors: tuple[str, ...]
-    agree: bool
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    scenario: str
-    cells: tuple[ConsistencyCell, ...]
-    verdict: bool
-
-
-def _limits_agree(
-    cell_states: list[State],
-    verdicts: list[Verdict | None],
-    tol_eq: float,
-) -> bool:
-    if any(v is None or not v.converged for v in verdicts):
-        return False
-    for i in range(len(cell_states)):
-        for j in range(i + 1, len(cell_states)):
-            a, b = cell_states[i], cell_states[j]
-            if max(abs(a.X - b.X), abs(a.Y - b.Y)) > tol_eq:
-                return False
-    return True
-
-
-def consistency_experiment(
-    params: HostParams,
-    variant: ModelVariant,
-    initial_points: tuple[State, ...] | list[State],
-    h_list: tuple[float, ...] | list[float],
-    settings: ConvergenceSettings | None = None,
-    dt: float = 0.01,
-    t_max: float = 2000.0,
-    n_max: int = 100_000,
-    scenario: str = "",
-) -> ConsistencyReport:
-    """Run the flow once and the map at each h from every initial point.
-
-    A failed run (domain error, blow-up) is recorded in the cell rather
-    than aborting the experiment; a cell agrees only when every run
-    converged and all limits coincide within ``tol_eq``.  Only each
-    run's verdict and final state are read, so only the ends are recorded.
-    """
-    if settings is None:
-        settings = ConvergenceSettings()
-    cells = []
-    for point in initial_points:
-        errors: list[str] = []
-        cont_verdict: Verdict | None = None
-        cont_final: State | None = None
-        try:
-            run = simulate_continuous(
-                params, variant, point, dt=dt, t_max=t_max, settings=settings, record_every=ENDS_ONLY
-            )
-            cont_verdict, cont_final = run.verdict, run.final_state
-        except (DomainError, ArithmeticError) as exc:
-            errors.append(f"continuous: {exc}")
-        discrete_entries: list[tuple[float, Verdict | None, State | None]] = []
-        for h in h_list:
-            try:
-                traj = iterate(params, variant, h, point, n_max, settings=settings, record_every=ENDS_ONLY)
-                discrete_entries.append((h, traj.verdict, traj.final_state))
-            except (DomainError, ArithmeticError) as exc:
-                errors.append(f"discrete h={h!r}: {exc}")
-                discrete_entries.append((h, None, None))
-        finals = [s for s in [cont_final] + [s for _, _, s in discrete_entries] if s is not None]
-        verdicts = [cont_verdict] + [v for _, v, _ in discrete_entries]
-        agree = not errors and len(finals) == 1 + len(h_list) and _limits_agree(finals, verdicts, settings.tol_eq)
-        cells.append(
-            ConsistencyCell(
-                initial=State(*point),
-                continuous=cont_verdict,
-                continuous_final=cont_final,
-                discrete=tuple(discrete_entries),
-                errors=tuple(errors),
-                agree=agree,
-            )
-        )
-    return ConsistencyReport(scenario=scenario, cells=tuple(cells), verdict=all(c.agree for c in cells))
+# The step sizes of ``sweep`` without --h, and of the step-size-independence check.
+SWEEP_H_LIST = (0.01, 0.1, 1.0, 10.0, 50.0)
 
 
 @dataclass(frozen=True)
@@ -153,7 +62,7 @@ def step_size_sweep(
     params: HostParams,
     variant: ModelVariant,
     equilibrium: Equilibrium,
-    h_list: tuple[float, ...] | list[float] = (0.01, 0.1, 1.0, 10.0, 50.0),
+    h_list: tuple[float, ...] | list[float],
 ) -> SweepResult:
     """Classify an equilibrium under the discrete map at each step size.
 

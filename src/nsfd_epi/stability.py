@@ -77,11 +77,9 @@ class Regime(Enum):
 
 
 class Classification(Enum):
-    """Hyperbolic fixed-point types; UNSTABLE is the coarse umbrella for
-    saddle/source used when reporting theorem predictions."""
+    """Fixed-point types by eigenvalues, as ``classify`` returns them."""
 
     STABLE = "stable"
-    UNSTABLE = "unstable"
     SADDLE = "saddle"
     SOURCE = "source"
     NONHYPERBOLIC = "nonhyperbolic"
@@ -297,11 +295,12 @@ def stability_conditions(params: HostParams, variant: ModelVariant, eq: Equilibr
 
     if eq.kind is EquilibriumKind.SUSCEPTIBLE_FREE:
         if variant is ModelVariant.VERTICAL or beta == 0.0:
-            # Uninfected hosts always invade here: strict parameter sets
-            # have b_x u_y / b_y > u_x, making the point a saddle.
+            # Uninfected hosts invade when b_x u_y / b_y > u_x, making the
+            # point a saddle; strict parameter sets always have it.
             margin = b_x * u_y / b_y - u_x if b_y > 0 else math.nan
             side = (Condition("b_x*u_y/b_y > u_x", not math.isnan(margin) and margin > 0, margin),)
-            return StabilityConditions(TheoremPrediction.UNSTABLE, (), side)
+            prediction = TheoremPrediction.UNSTABLE if side[0].holds else TheoremPrediction.NOT_COVERED
+            return StabilityConditions(prediction, (), side)
         margin = b_x * u_y / b_y - (u_x + beta * big_k * (1.0 - u_y / b_y)) if b_y > 0 else math.nan
         conds = (
             Condition("b_y > u_y", b_y > u_y, b_y - u_y),
@@ -352,7 +351,7 @@ def prediction_matches(prediction: TheoremPrediction, classification: Classifica
     if prediction is TheoremPrediction.STABLE:
         return classification is Classification.STABLE
     if prediction is TheoremPrediction.UNSTABLE:
-        return classification in (Classification.UNSTABLE, Classification.SADDLE, Classification.SOURCE)
+        return classification in (Classification.SADDLE, Classification.SOURCE)
     return False
 
 

@@ -25,7 +25,7 @@ from .equilibria import (
     interior_equilibrium,
     reproduction_numbers,
 )
-from .harness import INITIAL_POINT_PRESETS, first_negative_step, step_size_sweep
+from .harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, first_negative_step, step_size_sweep
 from .integrators import scheme_kernel, simulate_continuous
 from .model import HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
 from .nsfd import denominators, iterate, map_kernel, map_lanes
@@ -55,8 +55,6 @@ __all__ = [
 ]
 
 SEED = 987134834
-
-SWEEP_H_LIST = (0.01, 0.1, 1.0, 10.0, 50.0)
 
 # The random checks draw a variant as an index into this tuple; the
 # positivity sampler reads index 0 as general and 2 as vertical.

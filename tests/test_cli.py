@@ -117,6 +117,31 @@ class TestStabilityCommand:
         entry = [e for e in doc["equilibria"] if e["equilibrium"]["kind"] == "susceptible_free"][0]
         assert all(r["theorem_prediction"] == "unstable" and r["agree"] for r in entry["reports"])
 
+    # b_x*u_y/b_y = 0.025 < u_x = 0.1: the susceptible-free point is stable, outside the criterion.
+    SIDE_CONDITION_FAILS = [
+        "stability", "--model", "vertical", "--e", "0", "--beta", "0", "--bx", "0.05", "--permissive",
+    ]
+
+    def test_vertical_susceptible_free_not_covered_when_its_side_condition_fails(self, capsys):
+        code, out, _ = run_cli([*self.SIDE_CONDITION_FAILS, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        entry = [e for e in doc["equilibria"] if e["equilibrium"]["kind"] == "susceptible_free"][0]
+        assert [(r["classification"], r["theorem_prediction"], r["agree"]) for r in entry["reports"]] == [
+            ("stable", "not_covered", False)
+        ] * 2
+
+        code, out, _ = run_cli([*self.SIDE_CONDITION_FAILS, "--format", "csv"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("susceptible_free,")]
+        assert [(row[7], row[8], row[9]) for row in rows] == [("stable", "not_covered", "0")] * 2
+
+        code, out, _ = run_cli(self.SIDE_CONDITION_FAILS, capsys)
+        assert code == 0
+        block = out.split("susceptible_free")[1].splitlines()[1:]
+        assert len(block) == 2
+        assert all(line.split()[-4:] == ["stable", "theorem:", "not_covered", "n/a"] for line in block)
+
 
 class TestSimulateCommand:
     ARGS = [

@@ -1,8 +1,7 @@
 import math
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.convergence import (
@@ -11,16 +10,15 @@ from nsfd_epi.convergence import (
     Verdict,
     VerdictStatus,
     _run_monitored,
-    detect_limit,
 )
 from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from nsfd_epi.integrators import scheme_kernel
 from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State
 from nsfd_epi.nsfd import map_kernel
 
-# Reference run loop: the per-step monitor, the run loop and
-# detect_limit as they were before the rule moved into local
-# comparisons.  The new loop must reproduce them bit for bit.
+# Reference run loop: the per-step monitor and the run loop as they
+# were before the rule moved into local comparisons.  The new loop must
+# reproduce them bit for bit.
 
 
 class RefMonitor:
@@ -88,21 +86,6 @@ def ref_run_monitored(advance, params, variant, s0, n_steps, settings, record_ev
         verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
     steps = np.asarray(recorded_steps, dtype=np.int64)
     return steps, np.asarray(recorded_states, dtype=np.float64), verdict
-
-
-def ref_detect_limit(states, settings, equilibria, scale):
-    states = list(states)
-    monitor = RefMonitor(settings, equilibria, scale)
-    if not states:
-        return Verdict(VerdictStatus.MAX_STEPS, at_step=0)
-    verdict = monitor.start(states[0])
-    if verdict is not None:
-        return verdict
-    for n in range(1, len(states)):
-        verdict = monitor.update(states[n - 1], states[n], n)
-        if verdict is not None:
-            return verdict
-    return Verdict(VerdictStatus.MAX_STEPS, at_step=len(states) - 1)
 
 
 def outcome(run):
@@ -215,76 +198,6 @@ def test_run_loop_reaches_each_verdict():
             seen.append(new[1])
         same_bits(ref, new)
     assert seen == [VerdictStatus.CONVERGED, VerdictStatus.DIVERGED, BlowUpError, DomainError]
-
-
-# detect_limit replays recorded states through the run loop.  The
-# sequences walk a grid of binary fractions, so a movement exactly equal
-# to tol_step is common and the strict "<" of the quiet test is
-# exercised; a jump to a grid multiple of the divergence limit lands on
-# the limit or beyond it.
-
-GRID = st.integers(-4, 20).map(lambda k: k / 8.0)
-MOVES = st.sampled_from([0.0, 0.0, 0.0, 0.125, -0.125, 0.25])
-TIE = Equilibrium(EquilibriumKind.INTERIOR, State(0.625, 0.5), True)
-
-
-@st.composite
-def sequences(draw):
-    window = draw(st.integers(1, 3))
-    limit_settings = ConvergenceSettings(
-        tol_step=draw(st.sampled_from([0.125, 0.25])),
-        window=window,
-        tol_eq=draw(st.sampled_from([0.0625, 0.125, 0.5])),
-    )
-    scale = draw(st.sampled_from([0.25, 1.0, 2.0, math.inf, math.nan]))
-    x, y = draw(GRID), draw(GRID)
-    states = []
-    for dx, dy in draw(st.lists(st.tuples(MOVES, MOVES), max_size=40)):
-        states.append((x, y))
-        x, y = x + dx, y + dy
-    if states and draw(st.booleans()):
-        at = draw(st.integers(0, len(states) - 1))
-        states[at] = (states[at][0] * 1e6 * (scale if math.isfinite(scale) else 1.0), states[at][1])
-    kinds = list(EquilibriumKind)
-    points = st.sampled_from(states) if states else st.tuples(GRID, GRID)
-    equilibria = [
-        Equilibrium(kinds[i % len(kinds)], State(*draw(st.one_of(points, st.tuples(GRID, GRID)))), draw(st.booleans()))
-        for i in range(draw(st.integers(0, 3)))
-    ]
-    return states, limit_settings, equilibria, scale
-
-
-@settings(max_examples=600, deadline=None)
-@given(sequences())
-@example(([(0.5, 0.5), (0.625, 0.5)], ConvergenceSettings(tol_step=0.125, window=1), [TIE], 1.0))
-@example(([(0.5, 0.5), (1e6, 0.5)], ConvergenceSettings(), [], 1.0))
-def test_detect_limit_matches_reference(case):
-    states, limit_settings, equilibria, scale = case
-    assert detect_limit(states, limit_settings, equilibria, scale) == ref_detect_limit(
-        states, limit_settings, equilibria, scale
-    )
-
-
-def test_detect_limit_is_not_capped_by_max_steps():
-    point = State(1.0, 0.0)
-    equilibria = [Equilibrium(EquilibriumKind.DISEASE_FREE, point, True)]
-    short = ConvergenceSettings(window=30)
-    states = [(0.5 + 0.01 * n, 0.0) for n in range(50)] + [point] * 31
-    verdict = detect_limit(states, short, equilibria, scale=1.0)
-    assert verdict == ref_detect_limit(states, short, equilibria, 1.0)
-    assert verdict.status is VerdictStatus.CONVERGED and verdict.at_step == 80
-
-
-@pytest.mark.parametrize(
-    "bad, index",
-    [((math.inf, 0.5), 3), ((0.5, -math.inf), 3), ((math.nan, 0.5), 3), ((0.5, math.nan), 0)],
-)
-def test_detect_limit_treats_a_state_that_is_not_finite_as_diverged(bad, index):
-    point = State(1.0, 0.0)
-    equilibria = [Equilibrium(EquilibriumKind.DISEASE_FREE, point, True)]
-    states = [point] * index + [bad] + [point] * 60
-    verdict = detect_limit(states, ConvergenceSettings(), equilibria, scale=1.0)
-    assert verdict == Verdict(VerdictStatus.DIVERGED, at_step=index)
 
 
 def test_proximity_test_names_the_nearest_equilibrium():

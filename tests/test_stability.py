@@ -298,6 +298,17 @@ class TestTheoremPrediction:
         eq = susceptible_free_equilibrium(VERT, ModelVariant.VERTICAL)
         assert theorem_prediction(VERT, ModelVariant.VERTICAL, eq) is TheoremPrediction.UNSTABLE
 
+    @pytest.mark.parametrize("variant", [ModelVariant.VERTICAL, ModelVariant.HORIZONTAL])
+    def test_susceptible_free_not_covered_when_its_side_condition_fails(self, variant):
+        # b_x*u_y/b_y = 0.025 < u_x = 0.1: uninfected hosts cannot invade, and the point is stable.
+        params = dataclasses.replace(VERT, b_x=0.05)
+        eq = susceptible_free_equilibrium(params, variant)
+        assert theorem_prediction(params, variant, eq) is TheoremPrediction.NOT_COVERED
+        for regime, h in [(Regime.CONTINUOUS, None), (Regime.DISCRETE, 0.1)]:
+            rep = stability_report(params, variant, eq, regime, h=h)
+            assert rep.classification is Classification.STABLE and not rep.agree
+            assert [(c.name, c.holds) for c in rep.side_conditions] == [("b_x*u_y/b_y > u_x", False)]
+
     def test_nonexistent_equilibrium_not_covered(self):
         eq = interior_equilibrium(GENERAL_LOW, ModelVariant.GENERAL)
         assert theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq) is (
