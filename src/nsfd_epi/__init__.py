@@ -48,9 +48,9 @@ from .stability import (
     TheoremPrediction,
     classify,
     continuous_jacobian,
-    discrete_jacobian,
     eigenvalues2,
     jury_conditions,
+    map_weights,
     stability_report,
     theorem_prediction,
 )

@@ -3,7 +3,8 @@
 Commands: equilibria, stability, simulate, portrait, sweep, verify.
 Parameters come from flags, from a JSON config file (flags win), or
 from the built-in benchmark defaults.  Exit codes: 0 success, 1
-verification failure, 2 configuration error, 3 runtime/domain error.
+verification failure, 2 configuration error, 3 runtime/domain error,
+141 stdout closed by its reader (nothing is printed on stderr).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .model import (
     validate_params,
 )
 from .nsfd import iterate
-from .stability import Regime, stability_report
+from .stability import stability_report
 from .verification import FixtureError, acceptance_check_names, load_fixture_scenarios, run_acceptance
 
 __all__ = ["RunConfig", "main"]
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
 class ConfigError(Exception):
@@ -313,13 +315,8 @@ def _cmd_stability(config: RunConfig) -> int:
     _check_params(config)
     params, variant = config.params(), config.variant()
     h_list = config.h_list or [config.h]
-    entries = []
-    for eq in all_equilibria(params, variant):
-        reports = []
-        if eq.exists:
-            reports.append(stability_report(params, variant, eq, Regime.CONTINUOUS))
-            reports.extend(stability_report(params, variant, eq, Regime.DISCRETE, h=h) for h in h_list)
-        entries.append((eq, reports))
+    equilibria = all_equilibria(params, variant)
+    entries = [(eq, stability_report(params, variant, eq, h_list) if eq.exists else []) for eq in equilibria]
     if config.format == "json":
         doc = {
             "model": variant.value,
@@ -617,19 +614,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
-        config = _build_config(args)
-        if args.command == "equilibria":
-            return _cmd_equilibria(config)
-        if args.command == "stability":
-            return _cmd_stability(config)
-        if args.command == "simulate":
-            return _cmd_simulate(config)
-        if args.command == "portrait":
-            return _cmd_portrait(config)
-        if args.command == "sweep":
-            return _cmd_sweep(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+            code = _cmd_verify(args)
+        else:
+            commands = {
+                "equilibria": _cmd_equilibria,
+                "stability": _cmd_stability,
+                "simulate": _cmd_simulate,
+                "portrait": _cmd_portrait,
+                "sweep": _cmd_sweep,
+            }
+            code = commands[args.command](_build_config(args))
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Closed by its reader (`| head`): write no more, not even at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

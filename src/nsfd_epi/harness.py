@@ -14,12 +14,11 @@ from .equilibria import Equilibrium
 from .integrators import euler_step
 from .model import DomainError, HostParams, ModelVariant, State
 from .nsfd import step
-from .stability import Classification, Regime, classify, discrete_jacobian, eigenvalues2, stability_report
+from .stability import Classification, StabilityReport, stability_report
 
 __all__ = [
     "INITIAL_POINT_PRESETS",
     "SWEEP_H_LIST",
-    "SweepEntry",
     "SweepResult",
     "first_negative_step",
     "step_size_sweep",
@@ -41,18 +40,11 @@ SWEEP_H_LIST = (0.01, 0.1, 1.0, 10.0, 50.0)
 
 
 @dataclass(frozen=True)
-class SweepEntry:
-    h: float
-    eigenvalues: tuple[complex, complex]
-    classification: Classification
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Discrete classification of one equilibrium across step sizes."""
 
     equilibrium: Equilibrium
-    entries: tuple[SweepEntry, ...]
+    entries: tuple[StabilityReport, ...]
     continuous: Classification
     uniform: bool
     matches_continuous: bool
@@ -71,20 +63,15 @@ def step_size_sweep(
     """
     if not equilibrium.exists:
         raise DomainError(f"cannot sweep a nonexistent equilibrium ({equilibrium.kind.value})")
-    entries = []
-    for h in h_list:
-        m = discrete_jacobian(params, variant, equilibrium.point, h)
-        eigs = eigenvalues2(m)
-        entries.append(SweepEntry(h=h, eigenvalues=eigs, classification=classify(eigs, Regime.DISCRETE)))
-    continuous = stability_report(params, variant, equilibrium, Regime.CONTINUOUS).classification
+    continuous, *entries = stability_report(params, variant, equilibrium, h_list)
     classes = {entry.classification for entry in entries}
     uniform = len(classes) == 1
     return SweepResult(
         equilibrium=equilibrium,
         entries=tuple(entries),
-        continuous=continuous,
+        continuous=continuous.classification,
         uniform=uniform,
-        matches_continuous=uniform and classes == {continuous},
+        matches_continuous=uniform and classes == {continuous.classification},
     )
 
 

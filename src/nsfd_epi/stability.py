@@ -7,26 +7,30 @@ The continuous variational matrix at (X, Y) has entries
     a21 = -b_y Y/K + beta Y
     a22 = b_y g - b_y Y/K - u_y + beta X,     g = 1 - (X+Y)/K
 
-and the discrete map's variational matrix follows from quotient-rule
-differentiation of the update (closed forms below, cross-checked in
-the test suite against finite differences of the map itself).
+and the discrete map's variational matrix at a fixed point follows
+from it: J - I = W Jc, with W = diag(phi1/(1 + phi1 D1),
+phi2/(1 + phi2 D2)) positive (``map_weights``), the elementary-stability
+argument of Anguelov & Lubuma (2001) in matrix form.
 
 Classification is by eigenvalues: sign of the real parts in the
-continuous regime, modulus against the unit circle in the discrete
-one.  For 2x2 discrete maps with diagonal entries in (0, 1), both
-eigenvalues lie inside the unit circle iff 1 - det > 0 and
-1 - trace + det > 0 (jury_conditions).  theorem_prediction evaluates
-the closed-form stability criteria of each equilibrium kind, which are
-the same inequalities in both regimes, so they can be cross-checked
-against the eigenvalue classification at any step size.
+continuous regime, and in the discrete one the sign of
+|1 + nu|^2 - 1 = 2 Re nu + |nu|^2 for the eigenvalues nu of W Jc,
+which never subtracts from 1; W is scaled by a power of two before
+solving, so neither tiny nor huge h leaves the float range.  For 2x2
+discrete maps with diagonal entries in (0, 1), both eigenvalues lie
+inside the unit circle iff 1 - det > 0 and 1 - trace + det > 0
+(jury_conditions).  theorem_prediction evaluates the closed-form
+stability criteria of each equilibrium kind, which are the same
+inequalities in both regimes, so they can be cross-checked against
+the eigenvalue classification at any step size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import nsfd
 from .equilibria import Condition, Equilibrium, EquilibriumKind, reproduction_numbers
@@ -42,9 +46,9 @@ __all__ = [
     "TheoremPrediction",
     "classify",
     "continuous_jacobian",
-    "discrete_jacobian",
     "eigenvalues2",
     "jury_conditions",
+    "map_weights",
     "prediction_matches",
     "stability_conditions",
     "stability_report",
@@ -106,46 +110,37 @@ def continuous_jacobian(params: HostParams, variant: ModelVariant, point: tuple[
     return Matrix2(a11, a12, a21, a22)
 
 
-def discrete_jacobian(params: HostParams, variant: ModelVariant, point: tuple[float, float], h: float) -> Matrix2:
-    """Variational matrix of the variant's update map at a point.
+def map_weights(
+    params: HostParams, variant: ModelVariant, point: tuple[float, float]
+) -> Callable[[float], tuple[float, float]]:
+    """The diagonal W(h) of J - I = W Jc at a fixed point of the variant's map.
 
-    Along the X axis (Y = 0) the Y/X ratio terms vanish identically and
-    the closed forms extend continuously, so boundary equilibria
-    (including the origin) are handled; X <= 0 with Y > 0 is refused
-    for the general variant, where the map itself is undefined there.
-    DomainError is also raised when a denominator or its square leaves
-    the floating-point range (overflow, or zero after underflow).
+    The increments are phi_i f_i / (1 + phi_i D_i), with f the vector
+    field and D_i the brackets of the map's denominators, so where f = 0
+    their derivatives are W_i = phi_i/(1 + phi_i D_i) times those of f_i.
+    D1 and D2 do not depend on h and are computed once.  W(h) raises
+    DomainError for an entry that is not finite or is 0; X <= 0 < Y is
+    refused for the general map, which is undefined there.
     """
     x, y = point
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"point ({x!r}, {y!r}) is not finite")
     e, beta = effective_rates(params, variant)
-    phi1, phi2 = nsfd.denominators(params, variant, h)
-    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
+    ratio = 0.0
+    if e != 0.0 and y != 0.0:
+        if x <= 0.0:
+            raise DomainError("discrete variational matrix needs X > 0 when e > 0 and Y > 0 (contains Y^2/X)")
+        ratio = y * y / x
+    b_x, b_y, big_k = params.b_x, params.b_y, params.K
+    d1 = b_x / big_k * x + b_x / big_k * y + params.u_x + beta * y + e / big_k * y + e / big_k * ratio
+    d2 = b_y / big_k * x + b_y / big_k * y + params.u_y
 
-    try:
-        if e != 0.0 and y != 0.0:
-            if x <= 0.0:
-                raise DomainError("discrete variational matrix needs X > 0 when e > 0 and Y > 0 (contains Y^2/X^2)")
-            ratio1, ratio2, ratio3 = y * y / x, y * y / (x * x), y / x
-        else:
-            ratio1 = ratio2 = ratio3 = 0.0
+    def weights(h: float) -> tuple[float, float]:
+        phi1, phi2 = nsfd.denominators(params, variant, h)
+        w1, w2 = phi1 / (1.0 + phi1 * d1), phi2 / (1.0 + phi2 * d2)
+        if not (math.isfinite(w1) and math.isfinite(w2) and w1 != 0.0 and w2 != 0.0):
+            raise DomainError(f"discrete linearization at ({x!r}, {y!r}) with h = {h!r} is out of floating-point range")
+        return w1, w2
 
-        den1 = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio1)
-        num1 = x * (1.0 + phi1 * b_x) + phi1 * e * y
-        a11 = (1.0 + phi1 * b_x) / den1 - num1 * phi1 * (b_x / big_k - e / big_k * ratio2) / den1**2
-        a12 = phi1 * e / den1 - num1 * phi1 * (b_x / big_k + beta + e / big_k + 2.0 * e / big_k * ratio3) / den1**2
-
-        den2 = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
-        num2 = 1.0 + phi2 * (b_y + beta * x)
-        a21 = phi2 * beta * y / den2 - y * num2 * phi2 * (b_y / big_k) / den2**2
-        a22 = num2 / den2 - y * num2 * phi2 * (b_y / big_k) / den2**2
-    except (OverflowError, ZeroDivisionError):
-        # A squared denominator overflows, a denominator is 0, or X * X underflows to 0.
-        raise DomainError(
-            f"discrete variational matrix at ({x!r}, {y!r}) with h = {h!r} is out of floating-point range"
-        ) from None
-    return Matrix2(a11, a12, a21, a22)
+    return weights
 
 
 def _characteristic_roots(m: Matrix2) -> tuple[complex, complex]:
@@ -169,45 +164,54 @@ def _moduli_finite(eigs: tuple[complex, complex]) -> bool:
 
 
 def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
-    """Eigenvalues of a 2x2 matrix via its characteristic quadratic.
+    """Eigenvalues of a 2x2 matrix, larger modulus first, ties broken by descending real then imaginary part.
 
-    Evaluated in the cancellation-free form (larger root first by
-    modulus, ties broken by descending real then imaginary part).  When
-    the quadratic leaves the float range (the squared trace or the
-    determinant overflows) but every entry is finite, the matrix is
-    divided by the power of two 2^k that brings its largest entry below
-    2, solved, and the eigenvalues are multiplied by 2^k.  Both scalings
-    are exact unless an entry turns subnormal; no other matrix is
-    scaled.  Raises DomainError when an eigenvalue or its modulus is
-    still not finite.
+    A triangular matrix (a12 or a21 exactly 0) gives its diagonal, which
+    is exact; any other, the roots of its characteristic quadratic in
+    the cancellation-free form.  If the squared trace or the determinant
+    overflows but every entry is finite, the matrix is divided by the
+    power of two 2^k that brings its largest entry below 2, and the
+    eigenvalues multiplied by 2^k.  DomainError if one is not finite.
     """
-    eigs = _characteristic_roots(m)
-    if not _moduli_finite(eigs) and all(math.isfinite(a) for a in m):
-        scale = 2.0 ** min(math.frexp(max(abs(a) for a in m))[1], 1023)
-        scaled = _characteristic_roots(Matrix2(*(a / scale for a in m)))
-        eigs = tuple(complex(z.real * scale, z.imag * scale) for z in scaled)  # type: ignore[assignment]
+    return _by_modulus(_eigenvalues(m))
+
+
+def _eigenvalues(m: Matrix2) -> tuple[complex, complex]:
+    if m.a12 == 0.0 or m.a21 == 0.0:
+        eigs = (complex(m.a11), complex(m.a22))
+    else:
+        eigs = _characteristic_roots(m)
+        if not _moduli_finite(eigs) and all(math.isfinite(a) for a in m):
+            scale = 2.0 ** min(math.frexp(max(abs(a) for a in m))[1], 1023)
+            scaled = _characteristic_roots(Matrix2(*(a / scale for a in m)))
+            eigs = tuple(complex(z.real * scale, z.imag * scale) for z in scaled)  # type: ignore[assignment]
     if not _moduli_finite(eigs):
         raise DomainError(f"eigenvalues of {tuple(m)!r}: the characteristic quadratic is out of floating-point range")
+    return eigs
+
+
+def _by_modulus(eigs: tuple[complex, complex]) -> tuple[complex, complex]:
     return tuple(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))  # type: ignore[return-value]
 
 
-def classify(eigs: tuple[complex, complex], regime: Regime, eps: float = EPS_HYPERBOLIC) -> Classification:
+def classify(eigs: tuple[complex, complex], regime: Regime) -> Classification:
     """Eigenvalue classification for the given regime.
 
-    Continuous: both real parts negative is stable, both positive a
-    source, mixed a saddle.  Discrete: the same with moduli measured
-    against the unit circle.  Anything within ``eps`` (relative) of the
-    boundary is nonhyperbolic.
+    Continuous: ``eigs`` are those of Jc; both real parts negative is
+    stable, both positive a source, mixed a saddle.  Discrete: ``eigs``
+    are the nu of J - I, and 2 Re nu/|nu| + |nu|, the sign of
+    |1 + nu|^2 - 1, takes the place of the real part.  A value within
+    EPS_HYPERBOLIC of 0, relative to 1 + |z| or 2 + |z|, is nonhyperbolic.
     """
     if regime is Regime.CONTINUOUS:
-        signed = [z.real for z in eigs]
+        signed = [(z.real, 1.0 + abs(z)) for z in eigs]
     else:
-        signed = [abs(z) - 1.0 for z in eigs]
-    if any(abs(v) <= eps * (1.0 + abs(z)) for v, z in zip(signed, eigs)):
+        signed = [(2.0 * z.real / abs(z) + abs(z) if z else 0.0, 2.0 + abs(z)) for z in eigs]
+    if any(abs(v) <= EPS_HYPERBOLIC * band for v, band in signed):
         return Classification.NONHYPERBOLIC
-    if all(v < 0 for v in signed):
+    if all(v < 0 for v, _ in signed):
         return Classification.STABLE
-    if all(v > 0 for v in signed):
+    if all(v > 0 for v, _ in signed):
         return Classification.SOURCE
     return Classification.SADDLE
 
@@ -266,7 +270,9 @@ class StabilityConditions:
 
 
 def stability_conditions(params: HostParams, variant: ModelVariant, eq: Equilibrium) -> StabilityConditions:
-    """Evaluate the closed-form stability criteria for one equilibrium."""
+    """Evaluate the closed-form stability criteria for one equilibrium (none for one that does not exist)."""
+    if not eq.exists:
+        return StabilityConditions(TheoremPrediction.NOT_COVERED, ())
     b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
     e, beta = effective_rates(params, variant)
 
@@ -341,8 +347,6 @@ def theorem_prediction(params: HostParams, variant: ModelVariant, eq: Equilibriu
     NOT_COVERED when the equilibrium does not exist or no criterion's
     hypotheses are met.
     """
-    if not eq.exists:
-        return TheoremPrediction.NOT_COVERED
     return stability_conditions(params, variant, eq).prediction
 
 
@@ -355,56 +359,49 @@ def prediction_matches(prediction: TheoremPrediction, classification: Classifica
     return False
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Eigenvalue analysis of one equilibrium in one regime."""
+class StabilityReport(NamedTuple):
+    """Eigenvalue analysis of one equilibrium in one regime (h is None in the continuous one)."""
 
     regime: Regime
     h: float | None
-    matrix: Matrix2
     eigenvalues: tuple[complex, complex]
     classification: Classification
     prediction: TheoremPrediction
     agree: bool
     conditions: tuple[Condition, ...] = ()
     side_conditions: tuple[Condition, ...] = ()
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
 
 def stability_report(
-    params: HostParams,
-    variant: ModelVariant,
-    eq: Equilibrium,
-    regime: Regime,
-    h: float | None = None,
-    eps: float = EPS_HYPERBOLIC,
-) -> StabilityReport:
-    """Classify an equilibrium and cross-check the closed-form criteria."""
-    if regime is Regime.DISCRETE:
-        if h is None:
-            raise DomainError("discrete stability reports need a step size h")
-        matrix = discrete_jacobian(params, variant, eq.point, h)
-    else:
-        h = None
-        matrix = continuous_jacobian(params, variant, eq.point)
-    eigs = eigenvalues2(matrix)
-    classification = classify(eigs, regime, eps)
-    if eq.exists:
-        crit = stability_conditions(params, variant, eq)
-    else:
-        crit = StabilityConditions(TheoremPrediction.NOT_COVERED, ())
-    agree = crit.prediction is not TheoremPrediction.NOT_COVERED and prediction_matches(
-        crit.prediction, classification
-    )
-    return StabilityReport(
-        regime=regime,
-        h=h,
-        matrix=matrix,
-        eigenvalues=eigs,
-        classification=classification,
-        prediction=crit.prediction,
-        agree=agree,
-        conditions=crit.conditions,
-        side_conditions=crit.side_conditions,
-        notes=crit.notes,
-    )
+    params: HostParams, variant: ModelVariant, eq: Equilibrium, h_list: Sequence[float]
+) -> list[StabilityReport]:
+    """Classify an equilibrium under the flow, then under the map at each h, and cross-check the closed-form criteria.
+
+    Jc and the criteria are computed once.  The map's multipliers are
+    1 + nu, with nu the eigenvalues of W(h) Jc (see ``map_weights``).
+    """
+    jc = continuous_jacobian(params, variant, eq.point)
+    crit = stability_conditions(params, variant, eq)
+
+    def report(regime: Regime, h: float | None, eigs: tuple, classification: Classification) -> StabilityReport:
+        agree = prediction_matches(crit.prediction, classification)
+        return StabilityReport(
+            regime, h, eigs, classification, crit.prediction, agree, crit.conditions, crit.side_conditions, crit.notes
+        )
+
+    eigs = eigenvalues2(jc)
+    reports = [report(Regime.CONTINUOUS, None, eigs, classify(eigs, Regime.CONTINUOUS))]
+    weights = map_weights(params, variant, eq.point) if h_list else None
+    for h in h_list:
+        # nu = eig(W Jc), solved with W scaled (exactly) by a power of two near 1.
+        w1, w2 = weights(h)
+        k = min(math.frexp(max(abs(w1), abs(w2)))[1], 1023)
+        s1, s2, scale = math.ldexp(w1, -k), math.ldexp(w2, -k), math.ldexp(1.0, k)
+        scaled = _eigenvalues(Matrix2(s1 * jc.a11, s1 * jc.a12, s2 * jc.a21, s2 * jc.a22))
+        nus = (scaled[0] * scale, scaled[1] * scale)
+        multipliers = (1.0 + nus[0], 1.0 + nus[1])
+        if not _moduli_finite(multipliers):
+            raise DomainError(f"multipliers {multipliers!r} at h = {h!r} are out of floating-point range")
+        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), classify(nus, Regime.DISCRETE)))
+    return reports

@@ -32,7 +32,6 @@ from .nsfd import denominators, iterate, map_kernel, map_lanes
 from .stability import (
     Classification,
     Matrix2,
-    Regime,
     TheoremPrediction,
     jury_conditions,
     prediction_matches,
@@ -217,13 +216,12 @@ def reproduction_threshold_check() -> CheckResult:
         return _fail(name, f"R0 at beta=0.3 is {r_high.R0!r}, expected 19/12 = 1.58333...")
     for params, wanted in ((low, Classification.STABLE), (high, Classification.SADDLE)):
         eq = [e for e in all_equilibria(params, ModelVariant.GENERAL) if e.kind is EquilibriumKind.DISEASE_FREE][0]
-        for regime, h in ((Regime.CONTINUOUS, None), (Regime.DISCRETE, 0.1)):
-            rep = stability_report(params, ModelVariant.GENERAL, eq, regime, h=h)
+        for rep in stability_report(params, ModelVariant.GENERAL, eq, (0.1,)):
             if rep.classification is not wanted:
                 return _fail(
                     name,
                     f"disease-free point at beta={params.beta} classified "
-                    f"{rep.classification.value} ({regime.value}), expected {wanted.value}",
+                    f"{rep.classification.value} ({rep.regime.value}), expected {wanted.value}",
                 )
     if not interior_equilibrium(high, ModelVariant.GENERAL).exists:
         return _fail(name, "endemic equilibrium should exist at beta=0.3")
@@ -427,19 +425,17 @@ def theorem_crosscheck(n_draws: int = 1000, margin: float = 1e-6) -> CheckResult
         for eq in equilibria:
             if not eq.exists:
                 continue
-            for regime, h_values in ((Regime.CONTINUOUS, (None,)), (Regime.DISCRETE, (0.1, 10.0))):
-                for h in h_values:
-                    rep = stability_report(params, variant, eq, regime, h=h)
-                    if rep.prediction is TheoremPrediction.NOT_COVERED:
-                        continue
-                    covered += 1
-                    if not prediction_matches(rep.prediction, rep.classification):
-                        return _fail(
-                            name,
-                            f"{variant.value}/{eq.kind.value} ({regime.value}, h={h}): predicted "
-                            f"{rep.prediction.value} but classified {rep.classification.value} "
-                            f"for params {params}",
-                        )
+            for rep in stability_report(params, variant, eq, (0.1, 10.0)):
+                if rep.prediction is TheoremPrediction.NOT_COVERED:
+                    continue
+                covered += 1
+                if not prediction_matches(rep.prediction, rep.classification):
+                    return _fail(
+                        name,
+                        f"{variant.value}/{eq.kind.value} ({rep.regime.value}, h={rep.h}): predicted "
+                        f"{rep.prediction.value} but classified {rep.classification.value} "
+                        f"for params {params}",
+                    )
     return _ok(name, f"{covered} covered equilibrium reports across {n_draws} draws all match")
 
 

@@ -405,6 +405,18 @@ class TestVerifyCommand:
         assert f"bad scenario fixture {tmp_path / 'bad.json'}: " in err
 
 
+def test_closed_stdout_exits_quietly(package_env):
+    # The reader stops after one line, as `| head -1` does, long before the rows (about 1 MB) are written.
+    args = ["simulate", "--scheme", "rk4", "--beta", "0.3", "--steps", "100000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "nsfd_epi.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env
+    ) as proc:
+        assert proc.stdout.readline() == b"# nsfd-epi simulate\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_console_entry_point_runs(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "nsfd_epi.cli", "equilibria", "--beta", "0.3", "--format", "json"],
@@ -450,17 +462,43 @@ class TestOutOfRangeInputs:
 
     @pytest.mark.parametrize(
         "args",
-        [
-            ["stability", "--bx", "1e300"],
-            ["sweep", "--bx", "1.3e154", "--by", "1.3e154", "--ux", "2.9", "--uy", "1.3e154", "--beta", "2.9"],
-            ["stability", "--uy", "2.2e-313", "--permissive", "--h", "2.2e-313"],
-        ],
-        ids=["jacobian-overflow", "sweep-overflow", "jacobian-underflow"],
+        [["stability", "--uy", "2.2e-313", "--permissive", "--h", "2.2e-313"]],
+        ids=["jacobian-underflow"],
     )
     def test_domain_error(self, args, capsys):
+        # The interior point's Y^2/X bracket overflows, so the weight phi1/(1 + phi1 D1) is 0.
         code, _, err = run_cli(args, capsys)
         assert code == 3
         assert "out of floating-point range" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stability", "--bx", "1e300"],
+            ["sweep", "--bx", "1.3e154", "--by", "1.3e154", "--ux", "2.9", "--uy", "1.3e154", "--beta", "2.9"],
+            ["stability", "--K", "1e300"],
+            ["stability", "--beta", "0.3", "--h", "1e-8", "--h", "1e200"],
+            ["sweep", "--beta", "0.3", "--h", "1e-9", "--h", "0.1", "--h", "10"],
+        ],
+        ids=["jacobian-overflow", "sweep-overflow", "capacity-overflow", "tiny-and-huge-h", "sweep-tiny-h"],
+    )
+    def test_discrete_verdicts_match_the_flow(self, args, capsys):
+        # Entries, h or K far from 1 leave the map's verdicts what the flow's are.
+        code, out, err = run_cli([*args, "--format", "json"], capsys)
+        assert code == 0 and "error" not in err
+        doc = json.loads(out)
+        listed = doc["equilibria"]
+        if args[0] == "stability":
+            reported = [eq for eq in listed if eq["reports"]]
+            assert len(reported) >= 2
+            for eq in reported:
+                continuous, *discrete = [rep["classification"] for rep in eq["reports"]]
+                assert discrete == [continuous] * len(doc["h_list"]), eq["equilibrium"]["kind"]
+        else:
+            assert len(listed) >= 2
+            for eq in listed:
+                assert {h["classification"] for h in eq["per_h"]} == {eq["continuous"]}, eq
+                assert eq["uniform"] and eq["matches_continuous"]
 
     # Each case: its arguments and the points listed as existing.  The
     # interior point's quadratic coefficients leave the float range.

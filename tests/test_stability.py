@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.equilibria import (
@@ -23,14 +23,14 @@ from nsfd_epi.stability import (
     TheoremPrediction,
     classify,
     continuous_jacobian,
-    discrete_jacobian,
     eigenvalues2,
     jury_conditions,
+    map_weights,
     prediction_matches,
     stability_report,
     theorem_prediction,
 )
-from nsfd_epi.verification import benchmark_params
+from nsfd_epi.verification import _draw_strict_params, benchmark_params
 
 GENERAL_LOW = benchmark_params(ModelVariant.GENERAL, 0.1)
 GENERAL_HIGH = benchmark_params(ModelVariant.GENERAL, 0.3)
@@ -53,6 +53,25 @@ def fd_jacobian(fn, point, delta=1e-6):
         (fx_hi[1] - fx_lo[1]) / (2 * dx),
         (fy_hi[1] - fy_lo[1]) / (2 * dy),
     )
+
+
+def forward_fd_jacobian(fn, point, delta=1e-5):
+    """Second-order one-sided differences that never leave the closed quadrant (for boundary points)."""
+    x, y = point
+    dx = delta * (1.0 + abs(x))
+    dy = delta * (1.0 + abs(y))
+    f0 = fn((x, y))
+    cols = []
+    for f1, f2, d in ((fn((x + dx, y)), fn((x + 2 * dx, y)), dx), (fn((x, y + dy)), fn((x, y + 2 * dy)), dy)):
+        cols.append([(-3.0 * a + 4.0 * b - c) / (2 * d) for a, b, c in zip(f0, f1, f2)])
+    return Matrix2(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
+
+
+def increment_matrix(params, variant, point, h):
+    """W Jc, the map's variational matrix minus I at a fixed point."""
+    w1, w2 = map_weights(params, variant, point)(h)
+    jc = continuous_jacobian(params, variant, point)
+    return Matrix2(w1 * jc.a11, w1 * jc.a12, w2 * jc.a21, w2 * jc.a22)
 
 
 def assert_matrices_close(got: Matrix2, want: Matrix2, rel=1e-6):
@@ -101,11 +120,13 @@ class TestContinuousJacobian:
 
 
 class TestDiscreteJacobian:
+    """The map's variational matrix at a fixed point is I + W Jc (``map_weights``)."""
+
     def test_triangular_at_origin_with_closed_form_eigenvalues(self):
         phi1, phi2 = denominators(GENERAL_LOW, ModelVariant.GENERAL, 0.1)
-        m = discrete_jacobian(GENERAL_LOW, ModelVariant.GENERAL, (0.0, 0.0), 0.1)
-        assert m.a21 == 0.0
-        eigs = eigenvalues2(m)
+        assert increment_matrix(GENERAL_LOW, ModelVariant.GENERAL, (0.0, 0.0), 0.1).a21 == 0.0
+        _, rep = stability_report(GENERAL_LOW, ModelVariant.GENERAL, trivial_equilibrium(), (0.1,))
+        eigs = rep.eigenvalues
         expected_1 = (1.0 + phi1 * GENERAL_LOW.b_x) / (1.0 + phi1 * GENERAL_LOW.u_x)
         expected_2 = (1.0 + phi2 * GENERAL_LOW.b_y) / (1.0 + phi2 * GENERAL_LOW.u_y)
         assert eigs[0].real == pytest.approx(expected_1, rel=1e-12)
@@ -113,34 +134,136 @@ class TestDiscreteJacobian:
         # Frozen decimals (40-digit evaluation of the closed forms).
         assert eigs[0].real == pytest.approx(1.0493826144391073, abs=1e-12)
         assert eigs[1].real == pytest.approx(1.0196078431372549, abs=1e-12)
-        assert classify(eigs, Regime.DISCRETE) is Classification.SOURCE
+        assert rep.classification is Classification.SOURCE
 
     @pytest.mark.parametrize("h", [0.1, 1.0, 10.0])
     def test_matches_finite_differences_of_the_map(self, h):
-        cases = [
-            (GENERAL_HIGH, ModelVariant.GENERAL, (0.3, 0.5)),
-            (GENERAL_HIGH, ModelVariant.GENERAL, (1.1, 0.2)),
-            (GENERAL_HIGH, ModelVariant.GENERAL, (0.18, 0.45)),
-            (HORIZ_MID, ModelVariant.HORIZONTAL, (0.3, 0.5)),
-            (HORIZ_MID, ModelVariant.HORIZONTAL, (0.05, 0.6)),
-            (VERT, ModelVariant.VERTICAL, (0.7, 0.4)),
-        ]
-        for params, variant, point in cases:
-            got = discrete_jacobian(params, variant, point, h)
-            want = fd_jacobian(lambda s: step(params, variant, h, s), point)
-            assert_matrices_close(got, want)
+        # J - I = W Jc holds where the field vanishes, so only equilibria are probed.  The
+        # general map is undefined at X = 0 < Y, so its origin has no derivative in Y.
+        checked = 0
+        for params, variant in [
+            (GENERAL_LOW, ModelVariant.GENERAL),
+            (GENERAL_HIGH, ModelVariant.GENERAL),
+            (HORIZ_MID, ModelVariant.HORIZONTAL),
+            (VERT, ModelVariant.VERTICAL),
+        ]:
+            for eq in all_equilibria(params, variant):
+                if not eq.exists or (variant is ModelVariant.GENERAL and eq.point == (0.0, 0.0)):
+                    continue
+                a = increment_matrix(params, variant, eq.point, h)
+                got = Matrix2(1.0 + a.a11, a.a12, a.a21, 1.0 + a.a22)
+                assert_matrices_close(got, forward_fd_jacobian(lambda s: step(params, variant, h, s), eq.point))
+                want = sorted(np.linalg.eigvals(np.array(got).reshape(2, 2)), key=lambda z: (-abs(z), -z.real))
+                rep = stability_report(params, variant, eq, (h,))[1]
+                for g, w in zip(rep.eigenvalues, want):
+                    assert cmath.isclose(g, complex(w), rel_tol=1e-12, abs_tol=1e-12)
+                checked += 1
+        assert checked == 10
 
     def test_boundary_points_handled(self):
-        eq = disease_free_equilibrium(GENERAL_HIGH)
-        m = discrete_jacobian(GENERAL_HIGH, ModelVariant.GENERAL, eq.point, 0.1)
-        assert all(math.isfinite(v) for v in m)
-        eq2 = susceptible_free_equilibrium(HORIZ_MID, ModelVariant.HORIZONTAL)
-        m2 = discrete_jacobian(HORIZ_MID, ModelVariant.HORIZONTAL, eq2.point, 0.1)
-        assert all(math.isfinite(v) for v in m2)
+        for params, variant, eq in [
+            (GENERAL_HIGH, ModelVariant.GENERAL, disease_free_equilibrium(GENERAL_HIGH)),
+            (HORIZ_MID, ModelVariant.HORIZONTAL, susceptible_free_equilibrium(HORIZ_MID, ModelVariant.HORIZONTAL)),
+        ]:
+            assert all(0.0 < w < 0.1 for w in map_weights(params, variant, eq.point)(0.1))
+            reports = stability_report(params, variant, eq, (0.1,))
+            assert all(math.isfinite(abs(z)) for rep in reports for z in rep.eigenvalues)
 
     def test_axis_with_infected_hosts_rejected(self):
         with pytest.raises(DomainError):
-            discrete_jacobian(GENERAL_HIGH, ModelVariant.GENERAL, (0.0, 0.5), 0.1)
+            map_weights(GENERAL_HIGH, ModelVariant.GENERAL, (0.0, 0.5))
+
+
+def test_sympy_map_increment_is_w_times_the_field_so_j_minus_i_is_w_jc_at_a_fixed_point():
+    """Symbolic proof, for the general map, of the identity the discrete classification rests on."""
+    sp = pytest.importorskip("sympy")
+    X, Y, b_x, b_y, u_x, u_y, K, e, beta, phi1, phi2 = sp.symbols(
+        "X Y b_x b_y u_x u_y K e beta phi1 phi2", positive=True
+    )
+    g = 1 - (X + Y) / K
+    f = ((b_x * g - u_x - beta * Y) * X + e * g * Y, (b_y * g - u_y + beta * X) * Y)
+    d = (
+        b_x * X / K + b_x * Y / K + u_x + beta * Y + e * Y / K + e * Y**2 / (K * X),
+        b_y * X / K + b_y * Y / K + u_y,
+    )
+    new = (
+        (X * (1 + phi1 * b_x) + phi1 * e * Y) / (1 + phi1 * d[0]),
+        Y * (1 + phi2 * (b_y + beta * X)) / (1 + phi2 * d[1]),
+    )
+    w = (phi1 / (1 + phi1 * d[0]), phi2 / (1 + phi2 * d[1]))
+    # 1. The increment is W f wherever the map is defined.
+    assert sp.cancel(new[0] - X - w[0] * f[0]) == 0
+    assert sp.cancel(new[1] - Y - w[1] * f[1]) == 0
+    # 2. J - I - W Jc vanishes once f = 0 is substituted (solved for the death rates), and not elsewhere.
+    fixed = sp.solve(f, (u_x, u_y), dict=True)
+    assert len(fixed) == 1
+    symbols = (X, Y, b_x, b_y, u_x, u_y, K, e, beta, phi1, phi2)
+    elsewhere = dict(zip(symbols, (0.3, 0.5, 0.6, 0.4, 0.1, 0.2, 1, 0.02, 0.3, 1, 1)))
+    for i, old in enumerate((X, Y)):
+        for v in (X, Y):
+            rest = sp.diff(new[i], v) - sp.diff(old, v) - w[i] * sp.diff(f[i], v)
+            assert sp.cancel(rest.subs(fixed[0])) == 0
+            assert abs(float(rest.subs(elsewhere))) > 1e-3
+    # 3. The symbolic map, W and Jc are the code's, at an interior fixed point.
+    eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
+    p, h = GENERAL_HIGH, 0.1
+    phis = denominators(p, ModelVariant.GENERAL, h)
+    at = {X: eq.point.X, Y: eq.point.Y, b_x: p.b_x, b_y: p.b_y, u_x: p.u_x, u_y: p.u_y, K: p.K, e: p.e, beta: p.beta}
+    at.update({phi1: phis.phi1, phi2: phis.phi2})
+    stepped = step(p, ModelVariant.GENERAL, h, eq.point)
+    assert [float(expr.subs(at)) for expr in new] == pytest.approx(stepped, rel=1e-14)
+    assert [float(expr.subs(at)) for expr in w] == pytest.approx(
+        map_weights(p, ModelVariant.GENERAL, eq.point)(h), rel=1e-14
+    )
+    jc = [float(sp.diff(fi, v).subs(at)) for fi in f for v in (X, Y)]
+    assert jc == pytest.approx(list(continuous_jacobian(p, ModelVariant.GENERAL, eq.point)), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-8, 0.1, 10.0, 1e200])
+def test_multipliers_and_verdicts_match_a_50_digit_evaluation(h):
+    """mpmath solves W Jc from the same float entries; no scaling, no cancellation."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.MPContext()
+    mp.dps = 50
+    for params, variant in [(GENERAL_HIGH, ModelVariant.GENERAL), (HORIZ_MID, ModelVariant.HORIZONTAL)]:
+        for eq in all_equilibria(params, variant):
+            if not eq.exists:
+                continue
+            w1, w2 = (mp.mpf(w) for w in map_weights(params, variant, eq.point)(h))
+            jc = [mp.mpf(a) for a in continuous_jacobian(params, variant, eq.point)]
+            a11, a12, a21, a22 = w1 * jc[0], w1 * jc[1], w2 * jc[2], w2 * jc[3]
+            tr, det = a11 + a22, a11 * a22 - a12 * a21
+            root = mp.sqrt(mp.mpc(tr * tr - 4 * det))
+            nus = ((tr + root) / 2, (tr - root) / 2)
+            # |1 + nu|^2 - 1, in a form that 50 digits resolve at h = 1e-300
+            signs = {mp.sign(2 * mp.re(nu) + abs(nu) ** 2) for nu in nus}
+            want = {frozenset({-1}): Classification.STABLE, frozenset({1}): Classification.SOURCE}.get(
+                frozenset(signs), Classification.SADDLE
+            )
+            rep = stability_report(params, variant, eq, (h,))[1]
+            assert rep.classification is want, (variant, eq.kind, h)
+            mus = sorted((complex(1 + nu) for nu in nus), key=lambda z: (-abs(z), -z.real, -z.imag))
+            for got, exact in zip(rep.eigenvalues, mus):
+                assert cmath.isclose(got, exact, rel_tol=1e-14, abs_tol=1e-15)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(list(ModelVariant)),
+    ks=st.lists(st.integers(-300, 300), min_size=1, max_size=4),
+)
+@example(seed=7, variant=ModelVariant.GENERAL, ks=[-300, -9, -8, 200, 300])
+def test_discrete_verdict_is_the_continuous_one_at_every_step_size(seed, variant, ks):
+    """h = 10^k for k in [-300, 300]: every hyperbolic point keeps the flow's verdict under the map."""
+    params = _draw_strict_params(np.random.default_rng(seed), variant)
+    h_list = [10.0**k for k in ks]
+    for eq in all_equilibria(params, variant):
+        if not eq.exists:
+            continue
+        continuous, *discrete = stability_report(params, variant, eq, h_list)
+        if continuous.classification is not Classification.NONHYPERBOLIC:
+            assert [rep.classification for rep in discrete] == [continuous.classification] * len(h_list), (eq, h_list)
 
 
 class TestEigenvalues2:
@@ -206,10 +329,19 @@ def test_overflowing_eigenvalues_are_2_to_the_k_times_those_of_the_matrix_over_2
 
 class TestClassify:
     def test_discrete_examples(self):
-        assert classify((0.9 + 0j, 0.5 + 0j), Regime.DISCRETE) is Classification.STABLE
-        assert classify((1.2 + 0j, 0.5 + 0j), Regime.DISCRETE) is Classification.SADDLE
-        assert classify((1.2 + 0j, 1.05 + 0j), Regime.DISCRETE) is Classification.SOURCE
-        assert classify((1.0 + 0j, 0.5 + 0j), Regime.DISCRETE) is Classification.NONHYPERBOLIC
+        # Discrete eigenvalues are nu = mu - 1, so the multipliers below are 0.9 and 0.5, 1.2 and 0.5, ...
+        assert classify((-0.1 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.STABLE
+        assert classify((0.2 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.SADDLE
+        assert classify((0.2 + 0j, 0.05 + 0j), Regime.DISCRETE) is Classification.SOURCE
+        assert classify((0j, -0.5 + 0j), Regime.DISCRETE) is Classification.NONHYPERBOLIC
+        # mu = -1 is on the unit circle, and mu = -1.5 outside it.
+        assert classify((-2.0 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.NONHYPERBOLIC
+        assert classify((-2.5 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.SADDLE
+        # 1 - 1e-300 rounds to 1, but nu keeps the sign: nothing is subtracted from 1.
+        assert classify((-1e-300 + 0j, -3e-301 + 0j), Regime.DISCRETE) is Classification.STABLE
+        assert classify((1e-300 + 0j, -3e-301 + 0j), Regime.DISCRETE) is Classification.SADDLE
+        # |nu|^2 would overflow here; the multiplier is far outside the circle.
+        assert classify((-1e200 + 0j, 1e200 + 0j), Regime.DISCRETE) is Classification.SOURCE
 
     def test_continuous_examples(self):
         assert classify((-0.5 + 0j, -0.05 + 0j), Regime.CONTINUOUS) is Classification.STABLE
@@ -220,8 +352,11 @@ class TestClassify:
     def test_complex_pairs_use_modulus_or_real_part(self):
         spiral = (complex(-0.1, 0.8), complex(-0.1, -0.8))
         assert classify(spiral, Regime.CONTINUOUS) is Classification.STABLE
-        assert classify(spiral, Regime.DISCRETE) is Classification.STABLE
-        wide = (complex(0.8, 0.8), complex(0.8, -0.8))
+        # As nu, the same pair gives multipliers 0.9 +- 0.8i, outside the unit circle.
+        assert classify(spiral, Regime.DISCRETE) is Classification.SOURCE
+        inside = (complex(-0.5, 0.5), complex(-0.5, -0.5))
+        assert classify(inside, Regime.DISCRETE) is Classification.STABLE
+        wide = (complex(-0.2, 0.8), complex(-0.2, -0.8))
         assert classify(wide, Regime.DISCRETE) is Classification.SOURCE
 
 
@@ -245,10 +380,14 @@ class TestJury:
 
     def test_discrete_interior_jacobian_verdict(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
-        m = discrete_jacobian(GENERAL_HIGH, ModelVariant.GENERAL, eq.point, 0.1)
+        a = increment_matrix(GENERAL_HIGH, ModelVariant.GENERAL, eq.point, 0.1)
+        m = Matrix2(1.0 + a.a11, a.a12, a.a21, 1.0 + a.a22)
         res = jury_conditions(m)
         assert res.verdict
         assert all(abs(z) < 1.0 for z in eigenvalues2(m))
+        assert stability_report(GENERAL_HIGH, ModelVariant.GENERAL, eq, (0.1,))[1].classification is (
+            Classification.STABLE
+        )
 
 
 @settings(max_examples=500, deadline=None)
@@ -304,8 +443,7 @@ class TestTheoremPrediction:
         params = dataclasses.replace(VERT, b_x=0.05)
         eq = susceptible_free_equilibrium(params, variant)
         assert theorem_prediction(params, variant, eq) is TheoremPrediction.NOT_COVERED
-        for regime, h in [(Regime.CONTINUOUS, None), (Regime.DISCRETE, 0.1)]:
-            rep = stability_report(params, variant, eq, regime, h=h)
+        for rep in stability_report(params, variant, eq, (0.1,)):
             assert rep.classification is Classification.STABLE and not rep.agree
             assert [(c.name, c.holds) for c in rep.side_conditions] == [("b_x*u_y/b_y > u_x", False)]
 
@@ -336,28 +474,27 @@ class TestStabilityReports:
             for eq in all_equilibria(params, variant):
                 if not eq.exists:
                     continue
-                for regime, h in [(Regime.CONTINUOUS, None), (Regime.DISCRETE, 0.1), (Regime.DISCRETE, 10.0)]:
-                    rep = stability_report(params, variant, eq, regime, h=h)
+                for rep in stability_report(params, variant, eq, (0.1, 10.0)):
                     if rep.prediction is not TheoremPrediction.NOT_COVERED:
-                        assert rep.agree, (params, eq.kind, regime, h, rep)
+                        assert rep.agree, (params, eq.kind, rep)
 
     def test_discrete_report_requires_h(self):
+        # Without a step size there is no discrete report: only the continuous one.
         eq = disease_free_equilibrium(GENERAL_LOW)
-        with pytest.raises(DomainError):
-            stability_report(GENERAL_LOW, ModelVariant.GENERAL, eq, Regime.DISCRETE)
+        (rep,) = stability_report(GENERAL_LOW, ModelVariant.GENERAL, eq, ())
+        assert (rep.regime, rep.h, rep.classification) == (Regime.CONTINUOUS, None, Classification.STABLE)
+        reports = stability_report(GENERAL_LOW, ModelVariant.GENERAL, eq, (0.1, 10.0))
+        assert [(r.regime, r.h) for r in reports] == [
+            (Regime.CONTINUOUS, None), (Regime.DISCRETE, 0.1), (Regime.DISCRETE, 10.0),
+        ]
 
     def test_stability_is_step_size_independent(self):
         for params, variant in [(GENERAL_HIGH, ModelVariant.GENERAL), (HORIZ_MID, ModelVariant.HORIZONTAL)]:
             for eq in all_equilibria(params, variant):
                 if not eq.exists:
                     continue
-                classes = {
-                    stability_report(params, variant, eq, Regime.DISCRETE, h=h).classification
-                    for h in (0.01, 0.1, 1.0, 10.0, 50.0)
-                }
-                assert len(classes) == 1
-                continuous = stability_report(params, variant, eq, Regime.CONTINUOUS).classification
-                assert classes == {continuous}
+                continuous, *discrete = stability_report(params, variant, eq, (0.01, 0.1, 1.0, 10.0, 50.0))
+                assert {rep.classification for rep in discrete} == {continuous.classification}
 
     def test_prediction_matches_semantics(self):
         assert prediction_matches(TheoremPrediction.STABLE, Classification.STABLE)
