@@ -27,6 +27,7 @@ from .integrators import simulate_continuous
 from .model import (
     BlowUpError,
     DomainError,
+    RATES,
     HostParams,
     ModelVariant,
     State,
@@ -34,6 +35,7 @@ from .model import (
     validate_params,
 )
 from .nsfd import iterate
+from .readers import Reader, exactly, integer, list_of, number, one_of
 from .stability import stability_report
 from .verification import FixtureError, acceptance_check_names, load_fixture_scenarios, run_acceptance
 
@@ -50,6 +52,15 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 class ConfigError(Exception):
     pass
+
+
+# The values each choice field may take, for a flag and a config file alike.
+CHOICES = {
+    "model": tuple(variant.value for variant in ModelVariant),
+    "scheme": ("nsfd", "rk4", "euler"),
+    "format": ("csv", "json", "text"),
+    "preset": tuple(INITIAL_POINT_PRESETS),
+}
 
 
 @dataclass
@@ -78,48 +89,28 @@ class RunConfig:
     out: str | None = None
     permissive: bool = False
 
-    _FLOAT_FIELDS = frozenset({"bx", "by", "ux", "uy", "K", "e", "beta", "h", "dt", "tol_eq", "tol_step"})
-    _INT_FIELDS = frozenset({"steps", "window"})
-    _STR_FIELDS = frozenset({"model", "scheme", "format"})
-
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The config ``data`` gives; ConfigError for an unknown key or a value its field's reader refuses."""
+        unknown = data.keys() - _READERS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         coerced = {}
         for key, value in data.items():
             try:
-                if key in cls._FLOAT_FIELDS:
-                    coerced[key] = float(value)
-                elif key in cls._INT_FIELDS:
-                    coerced[key] = int(value)
-                elif key in cls._STR_FIELDS:
-                    coerced[key] = str(value)
-                elif key == "permissive":
-                    coerced[key] = bool(value)
-                elif key == "h_list":
-                    coerced[key] = [float(v) for v in value]
-                elif key == "initial_points":
-                    coerced[key] = [[float(x), float(y)] for x, y in value]
-                else:  # preset, out: optional strings
-                    coerced[key] = None if value is None else str(value)
+                coerced[key] = _READERS[key](value)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad config value for {key!r}: {value!r} ({exc})") from None
+                raise ConfigError(f"bad config value for {key!r}: {exc}") from None
         return cls(**coerced)
 
     def params(self) -> HostParams:
-        return HostParams(b_x=self.bx, b_y=self.by, u_x=self.ux, u_y=self.uy, K=self.K, e=self.e, beta=self.beta)
+        return HostParams(**{name: getattr(self, key) for key, name in RATES.items()})
 
     def variant(self) -> ModelVariant:
-        try:
-            return ModelVariant(self.model)
-        except ValueError:
-            raise ConfigError(f"unknown model {self.model!r} (general, horizontal, vertical)") from None
+        return ModelVariant(self.model)
 
     def settings(self) -> ConvergenceSettings:
         try:
@@ -129,15 +120,31 @@ class RunConfig:
 
     def points(self) -> list[State]:
         if self.preset is not None:
-            try:
-                return list(INITIAL_POINT_PRESETS[self.preset])
-            except KeyError:
-                raise ConfigError(
-                    f"unknown preset {self.preset!r} (available: {sorted(INITIAL_POINT_PRESETS)})"
-                ) from None
-        if self.initial_points:
-            return [State(float(x), float(y)) for x, y in self.initial_points]
-        return [State(0.1, 0.1)]
+            return list(INITIAL_POINT_PRESETS[self.preset])
+        return [State(x, y) for x, y in self.initial_points] or [State(0.1, 0.1)]
+
+
+# The reader of a RunConfig field, by the field's annotation.
+_BY_ANNOTATION: dict[str, Reader] = {
+    "float": number,
+    "int": integer,
+    "bool": exactly(bool, "true or false"),
+    "str": exactly(str, "a string"),
+    "list[float]": list_of(number),
+    "list[list[float]]": list_of(list_of(number, 2)),
+}
+
+
+def _reader(name: str, annotation: str) -> Reader:
+    """The field's reader, picked by its annotation; a choice field takes only its CHOICES."""
+    read = one_of(CHOICES[name]) if name in CHOICES else _BY_ANNOTATION[annotation.removesuffix(" | None")]
+    if annotation.endswith(" | None"):
+        return lambda value: None if value is None else read(value)
+    return read
+
+
+# Built once, at import, so that reading a config costs one call per value.
+_READERS = {f.name: _reader(f.name, f.type) for f in fields(RunConfig)}
 
 
 def _fmt(x: float) -> str:
@@ -145,8 +152,9 @@ def _fmt(x: float) -> str:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
+    """The config file's object with the given flags laid over it, read once by ``RunConfig.from_dict``."""
+    data = {}
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
@@ -158,26 +166,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        config = RunConfig.from_dict({**config.to_dict(), **data})
-    # A flag given on the command line overrides the config field of the
-    # same name; --h and --permissive are merged below instead.
-    for name in (f.name for f in fields(RunConfig) if f.name not in ("h", "permissive")):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "permissive", False):
-        config.permissive = True
-    h_values = getattr(args, "h", None)
-    if h_values:
-        config.h = h_values[-1]
-        config.h_list = list(h_values)
-    x0 = getattr(args, "x0", None) or []
-    y0 = getattr(args, "y0", None) or []
+    flags = {name: value for name, value in vars(args).items() if name in _READERS and value is not None}
+    if "h" in flags:  # --h, repeatable, gives h_list; its last value is the run's h
+        flags["h_list"], flags["h"] = flags["h"], flags["h"][-1]
+    x0, y0 = getattr(args, "x0", None) or [], getattr(args, "y0", None) or []
     if len(x0) != len(y0):
         raise ConfigError(f"--x0 given {len(x0)} times but --y0 {len(y0)} times")
     if x0:
-        config.initial_points = [[x, y] for x, y in zip(x0, y0)]
-    return config
+        flags["initial_points"] = [list(point) for point in zip(x0, y0)]
+    return RunConfig.from_dict({**data, **flags})
 
 
 def _check_params(config: RunConfig) -> None:
@@ -188,8 +185,7 @@ def _check_params(config: RunConfig) -> None:
             print(f"error: parameter violation: {v}", file=sys.stderr)
         raise ConfigError("invalid parameters")
     if config.permissive:
-        downgraded = [v for v in validate_params(config.params(), "strict")]
-        for v in downgraded:
+        for v in validate_params(config.params(), "strict"):
             print(f"warning: {v}", file=sys.stderr)
 
 
@@ -288,15 +284,7 @@ def _cmd_equilibria(config: RunConfig) -> int:
 
 
 def _params_dict(config: RunConfig) -> dict[str, float]:
-    return {
-        "bx": config.bx,
-        "by": config.by,
-        "ux": config.ux,
-        "uy": config.uy,
-        "K": config.K,
-        "e": config.e,
-        "beta": config.beta,
-    }
+    return {key: getattr(config, key) for key in RATES}
 
 
 def _report_dict(report) -> dict[str, Any]:
@@ -367,8 +355,6 @@ def _cmd_stability(config: RunConfig) -> int:
 def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
     params, variant = config.params(), config.variant()
     settings = config.settings()
-    if config.scheme not in ("nsfd", "rk4", "euler"):
-        raise ConfigError(f"unknown scheme {config.scheme!r} (nsfd, rk4, euler)")
     if config.scheme == "nsfd":
         return iterate(params, variant, config.h, s0, config.steps, settings=settings)
     return simulate_continuous(
@@ -536,40 +522,44 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+# The flags of RunConfig fields take no type=: RunConfig.from_dict reads
+# their strings by the rules it reads a config file by.
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=["general", "horizontal", "vertical"], default=None)
-    parser.add_argument("--bx", type=float, default=None, help="birth rate of uninfected hosts")
-    parser.add_argument("--by", type=float, default=None, help="birth rate of infected hosts")
-    parser.add_argument("--ux", type=float, default=None, help="death rate of uninfected hosts")
-    parser.add_argument("--uy", type=float, default=None, help="death rate of infected hosts")
-    parser.add_argument("--K", type=float, default=None, help="carrying capacity")
-    parser.add_argument("--e", type=float, default=None, help="uninfected-offspring rate of infected hosts")
-    parser.add_argument("--beta", type=float, default=None, help="horizontal transmission coefficient")
-    parser.add_argument("--permissive", action="store_true", help="downgrade biological-plausibility checks to warnings")
+    parser.add_argument("--model", choices=CHOICES["model"], default=None)
+    parser.add_argument("--bx", default=None, help="birth rate of uninfected hosts")
+    parser.add_argument("--by", default=None, help="birth rate of infected hosts")
+    parser.add_argument("--ux", default=None, help="death rate of uninfected hosts")
+    parser.add_argument("--uy", default=None, help="death rate of infected hosts")
+    parser.add_argument("--K", default=None, help="carrying capacity")
+    parser.add_argument("--e", default=None, help="uninfected-offspring rate of infected hosts")
+    parser.add_argument("--beta", default=None, help="horizontal transmission coefficient")
+    parser.add_argument(
+        "--permissive", action="store_true", default=None, help="downgrade biological-plausibility checks to warnings"
+    )
     parser.add_argument("--config", default=None, help="JSON config file; explicit flags override it")
-    parser.add_argument("--format", choices=["csv", "json", "text"], default=None)
+    parser.add_argument("--format", choices=CHOICES["format"], default=None)
     parser.add_argument("--out", default=None, help="output file (or directory for portrait); default stdout")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", choices=["nsfd", "rk4", "euler"], default=None)
-    parser.add_argument("--h", type=float, action="append", default=None, help="discrete step size")
-    parser.add_argument("--dt", type=float, default=None, help="continuous step size")
-    parser.add_argument("--x0", type=float, action="append", default=None, help="initial X (repeatable)")
-    parser.add_argument("--y0", type=float, action="append", default=None, help="initial Y (repeatable)")
+    parser.add_argument("--scheme", choices=CHOICES["scheme"], default=None)
+    parser.add_argument("--h", action="append", default=None, help="discrete step size")
+    parser.add_argument("--dt", default=None, help="continuous step size")
+    parser.add_argument("--x0", action="append", default=None, help="initial X (repeatable)")
+    parser.add_argument("--y0", action="append", default=None, help="initial Y (repeatable)")
     parser.add_argument("--preset", default=None, help="named initial-point set (e.g. paper-initials)")
-    parser.add_argument("--steps", type=int, default=None, help="maximum number of steps")
-    parser.add_argument("--tol-eq", dest="tol_eq", type=float, default=None, help="equilibrium match radius")
-    parser.add_argument("--tol-step", dest="tol_step", type=float, default=None, help="quiescence threshold")
-    parser.add_argument("--window", type=int, default=None, help="quiet steps required before declaring convergence")
+    parser.add_argument("--steps", default=None, help="maximum number of steps")
+    parser.add_argument("--tol-eq", dest="tol_eq", default=None, help="equilibrium match radius")
+    parser.add_argument("--tol-step", dest="tol_step", default=None, help="quiescence threshold")
+    parser.add_argument("--window", default=None, help="quiet steps required before declaring convergence")
 
 
 @functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused by every later ``main`` in the process.
 
-    Reuse is safe because every default is None or False and
-    ``parse_args`` leaves the parser unchanged.
+    Reuse is safe because every default is None and ``parse_args``
+    leaves the parser unchanged.
     """
     parser = argparse.ArgumentParser(
         prog="nsfd-epi",
@@ -582,7 +572,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("stability", help="eigenvalue classification and theorem cross-check per equilibrium")
     _add_param_flags(p_st)
-    p_st.add_argument("--h", type=float, action="append", default=None, help="discrete step size (repeatable)")
+    p_st.add_argument("--h", action="append", default=None, help="discrete step size (repeatable)")
 
     p_sim = sub.add_parser("simulate", help="run one trajectory and write n,t,X,Y output")
     _add_param_flags(p_sim)
@@ -594,7 +584,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="discrete classification across step sizes")
     _add_param_flags(p_sw)
-    p_sw.add_argument("--h", type=float, action="append", default=None, help="step size (repeatable)")
+    p_sw.add_argument("--h", action="append", default=None, help="step size (repeatable)")
 
     p_ver = sub.add_parser("verify", help="run the acceptance scenarios; exit 0 iff all pass")
     p_ver.add_argument("--list", action="store_true", help="list scenario checks without running")

@@ -60,8 +60,9 @@ class ConvergenceSettings:
     tol_eq: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not (self.tol_step > 0 and self.tol_eq > 0 and self.window >= 1):
-            raise ValueError(f"convergence settings must be positive with window >= 1: {self}")
+        # An infinite tol_eq would match every state to an equilibrium, a vacuous verdict.
+        if not (0 < self.tol_step < math.inf and 0 < self.tol_eq < math.inf and self.window >= 1):
+            raise ValueError(f"convergence settings need finite, positive tolerances and window >= 1: {self}")
 
 
 class VerdictStatus(Enum):

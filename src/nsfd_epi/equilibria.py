@@ -221,10 +221,11 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
     General variant: X* is the positive quadratic root and
     Y* = (beta K - b_y) X*/b_y + K(b_y - u_y)/b_y; it exists iff
     b_x > u_x, b_y > u_y, b_y > beta K and K/X* > (b_y - beta K)/(b_y - u_y),
-    with the root additionally required to satisfy 0 < X* < K.  When K
-    or b_y puts the quadratic's coefficients out of floating-point
-    range, the candidate does not exist, at (nan, nan), and its last
-    condition, "coefficients in floating-point range", fails.
+    with the root additionally required to satisfy 0 < X* < K.  When the
+    quadratic's coefficients, its discriminant, X* or Y* leave the
+    floating-point range (as at K = 1e300 or b_x = 1e300), the candidate
+    does not exist, at (nan, nan), and its last condition,
+    "coefficients in floating-point range", fails.
 
     Horizontal variant (e = 0): rational closed forms; exists iff
     b_x > u_x, b_y > u_y, b_x u_y / b_y > u_x + beta K (1 - u_y/b_y)
@@ -253,20 +254,20 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
         except DomainError:
             if not b_y > 0:
                 raise
-            conditions.append(Condition("coefficients in floating-point range", False, math.nan))
-            return Equilibrium(EquilibriumKind.INTERIOR, State(math.nan, math.nan), False, tuple(conditions))
-        if coeffs.A == 0.0:
+            coeffs = None
+        if coeffs is not None and coeffs.A == 0.0:
             raise DegenerateQuadraticError(
                 "interior quadratic degenerates (A = 0, typically beta = 0); "
                 "use the horizontal or vertical variant for this parameter set"
             )
-        x, disc = _positive_quadratic_root(coeffs)
-        conditions.append(Condition("B^2 - 4AC >= 0", disc >= 0, disc))
-        if math.isnan(x):
-            conditions.append(Condition("0 < X* < K", False, math.nan))
-            conditions.append(Condition("K/X* > (b_y - beta*K)/(b_y - u_y)", False, math.nan))
-            return Equilibrium(EquilibriumKind.INTERIOR, State(math.nan, math.nan), False, tuple(conditions))
+        x, disc = (math.nan, math.nan) if coeffs is None else _positive_quadratic_root(coeffs)
         y = (params.beta * big_k - b_y) * x / b_y + big_k * (b_y - u_y) / b_y
+        # The coefficients, B^2 or the point itself can overflow although every rate is finite.
+        if not math.isfinite(disc) or (disc >= 0 and not (math.isfinite(x) and math.isfinite(y))):
+            conditions.append(Condition("coefficients in floating-point range", False, math.nan))
+            return Equilibrium(EquilibriumKind.INTERIOR, State(math.nan, math.nan), False, tuple(conditions))
+        conditions.append(Condition("B^2 - 4AC >= 0", disc >= 0, disc))
+        # With B^2 - 4AC < 0, X* and Y* are NaN, and so are the margins below.
         conditions.append(Condition("0 < X* < K", 0 < x < big_k, min(x, big_k - x)))
         if x > 0 and b_y != u_y:
             margin = big_k / x - (b_y - params.beta * big_k) / (b_y - u_y)

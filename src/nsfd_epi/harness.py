@@ -8,10 +8,11 @@ negative component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .equilibria import Equilibrium
-from .integrators import euler_step
+from .integrators import scheme_kernel
 from .model import DomainError, HostParams, ModelVariant, State
 from .nsfd import step
 from .stability import Classification, StabilityReport, stability_report
@@ -88,18 +89,24 @@ def first_negative_step(
     ``scheme`` selects forward Euler (the demonstration target) or the
     nonstandard map (the control, which never returns an index).  The
     scan stops early once a state's magnitude is clearly diverging.
+    Raises DomainError for a start that is not finite or an unknown
+    scheme.
     """
+    x, y = float(s0[0]), float(s0[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
+    if scheme == "euler":
+        advance = scheme_kernel(params, variant, h, "euler")
+    elif scheme == "nsfd":
+        # Through ``step``, whose calls the benchmark's tracer counts.
+        advance = lambda x, y: step(params, variant, h, (x, y))
+    else:
+        raise DomainError(f"unknown scheme {scheme!r}")
     limit = 1e6 * max(params.K, 1.0)
-    s = (float(s0[0]), float(s0[1]))
     for n in range(1, max_steps + 1):
-        if scheme == "euler":
-            s = euler_step(params, variant, s, h)
-        elif scheme == "nsfd":
-            s = step(params, variant, h, s)
-        else:
-            raise DomainError(f"unknown scheme {scheme!r}")
-        if s[0] < 0 or s[1] < 0:
+        x, y = advance(x, y)
+        if x < 0 or y < 0:
             return n
-        if max(abs(s[0]), abs(s[1])) > limit:
+        if max(abs(x), abs(y)) > limit:
             return None
     return None

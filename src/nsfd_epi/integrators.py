@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored
-from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State, effective_rates, field_kernel
+from .model import DomainError, HostParams, Kernel, ModelVariant, effective_rates, field_kernel
 
-__all__ = ["euler_step", "rk4_step", "scheme_kernel", "simulate_continuous"]
+__all__ = ["scheme_kernel", "simulate_continuous"]
 
 def _rk4(params: HostParams, variant: ModelVariant, dt: float) -> Kernel:
     e, beta = effective_rates(params, variant)
@@ -67,32 +67,6 @@ def scheme_kernel(params: HostParams, variant: ModelVariant, dt: float, scheme: 
     if scheme not in _SCHEMES:
         raise DomainError(f"unknown continuous scheme {scheme!r}")
     return _SCHEMES[scheme](params, variant, dt)
-
-
-def _step_once(params: HostParams, variant: ModelVariant, s: tuple[float, float], dt: float, scheme: str) -> State:
-    advance = scheme_kernel(params, variant, dt, scheme)
-    x, y = s
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
-    return State(*advance(x, y))
-
-
-def rk4_step(params: HostParams, variant: ModelVariant, s: tuple[float, float], dt: float) -> State:
-    """One classical four-stage Runge-Kutta update.
-
-    Raises BlowUpError if the update leaves the finite range (internal
-    stages can overflow even when ``s`` itself is moderate; the NaN/inf
-    then propagates to the result).
-    """
-    out = _step_once(params, variant, s, dt, "rk4")
-    if not (math.isfinite(out.X) and math.isfinite(out.Y)):
-        raise BlowUpError(f"RK4 update overflowed from state ({s[0]!r}, {s[1]!r}) at dt = {dt!r}")
-    return out
-
-
-def euler_step(params: HostParams, variant: ModelVariant, s: tuple[float, float], dt: float) -> State:
-    """Forward Euler: s + dt * f(s).  May leave the positive quadrant."""
-    return _step_once(params, variant, s, dt, "euler")
 
 
 def simulate_continuous(

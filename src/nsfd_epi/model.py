@@ -34,6 +34,7 @@ __all__ = [
     "Kernel",
     "ModelVariant",
     "NotAnEquilibriumError",
+    "RATES",
     "State",
     "ValidationMode",
     "VariantParameterError",
@@ -101,7 +102,10 @@ class HostParams:
     e: float = 0.0
     beta: float = 0.0
 
-    _FIELDS = ("b_x", "b_y", "u_x", "u_y", "K", "e", "beta")
+
+# Each rate's short name in flags, config files and fixtures, mapped to
+# its HostParams field, in the order that output lists them.
+RATES = {"bx": "b_x", "by": "b_y", "ux": "u_x", "uy": "u_y", "K": "K", "e": "e", "beta": "beta"}
 
 
 class ModelVariant(Enum):
@@ -146,14 +150,14 @@ def validate_params(params: HostParams, mode: ValidationMode = "strict") -> list
     (callers can recover the downgraded set by diffing against strict).
     """
     violations: list[Violation] = []
-    for name in HostParams._FIELDS:
+    for name in RATES.values():
         value = getattr(params, name)
         if not math.isfinite(value):
             violations.append(Violation(f"{name} finite", f"{name} = {value!r} is not finite"))
     if math.isfinite(params.K) and params.K <= 0:
         violations.append(Violation("K > 0", f"carrying capacity K = {params.K!r} must be positive"))
     if mode == "strict":
-        for name in HostParams._FIELDS:
+        for name in RATES.values():
             value = getattr(params, name)
             if math.isfinite(value) and value < 0 and name != "K":
                 violations.append(Violation(f"{name} >= 0", f"{name} = {value!r} is negative"))

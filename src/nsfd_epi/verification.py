@@ -27,8 +27,9 @@ from .equilibria import (
 )
 from .harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, first_negative_step, step_size_sweep
 from .integrators import scheme_kernel, simulate_continuous
-from .model import HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
+from .model import RATES, HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
 from .nsfd import denominators, iterate, map_kernel, map_lanes
+from .readers import integer, list_of, number
 from .stability import (
     Classification,
     Matrix2,
@@ -521,25 +522,25 @@ class FixtureError(ValueError):
     """A scenario fixture file cannot be read as a valid Scenario."""
 
 
-def _fixture_scenario(data: dict) -> Scenario:
+# A fixture's optional keys, each read as its Scenario field's type; an absent one keeps the field's default.
+_FIXTURE_RUN_KEYS = {"h": number, "dt": number, "t_max": number, "max_steps": integer}
+_FIXTURE_KEYS = {"name", "model", "params", "expected_kind", "expected_point", *_FIXTURE_RUN_KEYS}
+
+
+def _fixture_scenario(data: object) -> Scenario:
+    if not isinstance(data, dict):
+        raise ValueError("a fixture must hold a JSON object")
     params = data["params"]
-    host = HostParams(
-        b_x=float(params["bx"]),
-        b_y=float(params["by"]),
-        u_x=float(params["ux"]),
-        u_y=float(params["uy"]),
-        K=float(params["K"]),
-        e=float(params.get("e", 0.0)),
-        beta=float(params.get("beta", 0.0)),
-    )
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a JSON object, got {params!r}")
+    unknown = sorted(data.keys() - _FIXTURE_KEYS) + sorted(params.keys() - RATES)
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; a fixture takes {sorted(_FIXTURE_KEYS)}, its params {list(RATES)}")
+    host = HostParams(**{RATES[name]: number(value) for name, value in params.items()})
     variant = ModelVariant(data["model"])
     effective_rates(host, variant)
-    point = data["expected_point"]
-    if not (
-        isinstance(point, list)
-        and len(point) == 2
-        and all(isinstance(v, (int, float)) and math.isfinite(v) for v in point)
-    ):
+    point = list_of(number, 2)(data["expected_point"])
+    if not all(map(math.isfinite, point)):
         raise ValueError(f"expected_point must be a list of two finite numbers, got {point!r}")
     return Scenario(
         name=str(data["name"]),
@@ -547,24 +548,22 @@ def _fixture_scenario(data: dict) -> Scenario:
         variant=variant,
         expected_kind=EquilibriumKind(data["expected_kind"]),
         expected_point=tuple(point),
-        h=float(data.get("h", 0.1)),
-        dt=float(data.get("dt", 0.01)),
-        t_max=float(data.get("t_max", 2000.0)),
-        max_steps=int(data.get("max_steps", 100_000)),
+        **{key: read(data[key]) for key, read in _FIXTURE_RUN_KEYS.items() if key in data},
     )
 
 
 def load_fixture_scenarios(directory: Path) -> list[Scenario]:
     """One Scenario per ``*.json`` file in ``directory``, in file-name order.
 
-    Raises FixtureError unless each file names a known model and
-    expected kind, with parameters that fit the model and an
+    Raises FixtureError unless each file holds an object with no
+    unknown key that names a known model and expected kind, with
+    ``params`` an object of known rates that fit the model and an
     ``expected_point`` of two finite numbers.
     """
     scenarios = []
     for file in sorted(directory.glob("*.json")):
         try:
             scenarios.append(_fixture_scenario(json.loads(file.read_text())))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise FixtureError(f"bad scenario fixture {file}: {exc}") from None
     return scenarios

@@ -16,6 +16,7 @@ from nsfd_epi.cli import RunConfig, main
 from nsfd_epi.convergence import Trajectory, Verdict, VerdictStatus
 from nsfd_epi.equilibria import EquilibriumKind
 from nsfd_epi.model import State
+from nsfd_epi.verification import load_fixture_scenarios
 
 BENCH = ["--bx", "0.6", "--by", "0.4", "--ux", "0.1", "--uy", "0.2"]
 
@@ -54,12 +55,51 @@ class TestConfig:
         assert code == 2
         assert "bx" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"permissive": "false"},
+            {"permissive": 0},
+            {"steps": 2.7},
+            {"steps": True},
+            {"window": "1.5"},
+            {"bx": True},
+            {"h_list": [False]},
+            {"initial_points": [[0.1, 0.2, 0.3]]},
+            {"format": "yaml"},
+            {"model": 3},
+            {"preset": "nowhere"},
+            {"out": 3},
+        ],
+        ids=lambda data: json.dumps(data),
+    )
+    def test_value_of_the_wrong_kind_is_config_error(self, data, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # in case "out" were taken
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run_cli(["equilibria", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad config value for {next(iter(data))!r}: ")
+
+    @pytest.mark.parametrize("flag", ["--steps=2.7", "--window=true", "--preset=nowhere", "--tol-eq=inf",
+                                      "--tol-step=inf", "--tol-eq=0"])
+    def test_flag_of_the_wrong_kind_is_config_error(self, flag, capsys):
+        code, out, err = run_cli(["simulate", "--steps=3", flag], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
     def test_numeric_strings_in_config_are_coerced(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"beta": "0.3", "steps": 500.0}))
         code, out, _ = run_cli(["equilibria", "--config", str(cfg), "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["params"]["beta"] == 0.3
+        # A whole number may come as a float or a string; every number is read as a float.
+        cfg.write_text(json.dumps({"steps": 3.0, "window": "7", "h_list": ["0.5", 2], "initial_points": [[1, "0.25"]]}))
+        config = cli._build_config(cli._make_parser().parse_args(["simulate", "--config", str(cfg), "--dt=1e-2"]))
+        read = (config.steps, config.window, *config.h_list, *config.initial_points[0], config.dt)
+        assert read == (3, 7, 0.5, 2.0, 1.0, 0.25, 0.01)
+        assert [type(v) for v in read] == [int, int, float, float, float, float, float]
 
 
 class TestEquilibriaCommand:
@@ -370,6 +410,30 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
+    def test_fixture_run_settings_are_read(self, tmp_path):
+        fixture = {
+            "name": "fixture-horizontal",
+            "model": "horizontal",
+            "params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": 1.2, "beta": 0.3},
+            "expected_kind": "interior",
+            "expected_point": [0.0476, 0.5952],
+            "h": 0.5,
+            "dt": 0.02,
+            "t_max": 3000,
+            "max_steps": 40000,
+        }
+        (tmp_path / "case.json").write_text(json.dumps(fixture))
+        (scenario,) = load_fixture_scenarios(tmp_path)
+        assert (scenario.h, scenario.dt, scenario.t_max, scenario.max_steps) == (0.5, 0.02, 3000.0, 40000)
+        assert (scenario.params.beta, scenario.params.e) == (0.3, 0.0)
+
+    def test_fixture_that_is_not_an_object_is_config_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.json").write_text("[]")
+        monkeypatch.setenv("NSFD_EPI_SEED_DIR", str(tmp_path))
+        code, _, err = run_cli(["verify", "--list"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: bad scenario fixture {tmp_path / 'bad.json'}: ")
+
     def test_bad_fixture_is_config_error(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "bad.json").write_text(json.dumps({"name": "x"}))
         monkeypatch.setenv("NSFD_EPI_SEED_DIR", str(tmp_path))
@@ -386,8 +450,18 @@ class TestVerifyCommand:
             {"model": "diagonal"},
             {"expected_kind": "chaotic"},
             {"model": "horizontal", "params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": 1.2, "e": 0.02}},
+            {"params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": 1.2, "betta": 0.3}},
+            {"max_step": 10},
+            {"params": []},
+            {"params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2}},
+            {"params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": True}},
+            {"params": {"bx": 10**400, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": 1.2}},
+            {"max_steps": 2.7},
+            {"expected_point": [True, False]},
         ],
-        ids=["three-entry-point", "nan-point", "scalar-point", "model", "kind", "params-misfit"],
+        ids=["three-entry-point", "nan-point", "scalar-point", "model", "kind", "params-misfit", "misspelled-rate",
+             "unknown-key", "params-list", "missing-rate", "boolean-rate", "rate-past-float-range", "fractional-budget",
+             "boolean-point"],
     )
     @pytest.mark.parametrize("args", [["verify", "--list"], ["verify", "--only", "fixture"]], ids=["list", "run"])
     def test_fixture_is_validated_at_load(self, tmp_path, monkeypatch, capsys, change, args):
@@ -509,6 +583,12 @@ class TestOutOfRangeInputs:
         "interior-b_y-underflow": (
             ["--by", "2.2e-313", "--bx", "1", "--ux", "0", "--uy", "1e-313", "--e", "0", "--beta", "0", "--permissive"],
             [("trivial", 0.0, 0.0), ("disease_free", 1.0, 0.0), ("susceptible_free", 0.0, 0.5454545454525039)],
+        ),
+        # The coefficients are finite: at --bx 1e300 B^2 overflows, in the next case Y* alone does.
+        "interior-discriminant-overflow": (["--bx", "1e300"], [("trivial", 0.0, 0.0), ("disease_free", 1.0, 0.0)]),
+        "interior-point-overflow": (
+            ["--bx", "1.3e154", "--by", "1.3e154", "--ux", "2.9", "--uy", "1.3e154", "--beta", "2.9"],
+            [("trivial", 0.0, 0.0), ("disease_free", 1.0, 0.0)],
         ),
     }
 
@@ -783,10 +863,11 @@ CHEAP_CHECKS = [
 ]
 # Config values of every JSON type.  The strings are plain relative
 # names, because "out" may take one and the test runs in tmp_path.
+config_texts = st.sampled_from(["", "x", "7", "general", "rk4", "json", "paper-initials", "-"])
 config_values = st.one_of(
     cli_floats,
     st.integers(-2, 40),
-    st.sampled_from(["", "x", "7", "general", "rk4", "json", "paper-initials", "-"]),
+    config_texts,
     st.none(),
     st.booleans(),
     st.lists(cli_floats, max_size=2),
@@ -880,3 +961,48 @@ def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
     if code in (2, 3):
         assert stderr.getvalue().splitlines()[-1].startswith("error: ")
     assert not (tmp_path / "-").exists()
+
+
+# Every RunConfig field that simulate takes as --flag=value, by flag
+# (--permissive takes no value; --h sets h and h_list).
+SIMULATE = next(a for a in cli._make_parser()._actions if a.dest == "command").choices["simulate"]
+VALUE_FLAGS = {
+    a.option_strings[0]: a.dest for a in SIMULATE._actions if a.dest in RunConfig.__dataclass_fields__ and a.nargs != 0
+}
+TEXT_FIELDS = {f.name for f in fields(RunConfig) if "str" in f.type}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_flag_and_a_config_value_are_read_alike(tmp_path, monkeypatch, data):
+    """``--flag=v`` and a config file's ``{"field": v}`` give one exit code and, on exit 0, one RunConfig.
+
+    A flag carries text, written here as JSON writes v unless v is a
+    string; a text field is drawn at text values only, since no flag can
+    carry a number or null to it.  The run itself is stubbed out, as its
+    outcome is a function of the RunConfig alone.
+    """
+    flag = data.draw(st.sampled_from(sorted(VALUE_FLAGS)))
+    name = VALUE_FLAGS[flag]
+    value = data.draw(config_texts if name in TEXT_FIELDS else config_values)
+    ran = []
+
+    def run_start_only(config, s0):
+        ran.append(repr(config))
+        return Trajectory(np.zeros(1, np.int64), np.zeros(1), np.array([s0]), Verdict(VerdictStatus.MAX_STEPS))
+
+    def outcome(argv):
+        ran.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(["simulate", *argv])
+            except SystemExit as exc:  # argparse refuses a choice
+                code = exc.code
+        return code, (ran[0] if code == 0 else None)
+
+    monkeypatch.chdir(tmp_path)  # a value of "out" lands here
+    monkeypatch.setattr(cli, "_simulate_one", run_start_only)
+    text = value if isinstance(value, str) else json.dumps(value)
+    from_file = {name: value, "h_list": [value]} if name == "h" else {name: value}
+    (tmp_path / "run.json").write_text(json.dumps(from_file))
+    assert outcome([f"{flag}={text}"]) == outcome([f"--config={tmp_path / 'run.json'}"])

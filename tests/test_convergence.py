@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -209,3 +210,15 @@ def test_proximity_test_names_the_nearest_equilibrium():
         VerdictStatus.CONVERGED, kind=EquilibriumKind.INTERIOR, point=near.point, at_step=7
     )
     assert monitor.update((0.7, 0.5), 7) is None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"tol_eq": math.inf}, {"tol_step": math.inf}, {"tol_eq": math.nan}, {"tol_step": 0.0}, {"tol_eq": -1e-3},
+     {"window": 0}],
+    ids=["tol_eq-inf", "tol_step-inf", "tol_eq-nan", "tol_step-zero", "tol_eq-negative", "window-zero"],
+)
+def test_settings_need_finite_positive_tolerances(bad):
+    # An infinite tol_eq matches any state to an equilibrium: the verdict would say nothing.
+    with pytest.raises(ValueError, match="finite, positive tolerances"):
+        ConvergenceSettings(**bad)

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from nsfd_epi import integrators
 from nsfd_epi.convergence import ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.equilibria import disease_free_equilibrium, interior_equilibrium
-from nsfd_epi.integrators import euler_step, rk4_step, simulate_continuous
+from nsfd_epi.integrators import scheme_kernel, simulate_continuous
 from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant
 from nsfd_epi.verification import benchmark_params
 
@@ -13,17 +15,26 @@ HORIZ_MID = benchmark_params(ModelVariant.HORIZONTAL, 0.3)
 
 
 def integrate_fixed(params, variant, s0, dt, t_end):
-    s = s0
+    advance = scheme_kernel(params, variant, dt)
+    x, y = s0
     for _ in range(round(t_end / dt)):
-        s = rk4_step(params, variant, s, dt)
-    return s
+        x, y = advance(x, y)
+    return x, y
+
+
+def euler(s, dt):
+    return scheme_kernel(GENERAL_HIGH, ModelVariant.GENERAL, dt, "euler")(*s)
+
+
+def rk4(s, dt):
+    return scheme_kernel(GENERAL_HIGH, ModelVariant.GENERAL, dt)(*s)
 
 
 class TestRk4Step:
     def test_equilibrium_is_fixed(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
-        out = rk4_step(GENERAL_HIGH, ModelVariant.GENERAL, eq.point, 0.1)
-        assert max(abs(out.X - eq.point.X), abs(out.Y - eq.point.Y)) <= 1e-13
+        x, y = rk4(eq.point, 0.1)
+        assert max(abs(x - eq.point.X), abs(y - eq.point.Y)) <= 1e-13
 
     def test_fourth_order_error_decay(self):
         # Against a dt = 1e-4 reference, halving dt from 0.1 to 0.05
@@ -32,8 +43,8 @@ class TestRk4Step:
         ref = integrate_fixed(GENERAL_HIGH, ModelVariant.GENERAL, s0, 1e-4, t_end)
         coarse = integrate_fixed(GENERAL_HIGH, ModelVariant.GENERAL, s0, 0.1, t_end)
         fine = integrate_fixed(GENERAL_HIGH, ModelVariant.GENERAL, s0, 0.05, t_end)
-        err_coarse = max(abs(coarse.X - ref.X), abs(coarse.Y - ref.Y))
-        err_fine = max(abs(fine.X - ref.X), abs(fine.Y - ref.Y))
+        err_coarse = max(abs(coarse[0] - ref[0]), abs(coarse[1] - ref[1]))
+        err_fine = max(abs(fine[0] - ref[0]), abs(fine[1] - ref[1]))
         assert 12.0 <= err_coarse / err_fine <= 20.0
 
     def test_long_run_reaches_coexistence(self):
@@ -43,35 +54,37 @@ class TestRk4Step:
         assert run.final_state.Y == pytest.approx(0.4545, abs=1e-3)
 
     def test_stage_overflow_raises(self):
+        # The kernel returns what the stages give; the run loop refuses the first step that is not finite.
+        assert not all(map(math.isfinite, rk4((0.1, 0.1), 1e300)))
         with pytest.raises(BlowUpError):
-            rk4_step(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.1), 1e300)
+            simulate_continuous(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.1), dt=1e300, t_max=1e300)
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(DomainError):
-            rk4_step(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.1), 0.0)
+        for dt in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                scheme_kernel(GENERAL_HIGH, ModelVariant.GENERAL, dt)
 
 
 class TestEulerStep:
     def test_large_step_violates_positivity(self):
         # dX/dt at (0.1, 0.9) is -0.037, so one h = 10 step lands at
         # 0.1 - 0.37 = -0.27.
-        out = euler_step(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9), 10.0)
-        assert out.X == pytest.approx(-0.27, abs=1e-12)
-        assert out.X < 0
+        x, _ = euler((0.1, 0.9), 10.0)
+        assert x == pytest.approx(-0.27, abs=1e-12)
+        assert x < 0
 
     def test_equilibrium_is_fixed(self):
         eq = disease_free_equilibrium(GENERAL_HIGH)
-        out = euler_step(GENERAL_HIGH, ModelVariant.GENERAL, eq.point, 10.0)
-        assert max(abs(out.X - eq.point.X), abs(out.Y - eq.point.Y)) <= 1e-13
+        x, y = euler(eq.point, 10.0)
+        assert max(abs(x - eq.point.X), abs(y - eq.point.Y)) <= 1e-13
 
     def test_second_order_agreement_with_rk4(self):
         # euler - rk4 = O(dt^2), so shrinking dt 10x shrinks the gap ~100x.
         s = (0.3, 0.4)
         gaps = []
         for dt in (1e-2, 1e-3):
-            a = euler_step(GENERAL_HIGH, ModelVariant.GENERAL, s, dt)
-            b = rk4_step(GENERAL_HIGH, ModelVariant.GENERAL, s, dt)
-            gaps.append(max(abs(a.X - b.X), abs(a.Y - b.Y)))
+            a, b = euler(s, dt), rk4(s, dt)
+            gaps.append(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
         assert 50.0 <= gaps[0] / gaps[1] <= 200.0
 
 

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.convergence import ConvergenceSettings, Verdict, VerdictStatus
-from nsfd_epi.integrators import euler_step, rk4_step, scheme_kernel
+from nsfd_epi.integrators import scheme_kernel
 from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interior_equilibrium
-from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, field_kernel, vector_field
+from nsfd_epi.model import DomainError, HostParams, ModelVariant, effective_rates, field_kernel, vector_field
 from nsfd_epi.nsfd import denominators, iterate, map_kernel, map_lanes, step
 from nsfd_epi.verification import SCENARIOS, benchmark_params
 
@@ -420,13 +420,9 @@ def test_rk4_and_euler_match_inlined_kernels_bit_for_bit(params, variant, dt, x,
     params = fit_variant(params, variant)
     e, beta = effective_rates(params, variant)
     args = (params.b_x, params.b_y, params.u_x, params.u_y, params.K, e, beta, x, y, dt)
-    expected = ref_rk4(*args)
-    if all(math.isfinite(v) for v in expected):
-        assert bits(rk4_step(params, variant, (x, y), dt)) == bits(expected)
-    else:
-        with pytest.raises(BlowUpError):
-            rk4_step(params, variant, (x, y), dt)
-    assert bits(euler_step(params, variant, (x, y), dt)) == bits(ref_euler(*args))
+    # float.hex spells every NaN "nan", so a step that overflows compares too.
+    assert bits(scheme_kernel(params, variant, dt)(x, y)) == bits(ref_rk4(*args))
+    assert bits(scheme_kernel(params, variant, dt, "euler")(x, y)) == bits(ref_euler(*args))
 
 
 # The lanes kernel against the scalar one: every state of every lane,

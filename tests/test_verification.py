@@ -14,7 +14,7 @@ import pytest
 
 from nsfd_epi import nsfd, verification
 from nsfd_epi.harness import first_negative_step
-from nsfd_epi.model import ModelVariant, effective_rates, validate_params
+from nsfd_epi.model import RATES, ModelVariant, effective_rates, validate_params
 from nsfd_epi.nsfd import map_kernel
 from nsfd_epi.stability import Matrix2, jury_conditions
 from nsfd_epi.verification import (
@@ -115,7 +115,7 @@ def test_positivity_draw_is_strict_and_fits_each_variant(positivity_draw):
         assert (params.beta == 0.0) is (variant is ModelVariant.VERTICAL)
         assert 0.0 < x0 <= 2.0 * params.K and 0.0 <= y0 <= 2.0 * params.K
         assert 1e-3 <= h <= 100.0
-        fields = (*(getattr(params, name) for name in params._FIELDS), h, x0, y0)
+        fields = (*(getattr(params, name) for name in RATES.values()), h, x0, y0)
         assert all(type(value) is float for value in fields)
 
 
