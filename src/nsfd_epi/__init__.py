@@ -23,7 +23,7 @@ from .equilibria import (
     trivial_equilibrium,
 )
 from .harness import INITIAL_POINT_PRESETS, SweepResult, first_negative_step, step_size_sweep
-from .integrators import scheme_kernel, simulate_continuous
+from .integrators import euler_kernel, simulate_continuous
 from .model import (
     BlowUpError,
     DegenerateQuadraticError,

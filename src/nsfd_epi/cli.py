@@ -357,15 +357,7 @@ def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
     settings = config.settings()
     if config.scheme == "nsfd":
         return iterate(params, variant, config.h, s0, config.steps, settings=settings)
-    return simulate_continuous(
-        params,
-        variant,
-        s0,
-        dt=config.dt,
-        t_max=config.steps * config.dt,
-        settings=settings,
-        scheme=config.scheme,
-    )
+    return simulate_continuous(params, variant, s0, config.dt, config.steps, settings, scheme=config.scheme)
 
 
 def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory) -> str:
@@ -545,8 +537,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", choices=CHOICES["scheme"], default=None)
     parser.add_argument("--h", action="append", default=None, help="discrete step size")
     parser.add_argument("--dt", default=None, help="continuous step size")
-    parser.add_argument("--x0", action="append", default=None, help="initial X (repeatable)")
-    parser.add_argument("--y0", action="append", default=None, help="initial Y (repeatable)")
+    parser.add_argument("--x0", action="append", type=number, default=None, help="initial X (repeatable)")
+    parser.add_argument("--y0", action="append", type=number, default=None, help="initial Y (repeatable)")
     parser.add_argument("--preset", default=None, help="named initial-point set (e.g. paper-initials)")
     parser.add_argument("--steps", default=None, help="maximum number of steps")
     parser.add_argument("--tol-eq", dest="tol_eq", default=None, help="equilibrium match radius")

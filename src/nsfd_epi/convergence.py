@@ -8,15 +8,15 @@ positives during slow passages near saddle points.  A state whose
 infinity norm exceeds ``divergence_factor * scale`` (scale is the
 carrying capacity) is declared diverged.
 
-The rule lives in one place, the run loop ``_scan``.  It tests
-divergence, movement and the quiet-run count with local comparisons on
-every step, and calls ``ConvergenceMonitor.update``, the proximity
-test, only on steps where the run has been quiet for at least a window.
-The runners (``nsfd.iterate``, ``integrators.simulate_continuous``)
-reach the loop through ``_run_monitored``.  ``ConvergenceMonitor``
-holds the settings, the known equilibria and the divergence limit.  It
-stays a class with an ``update`` method because the benchmark's tracer
-wraps ``ConvergenceMonitor.update`` to count proximity tests.
+Two loops apply the rule: ``_scan`` steps a one-step kernel (the NSFD
+map, forward Euler), and ``integrators._rk4_scan`` holds the RK4 stages
+itself, because RK4 runs most of the acceptance gate's steps.  Both
+test divergence, movement and the quiet-run count with local
+comparisons, and call ``ConvergenceMonitor.update``, the proximity
+test, only once the run has been quiet for a window.  They share the
+set-up and rare paths: ``_run_monitored``, ``_refused`` and ``_finish``.
+``ConvergenceMonitor`` stays a class whose ``update`` is read once per
+run, because the benchmark's tracer wraps it to count proximity tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State
@@ -110,7 +110,9 @@ class ConvergenceMonitor:
     ) -> None:
         self.settings = settings
         self.known = [eq for eq in equilibria if eq.exists]
-        self.limit = DIVERGENCE_FACTOR * max(scale, 0.0)
+        limit = DIVERGENCE_FACTOR * max(scale, 0.0)
+        # A state beyond the bound has diverged; a NaN or infinite limit never declares a finite state so.
+        self.bound = limit if limit < math.inf else sys.float_info.max
 
     def update(self, s: tuple[float, float], step: int) -> Verdict | None:
         """A converged verdict if the nearest known equilibrium lies within ``tol_eq`` of s, else None.
@@ -127,43 +129,30 @@ class ConvergenceMonitor:
         return None
 
 
-def _scan(
-    monitor: ConvergenceMonitor,
-    advance: Kernel,
-    s0: tuple[float, float],
-    n_limit: int,
-    record_every: int,
-    scheme: str,
-) -> tuple[list[int], list[tuple[float, float]], Verdict]:
-    """Step s0 by ``advance`` up to ``n_limit`` times under the convergence rule.
+# A run loop's recorded step indices and states, and its verdict.
+Recorded = tuple[list[int], list[tuple[float, float]], Verdict]
 
-    Returns the recorded step indices and states (every
-    ``record_every``-th one plus the first and last) and the verdict.
-    Raises BlowUpError for a state that is not finite.  One chained
-    comparison per component passes a state that is finite and not
-    diverged; only a state that fails it is tested for finiteness.  Past
-    that test the state is finite, so ``max(|dx|, |dy|) < tol`` is
-    ``-tol < dx < tol and -tol < dy < tol``.
+
+def _scan(
+    advance: Kernel, scheme: str, monitor: ConvergenceMonitor, s0: tuple[float, float], n_limit: int, record_every: int
+) -> Recorded:
+    """Step s0, a finite start that has not diverged, by ``advance`` up to ``n_limit`` times under the rule.
+
+    Records every ``record_every``-th state plus the first and last.  One
+    chained comparison per component passes a state that is finite and
+    not diverged, so that ``max(|dx|, |dy|) < tol`` can be tested as
+    ``-tol < dx < tol and -tol < dy < tol``; ``_refused`` judges any other.
     """
     x, y = s0
     steps, states = [0], [s0]
-    limit = monitor.limit
-    # The start is finite: _run_monitored refuses any other.
-    if max(abs(x), abs(y)) > limit:
-        return steps, states, Verdict(VerdictStatus.DIVERGED, at_step=0)
-    # A NaN or infinite limit never declares a finite state diverged.
-    bound = limit if limit < math.inf else sys.float_info.max
-    tol, window, update = monitor.settings.tol_step, monitor.settings.window, monitor.update
-    verdict = None
-    quiet = n = 0
+    bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
+    verdict, quiet, n = None, 0, 0
     while n < n_limit:
         n += 1
         px, py = x, y
         x, y = advance(px, py)
         if not (-bound <= x <= bound and -bound <= y <= bound):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise BlowUpError(f"{scheme} update overflowed at step {n} from {(px, py)!r}")
-            verdict = Verdict(VerdictStatus.DIVERGED, at_step=n)
+            verdict = _refused(scheme, n, px, py, x, y)
             break
         if -tol < x - px < tol and -tol < y - py < tol:
             quiet += 1
@@ -176,16 +165,26 @@ def _scan(
         if n % record_every == 0:
             steps.append(n)
             states.append((x, y))
+    return _finish(steps, states, n, x, y, verdict)
+
+
+def _refused(scheme: str, n: int, px: float, py: float, x: float, y: float) -> Verdict:
+    """Diverged at step n, whose state (x, y) left the bound; BlowUpError if that state is not finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise BlowUpError(f"{scheme} update overflowed at step {n} from {(px, py)!r}")
+    return Verdict(VerdictStatus.DIVERGED, at_step=n)
+
+
+def _finish(steps: list[int], states: list, n: int, x: float, y: float, verdict: Verdict | None) -> Recorded:
+    """Record step n's state (x, y) if it is not yet; a run with no verdict stopped at its budget."""
     if steps[-1] != n:
         steps.append(n)
         states.append((x, y))
-    if verdict is None:
-        verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
-    return steps, states, verdict
+    return steps, states, Verdict(VerdictStatus.MAX_STEPS, at_step=n) if verdict is None else verdict
 
 
 def _run_monitored(
-    advance: Kernel,
+    scan: Callable[[ConvergenceMonitor, tuple[float, float], int, int], Recorded],
     params: HostParams,
     variant: ModelVariant,
     s0: tuple[float, float],
@@ -193,14 +192,14 @@ def _run_monitored(
     step_size: float,
     settings: ConvergenceSettings | None,
     record_every: int,
-    scheme: str,
 ) -> Trajectory:
     """The run of the discrete and continuous runners.
 
-    Steps at most ``n_steps`` times (0 gives the start alone) and
-    matches the variant's equilibria; see ``_scan``.  Raises DomainError
-    for a start that is not finite, whatever the budget.  Times are steps
-    times ``step_size``; one that overflows is inf, without a warning.
+    Steps at most ``n_steps`` times by ``scan(monitor, s0, n_steps,
+    record_every)`` (0 gives the start alone) and matches the variant's
+    equilibria.  Raises DomainError for a start that is not finite,
+    whatever the budget.  Times are steps times ``step_size``; one that
+    overflows is inf, without a warning.
     """
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
@@ -214,7 +213,10 @@ def _run_monitored(
     except DomainError:
         known = ()  # implausible parameters: no limit matching, divergence only
     monitor = ConvergenceMonitor(settings, known, params.K)
-    recorded_steps, recorded_states, verdict = _scan(monitor, advance, s, n_steps, record_every, scheme)
+    if max(abs(s[0]), abs(s[1])) > monitor.bound:
+        recorded_steps, recorded_states, verdict = [0], [s], Verdict(VerdictStatus.DIVERGED, at_step=0)
+    else:
+        recorded_steps, recorded_states, verdict = scan(monitor, s, n_steps, record_every)
     # Imported here, not at module level, so that the commands that build no
     # array (equilibria, stability, sweep, verify --list) start without numpy.
     import numpy as np
@@ -223,4 +225,3 @@ def _run_monitored(
     with np.errstate(over="ignore"):
         times = steps * step_size
     return Trajectory(steps, times, np.asarray(recorded_states, dtype=np.float64), verdict)
-

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .equilibria import Equilibrium
-from .integrators import scheme_kernel
+from .integrators import euler_kernel
 from .model import DomainError, HostParams, ModelVariant, State
 from .nsfd import step
 from .stability import Classification, StabilityReport, stability_report
@@ -96,7 +96,7 @@ def first_negative_step(
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"state ({x!r}, {y!r}) is not finite")
     if scheme == "euler":
-        advance = scheme_kernel(params, variant, h, "euler")
+        advance = euler_kernel(params, variant, h)
     elif scheme == "nsfd":
         # Through ``step``, whose calls the benchmark's tracer counts.
         advance = lambda x, y: step(params, variant, h, (x, y))

@@ -40,9 +40,10 @@ more than the scalar steps it replaces.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .convergence import ConvergenceSettings, Trajectory, _run_monitored
+from .convergence import ConvergenceSettings, Trajectory, _run_monitored, _scan
 from .model import DomainError, HostParams, Kernel, ModelVariant, State, effective_rates
 
 if TYPE_CHECKING:
@@ -195,4 +196,4 @@ def iterate(
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
     advance = map_kernel(params, variant, h)
-    return _run_monitored(advance, params, variant, s0, n_max, h, settings, record_every, "nsfd")
+    return _run_monitored(partial(_scan, advance, "nsfd"), params, variant, s0, n_max, h, settings, record_every)

@@ -26,8 +26,10 @@ from .equilibria import (
     reproduction_numbers,
 )
 from .harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, first_negative_step, step_size_sweep
-from .integrators import scheme_kernel, simulate_continuous
-from .model import RATES, HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
+from .integrators import _check_dt, simulate_continuous
+from .model import (
+    RATES, DomainError, HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
+)
 from .nsfd import denominators, iterate, map_kernel, map_lanes
 from .readers import integer, list_of, number
 from .stability import (
@@ -156,11 +158,17 @@ def convergence_check(scenario: Scenario, match_tol: float = 1e-3) -> CheckResul
     name = f"converges:{scenario.name}"
     worst = 0.0
     ex, ey = scenario.expected_point
-    p, variant = scenario.params, scenario.variant
+    p, variant, dt, t_max = scenario.params, scenario.variant, scenario.dt, scenario.t_max
+    _check_dt(dt)
+    if t_max < 0:
+        raise DomainError(f"t_max must be nonnegative, got {t_max!r}")
+    n_rk4 = t_max / dt * (1.0 + 1e-12)  # the slack absorbs the rounding of t_max = N * dt for N up to about 1e12
+    if not math.isfinite(n_rk4):
+        raise DomainError(f"t_max = {t_max!r} over dt = {dt!r} gives no finite step count")
     # Only the final state and the verdict are read: record just the ends.
     for s0 in scenario.initial_points:
         for label, start in (
-            ("continuous", lambda: simulate_continuous(p, variant, s0, scenario.dt, scenario.t_max, record_every=ENDS_ONLY)),
+            ("continuous", lambda: simulate_continuous(p, variant, s0, dt, int(n_rk4), record_every=ENDS_ONLY)),
             ("discrete", lambda: iterate(p, variant, scenario.h, s0, scenario.max_steps, record_every=ENDS_ONLY)),
         ):
             run = start()
@@ -468,14 +476,11 @@ def consistency_order_check() -> CheckResult:
             return _fail(name, f"{variant.value}: defect ratios {ratios} outside [{lo:.3f}, {hi:.3f}]")
 
     params = benchmark_params(ModelVariant.GENERAL, 0.3)
-    horizon = 5.0
     finals = {}
     for dt in (1e-4, 0.1, 0.05):
-        advance = scheme_kernel(params, ModelVariant.GENERAL, dt)
-        x, y = 0.1, 0.1
-        for _ in range(round(horizon / dt)):
-            x, y = advance(x, y)
-        finals[dt] = (x, y)
+        # Five time units from (0.1, 0.1): these runs never go quiet or diverge, so each takes every step.
+        run = simulate_continuous(params, ModelVariant.GENERAL, (0.1, 0.1), dt, round(5.0 / dt), record_every=ENDS_ONLY)
+        finals[dt] = run.final_state
     ref = finals[1e-4]
     err_coarse = max(abs(finals[0.1][0] - ref[0]), abs(finals[0.1][1] - ref[1]))
     err_fine = max(abs(finals[0.05][0] - ref[0]), abs(finals[0.05][1] - ref[1]))

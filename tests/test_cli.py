@@ -66,6 +66,7 @@ class TestConfig:
             {"bx": True},
             {"h_list": [False]},
             {"initial_points": [[0.1, 0.2, 0.3]]},
+            {"initial_points": [["abc", 0.1]]},
             {"format": "yaml"},
             {"model": 3},
             {"preset": "nowhere"},
@@ -80,6 +81,16 @@ class TestConfig:
         code, out, err = run_cli(["equilibria", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad config value for {next(iter(data))!r}: ")
+
+    @pytest.mark.parametrize("flag", ["--x0", "--y0"])
+    def test_bad_start_flag_is_reported_under_its_flag(self, flag, capsys):
+        argv = ["simulate", "--x0", "0.1", "--y0", "0.1"]
+        argv[argv.index(flag) + 1] = "abc"
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        err = capsys.readouterr().err
+        assert refused.value.code == 2
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: invalid number value: 'abc'")
 
     @pytest.mark.parametrize("flag", ["--steps=2.7", "--window=true", "--preset=nowhere", "--tol-eq=inf",
                                       "--tol-step=inf", "--tol-eq=0"])
@@ -265,10 +276,20 @@ class TestSimulateCommand:
         assert "undefined" in err
 
     def test_huge_dt_is_runtime_error(self, capsys):
-        # --steps 2 at dt = 1e308 asks for t_max = inf.
+        # From the default start (0.1, 0.1), the first RK4 step at dt = 1e308 overflows.
         code, _, err = run_cli(["simulate", "--scheme", "rk4", "--dt", "1e308", "--steps", "2"], capsys)
         assert code == 3
-        assert "t_max = inf" in err
+        assert err == "error: rk4 update overflowed at step 1 from (0.1, 0.1)\n"
+
+    @pytest.mark.parametrize("scheme, step", [("rk4", "--dt"), ("nsfd", "--h")])
+    def test_huge_step_takes_steps_as_given(self, scheme, step, capsys):
+        # --steps is a step count under every scheme, never steps * dt, so 2 steps of 1e308 run.
+        argv = ["simulate", f"--scheme={scheme}", "--x0", "0", "--y0", "0", step, "1e308", "--steps", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[lines.index("n,t,X,Y") + 1 :] == ["0,0.0,0.0,0.0", "1,1e+308,0.0,0.0", "2,inf,0.0,0.0",
+                                                     "# verdict=max_steps n=2"]
 
     def test_huge_h_writes_infinite_times_without_warning(self, package_env):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,15 +12,19 @@ from nsfd_epi.convergence import (
     Verdict,
     VerdictStatus,
     _run_monitored,
+    _scan,
 )
 from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
-from nsfd_epi.integrators import scheme_kernel
-from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State
+from nsfd_epi.integrators import euler_kernel, simulate_continuous
+from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates
 from nsfd_epi.nsfd import map_kernel
+from test_nsfd import ref_rk4
 
 # Reference run loop: the per-step monitor and the run loop as they
-# were before the rule moved into local comparisons.  The new loop must
-# reproduce them bit for bit.
+# were before the rule moved into local comparisons.  Both loops must
+# reproduce them bit for bit: ``convergence._scan`` around the NSFD and
+# Euler kernels, and the RK4 loop of ``simulate_continuous`` against
+# this loop driven by the test's own RK4 step, ``ref_rk4``.
 
 
 class RefMonitor:
@@ -87,6 +92,24 @@ def ref_run_monitored(advance, params, variant, s0, n_steps, settings, record_ev
         verdict = Verdict(VerdictStatus.MAX_STEPS, at_step=n)
     steps = np.asarray(recorded_steps, dtype=np.int64)
     return steps, np.asarray(recorded_states, dtype=np.float64), verdict
+
+
+def reference_kernel(params, variant, h, scheme):
+    """The one-step kernel the reference loop runs for ``scheme``."""
+    if scheme == "nsfd":
+        return map_kernel(params, variant, h)
+    if scheme == "euler":
+        return euler_kernel(params, variant, h)
+    e, beta = effective_rates(params, variant)
+    return lambda x, y: ref_rk4(params.b_x, params.b_y, params.u_x, params.u_y, params.K, e, beta, x, y, h)
+
+
+def run_loop(params, variant, h, s0, n_steps, run_settings, record_every, scheme):
+    """The package's run: NSFD through ``_scan``, Euler and RK4 through ``simulate_continuous``."""
+    if scheme == "nsfd":
+        scan = partial(_scan, map_kernel(params, variant, h), "nsfd")
+        return _run_monitored(scan, params, variant, s0, n_steps, h, run_settings, record_every)
+    return simulate_continuous(params, variant, s0, h, n_steps, run_settings, scheme=scheme, record_every=record_every)
 
 
 def outcome(run):
@@ -160,13 +183,11 @@ def runs(draw):
 def test_run_loop_matches_reference_bit_for_bit(case):
     params, variant, scheme, h, s0, n_steps, run_settings, record_every = case
     try:
-        advance = map_kernel(params, variant, h) if scheme == "nsfd" else scheme_kernel(params, variant, h, scheme)
+        advance = reference_kernel(params, variant, h, scheme)
     except DomainError:
         assume(False)
     ref = outcome(lambda: ref_run_monitored(advance, params, variant, s0, n_steps, run_settings, record_every, scheme))
-    new = outcome(
-        lambda: _run_monitored(advance, params, variant, s0, n_steps, h, run_settings, record_every, scheme)
-    )
+    new = outcome(lambda: run_loop(params, variant, h, s0, n_steps, run_settings, record_every, scheme))
     if new[0] == "ok":
         run = new[1]
         with np.errstate(over="ignore"):
@@ -176,29 +197,38 @@ def test_run_loop_matches_reference_bit_for_bit(case):
 
 
 def test_run_loop_reaches_each_verdict():
-    """Convergence, divergence, blow-up and the map's domain error each match the reference."""
+    """Every verdict, blow-up and the map's domain error match the reference, for the map and for RK4."""
     general = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.3)
     huge = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1e100, e=0.02, beta=0.3)
-    few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3)
+    few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3), 6
+    # Quiet for a few steps near (0.5, 0), then moving, then quiet to the end:
+    # the quiet count must restart after the move, or the run stops at step 53.
+    restart = ConvergenceSettings(tol_step=3e-3, window=10, tol_eq=1.0), 60
     eq = [e for e in all_equilibria(general, ModelVariant.GENERAL) if e.kind is EquilibriumKind.INTERIOR][0]
     cases = [
-        (general, map_kernel(general, ModelVariant.GENERAL, 0.1), eq.point, "nsfd"),
-        (general, scheme_kernel(general, ModelVariant.GENERAL, 10.0, "euler"), (0.1, 0.9), "euler"),
-        (huge, scheme_kernel(huge, ModelVariant.GENERAL, 10.0, "rk4"), (1.2, 0.15), "rk4"),
-        (general, map_kernel(general, ModelVariant.GENERAL, 1.0), (1e-320, 1.0), "nsfd"),
+        (general, 0.1, eq.point, "nsfd", few, VerdictStatus.CONVERGED),
+        (general, 10.0, (0.1, 0.9), "euler", few, VerdictStatus.DIVERGED),
+        (general, 1.0, (1e-320, 1.0), "nsfd", few, DomainError),
+        (general, 0.1, eq.point, "rk4", few, VerdictStatus.CONVERGED),
+        (general, 2.0, (0.5, 1e-3), "rk4", restart, VerdictStatus.CONVERGED),
+        (general, 5.0, (1.2, 0.15), "rk4", few, VerdictStatus.DIVERGED),
+        (general, 1.0, (2e6, 0.1), "rk4", few, VerdictStatus.DIVERGED),  # at step 0
+        (general, 1.0, (0.5, 0.5), "rk4", few, VerdictStatus.MAX_STEPS),
+        (huge, 10.0, (1.2, 0.15), "rk4", few, BlowUpError),
     ]
-    seen = []
-    for params, advance, s0, scheme in cases:
-        ref = outcome(lambda: ref_run_monitored(advance, params, ModelVariant.GENERAL, s0, 6, few, 4, scheme))
-        new = outcome(lambda: _run_monitored(advance, params, ModelVariant.GENERAL, s0, 6, 1.0, few, 4, scheme))
+    for params, h, s0, scheme, (run_settings, n_steps), expected in cases:
+        advance = reference_kernel(params, ModelVariant.GENERAL, h, scheme)
+        ref = outcome(
+            lambda: ref_run_monitored(advance, params, ModelVariant.GENERAL, s0, n_steps, run_settings, 4, scheme)
+        )
+        new = outcome(lambda: run_loop(params, ModelVariant.GENERAL, h, s0, n_steps, run_settings, 4, scheme))
         if new[0] == "ok":
             run = new[1]
             new = ("ok", (run.steps, run.states, run.verdict))
-            seen.append(run.verdict.status)
+            assert run.verdict.status is expected, (scheme, s0)
         else:
-            seen.append(new[1])
+            assert new[1] is expected, (scheme, s0, new)
         same_bits(ref, new)
-    assert seen == [VerdictStatus.CONVERGED, VerdictStatus.DIVERGED, BlowUpError, DomainError]
 
 
 def test_proximity_test_names_the_nearest_equilibrium():

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.convergence import ConvergenceSettings, Verdict, VerdictStatus
-from nsfd_epi.integrators import scheme_kernel
+from nsfd_epi.integrators import euler_kernel, simulate_continuous
 from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interior_equilibrium
-from nsfd_epi.model import DomainError, HostParams, ModelVariant, effective_rates, field_kernel, vector_field
+from nsfd_epi.model import (
+    BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, field_kernel, vector_field
+)
 from nsfd_epi.nsfd import denominators, iterate, map_kernel, map_lanes, step
 from nsfd_epi.verification import SCENARIOS, benchmark_params
 
@@ -379,6 +381,21 @@ def bits(state):
     return tuple(float(v).hex() for v in state)
 
 
+def rk4_once(params, variant, dt, x, y):
+    """One RK4 step as a one-step run of ``simulate_continuous``: the new state's bits, or "overflow"."""
+    try:
+        run = simulate_continuous(params, variant, (x, y), dt, 1)
+    except BlowUpError:
+        return "overflow"
+    assert run.steps.tolist() == [0, 1]
+    return bits(run.states[-1])
+
+
+def finite_bits(state):
+    """``bits``, with a state that is not finite, which the run loop refuses, as "overflow"."""
+    return bits(state) if all(map(math.isfinite, state)) else "overflow"
+
+
 def map_outcome(fn, *args):
     try:
         return bits(fn(*args))
@@ -420,9 +437,9 @@ def test_rk4_and_euler_match_inlined_kernels_bit_for_bit(params, variant, dt, x,
     params = fit_variant(params, variant)
     e, beta = effective_rates(params, variant)
     args = (params.b_x, params.b_y, params.u_x, params.u_y, params.K, e, beta, x, y, dt)
+    assert rk4_once(params, variant, dt, x, y) == finite_bits(ref_rk4(*args))
     # float.hex spells every NaN "nan", so a step that overflows compares too.
-    assert bits(scheme_kernel(params, variant, dt)(x, y)) == bits(ref_rk4(*args))
-    assert bits(scheme_kernel(params, variant, dt, "euler")(x, y)) == bits(ref_euler(*args))
+    assert bits(euler_kernel(params, variant, dt)(x, y)) == bits(ref_euler(*args))
 
 
 # The lanes kernel against the scalar one: every state of every lane,
@@ -501,8 +518,9 @@ def test_lanes_step_refused_states_without_a_warning():
             map_kernel(*setups[0])(*start)
 
 
-# The RK4 kernel writes the field out in each stage for speed.  Staged
-# through model.field_kernel, as four calls, it must give the same bits.
+# The RK4 loop writes the field out in each stage for speed.  Staged
+# through model.field_kernel, as four calls, a step must give the same
+# bits; each state is stepped by a one-step run.
 
 
 def staged_rk4(field, dt):
@@ -523,11 +541,13 @@ def staged_rk4(field, dt):
 # rate).  A regrouped product changes the result for only about 1 in 40
 # random general-variant states, so each example steps a list of them,
 # and the general scenario (K = 1) at dt = 1 always steps a 32 x 32 grid.
+# A start past the divergence limit, 1e6 K, takes no step, so each state
+# carries a fraction f in [2e-6, 1]: such a start runs at K = f * |start|.
 rk4_coords = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e154, -1e154, 1e300, -1e300]),
     st.floats(-10.0, 10.0),
 )
-phase_grid = [(0.05 * i, 0.05 * j) for i in range(32) for j in range(32)]
+phase_grid = [(0.05 * i, 0.05 * j, 1.0) for i in range(32) for j in range(32)]
 
 
 @settings(max_examples=600, deadline=None)
@@ -536,10 +556,14 @@ phase_grid = [(0.05 * i, 0.05 * j) for i in range(32) for j in range(32)]
     params=st.one_of(strict_params, permissive_params),
     variant=st.sampled_from(list(ModelVariant)),
     dt=st.floats(-12.0, 12.0).map(lambda k: 10.0**k),
-    states=st.lists(st.tuples(rk4_coords, rk4_coords), min_size=1, max_size=8),
+    states=st.lists(st.tuples(rk4_coords, rk4_coords, st.floats(2e-6, 1.0)), min_size=1, max_size=8),
 )
 def test_fused_rk4_matches_field_kernel_staged_bit_for_bit(params, variant, dt, states):
     params = fit_variant(params, variant)
-    fused = scheme_kernel(params, variant, dt, "rk4")
-    staged = staged_rk4(field_kernel(params, variant), dt)
-    assert [bits(fused(x, y)) for x, y in states] == [bits(staged(x, y)) for x, y in states]
+    fused, staged = [], []
+    for x, y, fraction in states:
+        reach = max(abs(x), abs(y))
+        p = params if reach <= 1e6 * params.K else dataclasses.replace(params, K=fraction * reach)
+        fused.append(rk4_once(p, variant, dt, x, y))
+        staged.append(finite_bits(staged_rk4(field_kernel(p, variant), dt)(x, y)))
+    assert fused == staged
