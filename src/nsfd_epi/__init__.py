@@ -52,7 +52,6 @@ from .stability import (
     jury_conditions,
     map_weights,
     stability_report,
-    theorem_prediction,
 )
 
 __version__ = "0.1.0"

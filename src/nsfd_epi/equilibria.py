@@ -208,8 +208,9 @@ def _positive_quadratic_root(coeffs: InteriorCoefficients) -> tuple[float, float
         return math.nan, disc
     root_disc = math.sqrt(disc)
     if b > 0:
-        denom = b + root_disc
-        x = -2.0 * c / denom if denom != 0 else math.nan
+        # denom >= B > 0.  Where 2C overflows, |C|/denom >= 1/2, so doubling it is exact.
+        denom, two_c = b + root_disc, 2.0 * c
+        x = -two_c / denom if math.isfinite(two_c) else -c / denom * 2.0
     else:
         x = (-b + root_disc) / (2.0 * a)
     return x, disc

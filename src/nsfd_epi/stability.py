@@ -12,17 +12,19 @@ from it: J - I = W Jc, with W = diag(phi1/(1 + phi1 D1),
 phi2/(1 + phi2 D2)) positive (``map_weights``), the elementary-stability
 argument of Anguelov & Lubuma (2001) in matrix form.
 
-Classification is by eigenvalues: sign of the real parts in the
-continuous regime, and in the discrete one the sign of
-|1 + nu|^2 - 1 = 2 Re nu + |nu|^2 for the eigenvalues nu of W Jc,
-which never subtracts from 1; W is scaled by a power of two before
-solving, so neither tiny nor huge h leaves the float range.  For 2x2
-discrete maps with diagonal entries in (0, 1), both eigenvalues lie
-inside the unit circle iff 1 - det > 0 and 1 - trace + det > 0
-(jury_conditions).  theorem_prediction evaluates the closed-form
-stability criteria of each equilibrium kind, which are the same
-inequalities in both regimes, so they can be cross-checked against
-the eigenvalue classification at any step size.
+The flow's verdict is the sign of the real parts of Jc's eigenvalues
+(``classify``); the map's is the 2x2 Schur-Cohn (Jury) test of
+J = I + M, M = W Jc (``jury_conditions``).  With P the characteristic
+polynomial of J, both multipliers lie inside the unit circle iff
+P(1) = det M, P(-1) = 4 + 2 tr M + det M and 1 - det J = -(tr M + det M)
+are all positive; P(1) P(-1) < 0 is a saddle, any other case a source.
+No hypothesis on the entries, nothing subtracted from 1.  A multiplier
+is on the circle at 1 only when P(1) (of the sign of det Jc) is exactly
+0, at -1 when a real one is within about 4 EPS_HYPERBOLIC of it, and as
+a complex pair (P(1), P(-1) > 0) when 1 - det J is within EPS_HYPERBOLIC
+of 0 relative to |tr M| + |det M|.  W is scaled by a power of two first,
+so no h leaves the float range.  stability_conditions evaluates the
+closed-form criteria, the same in both regimes, to cross-check both.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ __all__ = [
     "prediction_matches",
     "stability_conditions",
     "stability_report",
-    "theorem_prediction",
 ]
 
-# Relative tolerance for declaring an eigenvalue on the stability
-# boundary; the theory assumes strict inequalities throughout.
+# Relative tolerance for declaring an eigenvalue or a multiplier on the
+# stability boundary; the theory assumes strict inequalities throughout.
 EPS_HYPERBOLIC = 1e-9
 
 
@@ -194,60 +195,67 @@ def _by_modulus(eigs: tuple[complex, complex]) -> tuple[complex, complex]:
     return tuple(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))  # type: ignore[return-value]
 
 
-def classify(eigs: tuple[complex, complex], regime: Regime) -> Classification:
-    """Eigenvalue classification for the given regime.
+def classify(eigs: tuple[complex, complex]) -> Classification:
+    """The flow's classification by the eigenvalues of Jc.
 
-    Continuous: ``eigs`` are those of Jc; both real parts negative is
-    stable, both positive a source, mixed a saddle.  Discrete: ``eigs``
-    are the nu of J - I, and 2 Re nu/|nu| + |nu|, the sign of
-    |1 + nu|^2 - 1, takes the place of the real part.  A value within
-    EPS_HYPERBOLIC of 0, relative to 1 + |z| or 2 + |z|, is nonhyperbolic.
+    Both real parts negative is stable, both positive a source, mixed a
+    saddle.  A real part within EPS_HYPERBOLIC of 0, relative to
+    1 + |z|, is nonhyperbolic.
     """
-    if regime is Regime.CONTINUOUS:
-        signed = [(z.real, 1.0 + abs(z)) for z in eigs]
-    else:
-        signed = [(2.0 * z.real / abs(z) + abs(z) if z else 0.0, 2.0 + abs(z)) for z in eigs]
-    if any(abs(v) <= EPS_HYPERBOLIC * band for v, band in signed):
+    if any(abs(z.real) <= EPS_HYPERBOLIC * (1.0 + abs(z)) for z in eigs):
         return Classification.NONHYPERBOLIC
-    if all(v < 0 for v, _ in signed):
+    if all(z.real < 0 for z in eigs):
         return Classification.STABLE
-    if all(v > 0 for v, _ in signed):
+    if all(z.real > 0 for z in eigs):
         return Classification.SOURCE
     return Classification.SADDLE
 
 
 class JuryConditions(NamedTuple):
-    """The four quantities of the 2x2 inside-the-unit-circle test."""
+    """The signs of ``jury_conditions`` and their verdict."""
 
+    p_one: float
+    p_minus_one: float
     one_minus_det: float
-    one_minus_trace_plus_det: float
-    a11: float
-    a22: float
+    hyperbolic: bool
     verdict: bool
 
+    @property
+    def classification(self) -> Classification:
+        """The fixed-point type these signs give (for floats, not arrays)."""
+        if not self.hyperbolic:
+            return Classification.NONHYPERBOLIC
+        if self.verdict:
+            return Classification.STABLE
+        if (self.p_one > 0) != (self.p_minus_one > 0):
+            return Classification.SADDLE
+        return Classification.SOURCE
 
-def jury_conditions(m: Matrix2) -> JuryConditions:
-    """The 2x2 inside-the-unit-circle test.
 
-    For a matrix whose diagonal entries lie in (0, 1), both eigenvalue
-    moduli are < 1 iff 1 - det > 0 and 1 - tr + det > 0.  The diagonal
-    range is a hypothesis of that rule, not a consequence: the verdict
-    is True only when all three hold, and False for any matrix with a
-    diagonal entry outside (0, 1).  The entries may be floats (the
-    verdict is then a bool) or float64 arrays of matrices (one verdict
-    per element).
+def jury_conditions(m: Matrix2, k: int = 0) -> JuryConditions:
+    """The Jury test of J = I + M: P(1), P(-1), 1 - det J and their verdict.
+
+    ``m`` is M / 2^k, and the numbers come divided by powers of two that
+    keep 2^k from taking them out of range: P(1) by 4^k, P(-1) by
+    max(1, 4^k), 1 - det J by 2^k max(1, 2^k).  ``verdict`` (both
+    multipliers inside the circle) needs all three positive and
+    ``hyperbolic`` (see the module docstring for its bands).  Entries
+    may be floats or float64 arrays of matrices (one verdict each).
     """
-    one_minus_det = 1.0 - m.det
-    one_minus_trace_plus_det = 1.0 - m.trace + m.det
-    verdict = (
-        (one_minus_det > 0)
-        & (one_minus_trace_plus_det > 0)
-        & (0 < m.a11)
-        & (m.a11 < 1)
-        & (0 < m.a22)
-        & (m.a22 < 1)
+    a, b = (2.0**-k, 1.0) if k > 0 else (1.0, 2.0**k)
+    tr, det = m.trace, m.det
+    p_minus_one = 4.0 * a * a + 2.0 * a * b * tr + b * b * det
+    one_minus_det = -(a * tr + b * det)
+    # A real multiplier within about e of -1 gives |P(-1)| <= e (|P'(-1)| + e), P'(-1) = -(4 + tr M).
+    # det J = 1 puts a multiplier on the circle only as a complex pair, where P(1) and P(-1) are positive.
+    e = 4.0 * EPS_HYPERBOLIC * a
+    hyperbolic = (
+        (det != 0)
+        & (abs(p_minus_one) > e * (abs(4.0 * a + b * tr) + e))
+        & ((abs(one_minus_det) > EPS_HYPERBOLIC * (a * abs(tr) + b * abs(det))) | (det < 0) | (p_minus_one < 0))
     )
-    return JuryConditions(one_minus_det, one_minus_trace_plus_det, m.a11, m.a22, verdict)
+    verdict = hyperbolic & (det > 0) & (p_minus_one > 0) & (one_minus_det > 0)
+    return JuryConditions(det, p_minus_one, one_minus_det, hyperbolic, verdict)
 
 
 @dataclass(frozen=True)
@@ -339,17 +347,6 @@ def stability_conditions(params: HostParams, variant: ModelVariant, eq: Equilibr
     return StabilityConditions(TheoremPrediction.NOT_COVERED, conds, (), notes)
 
 
-def theorem_prediction(params: HostParams, variant: ModelVariant, eq: Equilibrium) -> TheoremPrediction:
-    """Stability verdict from the closed-form criteria, if they apply.
-
-    The criteria are identical for the continuous system and the
-    discrete maps, so one verdict serves both regimes.  Returns
-    NOT_COVERED when the equilibrium does not exist or no criterion's
-    hypotheses are met.
-    """
-    return stability_conditions(params, variant, eq).prediction
-
-
 def prediction_matches(prediction: TheoremPrediction, classification: Classification) -> bool:
     """Does a coarse stable/unstable prediction agree with a classification?"""
     if prediction is TheoremPrediction.STABLE:
@@ -378,8 +375,9 @@ def stability_report(
 ) -> list[StabilityReport]:
     """Classify an equilibrium under the flow, then under the map at each h, and cross-check the closed-form criteria.
 
-    Jc and the criteria are computed once.  The map's multipliers are
-    1 + nu, with nu the eigenvalues of W(h) Jc (see ``map_weights``).
+    Jc and the criteria are computed once.  The map's verdict is
+    ``jury_conditions`` of M = W(h) Jc (see ``map_weights``); its
+    multipliers, 1 + the eigenvalues of M, are solved for the report.
     """
     jc = continuous_jacobian(params, variant, eq.point)
     crit = stability_conditions(params, variant, eq)
@@ -391,17 +389,17 @@ def stability_report(
         )
 
     eigs = eigenvalues2(jc)
-    reports = [report(Regime.CONTINUOUS, None, eigs, classify(eigs, Regime.CONTINUOUS))]
+    reports = [report(Regime.CONTINUOUS, None, eigs, classify(eigs))]
     weights = map_weights(params, variant, eq.point) if h_list else None
     for h in h_list:
-        # nu = eig(W Jc), solved with W scaled (exactly) by a power of two near 1.
+        # M / 2^k, with W scaled (exactly) by a power of two near 1.
         w1, w2 = weights(h)
         k = min(math.frexp(max(abs(w1), abs(w2)))[1], 1023)
         s1, s2, scale = math.ldexp(w1, -k), math.ldexp(w2, -k), math.ldexp(1.0, k)
-        scaled = _eigenvalues(Matrix2(s1 * jc.a11, s1 * jc.a12, s2 * jc.a21, s2 * jc.a22))
-        nus = (scaled[0] * scale, scaled[1] * scale)
-        multipliers = (1.0 + nus[0], 1.0 + nus[1])
+        scaled = Matrix2(s1 * jc.a11, s1 * jc.a12, s2 * jc.a21, s2 * jc.a22)
+        nus = _eigenvalues(scaled)
+        multipliers = (1.0 + nus[0] * scale, 1.0 + nus[1] * scale)
         if not _moduli_finite(multipliers):
             raise DomainError(f"multipliers {multipliers!r} at h = {h!r} are out of floating-point range")
-        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), classify(nus, Regime.DISCRETE)))
+        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), jury_conditions(scaled, k).classification))
     return reports

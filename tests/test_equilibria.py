@@ -3,7 +3,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.equilibria import (
@@ -274,8 +274,9 @@ def test_threshold_iff_infected_coexistence(b_x, by_frac, u_x, du, big_k, beta):
 # the form -2C / (B + sqrt(B^2 - 4AC)), whose sum has no cancellation.
 # Over 20,000 such triples (log-uniform B and |A|, uniform AC/B^2, drawn
 # with Python's random, seed 0) the root was at most 2.02 ulps off, and
-# the direct formula more than 1e5 ulps off in 16,003 of them.  |C| stays below half the largest double:
-# above it, -2C overflows and the root reads inf.
+# the direct formula more than 1e5 ulps off in 16,003 of them.  Where
+# |C| is above half the largest double, 2C overflows, and the root is
+# taken as (-C / denom) * 2.
 ROOT_ULPS = 3.0
 
 
@@ -287,12 +288,13 @@ def cancelling_quadratics(draw):
     a *= draw(st.sampled_from([-1.0, 1.0]))
     share = draw(st.floats(-2.5e-7, 2.5e-7))  # A C / B^2
     c = share * b * (b / a) if a else draw(st.floats(-1e300, 1e300))
-    assume(abs(c) <= sys.float_info.max / 2)
+    assume(math.isfinite(c))
     return a, b, c
 
 
 @settings(max_examples=500, deadline=None)
 @given(coeffs=cancelling_quadratics())
+@example(coeffs=(3.64e-76, 2.06e120, 1.376e308))  # 2C overflows; the root is about -6.68e187
 def test_positive_root_is_accurate_near_cancellation(coeffs):
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.MPContext()
@@ -304,3 +306,19 @@ def test_positive_root_is_accurate_near_cancellation(coeffs):
     x, disc = _positive_quadratic_root(InteriorCoefficients(*coeffs))
     assert disc >= 0
     assert abs(mp.mpf(x) - want) <= ROOT_ULPS * mp.mpf(math.ulp(float(want))), (coeffs, x, want)
+
+
+finite_coefficients = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=finite_coefficients, b=finite_coefficients.filter(lambda b: b > 0), c=finite_coefficients)
+@example(a=0.0, b=2.5005e-320, c=1e-310)  # -C / (denom/2) would differ: denom/2 is inexact
+@example(a=0.0, b=5e-324, c=8.98846567431158e307)  # 2C overflows, and denom/2 would be 0
+def test_positive_root_keeps_the_bits_of_minus_2c_over_denom_where_that_is_finite(a, b, c):
+    x, disc = _positive_quadratic_root(InteriorCoefficients(a, b, c))
+    assume(disc >= 0)
+    denom = b + math.sqrt(disc)
+    old = -2.0 * c / denom
+    if math.isfinite(old):
+        assert x.hex() == old.hex()

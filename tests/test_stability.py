@@ -27,8 +27,8 @@ from nsfd_epi.stability import (
     jury_conditions,
     map_weights,
     prediction_matches,
+    stability_conditions,
     stability_report,
-    theorem_prediction,
 )
 from nsfd_epi.verification import _draw_strict_params, benchmark_params
 
@@ -300,7 +300,7 @@ class TestEigenvalues2:
         assert not math.isfinite(m.trace * m.trace)
         eigs = eigenvalues2(m)
         assert eigs == (pytest.approx(8.3333333333e298), -0.5)
-        assert classify(eigs, Regime.CONTINUOUS) is Classification.SADDLE
+        assert classify(eigs) is Classification.SADDLE
 
     def test_eigenvalues_past_the_float_range_are_domain_error(self):
         for m in (Matrix2(1.5e308, -1.5e308, 1.5e308, 1.5e308), Matrix2(1.7e308, 1.7e308, 1.7e308, 1.7e308)):
@@ -327,138 +327,172 @@ def test_overflowing_eigenvalues_are_2_to_the_k_times_those_of_the_matrix_over_2
             eigenvalues2(m)
 
 
+def map_verdict(*entries):
+    """The map's classification of M, scaled by a power of two as ``stability_report`` scales it."""
+    k = math.frexp(max(abs(a) for a in entries))[1]
+    return jury_conditions(Matrix2(*(math.ldexp(a, -k) for a in entries)), k).classification
+
+
 class TestClassify:
     def test_discrete_examples(self):
-        # Discrete eigenvalues are nu = mu - 1, so the multipliers below are 0.9 and 0.5, 1.2 and 0.5, ...
-        assert classify((-0.1 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.STABLE
-        assert classify((0.2 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.SADDLE
-        assert classify((0.2 + 0j, 0.05 + 0j), Regime.DISCRETE) is Classification.SOURCE
-        assert classify((0j, -0.5 + 0j), Regime.DISCRETE) is Classification.NONHYPERBOLIC
+        # M = diag(nu), so the multipliers 1 + nu below are 0.9 and 0.5, 1.2 and 0.5, ...
+        assert map_verdict(-0.1, 0.0, 0.0, -0.5) is Classification.STABLE
+        assert map_verdict(0.2, 0.0, 0.0, -0.5) is Classification.SADDLE
+        assert map_verdict(0.2, 0.0, 0.0, 0.05) is Classification.SOURCE
+        assert map_verdict(0.0, 0.0, 0.0, -0.5) is Classification.NONHYPERBOLIC
         # mu = -1 is on the unit circle, and mu = -1.5 outside it.
-        assert classify((-2.0 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.NONHYPERBOLIC
-        assert classify((-2.5 + 0j, -0.5 + 0j), Regime.DISCRETE) is Classification.SADDLE
-        # 1 - 1e-300 rounds to 1, but nu keeps the sign: nothing is subtracted from 1.
-        assert classify((-1e-300 + 0j, -3e-301 + 0j), Regime.DISCRETE) is Classification.STABLE
-        assert classify((1e-300 + 0j, -3e-301 + 0j), Regime.DISCRETE) is Classification.SADDLE
-        # |nu|^2 would overflow here; the multiplier is far outside the circle.
-        assert classify((-1e200 + 0j, 1e200 + 0j), Regime.DISCRETE) is Classification.SOURCE
+        assert map_verdict(-2.0, 0.0, 0.0, -0.5) is Classification.NONHYPERBOLIC
+        assert map_verdict(-2.5, 0.0, 0.0, -0.5) is Classification.SADDLE
+        # mu = -1.00001 twice: P(-1) = 1e-10 is small, but neither multiplier is on the circle.
+        assert map_verdict(-2.00001, 0.0, 0.0, -2.00001) is Classification.SOURCE
+        # mu = 2 and -2: P(1) and P(-1) are both negative, a source.
+        assert map_verdict(1.0, 0.0, 0.0, -3.0) is Classification.SOURCE
+        # mu = 2 and 0.5: det J = 1, but the pair is real, so no multiplier is on the circle.
+        assert map_verdict(1.0, 0.0, 0.0, -0.5) is Classification.SADDLE
+        # 1 - 1e-300 rounds to 1, but M keeps the signs: nothing is subtracted from 1.
+        assert map_verdict(-1e-300, 0.0, 0.0, -3e-301) is Classification.STABLE
+        assert map_verdict(1e-300, 0.0, 0.0, -3e-301) is Classification.SADDLE
+        # det M would overflow here; the multipliers are far outside the circle.
+        assert map_verdict(-1e200, 0.0, 0.0, 1e200) is Classification.SOURCE
 
     def test_continuous_examples(self):
-        assert classify((-0.5 + 0j, -0.05 + 0j), Regime.CONTINUOUS) is Classification.STABLE
-        assert classify((0.5 + 0j, -0.05 + 0j), Regime.CONTINUOUS) is Classification.SADDLE
-        assert classify((0.5 + 0j, 0.05 + 0j), Regime.CONTINUOUS) is Classification.SOURCE
-        assert classify((0j, -0.5 + 0j), Regime.CONTINUOUS) is Classification.NONHYPERBOLIC
+        assert classify((-0.5 + 0j, -0.05 + 0j)) is Classification.STABLE
+        assert classify((0.5 + 0j, -0.05 + 0j)) is Classification.SADDLE
+        assert classify((0.5 + 0j, 0.05 + 0j)) is Classification.SOURCE
+        assert classify((0j, -0.5 + 0j)) is Classification.NONHYPERBOLIC
 
     def test_complex_pairs_use_modulus_or_real_part(self):
         spiral = (complex(-0.1, 0.8), complex(-0.1, -0.8))
-        assert classify(spiral, Regime.CONTINUOUS) is Classification.STABLE
-        # As nu, the same pair gives multipliers 0.9 +- 0.8i, outside the unit circle.
-        assert classify(spiral, Regime.DISCRETE) is Classification.SOURCE
-        inside = (complex(-0.5, 0.5), complex(-0.5, -0.5))
-        assert classify(inside, Regime.DISCRETE) is Classification.STABLE
-        wide = (complex(-0.2, 0.8), complex(-0.2, -0.8))
-        assert classify(wide, Regime.DISCRETE) is Classification.SOURCE
+        assert classify(spiral) is Classification.STABLE
+        # As the eigenvalues of M, the same pair gives multipliers 0.9 +- 0.8i, outside the unit circle.
+        assert map_verdict(-0.1, -0.8, 0.8, -0.1) is Classification.SOURCE
+        assert map_verdict(-0.5, -0.5, 0.5, -0.5) is Classification.STABLE  # 0.5 +- 0.5i
+        assert map_verdict(-0.2, -0.8, 0.8, -0.2) is Classification.SOURCE  # 0.8 +- 0.8i
 
 
 class TestJury:
     def test_stable_diagonal(self):
-        res = jury_conditions(Matrix2(0.5, 0.0, 0.0, 0.5))
-        assert res == (0.75, 0.25, 0.5, 0.5, True)
+        # J = diag(0.5, 0.5): P(1) = 0.25, P(-1) = 2.25, 1 - det J = 0.75.
+        res = jury_conditions(Matrix2(-0.5, 0.0, 0.0, -0.5))
+        assert res == (0.25, 2.25, 0.75, True, True)
 
     def test_diagonal_outside_unit_interval(self):
-        assert not jury_conditions(Matrix2(1.2, 0.0, 0.0, 0.5)).verdict
+        # J = diag(1.2, 0.5).
+        res = jury_conditions(Matrix2(0.2, 0.0, 0.0, -0.5))
+        assert not res.verdict and res.classification is Classification.SADDLE
 
-    @pytest.mark.parametrize("a11", [0.0, 1.0])
-    def test_diagonal_at_an_interval_end_is_outside_the_hypothesis(self, a11):
-        # Both eigenvalues lie inside the unit circle and both determinant
-        # conditions hold, but a diagonal entry is not in (0, 1): False.
-        m = Matrix2(a11, 0.5, -0.2, 0.5)
-        assert all(abs(z) < 1.0 for z in eigenvalues2(m))
+    @pytest.mark.parametrize("j11", [0.0, 1.0])
+    def test_diagonal_at_an_interval_end_needs_no_hypothesis(self, j11):
+        # J = (j11, 0.5, -0.2, 0.5) has both eigenvalues inside the unit circle; the
+        # old rule refused it because a diagonal entry of J is not in (0, 1).
+        m = Matrix2(j11 - 1.0, 0.5, -0.2, -0.5)
+        assert all(abs(z) < 1.0 for z in eigenvalues2(Matrix2(j11, 0.5, -0.2, 0.5)))
         res = jury_conditions(m)
-        assert res.one_minus_det > 0 and res.one_minus_trace_plus_det > 0
-        assert res.verdict is False
+        assert res.p_one > 0 and res.p_minus_one > 0 and res.one_minus_det > 0
+        assert res.verdict is True
 
     def test_discrete_interior_jacobian_verdict(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
         a = increment_matrix(GENERAL_HIGH, ModelVariant.GENERAL, eq.point, 0.1)
-        m = Matrix2(1.0 + a.a11, a.a12, a.a21, 1.0 + a.a22)
-        res = jury_conditions(m)
-        assert res.verdict
-        assert all(abs(z) < 1.0 for z in eigenvalues2(m))
+        assert jury_conditions(a).verdict
+        assert all(abs(z) < 1.0 for z in eigenvalues2(Matrix2(1.0 + a.a11, a.a12, a.a21, 1.0 + a.a22)))
         assert stability_report(GENERAL_HIGH, ModelVariant.GENERAL, eq, (0.1,))[1].classification is (
             Classification.STABLE
         )
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    a11=st.floats(1e-6, 1.0 - 1e-6),
-    a22=st.floats(1e-6, 1.0 - 1e-6),
-    a12=st.floats(-2.0, 2.0),
-    a21=st.floats(-2.0, 2.0),
-)
-def test_jury_matches_eigenvalue_moduli(a11, a22, a12, a21):
-    m = Matrix2(a11, a12, a21, a22)
-    moduli = [abs(z) for z in eigenvalues2(m)]
-    assume(all(abs(mod - 1.0) > 1e-9 for mod in moduli))
-    assert jury_conditions(m).verdict == all(mod < 1.0 for mod in moduli)
+@given(entries=st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+@example(entries=(1.0, 0.0, 0.0, -0.5))  # multipliers 2 and 0.5: det J = 1
+@example(entries=(-2.00001, 0.0, 0.0, -2.00001))  # a double multiplier 1e-5 outside -1
+def test_jury_matches_eigenvalue_moduli(entries):
+    """Any real M: the verdict and classification count the eigenvalues of I + M inside the circle.
+
+    For entries in [-3, 3] the bands reach about 2e-8 in modulus, and a
+    double multiplier moves by about that much under rounding, so a
+    multiplier within 1e-7 of the circle is skipped.
+    """
+    m = Matrix2(*entries)
+    moduli = [abs(z) for z in eigenvalues2(Matrix2(1.0 + m.a11, m.a12, m.a21, 1.0 + m.a22))]
+    assume(all(abs(mod - 1.0) > 1e-7 for mod in moduli))
+    inside = sum(mod < 1.0 for mod in moduli)
+    res = jury_conditions(m)
+    assert res.verdict == (inside == 2)
+    assert res.classification is (Classification.SOURCE, Classification.SADDLE, Classification.STABLE)[inside]
+
+
+normal_entries = st.one_of(st.just(0.0), st.floats(2.0**-400, 1.0), st.floats(-1.0, -(2.0**-400)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.tuples(*[normal_entries] * 4), k=st.integers(-60, 60))
+def test_jury_on_m_over_2_to_the_k_is_jury_on_m_in_its_units(entries, k):
+    """With m = M / 2^k, P(1) comes divided by 4^k, P(-1) by max(1, 4^k) and 1 - det J by 2^k max(1, 2^k)."""
+    m = Matrix2(*entries)
+    scaled, direct = jury_conditions(m, k), jury_conditions(Matrix2(*(math.ldexp(a, k) for a in m)))
+    units = (2 * k, 2 * max(k, 0), k + max(k, 0))
+    assert [math.ldexp(v, e) for v, e in zip(scaled[:3], units)] == list(direct[:3])
+    assert scaled[3:] == direct[3:] and scaled.classification is direct.classification
 
 
 jury_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan, math.inf]), st.floats(-2.0, 2.0))
 
 
 @settings(max_examples=300, deadline=None)
-@given(entries=st.lists(st.tuples(jury_entries, jury_entries, jury_entries, jury_entries), min_size=1, max_size=8))
-def test_jury_on_arrays_matches_jury_on_floats(entries):
+@given(
+    entries=st.lists(st.tuples(jury_entries, jury_entries, jury_entries, jury_entries), min_size=1, max_size=8),
+    k=st.sampled_from([0, -1074, -600, -3, 5, 700, 1023]),
+)
+def test_jury_on_arrays_matches_jury_on_floats(entries, k):
     """One call on arrays of matrices gives each matrix's float verdict and quantities, bit for bit."""
     with np.errstate(invalid="ignore"):
-        batched = jury_conditions(Matrix2(*(np.array(column) for column in zip(*entries))))
+        batched = jury_conditions(Matrix2(*(np.array(column) for column in zip(*entries))), k)
     for i, entry in enumerate(entries):
-        single = jury_conditions(Matrix2(*entry))
-        assert type(single.verdict) is bool
-        assert batched.verdict[i] == single.verdict
-        assert [float(v[i]).hex() for v in batched[:4]] == [float(v).hex() for v in single[:4]]
+        single = jury_conditions(Matrix2(*entry), k)
+        assert type(single.verdict) is bool and type(single.hyperbolic) is bool
+        assert (batched.hyperbolic[i], batched.verdict[i]) == (single.hyperbolic, single.verdict)
+        assert [float(v[i]).hex() for v in batched[:3]] == [float(v).hex() for v in single[:3]]
 
 
 class TestTheoremPrediction:
     def test_disease_free_switches_with_threshold(self):
         eq = disease_free_equilibrium(GENERAL_LOW)
         assert (
-            theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq)
+            stability_conditions(GENERAL_LOW, ModelVariant.GENERAL, eq).prediction
             is TheoremPrediction.STABLE
         )
         eq_high = disease_free_equilibrium(GENERAL_HIGH)
         assert (
-            theorem_prediction(GENERAL_HIGH, ModelVariant.GENERAL, eq_high)
+            stability_conditions(GENERAL_HIGH, ModelVariant.GENERAL, eq_high).prediction
             is TheoremPrediction.UNSTABLE
         )
 
     def test_susceptible_free_always_unstable_without_contact(self):
         eq = susceptible_free_equilibrium(VERT, ModelVariant.VERTICAL)
-        assert theorem_prediction(VERT, ModelVariant.VERTICAL, eq) is TheoremPrediction.UNSTABLE
+        assert stability_conditions(VERT, ModelVariant.VERTICAL, eq).prediction is TheoremPrediction.UNSTABLE
 
     @pytest.mark.parametrize("variant", [ModelVariant.VERTICAL, ModelVariant.HORIZONTAL])
     def test_susceptible_free_not_covered_when_its_side_condition_fails(self, variant):
         # b_x*u_y/b_y = 0.025 < u_x = 0.1: uninfected hosts cannot invade, and the point is stable.
         params = dataclasses.replace(VERT, b_x=0.05)
         eq = susceptible_free_equilibrium(params, variant)
-        assert theorem_prediction(params, variant, eq) is TheoremPrediction.NOT_COVERED
+        assert stability_conditions(params, variant, eq).prediction is TheoremPrediction.NOT_COVERED
         for rep in stability_report(params, variant, eq, (0.1,)):
             assert rep.classification is Classification.STABLE and not rep.agree
             assert [(c.name, c.holds) for c in rep.side_conditions] == [("b_x*u_y/b_y > u_x", False)]
 
     def test_nonexistent_equilibrium_not_covered(self):
         eq = interior_equilibrium(GENERAL_LOW, ModelVariant.GENERAL)
-        assert theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq) is (
+        assert stability_conditions(GENERAL_LOW, ModelVariant.GENERAL, eq).prediction is (
             TheoremPrediction.NOT_COVERED
         )
 
     def test_trivial_point_covered_only_when_both_rates_decay(self):
         dying = HostParams(b_x=0.05, b_y=0.03, u_x=0.3, u_y=0.4, K=1.0, e=0.02, beta=0.1)
         eq = trivial_equilibrium()
-        assert theorem_prediction(dying, ModelVariant.GENERAL, eq) is TheoremPrediction.STABLE
+        assert stability_conditions(dying, ModelVariant.GENERAL, eq).prediction is TheoremPrediction.STABLE
         assert (
-            theorem_prediction(GENERAL_LOW, ModelVariant.GENERAL, eq)
+            stability_conditions(GENERAL_LOW, ModelVariant.GENERAL, eq).prediction
             is TheoremPrediction.NOT_COVERED
         )
 

@@ -59,12 +59,9 @@ def ref_positivity_check(n_samples=10_000, n_steps=50):
 def ref_jury_oracle_check(n_samples=100_000):
     name = "jury-eigenvalue-oracle"
     rng = np.random.default_rng(SEED + 1)
-    a11 = rng.uniform(0.0, 1.0, n_samples)
-    a22 = rng.uniform(0.0, 1.0, n_samples)
-    a12 = rng.uniform(-2.0, 2.0, n_samples)
-    a21 = rng.uniform(-2.0, 2.0, n_samples)
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a21
+    m11, m12, m21, m22 = rng.uniform(-2.0, 2.0, (4, n_samples))
+    tr = 2.0 + m11 + m22
+    det = (1.0 + m11) * (1.0 + m22) - m12 * m21
     disc = tr * tr - 4.0 * det
     sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
     mod_big = np.where(
@@ -83,7 +80,7 @@ def ref_jury_oracle_check(n_samples=100_000):
     for i in range(n_samples):
         if near_circle[i]:
             continue
-        verdict = verification.jury_conditions(Matrix2(a11[i], a12[i], a21[i], a22[i])).verdict
+        verdict = verification.jury_conditions(Matrix2(m11[i], m12[i], m21[i], m22[i])).verdict
         if verdict != bool(inside[i]):
             mismatches += 1
     if mismatches:
@@ -252,17 +249,16 @@ def test_jury_oracle_counts_every_matrix_like_scalar_loop(monkeypatch):
 @pytest.mark.parametrize(
     "grid, flipped, passed",
     [
-        (lambda u: (np.floor(u * 8.0) + 0.5) / 8.0, None, True),  # odd sixteenths: diagonal inside (0, 1)
+        (lambda u: (np.floor(u * 8.0) + 0.5) / 8.0, None, True),  # odd sixteenths
         (lambda u: (np.floor(u * 8.0) + 0.5) / 8.0, lambda m: m.a12 > 1.9, False),
-        (lambda u: np.round(u * 8.0) / 8.0, None, False),  # eighths: some diagonal entries are 0 or 1
+        (lambda u: np.round(u * 8.0) / 8.0, None, True),  # eighths: diagonal entries of I + M are 0 or 1 too
     ],
     ids=["odd-sixteenths", "odd-sixteenths-flipped", "eighths"],
 )
 def test_jury_oracle_on_a_grid_matches_scalar_loop(monkeypatch, grid, flipped, passed):
     # Matrices on a grid put eigenvalues exactly on the unit circle, so
-    # some are skipped; a flipped verdict there must not count.  Where a
-    # diagonal entry is 0 or 1 the Jury rule's hypothesis fails, its
-    # verdict is False, and the moduli may say inside.
+    # some are skipped; a flipped verdict there must not count.  The
+    # rule has no hypothesis on the diagonal, so no grid makes it fail.
     real = np.random.default_rng
 
     class GridRng:
