@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .equilibria import Equilibrium
 from .integrators import euler_kernel
 from .model import DomainError, HostParams, ModelVariant, State
-# ``step`` is unused here, but perfbench/selftest.py checks that the tracer patches harness.step.
-from .nsfd import map_kernel, step  # noqa: F401
+from .nsfd import map_kernel, step  # noqa: F401  # step is unused, but the benchmark's tracer patches harness.step
 from .stability import Classification, StabilityReport, stability_report
 
 __all__ = [

@@ -19,12 +19,12 @@ polynomial of J, both multipliers lie inside the unit circle iff
 P(1) = det M, P(-1) = 4 + 2 tr M + det M and 1 - det J = -(tr M + det M)
 are all positive; P(1) P(-1) < 0 is a saddle, any other case a source.
 No hypothesis on the entries, nothing subtracted from 1.  A multiplier
-is on the circle at 1 only when P(1) (of the sign of det Jc) is exactly
-0, at -1 when a real one is within about 4 EPS_HYPERBOLIC of it, and as
-a complex pair (P(1), P(-1) > 0) when 1 - det J is within EPS_HYPERBOLIC
-of 0 relative to |tr M| + |det M|.  W is scaled by a power of two first,
-so no h leaves the float range.  stability_conditions evaluates the
-closed-form criteria, the same in both regimes, to cross-check both.
+is on the circle at 1 only when P(1) is exactly 0, at -1 when a real
+one is within about 4 EPS_HYPERBOLIC of it, and as a complex pair when
+1 - det J is within EPS_HYPERBOLIC of 0 relative to |tr M| + |det M|.
+``map_classification`` rescales M where needed, so no h or rate leaves
+the float range.  stability_conditions evaluates the closed-form
+criteria, the same in both regimes, to cross-check both.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "continuous_jacobian",
     "eigenvalues2",
     "jury_conditions",
+    "map_classification",
     "map_weights",
     "prediction_matches",
     "stability_conditions",
@@ -150,10 +151,7 @@ def _characteristic_roots(m: Matrix2) -> tuple[complex, complex]:
     disc = tr * tr - 4.0 * det
     if disc >= 0:
         root = math.sqrt(disc)
-        if tr >= 0:
-            r1 = 0.5 * (tr + root)
-        else:
-            r1 = 0.5 * (tr - root)
+        r1 = 0.5 * (tr + root) if tr >= 0 else 0.5 * (tr - root)
         r2 = det / r1 if r1 != 0.0 else tr - r1
         return complex(r1), complex(r2)
     re, im = 0.5 * tr, 0.5 * math.sqrt(-disc)
@@ -167,12 +165,11 @@ def _moduli_finite(eigs: tuple[complex, complex]) -> bool:
 def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 matrix, larger modulus first, ties broken by descending real then imaginary part.
 
-    A triangular matrix (a12 or a21 exactly 0) gives its diagonal, which
-    is exact; any other, the roots of its characteristic quadratic in
-    the cancellation-free form.  If the squared trace or the determinant
-    overflows but every entry is finite, the matrix is divided by the
-    power of two 2^k that brings its largest entry below 2, and the
-    eigenvalues multiplied by 2^k.  DomainError if one is not finite.
+    A triangular matrix (a12 or a21 exactly 0) gives its exact diagonal;
+    any other, the roots of its characteristic quadratic in the
+    cancellation-free form, solved for m / 2^k if the squared trace or
+    the determinant overflows (2^k brings the largest entry below 2).
+    DomainError if an eigenvalue is not finite.
     """
     return _by_modulus(_eigenvalues(m))
 
@@ -199,8 +196,7 @@ def classify(eigs: tuple[complex, complex]) -> Classification:
     """The flow's classification by the eigenvalues of Jc.
 
     Both real parts negative is stable, both positive a source, mixed a
-    saddle.  A real part within EPS_HYPERBOLIC of 0, relative to
-    1 + |z|, is nonhyperbolic.
+    saddle; a real part within EPS_HYPERBOLIC (1 + |z|) of 0 is nonhyperbolic.
     """
     if any(abs(z.real) <= EPS_HYPERBOLIC * (1.0 + abs(z)) for z in eigs):
         return Classification.NONHYPERBOLIC
@@ -220,27 +216,14 @@ class JuryConditions(NamedTuple):
     hyperbolic: bool
     verdict: bool
 
-    @property
-    def classification(self) -> Classification:
-        """The fixed-point type these signs give (for floats, not arrays)."""
-        if not self.hyperbolic:
-            return Classification.NONHYPERBOLIC
-        if self.verdict:
-            return Classification.STABLE
-        if (self.p_one > 0) != (self.p_minus_one > 0):
-            return Classification.SADDLE
-        return Classification.SOURCE
-
 
 def jury_conditions(m: Matrix2, k: int = 0) -> JuryConditions:
     """The Jury test of J = I + M: P(1), P(-1), 1 - det J and their verdict.
 
-    ``m`` is M / 2^k, and the numbers come divided by powers of two that
-    keep 2^k from taking them out of range: P(1) by 4^k, P(-1) by
-    max(1, 4^k), 1 - det J by 2^k max(1, 2^k).  ``verdict`` (both
-    multipliers inside the circle) needs all three positive and
-    ``hyperbolic`` (see the module docstring for its bands).  Entries
-    may be floats or float64 arrays of matrices (one verdict each).
+    ``m`` is M / 2^k; the numbers come divided by 4^k, max(1, 4^k) and
+    2^k max(1, 2^k).  ``verdict`` (both multipliers inside the circle)
+    needs all three positive and ``hyperbolic`` (bands in the module
+    docstring).  Entries may be floats or float64 arrays of matrices.
     """
     a, b = (2.0**-k, 1.0) if k > 0 else (1.0, 2.0**k)
     tr, det = m.trace, m.det
@@ -256,6 +239,35 @@ def jury_conditions(m: Matrix2, k: int = 0) -> JuryConditions:
     )
     verdict = hyperbolic & (det > 0) & (p_minus_one > 0) & (one_minus_det > 0)
     return JuryConditions(det, p_minus_one, one_minus_det, hyperbolic, verdict)
+
+
+def map_classification(m: Matrix2, k: int = 0) -> Classification:
+    """The fixed-point type of J = I + M, M = 2^k m, by ``jury_conditions``, for any finite float m.
+
+    Where k, tr m or det m is so far from 1 that a product in the rule
+    could leave the float range, the rule reads instead the companion
+    matrix of m / 2^j, which has its trace and determinant; 2^j brings
+    the largest of |a11|, |a22| and sqrt|det m| into [1, 2), and det m,
+    summed at its larger product's exponent, keeps its sign at the least
+    magnitude if it rounds to 0.
+    """
+    tr, det = m.trace, m.det
+    if not (abs(k) <= 200 and 2.0**-300 <= abs(det) <= 2.0**300 and abs(tr) <= 2.0**300):
+        (m11, e11), (m12, e12), (m21, e21), (m22, e22) = map(math.frexp, m)
+        p, q, ep, eq = m11 * m22, m12 * m21, e11 + e22, e12 + e21
+        top = max(ep, eq) if p and q else ep if p else eq
+        mantissa, de = math.frexp(math.ldexp(p, ep - top) - math.ldexp(q, eq - top))
+        # An exponent for a zero is below any float's; an all-zero m reads nonhyperbolic at any j.
+        j = max(e11 if m11 else -1100, e22 if m22 else -1100, (top + de + 1) // 2 if mantissa else -1100) - 1
+        tr = math.ldexp(m.a11, -j) + math.ldexp(m.a22, -j)
+        det = math.ldexp(mantissa, top + de - 2 * j) or math.copysign(math.ulp(0.0) * (mantissa != 0), mantissa)
+        m, k = Matrix2(tr, -det, 1.0, 0.0), k + j
+    jury = jury_conditions(m, k)
+    if not jury.hyperbolic:
+        return Classification.NONHYPERBOLIC
+    if jury.verdict:
+        return Classification.STABLE
+    return Classification.SADDLE if (jury.p_one > 0) != (jury.p_minus_one > 0) else Classification.SOURCE
 
 
 @dataclass(frozen=True)
@@ -376,8 +388,8 @@ def stability_report(
     """Classify an equilibrium under the flow, then under the map at each h, and cross-check the closed-form criteria.
 
     Jc and the criteria are computed once.  The map's verdict is
-    ``jury_conditions`` of M = W(h) Jc (see ``map_weights``); its
-    multipliers, 1 + the eigenvalues of M, are solved for the report.
+    ``map_classification`` of M = W(h) Jc (see ``map_weights``); its
+    multipliers, 1 + eig(M), are solved for the report.
     """
     jc = continuous_jacobian(params, variant, eq.point)
     crit = stability_conditions(params, variant, eq)
@@ -401,5 +413,5 @@ def stability_report(
         multipliers = (1.0 + nus[0] * scale, 1.0 + nus[1] * scale)
         if not _moduli_finite(multipliers):
             raise DomainError(f"multipliers {multipliers!r} at h = {h!r} are out of floating-point range")
-        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), jury_conditions(scaled, k).classification))
+        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), map_classification(scaled, k)))
     return reports

@@ -383,17 +383,11 @@ def jury_oracle_check(n_samples: int = 100_000) -> CheckResult:
         disc = tr * tr - 4.0 * det
         # Independent modulus oracle for J = I + M, vectorized: real pair or conjugate pair.
         sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
-        mod_big = np.where(
-            disc >= 0,
-            np.maximum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
-            np.sqrt(np.maximum(det, 0.0)),
-        )
-        mod_small = np.where(
-            disc >= 0,
-            np.minimum(np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))),
-            np.sqrt(np.maximum(det, 0.0)),
-        )
-        near_circle = (np.abs(mod_big - 1.0) <= 1e-9) | (np.abs(mod_small - 1.0) <= 1e-9)
+        real = np.abs(0.5 * (tr + sqrt_disc)), np.abs(0.5 * (tr - sqrt_disc))
+        pair = np.sqrt(np.maximum(det, 0.0))
+        mod_big = np.where(disc >= 0, np.maximum(*real), pair)
+        mod_small = np.where(disc >= 0, np.minimum(*real), pair)
+        near_circle = (np.abs(mod_big - 1.0) <= 1e-7) | (np.abs(mod_small - 1.0) <= 1e-7)  # past the rule's bands
         verdict = jury_conditions(Matrix2(b11, b12, b21, b22)).verdict
         mismatches += int(np.count_nonzero((verdict != (mod_big < 1.0)) & ~near_circle))
         near += int(np.count_nonzero(near_circle))

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from nsfd_epi.stability import (
     continuous_jacobian,
     eigenvalues2,
     jury_conditions,
+    map_classification,
     map_weights,
     prediction_matches,
     stability_conditions,
@@ -328,9 +330,8 @@ def test_overflowing_eigenvalues_are_2_to_the_k_times_those_of_the_matrix_over_2
 
 
 def map_verdict(*entries):
-    """The map's classification of M, scaled by a power of two as ``stability_report`` scales it."""
-    k = math.frexp(max(abs(a) for a in entries))[1]
-    return jury_conditions(Matrix2(*(math.ldexp(a, -k) for a in entries)), k).classification
+    """The map's classification of M, through ``map_classification`` as ``stability_report`` takes it."""
+    return map_classification(Matrix2(*entries))
 
 
 class TestClassify:
@@ -379,7 +380,7 @@ class TestJury:
     def test_diagonal_outside_unit_interval(self):
         # J = diag(1.2, 0.5).
         res = jury_conditions(Matrix2(0.2, 0.0, 0.0, -0.5))
-        assert not res.verdict and res.classification is Classification.SADDLE
+        assert not res.verdict and map_classification(Matrix2(0.2, 0.0, 0.0, -0.5)) is Classification.SADDLE
 
     @pytest.mark.parametrize("j11", [0.0, 1.0])
     def test_diagonal_at_an_interval_end_needs_no_hypothesis(self, j11):
@@ -418,7 +419,41 @@ def test_jury_matches_eigenvalue_moduli(entries):
     inside = sum(mod < 1.0 for mod in moduli)
     res = jury_conditions(m)
     assert res.verdict == (inside == 2)
-    assert res.classification is (Classification.SOURCE, Classification.SADDLE, Classification.STABLE)[inside]
+    assert map_classification(m) is (Classification.SOURCE, Classification.SADDLE, Classification.STABLE)[inside]
+
+
+wide_entries = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.integers(-1074, 1024)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=st.tuples(*[wide_entries] * 4))
+@example(entries=(-1e200, 0.0, 0.0, 1e200))  # det M overflows
+@example(entries=(-1e-170, 0.0, 0.0, 1e-170))  # det M underflows
+@example(entries=(1e160, 0.0, 0.0, -1e-170))  # M's eigenvalues differ by more than 2^1074
+@example(entries=(0.0, 0.5, 0.5, 2.0**537))  # the off-diagonal product is below 2^-1074 of the diagonal's square
+@example(entries=(0.0, -(2.0**-1074), 2.0**-1074, 0.0))  # det M is 2^-2148
+def test_map_classification_takes_the_exact_signs_at_any_exponent(entries):
+    """Any float M: the classification is the one of P(1), P(-1) and 1 - det J evaluated in rationals.
+
+    A sign within 1e-6 of 0, relative to the sum of the moduli of the
+    terms that form it, is left to the bands and skipped.
+    """
+    a11, a12, a21, a22 = map(Fraction, entries)
+    tr, det = a11 + a22, a11 * a22 - a12 * a21
+    diagonal, products = abs(a11) + abs(a22), abs(a11 * a22) + abs(a12 * a21)
+    signs = (det, 4 + 2 * tr + det, -(tr + det))
+    sizes = (products, 4 + 2 * diagonal + products, diagonal + products)
+    assume(all(abs(v) > Fraction(1, 10**6) * size for v, size in zip(signs, sizes)))
+    if all(v > 0 for v in signs):
+        want = Classification.STABLE
+    elif (signs[0] > 0) != (signs[1] > 0):
+        want = Classification.SADDLE
+    else:
+        want = Classification.SOURCE
+    assert map_classification(Matrix2(*entries)) is want
 
 
 normal_entries = st.one_of(st.just(0.0), st.floats(2.0**-400, 1.0), st.floats(-1.0, -(2.0**-400)))
@@ -432,7 +467,7 @@ def test_jury_on_m_over_2_to_the_k_is_jury_on_m_in_its_units(entries, k):
     scaled, direct = jury_conditions(m, k), jury_conditions(Matrix2(*(math.ldexp(a, k) for a in m)))
     units = (2 * k, 2 * max(k, 0), k + max(k, 0))
     assert [math.ldexp(v, e) for v, e in zip(scaled[:3], units)] == list(direct[:3])
-    assert scaled[3:] == direct[3:] and scaled.classification is direct.classification
+    assert scaled[3:] == direct[3:]
 
 
 jury_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan, math.inf]), st.floats(-2.0, 2.0))
@@ -497,6 +532,16 @@ class TestTheoremPrediction:
         )
 
 
+def rescaled(params, factor, keep=""):
+    """``params`` with every rate but K (and ``keep``) multiplied by ``factor``."""
+    rates = {r for r in ("b_x", "b_y", "u_x", "u_y", "e", "beta") if r != keep}
+    return dataclasses.replace(params, **{r: getattr(params, r) * factor for r in rates})
+
+
+# The verdicts at the trivial and disease-free points of GENERAL_HIGH and its rescalings.
+GENERAL_AXES = (ModelVariant.GENERAL, (Classification.SOURCE, Classification.SADDLE))
+
+
 class TestStabilityReports:
     def test_benchmark_report_agreement(self):
         for params, variant in [
@@ -529,6 +574,33 @@ class TestStabilityReports:
                     continue
                 continuous, *discrete = stability_report(params, variant, eq, (0.01, 0.1, 1.0, 10.0, 50.0))
                 assert {rep.classification for rep in discrete} == {continuous.classification}
+
+    @pytest.mark.parametrize(
+        "params, variant, want",
+        [
+            pytest.param(dataclasses.replace(GENERAL_HIGH, b_x=1e160, b_y=1e160), *GENERAL_AXES, id="det-M-overflows"),
+            pytest.param(rescaled(GENERAL_HIGH, 1e150), *GENERAL_AXES, id="M-near-1e-150-at-h-1e-300"),
+            pytest.param(rescaled(GENERAL_HIGH, 1e-170), *GENERAL_AXES, id="det-M-underflows"),
+            pytest.param(rescaled(GENERAL_HIGH, 1e-170, keep="e"), *GENERAL_AXES, id="a12-large-beside-the-diagonal"),
+            pytest.param(
+                HostParams(
+                    b_x=2.3855604062e-18, b_y=1.5705219632e-39, u_x=1.3919942532e-55, u_y=2.936728536e-09,
+                    K=3.3475832433e266, beta=1.5066004076e-50,
+                ),
+                ModelVariant.HORIZONTAL,
+                (Classification.SADDLE, Classification.SADDLE),
+                id="eigenvalues-of-M-over-2^1074-apart",
+            ),
+        ],
+    )
+    def test_discrete_verdict_past_the_float_range(self, params, variant, want):
+        """Where det M or its terms leave the float range, the map reads as at moderate h: (trivial, disease-free)."""
+        got = []
+        for eq in all_equilibria(params, variant):
+            if eq.exists:
+                _, *discrete = stability_report(params, variant, eq, (1e-300, 1e-8, 0.1, 10.0))
+                got.append({r.classification for r in discrete})
+        assert got == [{w} for w in want]
 
     def test_prediction_matches_semantics(self):
         assert prediction_matches(TheoremPrediction.STABLE, Classification.STABLE)

@@ -75,7 +75,7 @@ def ref_jury_oracle_check(n_samples=100_000):
         np.sqrt(np.maximum(det, 0.0)),
     )
     inside = mod_big < 1.0
-    near_circle = (np.abs(mod_big - 1.0) <= 1e-9) | (np.abs(mod_small - 1.0) <= 1e-9)
+    near_circle = (np.abs(mod_big - 1.0) <= 1e-7) | (np.abs(mod_small - 1.0) <= 1e-7)
     mismatches = 0
     for i in range(n_samples):
         if near_circle[i]:
