@@ -38,7 +38,7 @@ from .model import (
     validate_params,
     vector_field,
 )
-from .nsfd import DenominatorPair, denominators, iterate, map_kernel, step
+from .nsfd import denominators, iterate, map_kernel, step
 from .stability import (
     Classification,
     JuryConditions,

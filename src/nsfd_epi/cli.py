@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -208,6 +209,40 @@ def _emit(text: str, out: str | None) -> None:
             Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
+# The types whose subclasses json writes too, in its order of tests; its words for None, the bools and float specials.
+_JSON_TYPES = (str, int, float, list, tuple, dict)
+_JSON_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj: Any, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)``, in one recursive pass; dict keys must be strings.
+
+    ``indent`` comes before ``obj``'s closing bracket.  Leaves are written by
+    json's own functions; CPython's C encoder ignores ``indent``, and its
+    Python encoder makes a generator per container.
+    """
+    kind = type(obj)
+    while True:  # a second turn writes a subclass, such as np.float64, as its base type
+        if kind is str:
+            return encode_basestring_ascii(obj)
+        if obj is None or kind is bool:
+            return _JSON_WORDS[obj]
+        if kind is int:
+            return int.__repr__(obj)
+        if kind is float:
+            text = float.__repr__(obj)
+            return _JSON_WORDS.get(text, text)
+        inner = indent + "  "
+        if kind is list or kind is tuple:
+            return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in obj])}{indent}]" if obj else "[]"
+        if kind is dict:
+            items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+            return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if obj else "{}"
+        kind = next((base for base in _JSON_TYPES if isinstance(obj, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _verdict_dict(verdict: Verdict) -> dict[str, Any]:
     data: dict[str, Any] = {"status": verdict.status.value, "at_step": verdict.at_step}
     if verdict.kind is not None:
@@ -260,7 +295,7 @@ def _cmd_equilibria(config: RunConfig) -> int:
                              "xbar_negative": None if math.isnan(r.R0) else r.xbar_negative},
             "equilibria": [_eq_dict(eq) for eq in equilibria],
         }
-        _emit(json.dumps(doc, indent=2), config.out)
+        _emit(_json_text(doc), config.out)
         return EXIT_OK
     if config.format == "csv":
         lines = [f"# model={variant.value} " + " ".join(f"{k}={_fmt(v)}" for k, v in _params_dict(config).items())]
@@ -315,7 +350,7 @@ def _cmd_stability(config: RunConfig) -> int:
                 for eq, reports in entries
             ],
         }
-        _emit(json.dumps(doc, indent=2), config.out)
+        _emit(_json_text(doc), config.out)
         return EXIT_OK
     if config.format == "csv":
         lines = ["kind,regime,h,lambda1_re,lambda1_im,lambda2_re,lambda2_im,classification,theorem,agree"]
@@ -402,7 +437,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         raise ConfigError("simulate takes exactly one initial point; use portrait for several")
     run = _simulate_one(config, points[0])
     if config.format == "json":
-        _emit(json.dumps(_trajectory_json(config, points[0], run), indent=2), config.out)
+        _emit(_json_text(_trajectory_json(config, points[0], run)), config.out)
     else:
         _emit(_trajectory_csv(config, points[0], run), config.out)
     return EXIT_OK
@@ -419,7 +454,7 @@ def _cmd_portrait(config: RunConfig) -> int:
             "config": config.to_dict(),
             "trajectories": [_trajectory_json(config, s0, run) for s0, run in runs],
         }
-        _emit(json.dumps(doc, indent=2), config.out)
+        _emit(_json_text(doc), config.out)
         return EXIT_OK
     out_dir = Path(config.out)
     index_lines = ["point,x0,y0,file,verdict,final_X,final_Y"]
@@ -464,7 +499,7 @@ def _cmd_sweep(config: RunConfig) -> int:
             ],
             "all_uniform": all(res.uniform for res in results),
         }
-        _emit(json.dumps(doc, indent=2), config.out)
+        _emit(_json_text(doc), config.out)
         return EXIT_OK
     if config.format == "csv":
         lines = ["kind,h,classification,continuous,uniform"]

@@ -52,7 +52,6 @@ if TYPE_CHECKING:
     LanesKernel = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 __all__ = [
-    "DenominatorPair",
     "denominators",
     "iterate",
     "map_kernel",

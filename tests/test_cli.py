@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -838,6 +839,85 @@ def test_simulate_json_matches_the_scalar_builder(flags, capsys):
     config = cli._build_config(cli._make_parser().parse_args(argv))
     s0 = config.points()[0]
     assert out == json.dumps(ref_trajectory_json(config, s0, cli._simulate_one(config, s0)), indent=2) + "\n"
+
+
+# The JSON writer against json.dumps(indent=2), the oracle it replaces.
+
+
+class IntSub(int):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "\ud800", "😀", ""]))
+JSON_INTS = st.integers(-(2**70), 2**70)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    JSON_INTS,
+    cells,
+    JSON_STRINGS,
+    cells.map(np.float64),
+    JSON_INTS.map(IntSub),
+    JSON_STRINGS.map(StrSub),
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_DOCS)
+@example(doc={"é\"\\\x00": [-0.0, math.nan, [], {}, ()], "": {"x": [[{}]], "y": " 😀"}})
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for doc in ({"x": {1, 2}}, [np.int64(1)], {"x": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibria", "--beta", "0.3"],
+        ["equilibria", "--model", "vertical"],
+        ["equilibria", "--bx", "1e300", "--permissive"],  # a NaN point and NaN margins print null
+        ["stability", "--beta", "0.3", "--h", "0.1", "--h", "10"],
+        ["stability", "--model", "horizontal", "--K", "1.2", "--e", "0", "--h", "1e-8", "--h", "1", "--h", "1e200"],
+        ["sweep", "--beta", "0.3"],
+        ["sweep", "--model", "vertical", "--K", "1.2", "--e", "0", "--beta", "0", "--h", "0.5", "--h", "50"],
+        ["simulate", "--beta", "0.3", "--steps", "20"],
+        ["simulate", "--h", "1e308", "--steps", "3"],  # the times after the start are infinite
+        ["portrait", "--steps", "3", "--x0", "0.1", "--y0", "0.2", "--x0", "1.5", "--y0", "0.5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_every_json_command_prints_indent_2_json(argv, capsys):
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_readme_stability_json_keeps_its_bytes(capsys):
+    code, out, _ = run_cli(["stability", "--beta", "0.3", "--h", "0.1", "--h", "10", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "806a92ee9b5f4db1cca1f8104a20ecba6d15d5cd0c13ef5a0ace69c4ce856ba1"
+    )
 
 
 def test_parser_is_built_once_and_reused(capsys):
