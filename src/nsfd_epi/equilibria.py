@@ -33,6 +33,7 @@ from .model import (
     ModelVariant,
     NotAnEquilibriumError,
     State,
+    effective_rates,
 )
 
 __all__ = [
@@ -308,10 +309,11 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
 def all_equilibria(params: HostParams, variant: ModelVariant) -> tuple[Equilibrium, ...]:
     """Every equilibrium candidate of the variant, existence flags included.
 
-    A degenerate interior candidate (see interior_equilibrium) is
-    silently omitted; the general variant includes the susceptible-free
-    point only when e = 0 makes the Y axis invariant.
+    A degenerate interior candidate (see interior_equilibrium) is silently
+    omitted; the general variant includes the susceptible-free point only
+    when e = 0 makes the Y axis invariant.  VariantParameterError as in effective_rates.
     """
+    effective_rates(params, variant)
     out = [trivial_equilibrium(), disease_free_equilibrium(params)]
     if variant is not ModelVariant.GENERAL or params.e == 0.0:
         out.append(susceptible_free_equilibrium(params, variant))

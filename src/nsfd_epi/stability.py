@@ -22,9 +22,9 @@ No hypothesis on the entries, nothing subtracted from 1.  A multiplier
 is on the circle at 1 only when P(1) is exactly 0, at -1 when a real
 one is within about 4 EPS_HYPERBOLIC of it, and as a complex pair when
 1 - det J is within EPS_HYPERBOLIC of 0 relative to |tr M| + |det M|.
-``map_classification`` rescales M where needed, so no h or rate leaves
-the float range.  stability_conditions evaluates the closed-form
-criteria, the same in both regimes, to cross-check both.
+``map_classification`` forms tr M and det M from W and Jc at their own
+exponents, so no h or rate leaves the float range.  The closed-form
+criteria (stability_conditions), the same in both regimes, cross-check both.
 """
 
 from __future__ import annotations
@@ -241,33 +241,35 @@ def jury_conditions(m: Matrix2, k: int = 0) -> JuryConditions:
     return JuryConditions(det, p_minus_one, one_minus_det, hyperbolic, verdict)
 
 
-def map_classification(m: Matrix2, k: int = 0) -> Classification:
-    """The fixed-point type of J = I + M, M = 2^k m, by ``jury_conditions``, for any finite float m.
+def map_classification(jc: Matrix2) -> Callable[[float, float], Classification]:
+    """The type of J = I + M, M = diag(w1, w2) Jc, by ``jury_conditions``, as a function of w1, w2 > 0.
 
-    Where k, tr m or det m is so far from 1 that a product in the rule
-    could leave the float range, the rule reads instead the companion
-    matrix of m / 2^j, which has its trace and determinant; 2^j brings
-    the largest of |a11|, |a22| and sqrt|det m| into [1, 2), and det m,
-    summed at its larger product's exponent, keeps its sign at the least
-    magnitude if it rounds to 0.
+    tr M = w1 a11 + w2 a22 and det M = w1 w2 det Jc are formed at their own exponents, and
+    the rule reads the companion matrix of M / 2^j, 2^j bringing the larger of |tr M| and
+    sqrt|det M| into [1, 2).  Only a 1 - det J = -det M below 2^-2148 (tr M = 0) is lost.
     """
-    tr, det = m.trace, m.det
-    if not (abs(k) <= 200 and 2.0**-300 <= abs(det) <= 2.0**300 and abs(tr) <= 2.0**300):
-        (m11, e11), (m12, e12), (m21, e21), (m22, e22) = map(math.frexp, m)
-        p, q, ep, eq = m11 * m22, m12 * m21, e11 + e22, e12 + e21
-        top = max(ep, eq) if p and q else ep if p else eq
-        mantissa, de = math.frexp(math.ldexp(p, ep - top) - math.ldexp(q, eq - top))
-        # An exponent for a zero is below any float's; an all-zero m reads nonhyperbolic at any j.
-        j = max(e11 if m11 else -1100, e22 if m22 else -1100, (top + de + 1) // 2 if mantissa else -1100) - 1
-        tr = math.ldexp(m.a11, -j) + math.ldexp(m.a22, -j)
-        det = math.ldexp(mantissa, top + de - 2 * j) or math.copysign(math.ulp(0.0) * (mantissa != 0), mantissa)
-        m, k = Matrix2(tr, -det, 1.0, 0.0), k + j
-    jury = jury_conditions(m, k)
-    if not jury.hyperbolic:
-        return Classification.NONHYPERBOLIC
-    if jury.verdict:
-        return Classification.STABLE
-    return Classification.SADDLE if (jury.p_one > 0) != (jury.p_minus_one > 0) else Classification.SOURCE
+    (m11, e11), (m12, e12), (m21, e21), (m22, e22) = map(math.frexp, jc)
+    p, q, ep, eq = m11 * m22, m12 * m21, e11 + e22, e12 + e21
+    det_e = max(ep, eq) if p and q else ep if p else eq
+    det_jc = math.ldexp(p, ep - det_e) - math.ldexp(q, eq - det_e)  # det Jc / 2^det_e
+
+    def classification(w1: float, w2: float) -> Classification:
+        (v1, f1), (v2, f2) = math.frexp(w1), math.frexp(w2)
+        t1, t2, g1, g2 = v1 * m11, v2 * m22, f1 + e11, f2 + e22
+        top = max(g1, g2) if t1 and t2 else g1 if t1 else g2
+        tr, tr_e = math.frexp(math.ldexp(t1, g1 - top) + math.ldexp(t2, g2 - top))
+        det, de = math.frexp(v1 * v2 * det_jc)
+        tr_e, de = tr_e + top, de + f1 + f2 + det_e  # tr M = tr 2^tr_e, det M = det 2^de
+        j = max(tr_e if tr else -5000, (de + 1) // 2 if det else -5000) - 1  # M = 0 reads nonhyperbolic at any j
+        det = math.ldexp(det, de - 2 * j) or math.copysign(math.ulp(0.0) * (det != 0), det)
+        jury = jury_conditions(Matrix2(math.ldexp(tr, tr_e - j), -det, 1.0, 0.0), j)
+        if not jury.hyperbolic:
+            return Classification.NONHYPERBOLIC
+        if jury.verdict:
+            return Classification.STABLE
+        return Classification.SADDLE if (jury.p_one > 0) != (jury.p_minus_one > 0) else Classification.SOURCE
+
+    return classification
 
 
 @dataclass(frozen=True)
@@ -387,9 +389,9 @@ def stability_report(
 ) -> list[StabilityReport]:
     """Classify an equilibrium under the flow, then under the map at each h, and cross-check the closed-form criteria.
 
-    Jc and the criteria are computed once.  The map's verdict is
-    ``map_classification`` of M = W(h) Jc (see ``map_weights``); its
-    multipliers, 1 + eig(M), are solved for the report.
+    Jc, the criteria and the map's rule (``map_classification``) are set
+    up once; at each h the rule takes the weights of M = W(h) Jc (see
+    ``map_weights``), and the multipliers, 1 + eig(M), are solved for the report.
     """
     jc = continuous_jacobian(params, variant, eq.point)
     crit = stability_conditions(params, variant, eq)
@@ -403,8 +405,9 @@ def stability_report(
     eigs = eigenvalues2(jc)
     reports = [report(Regime.CONTINUOUS, None, eigs, classify(eigs))]
     weights = map_weights(params, variant, eq.point) if h_list else None
+    verdict = map_classification(jc)
     for h in h_list:
-        # M / 2^k, with W scaled (exactly) by a power of two near 1.
+        # The multipliers, from M / 2^k with W scaled (exactly) by a power of two near 1.
         w1, w2 = weights(h)
         k = min(math.frexp(max(abs(w1), abs(w2)))[1], 1023)
         s1, s2, scale = math.ldexp(w1, -k), math.ldexp(w2, -k), math.ldexp(1.0, k)
@@ -413,5 +416,5 @@ def stability_report(
         multipliers = (1.0 + nus[0] * scale, 1.0 + nus[1] * scale)
         if not _moduli_finite(multipliers):
             raise DomainError(f"multipliers {multipliers!r} at h = {h!r} are out of floating-point range")
-        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), map_classification(scaled, k)))
+        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), verdict(w1, w2)))
     return reports

@@ -2,10 +2,13 @@
 
 ``perfbench/tracer.py`` patches the functions it probes at every module
 binding that holds them.  A rename or deletion of one of them would
-only show when the benchmark runs; this test makes it fail here.
+only show when the benchmark runs; this test makes it fail here.  The
+README commands must also keep the bytes that ``perfbench/digests.py``
+records.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +69,12 @@ def test_tracer_installs_every_probe_and_restores_every_binding(tracer_module):
     assert after.keys() == before.keys()
     for key, value in after.items():
         assert value is before[key], key
+
+
+def test_readme_commands_write_the_recorded_bytes():
+    """The byte-identical-output gate: ``perfbench/digests.py`` exits 0 with every README command matching."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/digests.py"], cwd=TRACER_PATH.parent.parent, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "7/7 README command outputs match digests.json" in proc.stdout

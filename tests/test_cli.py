@@ -141,6 +141,15 @@ class TestEquilibriaCommand:
 
 
 class TestStabilityCommand:
+    def test_text_prints_the_interior_note_once(self, capsys):
+        code, out, _ = run_cli(["stability", "--beta", "0.3"], capsys)
+        assert code == 0
+        notes = [line.strip() for line in out.splitlines() if line.lstrip().startswith("note:")]
+        assert notes == [
+            "note: the negative-trace/positive-determinant argument uses b_x >= b_y + e beyond existence"
+        ]
+        assert out.index("  interior ") < out.index("note:")
+
     def test_threshold_switch_visible(self, capsys):
         code, out, _ = run_cli(
             ["stability", *BENCH, "--K", "1", "--e", "0.02", "--beta", "0.1", "--h", "0.1", "--format", "json"],
@@ -894,7 +903,7 @@ def test_json_writer_refuses_what_json_refuses():
     "argv",
     [
         ["equilibria", "--beta", "0.3"],
-        ["equilibria", "--model", "vertical"],
+        ["equilibria", "--model", "vertical", "--K", "1.2", "--e", "0", "--beta", "0"],
         ["equilibria", "--bx", "1e300", "--permissive"],  # a NaN point and NaN margins print null
         ["stability", "--beta", "0.3", "--h", "0.1", "--h", "10"],
         ["stability", "--model", "horizontal", "--K", "1.2", "--e", "0", "--h", "1e-8", "--h", "1", "--h", "1e200"],
@@ -910,6 +919,14 @@ def test_every_json_command_prints_indent_2_json(argv, capsys):
     code, out, _ = run_cli([*argv, "--format", "json"], capsys)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["equilibria", "stability", "sweep"])
+def test_every_command_refuses_rates_the_vertical_model_does_not_use(command, capsys):
+    """The defaults e = 0.02 and beta = 0.1 contradict the vertical variant: each listing exits 3, as simulate does."""
+    code, out, err = run_cli([command, "--model", "vertical"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: vertical variant requires e = 0 and beta = 0, got e = 0.02, beta = 0.1\n"
 
 
 def test_readme_stability_json_keeps_its_bytes(capsys):

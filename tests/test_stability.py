@@ -330,8 +330,8 @@ def test_overflowing_eigenvalues_are_2_to_the_k_times_those_of_the_matrix_over_2
 
 
 def map_verdict(*entries):
-    """The map's classification of M, through ``map_classification`` as ``stability_report`` takes it."""
-    return map_classification(Matrix2(*entries))
+    """The map's classification of M, through ``map_classification`` with W = I."""
+    return map_classification(Matrix2(*entries))(1.0, 1.0)
 
 
 class TestClassify:
@@ -380,7 +380,7 @@ class TestJury:
     def test_diagonal_outside_unit_interval(self):
         # J = diag(1.2, 0.5).
         res = jury_conditions(Matrix2(0.2, 0.0, 0.0, -0.5))
-        assert not res.verdict and map_classification(Matrix2(0.2, 0.0, 0.0, -0.5)) is Classification.SADDLE
+        assert not res.verdict and map_classification(Matrix2(0.2, 0.0, 0.0, -0.5))(1.0, 1.0) is Classification.SADDLE
 
     @pytest.mark.parametrize("j11", [0.0, 1.0])
     def test_diagonal_at_an_interval_end_needs_no_hypothesis(self, j11):
@@ -419,7 +419,7 @@ def test_jury_matches_eigenvalue_moduli(entries):
     inside = sum(mod < 1.0 for mod in moduli)
     res = jury_conditions(m)
     assert res.verdict == (inside == 2)
-    assert map_classification(m) is (Classification.SOURCE, Classification.SADDLE, Classification.STABLE)[inside]
+    assert map_classification(m)(1.0, 1.0) is (Classification.SOURCE, Classification.SADDLE, Classification.STABLE)[inside]
 
 
 wide_entries = st.one_of(
@@ -428,21 +428,36 @@ wide_entries = st.one_of(
 )
 
 
+# w1, w2 > 0 from the least subnormal to the largest double.
+wide_weights = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024))
+
+
 @settings(max_examples=500, deadline=None)
-@given(entries=st.tuples(*[wide_entries] * 4))
-@example(entries=(-1e200, 0.0, 0.0, 1e200))  # det M overflows
-@example(entries=(-1e-170, 0.0, 0.0, 1e-170))  # det M underflows
-@example(entries=(1e160, 0.0, 0.0, -1e-170))  # M's eigenvalues differ by more than 2^1074
-@example(entries=(0.0, 0.5, 0.5, 2.0**537))  # the off-diagonal product is below 2^-1074 of the diagonal's square
-@example(entries=(0.0, -(2.0**-1074), 2.0**-1074, 0.0))  # det M is 2^-2148
-def test_map_classification_takes_the_exact_signs_at_any_exponent(entries):
-    """Any float M: the classification is the one of P(1), P(-1) and 1 - det J evaluated in rationals.
+@given(entries=st.tuples(*[wide_entries] * 4), weights=st.tuples(wide_weights, wide_weights))
+@example(entries=(-1e200, 0.0, 0.0, 1e200), weights=(1.0, 1.0))  # det M overflows
+@example(entries=(-1e-170, 0.0, 0.0, 1e-170), weights=(1.0, 1.0))  # det M underflows
+@example(entries=(1e160, 0.0, 0.0, -1e-170), weights=(1.0, 1.0))  # M's eigenvalues differ by more than 2^1074
+@example(entries=(0.0, 0.5, 0.5, 2.0**537), weights=(1.0, 1.0))  # the off-diagonal product is below 2^-1074 of the diagonal's square
+@example(entries=(0.0, -(2.0**-1074), 2.0**-1074, 0.0), weights=(1.0, 1.0))  # det M is 2^-2148
+@example(  # the trivial point of "w-times-jc-underflows" below: w1 a11 is below the least double
+    entries=(-2.477558254729626e-217, 0.0, 0.0, -1.5704826040530992e-202),
+    weights=(8.960535833409753e-108, 1.5582542291485052e58),
+)
+@example(entries=(0.5, 0.0, 0.0, -0.5), weights=(2.0**-1074, 2.0**1023))  # each weight at an end of the float range
+def test_map_classification_takes_the_exact_signs_at_any_exponent(entries, weights):
+    """Any float Jc and weights: the classification is the one of P(1), P(-1) and 1 - det J of M = diag(w) Jc in rationals.
 
     A sign within 1e-6 of 0, relative to the sum of the moduli of the
-    terms that form it, is left to the bands and skipped.
+    terms that form it, is left to the bands and skipped.  So is M where
+    a multiplier, 1 + eig(M), is not a finite double (``stability_report``
+    refuses it first), and a 1 - det J below 2^-2148, which ``jury_conditions``
+    cannot hold at any scale (it needs tr M = 0 and det M that small).
     """
-    a11, a12, a21, a22 = map(Fraction, entries)
+    w1, w2 = map(Fraction, weights)
+    a11, a12, a21, a22 = (w * Fraction(a) for w, a in zip((w1, w1, w2, w2), entries))
     tr, det = a11 + a22, a11 * a22 - a12 * a21
+    assume(abs(tr) <= 2**1022 and abs(det) <= 2**2044)  # |eig(M)| <= 2^1023
+    assume(abs(tr + det) >= Fraction(1, 2**2148))
     diagonal, products = abs(a11) + abs(a22), abs(a11 * a22) + abs(a12 * a21)
     signs = (det, 4 + 2 * tr + det, -(tr + det))
     sizes = (products, 4 + 2 * diagonal + products, diagonal + products)
@@ -453,7 +468,7 @@ def test_map_classification_takes_the_exact_signs_at_any_exponent(entries):
         want = Classification.SADDLE
     else:
         want = Classification.SOURCE
-    assert map_classification(Matrix2(*entries)) is want
+    assert map_classification(Matrix2(*entries))(*weights) is want
 
 
 normal_entries = st.one_of(st.just(0.0), st.floats(2.0**-400, 1.0), st.floats(-1.0, -(2.0**-400)))
@@ -591,14 +606,26 @@ class TestStabilityReports:
                 (Classification.SADDLE, Classification.SADDLE),
                 id="eigenvalues-of-M-over-2^1074-apart",
             ),
+            pytest.param(
+                HostParams(
+                    b_x=5.801148738664194e-219, b_y=2.91747207105568e-217, u_x=2.5355697421162683e-217,
+                    u_y=1.5704826040531021e-202, K=1.0327266203056355e283, e=0.0, beta=2.0074938537680065e-191,
+                ),
+                ModelVariant.HORIZONTAL,
+                (Classification.STABLE,),
+                id="w-times-jc-underflows",
+            ),
         ],
     )
     def test_discrete_verdict_past_the_float_range(self, params, variant, want):
-        """Where det M or its terms leave the float range, the map reads as at moderate h: (trivial, disease-free)."""
+        """Where det M or its terms leave the float range, the map reads as at moderate h: (trivial, disease-free).
+
+        Only the trivial point of "w-times-jc-underflows" exists; at h = 1.558e58, w1 a11 is below the least double.
+        """
         got = []
         for eq in all_equilibria(params, variant):
             if eq.exists:
-                _, *discrete = stability_report(params, variant, eq, (1e-300, 1e-8, 0.1, 10.0))
+                _, *discrete = stability_report(params, variant, eq, (1e-300, 1e-8, 0.1, 10.0, 1.5582542291485052e58))
                 got.append({r.classification for r in discrete})
         assert got == [{w} for w in want]
 
