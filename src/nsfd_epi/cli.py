@@ -173,8 +173,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     x0, y0 = getattr(args, "x0", None) or [], getattr(args, "y0", None) or []
     if len(x0) != len(y0):
         raise ConfigError(f"--x0 given {len(x0)} times but --y0 {len(y0)} times")
-    if x0:
-        flags["initial_points"] = [list(point) for point in zip(x0, y0)]
+    if x0:  # the starts given by flags replace the file's, whether a preset or initial_points
+        if "preset" in flags:
+            raise ConfigError("--preset and --x0/--y0 both name the starts; give one or the other")
+        flags["initial_points"], flags["preset"] = [list(point) for point in zip(x0, y0)], None
     return RunConfig.from_dict({**data, **flags})
 
 
@@ -395,7 +397,15 @@ def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
     return simulate_continuous(params, variant, s0, config.dt, config.steps, settings, scheme=config.scheme)
 
 
-def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory) -> str:
+def _heads(run: Trajectory) -> list[str]:
+    """The ``n,t`` cells of each row of ``run``; for a run that records every step, entry n is step n's."""
+    # Iterating a memoryview yields Python ints and floats one at a time, so neither this nor
+    # _trajectory_csv makes a numpy scalar per cell or copies a column to a list.
+    return list(map(",".join, zip(map(str, memoryview(run.steps)), map(repr, memoryview(run.times)))))
+
+
+def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory, heads: list[str]) -> str:
+    """The CSV of ``run``, whose row of step n begins with ``heads[n]`` (see ``_heads``)."""
     meta = _params_dict(config)
     step_txt = f"h={_fmt(config.h)}" if config.scheme == "nsfd" else f"dt={_fmt(config.dt)}"
     lines = [
@@ -405,11 +415,8 @@ def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory) -> str:
         + f" x0={_fmt(s0.X)} y0={_fmt(s0.Y)}",
         "n,t,X,Y",
     ]
-    # Iterating a memoryview yields Python ints and floats one at a time,
-    # so no numpy scalar is made per cell and no column is copied to a list.
     rows = zip(
-        map(str, memoryview(run.steps)),
-        map(repr, memoryview(run.times)),
+        map(heads.__getitem__, memoryview(run.steps)),
         map(repr, memoryview(run.states[:, 0])),
         map(repr, memoryview(run.states[:, 1])),
     )
@@ -439,7 +446,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     if config.format == "json":
         _emit(_json_text(_trajectory_json(config, points[0], run)), config.out)
     else:
-        _emit(_trajectory_csv(config, points[0], run), config.out)
+        _emit(_trajectory_csv(config, points[0], run, _heads(run)), config.out)
     return EXIT_OK
 
 
@@ -456,13 +463,15 @@ def _cmd_portrait(config: RunConfig) -> int:
         }
         _emit(_json_text(doc), config.out)
         return EXIT_OK
+    # Every run shares h and records every step from 0, so the longest run's cells serve them all.
+    heads = _heads(max((run for _, run in runs), key=lambda run: run.steps[-1]))
     out_dir = Path(config.out)
     index_lines = ["point,x0,y0,file,verdict,final_X,final_Y"]
     with _writing(config.out):
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, (s0, run) in enumerate(runs, start=1):
             fname = f"trajectory_{i:02d}.csv"
-            (out_dir / fname).write_text(_trajectory_csv(config, s0, run) + "\n")
+            (out_dir / fname).write_text(_trajectory_csv(config, s0, run, heads) + "\n")
             final = run.final_state
             index_lines.append(
                 f"{i},{_fmt(s0.X)},{_fmt(s0.Y)},{fname},{run.verdict.status.value},{_fmt(final.X)},{_fmt(final.Y)}"

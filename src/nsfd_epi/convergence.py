@@ -15,6 +15,9 @@ test divergence, movement and the quiet-run count with local
 comparisons, and call ``ConvergenceMonitor.update``, the proximity
 test, only once the run has been quiet for a window.  They share the
 set-up and rare paths: ``_run_monitored``, ``_refused`` and ``_finish``.
+Both record states flat, ``[x0, y0, x1, y1, ...]``, and ``_run_monitored``
+reshapes the list to the (N, 2) array: numpy reads a flat list of floats
+about three times as fast as a list of pairs.
 ``ConvergenceMonitor`` stays a class whose ``update`` is read once per
 run, because the benchmark's tracer wraps it to count proximity tests.
 """
@@ -129,8 +132,8 @@ class ConvergenceMonitor:
         return None
 
 
-# A run loop's recorded step indices and states, and its verdict.
-Recorded = tuple[list[int], list[tuple[float, float]], Verdict]
+# A run loop's recorded step indices, its recorded states flat as [x0, y0, x1, y1, ...], and its verdict.
+Recorded = tuple[list[int], list[float], Verdict]
 
 
 def _scan(
@@ -144,7 +147,7 @@ def _scan(
     ``-tol < dx < tol and -tol < dy < tol``; ``_refused`` judges any other.
     """
     x, y = s0
-    steps, states = [0], [s0]
+    steps, states = [0], [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
     verdict, quiet, n = None, 0, 0
     while n < n_limit:
@@ -164,7 +167,8 @@ def _scan(
             quiet = 0
         if n % record_every == 0:
             steps.append(n)
-            states.append((x, y))
+            states.append(x)
+            states.append(y)
     return _finish(steps, states, n, x, y, verdict)
 
 
@@ -175,11 +179,11 @@ def _refused(scheme: str, n: int, px: float, py: float, x: float, y: float) -> V
     return Verdict(VerdictStatus.DIVERGED, at_step=n)
 
 
-def _finish(steps: list[int], states: list, n: int, x: float, y: float, verdict: Verdict | None) -> Recorded:
+def _finish(steps: list[int], states: list[float], n: int, x: float, y: float, verdict: Verdict | None) -> Recorded:
     """Record step n's state (x, y) if it is not yet; a run with no verdict stopped at its budget."""
     if steps[-1] != n:
         steps.append(n)
-        states.append((x, y))
+        states += (x, y)
     return steps, states, Verdict(VerdictStatus.MAX_STEPS, at_step=n) if verdict is None else verdict
 
 
@@ -214,7 +218,7 @@ def _run_monitored(
         known = ()  # implausible parameters: no limit matching, divergence only
     monitor = ConvergenceMonitor(settings, known, params.K)
     if max(abs(s[0]), abs(s[1])) > monitor.bound:
-        recorded_steps, recorded_states, verdict = [0], [s], Verdict(VerdictStatus.DIVERGED, at_step=0)
+        recorded_steps, recorded_states, verdict = [0], list(s), Verdict(VerdictStatus.DIVERGED, at_step=0)
     else:
         recorded_steps, recorded_states, verdict = scan(monitor, s, n_steps, record_every)
     # Imported here, not at module level, so that the commands that build no
@@ -224,4 +228,4 @@ def _run_monitored(
     steps = np.asarray(recorded_steps, dtype=np.int64)
     with np.errstate(over="ignore"):
         times = steps * step_size
-    return Trajectory(steps, times, np.asarray(recorded_states, dtype=np.float64), verdict)
+    return Trajectory(steps, times, np.array(recorded_states, dtype=np.float64).reshape(-1, 2), verdict)

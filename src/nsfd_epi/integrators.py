@@ -49,7 +49,7 @@ def _rk4_scan(
     b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
     half, sixth = 0.5 * dt, dt / 6.0
     x, y = s0
-    steps, states = [0], [s0]
+    steps, states = [0], [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
     verdict, quiet, n = None, 0, 0
     while n < n_limit:
@@ -86,7 +86,8 @@ def _rk4_scan(
             quiet = 0
         if n % record_every == 0:
             steps.append(n)
-            states.append((x, y))
+            states.append(x)
+            states.append(y)
     return _finish(steps, states, n, x, y, verdict)
 
 

@@ -4,7 +4,8 @@
 binding that holds them.  A rename or deletion of one of them would
 only show when the benchmark runs; this test makes it fail here.  The
 README commands must also keep the bytes that ``perfbench/digests.py``
-records.
+records, and one seeded ``portrait`` pass must meet ``perfbench/check.py``'s
+contract (rows per step, the index's final states).
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-import nsfd_epi.cli  # noqa: F401  (imports every module the tracer probes)
+import nsfd_epi.cli  # imports every module the tracer probes
 from nsfd_epi.convergence import ConvergenceMonitor
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -78,3 +79,24 @@ def test_readme_commands_write_the_recorded_bytes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "7/7 README command outputs match digests.json" in proc.stdout
+
+
+def test_portrait_pass_meets_the_benchmark_contract(tmp_path, monkeypatch):
+    """One seeded ``portrait`` pass, run and checked in process as ``perfbench/run.py`` runs it: no op fails."""
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    names = ("check", "reference", "run", "tracer", "workloads")
+    for name in names:  # the harness imports its modules by these top-level names
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        from check import check
+        from run import run_op
+        from workloads import make_pass
+
+        ops = make_pass("portrait", 1, 0)
+        results = [check(op, run_op(nsfd_epi.cli, op, tmp_path / "out")) for op in ops]
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+    assert len(ops) == 54
+    assert [(op.argv, r.problem) for op, r in zip(ops, results) if r.failed or r.problem is not None] == []
+    assert sum(r.trajectories for r in results) == sum(op.trajectories for op in ops)

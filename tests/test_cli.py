@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from nsfd_epi import cli
 from nsfd_epi.cli import RunConfig, main
 from nsfd_epi.convergence import Trajectory, Verdict, VerdictStatus
-from nsfd_epi.equilibria import EquilibriumKind
-from nsfd_epi.model import State
+from nsfd_epi.equilibria import EquilibriumKind, all_equilibria
+from nsfd_epi.model import ModelVariant, State
 from nsfd_epi.verification import load_fixture_scenarios
 
 BENCH = ["--bx", "0.6", "--by", "0.4", "--ux", "0.1", "--uy", "0.2"]
@@ -41,6 +42,25 @@ class TestConfig:
         doc = json.loads(out)
         assert doc["params"]["beta"] == 0.3
         assert doc["params"]["K"] == 1.0
+
+    @pytest.mark.parametrize(
+        "data", [{"preset": "paper-initials"}, {"initial_points": [[0.1, 0.2], [0.5, 0.6]]}], ids=["preset", "points"]
+    )
+    def test_start_flags_replace_the_config_files_starts(self, data, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = run_cli(["simulate", "--config", str(cfg), "--x0", "0.3", "--y0", "0.25", "--steps", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].endswith(" x0=0.3 y0=0.25")
+
+    def test_preset_flag_with_start_flags_is_config_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "portrait"
+        code, out, err = run_cli(
+            ["portrait", "--preset", "paper-initials", "--x0", "0.3", "--y0", "0.3", "--out", str(out_dir)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --preset and --x0/--y0 both name the starts; give one or the other\n"
+        assert not out_dir.exists()
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -352,6 +372,44 @@ class TestPortraitCommand:
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["index.csv", "trajectory_01.csv"]
 
+    @pytest.mark.parametrize("scheme", ["nsfd", "rk4", "euler"])
+    def test_runs_of_different_lengths_write_what_each_writes_alone(self, scheme, tmp_path, capsys):
+        """The runs share the longest run's ``n,t`` cells; each file and index row must still be its own."""
+        interior = next(
+            eq.point for eq in all_equilibria(RunConfig(beta=0.3).params(), ModelVariant.GENERAL)
+            if eq.kind is EquilibriumKind.INTERIOR
+        )
+        # Diverged at step 0 (one row), converged, and two runs that end at the step budget.
+        starts = [(2e6, 0.1), (interior.X, interior.Y), (0.3, 0.3), (0.1, 0.1)]
+        base = ["portrait", "--beta", "0.3", "--scheme", scheme, "--steps", "300"]
+
+        def portrait(points, out_dir):
+            argv = base + [f"--{axis}0={value!r}" for point in points for axis, value in zip("xy", point)]
+            assert run_cli([*argv, "--out", str(out_dir)], capsys)[0] == 0
+            return argv
+
+        argv = portrait(starts, tmp_path / "all")
+        index = (tmp_path / "all" / "index.csv").read_text().splitlines()
+        assert [row.split(",")[4] for row in index[1:]] == ["diverged", "converged", "max_steps", "max_steps"]
+        lengths = []
+        for i, start in enumerate(starts, start=1):
+            alone = tmp_path / f"alone_{i}"
+            portrait([start], alone)
+            name = f"trajectory_{i:02d}.csv"
+            text = (tmp_path / "all" / name).read_text()
+            assert text == (alone / "trajectory_01.csv").read_text()
+            header, row = (alone / "index.csv").read_text().splitlines()
+            assert index[i] == f"{i}," + row.removeprefix("1,").replace("trajectory_01.csv", name)
+            lengths.append(text.count("\n") - 4)  # two comments, the header and the verdict
+        assert index[0] == header and len(index) == len(starts) + 1
+        assert lengths[0] == 1 and 1 < lengths[1] < lengths[2] == lengths[3] == 301
+
+        config = cli._build_config(cli._make_parser().parse_args(argv))
+        for s0 in config.points():
+            run = cli._simulate_one(config, s0)
+            assert run.states.dtype == np.float64 and run.states.flags.c_contiguous
+            assert run.states.shape == (len(run.steps), 2)
+
     def test_unknown_preset_is_config_error(self, capsys):
         code, _, err = run_cli(["portrait", "--preset", "nope", "--out", "unused"], capsys)
         assert code == 2
@@ -511,15 +569,20 @@ class TestVerifyCommand:
 
 
 def test_closed_stdout_exits_quietly(package_env):
-    # The reader stops after one line, as `| head -1` does, long before the rows (about 1 MB) are written.
-    args = ["simulate", "--scheme", "rk4", "--beta", "0.3", "--steps", "100000"]
-    with subprocess.Popen(
-        [sys.executable, "-m", "nsfd_epi.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env
-    ) as proc:
-        assert proc.stdout.readline() == b"# nsfd-epi simulate\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (141, b"")
+    # The pipe's read end is closed before each command starts, as by a `| head -1`
+    # that has already left, so the first write fails whatever the pipe's capacity.
+    # The rows (about 1 MB) fail in the writer; the short text fails at main's flush.
+    for args in (["simulate", "--scheme", "rk4", "--beta", "0.3", "--steps", "100000"], ["equilibria"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nsfd_epi.cli", *args], stdout=write_end, stderr=subprocess.PIPE,
+                env=package_env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b""), args
 
 
 def test_console_entry_point_runs(package_env):
@@ -808,24 +871,23 @@ VERDICTS = [
 
 @st.composite
 def trajectories(draw):
-    n = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.tuples(st.integers(0, 2**62), cells, cells, cells), min_size=n, max_size=n))
-    steps, times, xs, ys = zip(*rows)
-    run = Trajectory(
-        np.array(steps, dtype=np.int64),
-        np.array(times, dtype=np.float64),
-        np.array(list(zip(xs, ys)), dtype=np.float64),
-        draw(st.sampled_from(VERDICTS)),
-    )
+    """A run that records some of the steps 0..last, with the ``n,t`` cells of every step, as portrait shares them."""
+    steps = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    times = np.array(draw(st.lists(cells, min_size=steps[-1] + 1, max_size=steps[-1] + 1)), dtype=np.float64)
+    states = draw(st.lists(st.tuples(cells, cells), min_size=len(steps), max_size=len(steps)))
+    verdict = draw(st.sampled_from(VERDICTS))
+    every = Trajectory(np.arange(steps[-1] + 1, dtype=np.int64), times, np.zeros((steps[-1] + 1, 2)), verdict)
+    run = Trajectory(np.array(steps, dtype=np.int64), times[steps], np.array(states, dtype=np.float64), verdict)
     config = RunConfig(scheme=draw(st.sampled_from(["nsfd", "rk4"])), h=draw(cells), dt=draw(cells))
-    return config, State(draw(cells), draw(cells)), run
+    return config, State(draw(cells), draw(cells)), run, cli._heads(every)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=trajectories())
 def test_trajectory_writers_match_the_scalar_loops(case):
-    config, s0, run = case
-    assert cli._trajectory_csv(config, s0, run) == ref_trajectory_csv(config, s0, run)
+    config, s0, run, heads = case
+    assert cli._heads(run) == [f"{int(n)},{cli._fmt(t)}" for n, t in zip(run.steps, run.times)]
+    assert cli._trajectory_csv(config, s0, run, heads) == ref_trajectory_csv(config, s0, run)
     new, ref = cli._trajectory_json(config, s0, run), ref_trajectory_json(config, s0, run)
     assert json.dumps(new, indent=2) == json.dumps(ref, indent=2)
 
