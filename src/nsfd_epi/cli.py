@@ -177,7 +177,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if "preset" in flags:
             raise ConfigError("--preset and --x0/--y0 both name the starts; give one or the other")
         flags["initial_points"], flags["preset"] = [list(point) for point in zip(x0, y0)], None
-    return RunConfig.from_dict({**data, **flags})
+    elif "preset" in flags:
+        flags["initial_points"] = []
+    config = RunConfig.from_dict({**data, **flags})
+    if config.preset is not None and config.initial_points:  # only the file can name both
+        raise ConfigError(
+            f"config file {args.config} names the starts twice, by preset and by initial_points; give one or the other"
+        )
+    return config
 
 
 def _check_params(config: RunConfig) -> None:

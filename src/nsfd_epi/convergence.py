@@ -8,16 +8,18 @@ positives during slow passages near saddle points.  A state whose
 infinity norm exceeds ``divergence_factor * scale`` (scale is the
 carrying capacity) is declared diverged.
 
-Two loops apply the rule: ``_scan`` steps a one-step kernel (the NSFD
-map, forward Euler), and ``integrators._rk4_scan`` holds the RK4 stages
-itself, because RK4 runs most of the acceptance gate's steps.  Both
-test divergence, movement and the quiet-run count with local
-comparisons, and call ``ConvergenceMonitor.update``, the proximity
-test, only once the run has been quiet for a window.  They share the
-set-up and rare paths: ``_run_monitored``, ``_refused`` and ``_finish``.
-Both record states flat, ``[x0, y0, x1, y1, ...]``, and ``_run_monitored``
-reshapes the list to the (N, 2) array: numpy reads a flat list of floats
-about three times as fast as a list of pairs.
+Three loops apply the rule: ``_scan`` steps a one-step kernel (forward
+Euler), and ``nsfd._map_scan`` and ``integrators._rk4_scan`` hold the
+NSFD map and the RK4 stages themselves, so that a map or RK4 step makes
+no Python call.  Each tests divergence, movement and the quiet-run
+count with local comparisons, and calls ``ConvergenceMonitor.update``,
+the proximity test, only once the run has been quiet for a window.
+They share the set-up and rare paths: ``_run_monitored``, ``_refused``
+and ``_finish``.  They record states only, flat, ``[x0, y0, x1, y1,
+...]``: numpy reads a flat list of floats about three times as fast as
+a list of pairs.  The recorded steps are always every
+``record_every``-th step from 0 and the last, so ``_run_monitored``
+builds them from the verdict's step.
 ``ConvergenceMonitor`` stays a class whose ``update`` is read once per
 run, because the benchmark's tracer wraps it to count proximity tests.
 """
@@ -132,8 +134,8 @@ class ConvergenceMonitor:
         return None
 
 
-# A run loop's recorded step indices, its recorded states flat as [x0, y0, x1, y1, ...], and its verdict.
-Recorded = tuple[list[int], list[float], Verdict]
+# A run loop's recorded states, flat as [x0, y0, x1, y1, ...], and its verdict, whose at_step is the last step.
+Recorded = tuple[list[float], Verdict]
 
 
 def _scan(
@@ -147,7 +149,7 @@ def _scan(
     ``-tol < dx < tol and -tol < dy < tol``; ``_refused`` judges any other.
     """
     x, y = s0
-    steps, states = [0], [x, y]
+    states = [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
     verdict, quiet, n = None, 0, 0
     while n < n_limit:
@@ -166,10 +168,9 @@ def _scan(
         else:
             quiet = 0
         if n % record_every == 0:
-            steps.append(n)
             states.append(x)
             states.append(y)
-    return _finish(steps, states, n, x, y, verdict)
+    return _finish(states, n, x, y, verdict, record_every)
 
 
 def _refused(scheme: str, n: int, px: float, py: float, x: float, y: float) -> Verdict:
@@ -179,12 +180,15 @@ def _refused(scheme: str, n: int, px: float, py: float, x: float, y: float) -> V
     return Verdict(VerdictStatus.DIVERGED, at_step=n)
 
 
-def _finish(steps: list[int], states: list[float], n: int, x: float, y: float, verdict: Verdict | None) -> Recorded:
-    """Record step n's state (x, y) if it is not yet; a run with no verdict stopped at its budget."""
-    if steps[-1] != n:
-        steps.append(n)
+def _finish(states: list[float], n: int, x: float, y: float, verdict: Verdict | None, record_every: int) -> Recorded:
+    """Record step n's state (x, y) if it is not yet; a run with no verdict stopped at its budget.
+
+    A loop records a multiple of ``record_every`` after its tests, so a
+    run that stopped by a verdict has not recorded its last step.
+    """
+    if verdict is not None or n % record_every:
         states += (x, y)
-    return steps, states, Verdict(VerdictStatus.MAX_STEPS, at_step=n) if verdict is None else verdict
+    return states, Verdict(VerdictStatus.MAX_STEPS, at_step=n) if verdict is None else verdict
 
 
 def _run_monitored(
@@ -218,14 +222,15 @@ def _run_monitored(
         known = ()  # implausible parameters: no limit matching, divergence only
     monitor = ConvergenceMonitor(settings, known, params.K)
     if max(abs(s[0]), abs(s[1])) > monitor.bound:
-        recorded_steps, recorded_states, verdict = [0], list(s), Verdict(VerdictStatus.DIVERGED, at_step=0)
+        recorded_states, verdict = list(s), Verdict(VerdictStatus.DIVERGED, at_step=0)
     else:
-        recorded_steps, recorded_states, verdict = scan(monitor, s, n_steps, record_every)
+        recorded_states, verdict = scan(monitor, s, n_steps, record_every)
     # Imported here, not at module level, so that the commands that build no
     # array (equilibria, stability, sweep, verify --list) start without numpy.
     import numpy as np
 
-    steps = np.asarray(recorded_steps, dtype=np.int64)
+    n = verdict.at_step
+    steps = np.append(np.arange(0, n, record_every, dtype=np.int64), n)
     with np.errstate(over="ignore"):
         times = steps * step_size
     return Trajectory(steps, times, np.array(recorded_states, dtype=np.float64).reshape(-1, 2), verdict)

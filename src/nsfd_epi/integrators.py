@@ -5,7 +5,7 @@ kept deliberately naive to demonstrate the positivity failures the
 nonstandard maps avoid.  Neither scheme clamps states: negative or
 diverging trajectories are reported as-is.
 
-Euler steps ``model.field_kernel`` in the shared loop ``convergence._scan``.
+Euler steps ``model.field_kernel`` in the one-step loop ``convergence._scan``.
 RK4 has its own loop, ``_rk4_scan``, with the field written out in its
 four stages, so that an RK4 step makes no Python call; tests pin it bit
 for bit against ``field_kernel`` composed four times.
@@ -49,7 +49,7 @@ def _rk4_scan(
     b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
     half, sixth = 0.5 * dt, dt / 6.0
     x, y = s0
-    steps, states = [0], [x, y]
+    states = [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
     verdict, quiet, n = None, 0, 0
     while n < n_limit:
@@ -85,10 +85,9 @@ def _rk4_scan(
         else:
             quiet = 0
         if n % record_every == 0:
-            steps.append(n)
             states.append(x)
             states.append(y)
-    return _finish(steps, states, n, x, y, verdict)
+    return _finish(states, n, x, y, verdict, record_every)
 
 
 def simulate_continuous(

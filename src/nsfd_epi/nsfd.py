@@ -30,11 +30,14 @@ Every term on each side is nonnegative for states in the positive
 quadrant, so positivity holds for every step size h > 0, and the fixed
 points coincide with the continuous equilibria.
 
-The update is written once, in ``_map_update``.  ``map_kernel`` runs it
-on one checked state; ``map_lanes`` runs it on float64 arrays, one
-element per (params, variant, h) lane, with the same bits per lane.
-Lanes pay off only in bulk: below about 30 lanes one numpy step costs
-more than the scalar steps it replaces.
+The update is written in ``_map_update``.  ``map_kernel`` runs it on one
+checked state; ``map_lanes`` runs it on float64 arrays, one element per
+(params, variant, h) lane, with the same bits per lane.  Lanes pay off
+only in bulk: below about 30 lanes one numpy step costs more than the
+scalar steps it replaces.  ``iterate`` runs ``_map_scan``, a run loop
+that restates the update inline, operation for operation, so that a
+map step makes no Python call; tests pin it bit for bit, and error for
+error, against ``map_kernel`` stepped by a reference loop.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .convergence import ConvergenceSettings, Trajectory, _run_monitored, _scan
+from .convergence import (
+    ConvergenceMonitor, ConvergenceSettings, Recorded, Trajectory, _finish, _refused, _run_monitored
+)
 from .model import DomainError, HostParams, Kernel, ModelVariant, State, effective_rates
 
 if TYPE_CHECKING:
@@ -137,15 +142,68 @@ def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"state ({x!r}, {y!r}) is not finite")
         if x < 0 or y < 0:
-            raise DomainError(f"state ({x!r}, {y!r}) leaves the nonnegative quadrant")
+            raise _refused_state(x, y)
         ratio = 0.0
         if general and y != 0:
             if x == 0:
-                raise DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
+                raise _refused_state(x, y)
             ratio = y * y / x
         return update(x, y, ratio)
 
     return advance
+
+
+def _refused_state(x: float, y: float) -> DomainError:
+    """The error for a finite state the map refuses: outside the quadrant, or X = 0 < Y under the general variant."""
+    if x < 0 or y < 0:
+        return DomainError(f"state ({x!r}, {y!r}) leaves the nonnegative quadrant")
+    return DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
+
+
+def _map_scan(
+    constants: tuple[float, ...], general: bool,
+    monitor: ConvergenceMonitor, s0: tuple[float, float], n_limit: int, record_every: int,
+) -> Recorded:
+    """``convergence._scan`` with ``map_kernel``'s step written in: the same rule, records, verdicts and errors.
+
+    ``constants`` are ``_map_constants``'.  The bound test passes only
+    finite states, so ``map_kernel``'s finiteness test is not repeated.
+    """
+    gain_x, phi1_e, phi1, bx_k, u_x, beta, e_k, phi2, b_y, by_k, u_y = constants
+    x, y = s0
+    states = [x, y]
+    bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
+    verdict, quiet, n = None, 0, 0
+    while n < n_limit:
+        n += 1
+        px, py = x, y
+        if px < 0 or py < 0:
+            raise _refused_state(px, py)
+        ratio = 0.0
+        if general and py != 0:
+            if px == 0:
+                raise _refused_state(px, py)
+            ratio = py * py / px
+        # _map_update's expression, with the same operations in the same order.
+        x = (px * gain_x + phi1_e * py) / (
+            1.0 + phi1 * (bx_k * px + bx_k * py + u_x + beta * py + e_k * py + e_k * ratio)
+        )
+        y = py * (1.0 + phi2 * (b_y + beta * px)) / (1.0 + phi2 * (by_k * px + by_k * py + u_y))
+        if not (-bound <= x <= bound and -bound <= y <= bound):
+            verdict = _refused("nsfd", n, px, py, x, y)
+            break
+        if -tol < x - px < tol and -tol < y - py < tol:
+            quiet += 1
+            if quiet >= window:
+                verdict = update((x, y), n)
+                if verdict is not None:
+                    break
+        else:
+            quiet = 0
+        if n % record_every == 0:
+            states.append(x)
+            states.append(y)
+    return _finish(states, n, x, y, verdict, record_every)
 
 
 def map_lanes(lanes: Sequence[tuple[HostParams, ModelVariant, float]]) -> LanesKernel:
@@ -194,5 +252,5 @@ def iterate(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
-    advance = map_kernel(params, variant, h)
-    return _run_monitored(partial(_scan, advance, "nsfd"), params, variant, s0, n_max, h, settings, record_every)
+    scan = partial(_map_scan, _map_constants(params, variant, h), variant is ModelVariant.GENERAL)
+    return _run_monitored(scan, params, variant, s0, n_max, h, settings, record_every)

@@ -4,8 +4,9 @@
 binding that holds them.  A rename or deletion of one of them would
 only show when the benchmark runs; this test makes it fail here.  The
 README commands must also keep the bytes that ``perfbench/digests.py``
-records, and one seeded ``portrait`` pass must meet ``perfbench/check.py``'s
-contract (rows per step, the index's final states).
+records, and one seeded pass of ``portrait``, ``analysis`` and the edge
+probe must each meet ``perfbench/check.py``'s contract (rows per step,
+the index's final states, the closed-form answers).
 """
 
 import importlib.util
@@ -81,8 +82,18 @@ def test_readme_commands_write_the_recorded_bytes():
     assert "7/7 README command outputs match digests.json" in proc.stdout
 
 
-def test_portrait_pass_meets_the_benchmark_contract(tmp_path, monkeypatch):
-    """One seeded ``portrait`` pass, run and checked in process as ``perfbench/run.py`` runs it: no op fails."""
+OPS_PER_PASS = {"portrait": 54, "analysis": 300, "edge": 24}
+
+
+@pytest.mark.parametrize("workload", OPS_PER_PASS)
+def test_pass_meets_the_benchmark_contract(workload, tmp_path, monkeypatch):
+    """One seeded pass, run and checked in process as ``perfbench/run.py`` runs it: no op has a problem.
+
+    The edge probe's starts reach into subnormal numbers, so it drives
+    the map's rare paths; its failed ops (saddle limits and the X = 0
+    underflow, roadmap items 1 and 6) are not pinned.  No op of the
+    timed workloads fails.
+    """
     monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
     names = ("check", "reference", "run", "tracer", "workloads")
     for name in names:  # the harness imports its modules by these top-level names
@@ -92,11 +103,13 @@ def test_portrait_pass_meets_the_benchmark_contract(tmp_path, monkeypatch):
         from run import run_op
         from workloads import make_pass
 
-        ops = make_pass("portrait", 1, 0)
+        ops = make_pass(workload, 1, 0)
         results = [check(op, run_op(nsfd_epi.cli, op, tmp_path / "out")) for op in ops]
     finally:
         for name in names:
             sys.modules.pop(name, None)
-    assert len(ops) == 54
-    assert [(op.argv, r.problem) for op, r in zip(ops, results) if r.failed or r.problem is not None] == []
-    assert sum(r.trajectories for r in results) == sum(op.trajectories for op in ops)
+    assert len(ops) == OPS_PER_PASS[workload]
+    assert [(op.argv, r.problem) for op, r in zip(ops, results) if r.problem is not None] == []
+    if workload != "edge":
+        assert [op.argv for op, r in zip(ops, results) if r.failed] == []
+        assert sum(r.trajectories for r in results) == sum(op.trajectories for op in ops)

@@ -62,6 +62,26 @@ class TestConfig:
         assert err == "error: --preset and --x0/--y0 both name the starts; give one or the other\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, written",
+        [([], None), (["--preset", "paper-initials"], 5), (["--x0", "0.3", "--y0", "0.3"], 1)],
+        ids=["file-alone", "preset-flag", "start-flags"],
+    )
+    def test_config_file_with_preset_and_points_needs_a_flag_to_choose(self, flags, written, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "paper-initials", "initial_points": [[0.3, 0.3]]}))
+        out_dir = tmp_path / "portrait"
+        code, out, err = run_cli(["portrait", "--config", str(cfg), "--steps", "3", *flags, "--out", str(out_dir)], capsys)
+        if written is None:
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: config file {cfg} names the starts twice, by preset and by initial_points; give one or the other\n"
+            )
+            assert not out_dir.exists()
+        else:
+            assert (code, err) == (0, "")
+            assert out == f"wrote {written} trajectories and index.csv to {out_dir}\n"
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"betta": 0.1}))

@@ -1,30 +1,24 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from nsfd_epi.convergence import (
-    ConvergenceMonitor,
-    ConvergenceSettings,
-    Verdict,
-    VerdictStatus,
-    _run_monitored,
-    _scan,
-)
+from nsfd_epi.convergence import ENDS_ONLY, ConvergenceMonitor, ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from nsfd_epi.integrators import euler_kernel, simulate_continuous
 from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates
-from nsfd_epi.nsfd import map_kernel
+from nsfd_epi.nsfd import iterate, map_kernel
 from test_nsfd import ref_rk4
 
 # Reference run loop: the per-step monitor and the run loop as they
-# were before the rule moved into local comparisons.  Both loops must
-# reproduce them bit for bit: ``convergence._scan`` around the NSFD and
-# Euler kernels, and the RK4 loop of ``simulate_continuous`` against
-# this loop driven by the test's own RK4 step, ``ref_rk4``.
+# were before the rule moved into local comparisons.  All three loops
+# must reproduce it bit for bit, and error for error: the NSFD loop of
+# ``iterate`` against this loop stepping ``map_kernel``, the Euler loop
+# against it stepping ``euler_kernel``, and the RK4 loop of
+# ``simulate_continuous`` against it driven by the test's own RK4 step,
+# ``ref_rk4``.
 
 
 class RefMonitor:
@@ -105,10 +99,9 @@ def reference_kernel(params, variant, h, scheme):
 
 
 def run_loop(params, variant, h, s0, n_steps, run_settings, record_every, scheme):
-    """The package's run: NSFD through ``_scan``, Euler and RK4 through ``simulate_continuous``."""
+    """The package's run: NSFD through ``iterate``, Euler and RK4 through ``simulate_continuous``."""
     if scheme == "nsfd":
-        scan = partial(_scan, map_kernel(params, variant, h), "nsfd")
-        return _run_monitored(scan, params, variant, s0, n_steps, h, run_settings, record_every)
+        return iterate(params, variant, h, s0, n_steps, run_settings, record_every)
     return simulate_continuous(params, variant, s0, h, n_steps, run_settings, scheme=scheme, record_every=record_every)
 
 
@@ -157,15 +150,21 @@ def runs(draw):
         known = [eq.point for eq in all_equilibria(params, variant) if eq.exists and eq.point.X >= 0 <= eq.point.Y]
     except (DomainError, ArithmeticError):
         known = []
+    outside = st.one_of(st.just(-0.0), st.floats(-2.0, -0.0))  # the map refuses a negative start, not -0.0
     x0 = draw(
         st.one_of(
             st.floats(0.0, 2.0 * params.K),
             st.floats(0.0, 2.0),
             st.floats(5e-324, 1e-300),  # subnormal and tiny X
             st.sampled_from([eq.X for eq in known] or [0.5]),
+            outside,
         )
     )
-    y0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * params.K), st.sampled_from([eq.Y for eq in known] or [0.5])))
+    y0 = draw(
+        st.one_of(
+            st.just(0.0), st.floats(0.0, 2.0 * params.K), st.sampled_from([eq.Y for eq in known] or [0.5]), outside
+        )
+    )
     return (
         params,
         variant,
@@ -178,6 +177,31 @@ def runs(draw):
     )
 
 
+# Stops that fall on a recorded step: the loops test before they record, so the
+# end state of a run that stops by a verdict must be added however n falls.
+GENERAL = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.3)
+INTERIOR = (0.1818181818181819, 0.45454545454545453)  # GENERAL's interior point
+QUIET = ConvergenceSettings(tol_step=1e-3, window=3, tol_eq=1e-3)  # converges at step 3 from INTERIOR
+GROWTH = HostParams(b_x=0.0, b_y=0.0, u_x=-0.5, u_y=0.0, K=1.0)  # X grows without bound at h = 1
+# The step at which each scheme's run from (1, 0) under GROWTH leaves the bound 1e6, and a divisor of it.
+DIVERGES_AT = {"nsfd": (20, 4), "rk4": (28, 7), "euler": (35, 5)}
+
+
+def edge_examples(test):
+    for scheme, (n, every) in DIVERGES_AT.items():
+        for case in [
+            (GENERAL, ModelVariant.GENERAL, scheme, 0.1, INTERIOR, 9, QUIET, 3),  # converged at 3
+            (GROWTH, ModelVariant.VERTICAL, scheme, 1.0, (1.0, 0.0), n + 5, ConvergenceSettings(), every),
+            (GENERAL, ModelVariant.GENERAL, scheme, 0.1, INTERIOR, 0, QUIET, 1),  # n_max = 0
+            (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, 0.2), 40, ConvergenceSettings(), ENDS_ONLY),
+            (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (-0.0, 0.5), 5, QUIET, 1),  # the map refuses X = 0 < Y
+            (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, -1e-300), 5, QUIET, 1),  # and leaving the quadrant
+        ]:
+            test = example(case)(test)
+    return test
+
+
+@edge_examples
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_run_loop_matches_reference_bit_for_bit(case):
