@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -404,11 +405,37 @@ def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
     return simulate_continuous(params, variant, s0, config.dt, config.steps, settings, scheme=config.scheme)
 
 
+# The cells that _float_cells gives orjson in one call: enough to spread the call's cost, few enough
+# that a long run's text is never held whole.  Over a portrait pass, 4096 ran no faster and peaked higher.
+ROW_BLOCK = 1024
+
+
+def _float_cells(values: Any) -> Iterator[str]:
+    """``repr`` of each float of the 1-d array ``values``, in order, written ``ROW_BLOCK`` at a time.
+
+    orjson writes repr's shortest round-trip digits, and in repr's notation
+    for 0 and for magnitudes in [1e-4, 1e16); repr writes the other cells
+    (3e-05, 1e+16, nan, inf).  Both modules are imported on first use.
+    """
+    import numpy as np
+    import orjson
+
+    def block_cells(start: int) -> list[str]:
+        block = np.ascontiguousarray(values[start : start + ROW_BLOCK], dtype=np.float64)  # orjson takes C order only
+        cells = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        magnitude = np.abs(block)
+        other = ~((block == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
+        for i, x in zip(np.flatnonzero(other).tolist(), block[other].tolist()):
+            cells[i] = repr(x)
+        return cells
+
+    return chain.from_iterable(map(block_cells, range(0, len(values), ROW_BLOCK)))
+
+
 def _heads(run: Trajectory) -> list[str]:
     """The ``n,t`` cells of each row of ``run``; for a run that records every step, entry n is step n's."""
-    # Iterating a memoryview yields Python ints and floats one at a time, so neither this nor
-    # _trajectory_csv makes a numpy scalar per cell or copies a column to a list.
-    return list(map(",".join, zip(map(str, memoryview(run.steps)), map(repr, memoryview(run.times)))))
+    # A memoryview yields the step numbers as Python ints, so str writes them without a numpy scalar.
+    return list(map(",".join, zip(map(str, memoryview(run.steps)), _float_cells(run.times))))
 
 
 def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory, heads: list[str]) -> str:
@@ -424,8 +451,8 @@ def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory, heads: list[s
     ]
     rows = zip(
         map(heads.__getitem__, memoryview(run.steps)),
-        map(repr, memoryview(run.states[:, 0])),
-        map(repr, memoryview(run.states[:, 1])),
+        _float_cells(run.states[:, 0]),
+        _float_cells(run.states[:, 1]),
     )
     lines.extend(map(",".join, rows))
     lines.append(_verdict_comment(run.verdict))

@@ -6,7 +6,6 @@ line per criterion; ``nsfd-epi verify`` prints the same table.
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -58,15 +57,3 @@ def test_stock_verify_command_exits_zero(package_env):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
-
-
-def test_readme_command_outputs_match_their_digests():
-    """The README commands write the bytes recorded in ``perfbench/digests.json``."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/digests.py"],
-        cwd=Path(__file__).resolve().parent.parent,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -616,18 +616,18 @@ def test_console_entry_point_runs(package_env):
     assert json.loads(proc.stdout)["model"] == "general"
 
 
-# Run in a fresh interpreter: notes whether numpy is loaded after importing
-# the CLI and after each command, then prints the simulate output.
+# Run in a fresh interpreter: notes which of numpy and orjson are loaded after
+# importing the CLI and after each command, then prints the simulate output.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from nsfd_epi.cli import main
-loaded = {"import": "numpy" in sys.modules}
+loaded = {"import": sorted({"numpy", "orjson"} & sys.modules.keys())}
 for args in (["equilibria"], ["stability", "--format", "json"], ["sweep"], ["verify", "--list"],
              ["simulate", "--steps", "5"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(args) == 0
-    loaded[args[0]] = "numpy" in sys.modules
+    loaded[args[0]] = sorted({"numpy", "orjson"} & sys.modules.keys())
 print(json.dumps(loaded))
 print(out.getvalue(), end="")
 """
@@ -640,7 +640,7 @@ def test_commands_without_arrays_start_without_numpy(package_env, capsys):
     assert proc.returncode == 0, proc.stderr
     loaded, simulated = proc.stdout.split("\n", 1)
     assert json.loads(loaded) == {
-        "import": False, "equilibria": False, "stability": False, "sweep": False, "verify": False, "simulate": True,
+        "import": [], "equilibria": [], "stability": [], "sweep": [], "verify": [], "simulate": ["numpy", "orjson"],
     }
     assert simulated == run_cli(["simulate", "--steps", "5"], capsys)[1]
 
@@ -889,6 +889,21 @@ VERDICTS = [
 ]
 
 
+# 0, the ends of the range that orjson writes in repr's notation, and values past them.
+NOTATION_FLOATS = [
+    1e-4, math.nextafter(1e-4, 0), 1e-5, math.nextafter(1e16, 0), 1e16, 5e-324, -5e-324, 0.0, -0.0,
+    math.nan, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max,
+]
+
+
+def recorded_case(values, verdict=VERDICTS[0]):
+    """A ``trajectories()`` case that records every step, one per value: t is the value, (X, Y) two of its neighbours."""
+    times = np.array(values, dtype=np.float64)
+    states = np.column_stack([np.roll(times, 1), np.roll(times, -3)])
+    run = Trajectory(np.arange(len(times), dtype=np.int64), times, states, verdict)
+    return RunConfig(), State(values[0], values[-1]), run, cli._heads(run)
+
+
 @st.composite
 def trajectories(draw):
     """A run that records some of the steps 0..last, with the ``n,t`` cells of every step, as portrait shares them."""
@@ -904,12 +919,26 @@ def trajectories(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=trajectories())
+@example(case=recorded_case(NOTATION_FLOATS))
+@example(case=recorded_case(NOTATION_FLOATS[::-1], VERDICTS[2]))
 def test_trajectory_writers_match_the_scalar_loops(case):
     config, s0, run, heads = case
     assert cli._heads(run) == [f"{int(n)},{cli._fmt(t)}" for n, t in zip(run.steps, run.times)]
     assert cli._trajectory_csv(config, s0, run, heads) == ref_trajectory_csv(config, s0, run)
     new, ref = cli._trajectory_json(config, s0, run), ref_trajectory_json(config, s0, run)
     assert json.dumps(new, indent=2) == json.dumps(ref, indent=2)
+
+
+def test_csv_rows_match_repr_across_blocks():
+    """Over 2 * ROW_BLOCK + 1 rows, each row is its step number and ``",".join(map(repr, row))`` of its t, X, Y."""
+    rng = np.random.default_rng(5)
+    n = 2 * cli.ROW_BLOCK + 1
+    cells = np.ldexp(rng.random((n, 3)), rng.integers(-20, 60, (n, 3))) * rng.choice([-1.0, 1.0], (n, 3))
+    cells.flat[::7] = np.resize(NOTATION_FLOATS, cells.flat[::7].shape)
+    cells[-1] = NOTATION_FLOATS[:3]
+    run = Trajectory(np.arange(n, dtype=np.int64), cells[:, 0].copy(), cells[:, 1:].copy(), VERDICTS[0])
+    lines = cli._trajectory_csv(RunConfig(), State(0.1, 0.1), run, cli._heads(run)).split("\n")
+    assert lines[3:-1] == [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(cells.tolist())]
 
 
 @pytest.mark.parametrize(
