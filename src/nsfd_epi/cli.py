@@ -409,22 +409,39 @@ def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
 # that a long run's text is never held whole.  Over a portrait pass, 4096 ran no faster and peaked higher.
 ROW_BLOCK = 1024
 
+# The decades [1e-d, 1e-(d-1)) whose exponent d has one digit, with that exponent as orjson and as repr
+# end a cell.  Each decade's lower end is the double that repr writes as 1e-0d, and no double below it
+# is written with exponent d, so a magnitude test is exact.
+PADDED_DECADES = [(float(f"1e-{d}"), float(f"1e-{d - 1}"), f"e-{d},", f"e-0{d},") for d in (6, 7, 8, 9)]
+
 
 def _float_cells(values: Any) -> Iterator[str]:
     """``repr`` of each float of the 1-d array ``values``, in order, written ``ROW_BLOCK`` at a time.
 
-    orjson writes repr's shortest round-trip digits, and in repr's notation
-    for 0 and for magnitudes in [1e-4, 1e16); repr writes the other cells
-    (3e-05, 1e+16, nan, inf).  Both modules are imported on first use.
+    orjson writes repr's shortest round-trip digits, in repr's notation for
+    0 and for magnitudes in [1e-4, 1e16).  Below 1e-5 it writes repr's
+    exponent notation with the exponent unpadded (1.5e-7 for 1.5e-07), so
+    ``str.replace`` pads the exponents 6 to 9 in each block that holds a
+    cell of that decade.  repr writes the other cells: [1e-5, 1e-4), which
+    orjson writes in fixed notation (0.00003 for 3e-05), 1e16 up, nan and
+    inf.  Both modules are imported on first use.
     """
     import numpy as np
     import orjson
 
     def block_cells(start: int) -> list[str]:
         block = np.ascontiguousarray(values[start : start + ROW_BLOCK], dtype=np.float64)  # orjson takes C order only
-        cells = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        # A "," after every cell, the last one too, ends each exponent, so "e-6," cannot match e-60.
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() + ","
         magnitude = np.abs(block)
-        other = ~((block == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
+        tiny = magnitude[magnitude < 1e-5]
+        if tiny.size:
+            for lower, upper, unpadded, padded in PADDED_DECADES:
+                if ((tiny >= lower) & (tiny < upper)).any():
+                    text = text.replace(unpadded, padded)
+        cells = text.split(",")
+        cells.pop()
+        other = ((magnitude >= 1e-5) & (magnitude < 1e-4)) | ~(magnitude < 1e16)
         for i, x in zip(np.flatnonzero(other).tolist(), block[other].tolist()):
             cells[i] = repr(x)
         return cells

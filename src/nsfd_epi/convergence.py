@@ -151,15 +151,15 @@ def _scan(
     x, y = s0
     states = [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
+    nbound, ntol, due = -bound, -tol, record_every
     verdict, quiet, n = None, 0, 0
-    while n < n_limit:
-        n += 1
+    for n in range(1, n_limit + 1):
         px, py = x, y
         x, y = advance(px, py)
-        if not (-bound <= x <= bound and -bound <= y <= bound):
+        if not (nbound <= x <= bound and nbound <= y <= bound):
             verdict = _refused(scheme, n, px, py, x, y)
             break
-        if -tol < x - px < tol and -tol < y - py < tol:
+        if ntol < x - px < tol and ntol < y - py < tol:
             quiet += 1
             if quiet >= window:
                 verdict = update((x, y), n)
@@ -167,7 +167,8 @@ def _scan(
                     break
         else:
             quiet = 0
-        if n % record_every == 0:
+        if n == due:
+            due += record_every
             states.append(x)
             states.append(y)
     return _finish(states, n, x, y, verdict, record_every)

@@ -51,9 +51,9 @@ def _rk4_scan(
     x, y = s0
     states = [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
+    nbound, ntol, due = -bound, -tol, record_every
     verdict, quiet, n = None, 0, 0
-    while n < n_limit:
-        n += 1
+    for n in range(1, n_limit + 1):
         px, py = x, y
         # Each stage is field_kernel's expression, with the same operations in the same order.
         g = 1.0 - (px + py) / big_k
@@ -73,10 +73,10 @@ def _rk4_scan(
         k4y = (b_y * g - u_y + beta * x4) * y4
         x = px + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
         y = py + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (-bound <= x <= bound and -bound <= y <= bound):
+        if not (nbound <= x <= bound and nbound <= y <= bound):
             verdict = _refused("rk4", n, px, py, x, y)
             break
-        if -tol < x - px < tol and -tol < y - py < tol:
+        if ntol < x - px < tol and ntol < y - py < tol:
             quiet += 1
             if quiet >= window:
                 verdict = update((x, y), n)
@@ -84,7 +84,8 @@ def _rk4_scan(
                     break
         else:
             quiet = 0
-        if n % record_every == 0:
+        if n == due:
+            due += record_every
             states.append(x)
             states.append(y)
     return _finish(states, n, x, y, verdict, record_every)

@@ -173,9 +173,9 @@ def _map_scan(
     x, y = s0
     states = [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
+    nbound, ntol, due = -bound, -tol, record_every
     verdict, quiet, n = None, 0, 0
-    while n < n_limit:
-        n += 1
+    for n in range(1, n_limit + 1):
         px, py = x, y
         if px < 0 or py < 0:
             raise _refused_state(px, py)
@@ -189,10 +189,10 @@ def _map_scan(
             1.0 + phi1 * (bx_k * px + bx_k * py + u_x + beta * py + e_k * py + e_k * ratio)
         )
         y = py * (1.0 + phi2 * (b_y + beta * px)) / (1.0 + phi2 * (by_k * px + by_k * py + u_y))
-        if not (-bound <= x <= bound and -bound <= y <= bound):
+        if not (nbound <= x <= bound and nbound <= y <= bound):
             verdict = _refused("nsfd", n, px, py, x, y)
             break
-        if -tol < x - px < tol and -tol < y - py < tol:
+        if ntol < x - px < tol and ntol < y - py < tol:
             quiet += 1
             if quiet >= window:
                 verdict = update((x, y), n)
@@ -200,7 +200,8 @@ def _map_scan(
                     break
         else:
             quiet = 0
-        if n % record_every == 0:
+        if n == due:
+            due += record_every
             states.append(x)
             states.append(y)
     return _finish(states, n, x, y, verdict, record_every)

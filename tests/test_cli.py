@@ -889,10 +889,16 @@ VERDICTS = [
 ]
 
 
-# 0, the ends of the range that orjson writes in repr's notation, and values past them.
+# 0, the ends of the range that orjson writes in repr's notation, and values past them; then each
+# decade whose exponent repr pads (1e-06 to 1e-09) and the first it does not, at both ends and negated.
 NOTATION_FLOATS = [
     1e-4, math.nextafter(1e-4, 0), 1e-5, math.nextafter(1e16, 0), 1e16, 5e-324, -5e-324, 0.0, -0.0,
     math.nan, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max,
+] + [
+    sign * x
+    for end in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+    for x in (end, math.nextafter(end, 0), math.nextafter(end, 1))
+    for sign in (1.0, -1.0)
 ]
 
 
@@ -939,6 +945,20 @@ def test_csv_rows_match_repr_across_blocks():
     run = Trajectory(np.arange(n, dtype=np.int64), cells[:, 0].copy(), cells[:, 1:].copy(), VERDICTS[0])
     lines = cli._trajectory_csv(RunConfig(), State(0.1, 0.1), run, cli._heads(run)).split("\n")
     assert lines[3:-1] == [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(cells.tolist())]
+
+
+def test_float_cells_match_repr():
+    """Seeded: ``_float_cells`` writes what ``repr`` writes, over random bit patterns and decimal exponents.
+
+    The mantissas at decimal exponents -12 to 20 run once shuffled and
+    once in order of magnitude, so that some blocks hold cells of every
+    decade and others of one decade alone, ending in it or starting in it.
+    """
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+    decimal = rng.uniform(1.0, 10.0, 30_000) * 10.0 ** rng.integers(-12, 21, 30_000) * rng.choice([-1.0, 1.0], 30_000)
+    values = np.concatenate([bits, decimal, decimal[np.argsort(np.abs(decimal))], NOTATION_FLOATS])
+    assert list(cli._float_cells(values)) == list(map(repr, values.tolist()))
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,8 @@ def edge_examples(test):
             (GROWTH, ModelVariant.VERTICAL, scheme, 1.0, (1.0, 0.0), n + 5, ConvergenceSettings(), every),
             (GENERAL, ModelVariant.GENERAL, scheme, 0.1, INTERIOR, 0, QUIET, 1),  # n_max = 0
             (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, 0.2), 40, ConvergenceSettings(), ENDS_ONLY),
+            (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, 0.2), 42, ConvergenceSettings(), 7),  # max_steps, recorded
+            (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, 0.2), 42, ConvergenceSettings(), 50),  # every > budget
             (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (-0.0, 0.5), 5, QUIET, 1),  # the map refuses X = 0 < Y
             (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, -1e-300), 5, QUIET, 1),  # and leaving the quadrant
         ]:
