@@ -8,18 +8,17 @@ positives during slow passages near saddle points.  A state whose
 infinity norm exceeds ``divergence_factor * scale`` (scale is the
 carrying capacity) is declared diverged.
 
-Three loops apply the rule: ``_scan`` steps a one-step kernel (forward
-Euler), and ``nsfd._map_scan`` and ``integrators._rk4_scan`` hold the
-NSFD map and the RK4 stages themselves, so that a map or RK4 step makes
-no Python call.  Each tests divergence, movement and the quiet-run
-count with local comparisons, and calls ``ConvergenceMonitor.update``,
-the proximity test, only once the run has been quiet for a window.
-They share the set-up and rare paths: ``_run_monitored``, ``_refused``
-and ``_finish``.  They record states only, flat, ``[x0, y0, x1, y1,
-...]``: numpy reads a flat list of floats about three times as fast as
-a list of pairs.  The recorded steps are always every
-``record_every``-th step from 0 and the last, so ``_run_monitored``
-builds them from the verdict's step.
+One run loop applies the rule: ``_LOOP``, written once as source text
+with the step left open.  ``loop`` splices in a scheme's step (the NSFD
+map's is ``nsfd.MAP``; Euler's and RK4's are built from ``model.FIELD``)
+and compiles it at import, so that a step makes no Python call.  It
+tests divergence, movement and the quiet-run count with local
+comparisons, and calls ``ConvergenceMonitor.update``, the proximity
+test, only once the run has been quiet for a window.  Its set-up and
+rare paths are plain functions: ``_run_monitored``, ``_refused`` and
+``_finish``.  It records states only, flat, ``[x0, y0, x1, y1, ...]``,
+which numpy reads about three times as fast as pairs; the recorded
+steps are every ``record_every``-th from 0 and the last.
 ``ConvergenceMonitor`` stays a class whose ``update`` is read once per
 run, because the benchmark's tracer wraps it to count proximity tests.
 """
@@ -27,13 +26,14 @@ run, because the benchmark's tracer wraps it to count proximity tests.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
-from .model import BlowUpError, DomainError, HostParams, Kernel, ModelVariant, State
+from .model import BlowUpError, DomainError, HostParams, ModelVariant, State, compiled, indented
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,16 +138,11 @@ class ConvergenceMonitor:
 Recorded = tuple[list[float], Verdict]
 
 
-def _scan(
-    advance: Kernel, scheme: str, monitor: ConvergenceMonitor, s0: tuple[float, float], n_limit: int, record_every: int
-) -> Recorded:
-    """Step s0, a finite start that has not diverged, by ``advance`` up to ``n_limit`` times under the rule.
-
-    Records every ``record_every``-th state plus the first and last.  One
-    chained comparison per component passes a state that is finite and
-    not diverged, so that ``max(|dx|, |dy|) < tol`` can be tested as
-    ``-tol < dx < tol and -tol < dy < tol``; ``_refused`` judges any other.
-    """
+# The run loop, its step from (px, py) to (x, y) left open.  The chained bound test fails for a state
+# that has diverged or is not finite, and ``_refused`` judges which.
+_LOOP = """\
+def {name}(constants, monitor, s0, n_limit, record_every):
+    {constants} = constants
     x, y = s0
     states = [x, y]
     bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
@@ -155,9 +150,9 @@ def _scan(
     verdict, quiet, n = None, 0, 0
     for n in range(1, n_limit + 1):
         px, py = x, y
-        x, y = advance(px, py)
+{step}
         if not (nbound <= x <= bound and nbound <= y <= bound):
-            verdict = _refused(scheme, n, px, py, x, y)
+            verdict = _refused({scheme!r}, n, px, py, x, y)
             break
         if ntol < x - px < tol and ntol < y - py < tol:
             quiet += 1
@@ -172,6 +167,17 @@ def _scan(
             states.append(x)
             states.append(y)
     return _finish(states, n, x, y, verdict, record_every)
+"""
+
+
+def loop(name: str, scheme: str, constants: str, step: str, namespace: dict[str, Any]) -> Callable[..., Recorded]:
+    """Compile the run loop ``name(constants, monitor, s0, n_limit, record_every)`` in ``namespace``.
+
+    The loop unpacks its first argument into the names ``constants`` lists and runs ``step`` once a
+    step; ``scheme`` names it in a blow-up's message.  ``namespace`` must hold ``_refused`` and ``_finish``.
+    """
+    source = _LOOP.format(name=name, scheme=scheme, constants=constants, step=indented(step))
+    return compiled(name, source, namespace)
 
 
 def _refused(scheme: str, n: int, px: float, py: float, x: float, y: float) -> Verdict:
@@ -206,10 +212,17 @@ def _run_monitored(
 
     Steps at most ``n_steps`` times by ``scan(monitor, s0, n_steps,
     record_every)`` (0 gives the start alone) and matches the variant's
-    equilibria.  Raises DomainError for a start that is not finite,
-    whatever the budget.  Times are steps times ``step_size``; one that
-    overflows is inf, without a warning.
+    equilibria.  Raises DomainError for a budget or ``record_every`` that
+    is not an integer (a numpy integer is one) or is out of range, and for
+    a start that is not finite, whatever the budget.  Times are steps times
+    ``step_size``; one that overflows is inf, without a warning.
     """
+    try:
+        n_steps, record_every = operator.index(n_steps), operator.index(record_every)
+    except TypeError:
+        raise DomainError(f"n_max and record_every must be integers, got {n_steps!r} and {record_every!r}") from None
+    if n_steps < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_steps!r}")
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     s = (float(s0[0]), float(s0[1]))

@@ -5,10 +5,11 @@ kept deliberately naive to demonstrate the positivity failures the
 nonstandard maps avoid.  Neither scheme clamps states: negative or
 diverging trajectories are reported as-is.
 
-Euler steps ``model.field_kernel`` in the one-step loop ``convergence._scan``.
-RK4 has its own loop, ``_rk4_scan``, with the field written out in its
-four stages, so that an RK4 step makes no Python call; tests pin it bit
-for bit against ``field_kernel`` composed four times.
+Both run in ``convergence``'s run loop, compiled at import with their
+step built from ``model.FIELD``: four stages for ``_rk4_scan``, one for
+``_euler_scan``.  Tests pin them bit for bit against ``field_kernel``
+composed four times and against ``euler_kernel`` (the one-step Euler
+kernel), each stepped by a reference loop.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .convergence import (
-    ConvergenceMonitor, ConvergenceSettings, Recorded, Trajectory, _finish, _refused, _run_monitored, _scan
-)
-from .model import DomainError, HostParams, Kernel, ModelVariant, effective_rates, field_kernel
+from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
+from .convergence import _finish, _refused  # noqa: F401  # read by the loops compiled here
+from .model import FIELD, RATE_NAMES, DomainError, HostParams, Kernel, ModelVariant, effective_rates, field_kernel
 
 __all__ = ["euler_kernel", "simulate_continuous"]
 
@@ -41,54 +41,22 @@ def euler_kernel(params: HostParams, variant: ModelVariant, dt: float) -> Kernel
     return advance
 
 
-def _rk4_scan(
-    params: HostParams, e: float, beta: float, dt: float,
-    monitor: ConvergenceMonitor, s0: tuple[float, float], n_limit: int, record_every: int,
-) -> Recorded:
-    """``convergence._scan`` with the RK4 step written in: the same rule, records, verdicts and errors."""
-    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
-    half, sixth = 0.5 * dt, dt / 6.0
-    x, y = s0
-    states = [x, y]
-    bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
-    nbound, ntol, due = -bound, -tol, record_every
-    verdict, quiet, n = None, 0, 0
-    for n in range(1, n_limit + 1):
-        px, py = x, y
-        # Each stage is field_kernel's expression, with the same operations in the same order.
-        g = 1.0 - (px + py) / big_k
-        k1x = (b_x * g - u_x - beta * py) * px + e * g * py
-        k1y = (b_y * g - u_y + beta * px) * py
-        x2, y2 = px + half * k1x, py + half * k1y
-        g = 1.0 - (x2 + y2) / big_k
-        k2x = (b_x * g - u_x - beta * y2) * x2 + e * g * y2
-        k2y = (b_y * g - u_y + beta * x2) * y2
-        x3, y3 = px + half * k2x, py + half * k2y
-        g = 1.0 - (x3 + y3) / big_k
-        k3x = (b_x * g - u_x - beta * y3) * x3 + e * g * y3
-        k3y = (b_y * g - u_y + beta * x3) * y3
-        x4, y4 = px + dt * k3x, py + dt * k3y
-        g = 1.0 - (x4 + y4) / big_k
-        k4x = (b_x * g - u_x - beta * y4) * x4 + e * g * y4
-        k4y = (b_y * g - u_y + beta * x4) * y4
-        x = px + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y = py + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (nbound <= x <= bound and nbound <= y <= bound):
-            verdict = _refused("rk4", n, px, py, x, y)
-            break
-        if ntol < x - px < tol and ntol < y - py < tol:
-            quiet += 1
-            if quiet >= window:
-                verdict = update((x, y), n)
-                if verdict is not None:
-                    break
-        else:
-            quiet = 0
-        if n == due:
-            due += record_every
-            states.append(x)
-            states.append(y)
-    return _finish(states, n, x, y, verdict, record_every)
+# RK4: the field at each of the four stages, then their weighted sum.
+_rk4_scan = loop("_rk4_scan", "rk4", f"{RATE_NAMES}, dt, half, sixth", "".join([
+    FIELD.format(x="px", y="py", dx="k1x", dy="k1y"),
+    "x2, y2 = px + half * k1x, py + half * k1y\n",
+    FIELD.format(x="x2", y="y2", dx="k2x", dy="k2y"),
+    "x3, y3 = px + half * k2x, py + half * k2y\n",
+    FIELD.format(x="x3", y="y3", dx="k3x", dy="k3y"),
+    "x4, y4 = px + dt * k3x, py + dt * k3y\n",
+    FIELD.format(x="x4", y="y4", dx="k4x", dy="k4y"),
+    "x = px + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)\n",
+    "y = py + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)\n",
+]), globals())
+# Forward Euler: the field once, then the step euler_kernel takes.
+_euler_scan = loop("_euler_scan", "euler", f"{RATE_NAMES}, dt", "".join([
+    FIELD.format(x="px", y="py", dx="dx", dy="dy"), "x = px + dt * dx\n", "y = py + dt * dy\n"
+]), globals())
 
 
 def simulate_continuous(
@@ -107,12 +75,8 @@ def simulate_continuous(
     BlowUpError is raised for the first update that is not finite.
     """
     _check_dt(dt)
-    if scheme == "rk4":
-        scan = partial(_rk4_scan, params, *effective_rates(params, variant), dt)
-    elif scheme == "euler":
-        scan = partial(_scan, euler_kernel(params, variant, dt), "euler")
-    else:
+    if scheme not in ("rk4", "euler"):
         raise DomainError(f"unknown continuous scheme {scheme!r}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
+    rates = (params.b_x, params.b_y, params.u_x, params.u_y, params.K, *effective_rates(params, variant), dt)
+    scan = partial(_rk4_scan, (*rates, 0.5 * dt, dt / 6.0)) if scheme == "rk4" else partial(_euler_scan, rates)
     return _run_monitored(scan, params, variant, s0, n_max, dt, settings, record_every)

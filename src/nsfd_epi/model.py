@@ -21,10 +21,11 @@ All operations here are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Literal, NamedTuple
+from typing import Any, Callable, Literal, NamedTuple
 
 __all__ = [
     "BlowUpError",
@@ -205,22 +206,50 @@ def effective_rates(params: HostParams, variant: ModelVariant) -> tuple[float, f
     raise ValueError(f"unknown variant {variant!r}")
 
 
+# The vector field's one expression: g, then {dx} and {dy} at ({x}, {y}), the rates named as
+# in RATE_NAMES.  field_kernel and the Euler and RK4 loops of integrators are compiled from it.
+FIELD = """\
+g = 1.0 - ({x} + {y}) / big_k
+{dx} = (b_x * g - u_x - beta * {y}) * {x} + e * g * {y}
+{dy} = (b_y * g - u_y + beta * {x}) * {y}
+"""
+RATE_NAMES = "b_x, b_y, u_x, u_y, big_k, e, beta"
+
+
+def indented(snippet: str) -> str:
+    """The snippet's lines indented by 8 spaces, two levels deep, without a final newline."""
+    return "\n".join("        " + line for line in snippet.splitlines())
+
+
+def compiled(name: str, source: str, namespace: dict[str, Any]) -> Any:
+    """Execute ``source``, which defines ``name``, in ``namespace`` and return what it defines.
+
+    It builds every generated function: ``_field`` here from ``FIELD``, the run loops from
+    ``convergence._LOOP`` and ``nsfd._map_update`` from ``nsfd.MAP``.  The text is registered in
+    ``linecache`` as ``<nsfd_epi.NAME>``, so that tracebacks and ``inspect.getsource`` show it.
+    """
+    filename = f"<nsfd_epi.{name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+_field = compiled("_field", f"""\
+def _field({RATE_NAMES}):
+    def field(x, y):
+{indented(FIELD.format(x="x", y="y", dx="dx", dy="dy"))}
+        return dx, dy
+    return field
+""", globals())
+
+
 def field_kernel(params: HostParams, variant: ModelVariant) -> Kernel:
     """The variant's right-hand side ``(X, Y) -> (dX/dt, dY/dt)``, parameters bound once.
 
-    The returned function does not check the state.  Raises
-    VariantParameterError if ``params`` contradicts ``variant``.
+    The returned function, compiled from ``FIELD``, does not check the
+    state.  Raises VariantParameterError if ``params`` contradicts ``variant``.
     """
-    e, beta = effective_rates(params, variant)
-    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
-
-    def field(x: float, y: float) -> tuple[float, float]:
-        crowding = 1.0 - (x + y) / big_k
-        dx = (b_x * crowding - u_x - beta * y) * x + e * crowding * y
-        dy = (b_y * crowding - u_y + beta * x) * y
-        return dx, dy
-
-    return field
+    return _field(params.b_x, params.b_y, params.u_x, params.u_y, params.K, *effective_rates(params, variant))
 
 
 def vector_field(params: HostParams, variant: ModelVariant, s: tuple[float, float]) -> tuple[float, float]:

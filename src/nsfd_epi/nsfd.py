@@ -30,14 +30,15 @@ Every term on each side is nonnegative for states in the positive
 quadrant, so positivity holds for every step size h > 0, and the fixed
 points coincide with the continuous equilibria.
 
-The update is written in ``_map_update``.  ``map_kernel`` runs it on one
-checked state; ``map_lanes`` runs it on float64 arrays, one element per
-(params, variant, h) lane, with the same bits per lane.  Lanes pay off
-only in bulk: below about 30 lanes one numpy step costs more than the
-scalar steps it replaces.  ``iterate`` runs ``_map_scan``, a run loop
-that restates the update inline, operation for operation, so that a
-map step makes no Python call; tests pin it bit for bit, and error for
-error, against ``map_kernel`` stepped by a reference loop.
+The update is written once, as the text ``MAP``, and compiled at import
+into ``_map_update`` and ``_map_scan``.  ``map_kernel`` runs
+``_map_update`` on one checked state; ``map_lanes`` runs it on float64
+arrays, one element per (params, variant, h) lane, with the same bits
+per lane.  Lanes pay off only in bulk: below about 30 lanes one numpy
+step costs more than the scalar steps it replaces.  ``iterate`` runs
+``_map_scan``, ``convergence``'s run loop with ``map_kernel``'s
+refusals and ``MAP`` as its step; tests pin it bit for bit, and error
+for error, against ``map_kernel`` stepped by a reference loop.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .convergence import (
-    ConvergenceMonitor, ConvergenceSettings, Recorded, Trajectory, _finish, _refused, _run_monitored
-)
-from .model import DomainError, HostParams, Kernel, ModelVariant, State, effective_rates
+from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
+from .convergence import _finish, _refused  # noqa: F401  # read by the loop compiled here
+from .model import DomainError, HostParams, Kernel, ModelVariant, State, compiled, effective_rates, indented
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,7 +99,7 @@ def denominators(params: HostParams, variant: ModelVariant, h: float) -> Denomin
 
 
 def _map_constants(params: HostParams, variant: ModelVariant, h: float) -> tuple[float, ...]:
-    """One lane's constants of the map, in ``_map_update``'s argument order.
+    """One lane's constants of the map, in ``_MAP_CONSTANTS`` order.
 
     Checks the parameters and h; phi1 comes from ``denominators`` (so
     from ``math.expm1``) whichever operand type the update runs on.
@@ -110,22 +110,22 @@ def _map_constants(params: HostParams, variant: ModelVariant, h: float) -> tuple
     return (1.0 + phi1 * b_x, phi1 * e, phi1, b_x / big_k, params.u_x, beta, e / big_k, phi2, b_y, b_y / big_k, params.u_y)
 
 
-def _map_update(gain_x, phi1_e, phi1, bx_k, u_x, beta, e_k, phi2, b_y, by_k, u_y):
-    """The map arithmetic ``(X_n, Y_n, Y_n^2/X_n) -> (X_{n+1}, Y_{n+1})``, constants bound.
-
-    Floats and float64 arrays (one element per lane) go through the same
-    expression; each ``+ * /`` is rounded once either way, so a lane's
-    bits are the scalar map's.  The caller forms the ratio.
-    """
-
-    def update(x, y, ratio):
-        num_x = x * gain_x + phi1_e * y
-        den_x = 1.0 + phi1 * (bx_k * x + bx_k * y + u_x + beta * y + e_k * y + e_k * ratio)
-        num_y = y * (1.0 + phi2 * (b_y + beta * x))
-        den_y = 1.0 + phi2 * (by_k * x + by_k * y + u_y)
-        return num_x / den_x, num_y / den_y
-
+# The map's update, its one expression: from (px, py) and the caller's ratio py^2/px
+# to (x, y), the constants named as in _MAP_CONSTANTS.  Floats and float64 arrays (one
+# element per lane) go through it alike, each + * / rounded once, so lanes keep the scalar bits.
+MAP = """\
+x = (px * gain_x + phi1_e * py) / (1.0 + phi1 * (bx_k * px + bx_k * py + u_x + beta * py + e_k * py + e_k * ratio))
+y = py * (1.0 + phi2 * (b_y + beta * px)) / (1.0 + phi2 * (by_k * px + by_k * py + u_y))
+"""
+_MAP_CONSTANTS = "gain_x, phi1_e, phi1, bx_k, u_x, beta, e_k, phi2, b_y, by_k, u_y"
+# map_kernel and map_lanes read _map_update as a module global when they build their update.
+_map_update = compiled("_map_update", f"""\
+def _map_update({_MAP_CONSTANTS}):
+    def update(px, py, ratio):
+{indented(MAP)}
+        return x, y
     return update
+""", globals())
 
 
 def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
@@ -160,51 +160,17 @@ def _refused_state(x: float, y: float) -> DomainError:
     return DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
 
 
-def _map_scan(
-    constants: tuple[float, ...], general: bool,
-    monitor: ConvergenceMonitor, s0: tuple[float, float], n_limit: int, record_every: int,
-) -> Recorded:
-    """``convergence._scan`` with ``map_kernel``'s step written in: the same rule, records, verdicts and errors.
-
-    ``constants`` are ``_map_constants``'.  The bound test passes only
-    finite states, so ``map_kernel``'s finiteness test is not repeated.
-    """
-    gain_x, phi1_e, phi1, bx_k, u_x, beta, e_k, phi2, b_y, by_k, u_y = constants
-    x, y = s0
-    states = [x, y]
-    bound, tol, window, update = monitor.bound, monitor.settings.tol_step, monitor.settings.window, monitor.update
-    nbound, ntol, due = -bound, -tol, record_every
-    verdict, quiet, n = None, 0, 0
-    for n in range(1, n_limit + 1):
-        px, py = x, y
-        if px < 0 or py < 0:
-            raise _refused_state(px, py)
-        ratio = 0.0
-        if general and py != 0:
-            if px == 0:
-                raise _refused_state(px, py)
-            ratio = py * py / px
-        # _map_update's expression, with the same operations in the same order.
-        x = (px * gain_x + phi1_e * py) / (
-            1.0 + phi1 * (bx_k * px + bx_k * py + u_x + beta * py + e_k * py + e_k * ratio)
-        )
-        y = py * (1.0 + phi2 * (b_y + beta * px)) / (1.0 + phi2 * (by_k * px + by_k * py + u_y))
-        if not (nbound <= x <= bound and nbound <= y <= bound):
-            verdict = _refused("nsfd", n, px, py, x, y)
-            break
-        if ntol < x - px < tol and ntol < y - py < tol:
-            quiet += 1
-            if quiet >= window:
-                verdict = update((x, y), n)
-                if verdict is not None:
-                    break
-        else:
-            quiet = 0
-        if n == due:
-            due += record_every
-            states.append(x)
-            states.append(y)
-    return _finish(states, n, x, y, verdict, record_every)
+# map_kernel's refusals, then MAP.  The loop's bound test passes only finite
+# states, so map_kernel's finiteness test is not repeated.
+_map_scan = loop("_map_scan", "nsfd", f"{_MAP_CONSTANTS}, general", """\
+if px < 0 or py < 0:
+    raise _refused_state(px, py)
+ratio = 0.0
+if general and py != 0:
+    if px == 0:
+        raise _refused_state(px, py)
+    ratio = py * py / px
+""" + MAP, globals())
 
 
 def map_lanes(lanes: Sequence[tuple[HostParams, ModelVariant, float]]) -> LanesKernel:
@@ -251,7 +217,5 @@ def iterate(
     recorded unless ``record_every`` thins the output; the initial and
     final states are always present.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max!r}")
-    scan = partial(_map_scan, _map_constants(params, variant, h), variant is ModelVariant.GENERAL)
+    scan = partial(_map_scan, (*_map_constants(params, variant, h), variant is ModelVariant.GENERAL))
     return _run_monitored(scan, params, variant, s0, n_max, h, settings, record_every)

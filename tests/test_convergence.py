@@ -1,4 +1,6 @@
+import inspect
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from nsfd_epi.convergence import ENDS_ONLY, ConvergenceMonitor, ConvergenceSetti
 from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from nsfd_epi.integrators import euler_kernel, simulate_continuous
 from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates
+from nsfd_epi import nsfd
 from nsfd_epi.nsfd import iterate, map_kernel
 from test_nsfd import ref_rk4
 
@@ -223,9 +226,10 @@ def test_run_loop_matches_reference_bit_for_bit(case):
 
 
 def test_run_loop_reaches_each_verdict():
-    """Every verdict, blow-up and the map's domain error match the reference, for the map and for RK4."""
+    """Every verdict, blow-up and the map's domain error match the reference, for each scheme."""
     general = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.3)
     huge = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1e100, e=0.02, beta=0.3)
+    vast = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1e300, e=0.02, beta=0.3)  # bound past the largest double
     few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3), 6
     # Quiet for a few steps near (0.5, 0), then moving, then quiet to the end:
     # the quiet count must restart after the move, or the run stops at step 53.
@@ -234,6 +238,9 @@ def test_run_loop_reaches_each_verdict():
     cases = [
         (general, 0.1, eq.point, "nsfd", few, VerdictStatus.CONVERGED),
         (general, 10.0, (0.1, 0.9), "euler", few, VerdictStatus.DIVERGED),
+        (general, 0.1, eq.point, "euler", few, VerdictStatus.CONVERGED),
+        (general, 1.0, (0.5, 0.5), "euler", few, VerdictStatus.MAX_STEPS),
+        (vast, 1.0, (1e200, 1e200), "euler", few, BlowUpError),  # "euler update overflowed at step 1 ..."
         (general, 1.0, (1e-320, 1.0), "nsfd", few, DomainError),
         (general, 0.1, eq.point, "rk4", few, VerdictStatus.CONVERGED),
         (general, 2.0, (0.5, 1e-3), "rk4", restart, VerdictStatus.CONVERGED),
@@ -255,6 +262,36 @@ def test_run_loop_reaches_each_verdict():
         else:
             assert new[1] is expected, (scheme, s0, new)
         same_bits(ref, new)
+
+
+@pytest.mark.parametrize("scheme", ["nsfd", "rk4", "euler"])
+@pytest.mark.parametrize("n_steps, record_every", [(10, 2.5), (10.0, 1)], ids=["record_every-2.5", "n_max-10.0"])
+def test_run_refuses_step_counts_that_are_not_integers(scheme, n_steps, record_every):
+    # A record_every of 2.5 was never met by the countdown, so the run kept only its
+    # start and returned it as the final state; a float budget failed inside range().
+    with pytest.raises(DomainError, match="must be integers"):
+        run_loop(GENERAL, ModelVariant.GENERAL, 0.1, (0.3, 0.2), n_steps, ConvergenceSettings(), record_every, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["nsfd", "rk4", "euler"])
+def test_run_takes_numpy_integer_step_counts(scheme):
+    def bits(n_steps, record_every):
+        run = run_loop(GENERAL, ModelVariant.GENERAL, 0.1, (0.3, 0.2), n_steps, QUIET, record_every, scheme)
+        return run.steps.tobytes(), run.states.tobytes(), run.verdict
+
+    assert bits(np.int64(10), np.int64(3)) == bits(10, 3)
+
+
+def test_generated_loops_show_their_source():
+    # The loops are compiled from text; linecache holds it for inspect and tracebacks.
+    assert nsfd.MAP.splitlines()[0] in inspect.getsource(nsfd._map_scan)
+    huge = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1e100, e=0.02, beta=0.3)
+    few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3)
+    with pytest.raises(BlowUpError) as raised:
+        run_loop(huge, ModelVariant.GENERAL, 10.0, (1.2, 0.15), 6, few, 4, "rk4")
+    frames = traceback.extract_tb(raised.value.__traceback__)
+    lines = [frame.line for frame in frames if frame.filename == "<nsfd_epi._rk4_scan>"]
+    assert lines == ["verdict = _refused('rk4', n, px, py, x, y)"]
 
 
 def test_proximity_test_names_the_nearest_equilibrium():
