@@ -46,7 +46,7 @@ from .stability import (
     Regime,
     StabilityReport,
     TheoremPrediction,
-    classify,
+    classifications,
     continuous_jacobian,
     eigenvalues2,
     jury_conditions,

@@ -12,18 +12,19 @@ from it: J - I = W Jc, with W = diag(phi1/(1 + phi1 D1),
 phi2/(1 + phi2 D2)) positive (``map_weights``), the elementary-stability
 argument of Anguelov & Lubuma (2001) in matrix form.
 
-The flow's verdict is the sign of the real parts of Jc's eigenvalues
-(``classify``); the map's is the 2x2 Schur-Cohn (Jury) test of
-J = I + M, M = W Jc (``jury_conditions``).  With P the characteristic
-polynomial of J, both multipliers lie inside the unit circle iff
-P(1) = det M, P(-1) = 4 + 2 tr M + det M and 1 - det J = -(tr M + det M)
-are all positive; P(1) P(-1) < 0 is a saddle, any other case a source.
-No hypothesis on the entries, nothing subtracted from 1.  A multiplier
-is on the circle at 1 only when P(1) is exactly 0, at -1 when a real
-one is within about 4 EPS_HYPERBOLIC of it, and as a complex pair when
-1 - det J is within EPS_HYPERBOLIC of 0 relative to |tr M| + |det M|.
-``map_classification`` forms tr M and det M from W and Jc at their own
-exponents, so no h or rate leaves the float range.  The closed-form
+Both verdicts are sign rules read from one split of Jc
+(``classifications``), with det Jc and tr Jc at their own exponents.
+The flow's is Routh-Hurwitz: det Jc < 0 is a saddle, det Jc > 0 stable
+for tr Jc < 0 and a source for tr Jc > 0.  The map's is the 2x2
+Schur-Cohn (Jury) test of J = I + M, M = W Jc (``jury_conditions``): with
+P the characteristic polynomial of J, both multipliers lie inside the unit
+circle iff P(1) = det M = w1 w2 det Jc, P(-1) = 4 + 2 tr M + det M and
+1 - det J = -(tr M + det M) are all positive; P(1) P(-1) < 0 is a saddle,
+any other case a source.  Nothing is subtracted from 1.  Both read
+nonhyperbolic where det Jc is exactly 0; the flow also where tr Jc is within
+EPS_HYPERBOLIC of 0 relative to |a11| + |a22|, the map where a real multiplier
+is within about 4 EPS_HYPERBOLIC of -1, or a complex pair's 1 - det J within
+EPS_HYPERBOLIC of 0 relative to |tr M| + |det M|.  The closed-form
 criteria (stability_conditions), the same in both regimes, cross-check both.
 """
 
@@ -46,19 +47,18 @@ __all__ = [
     "StabilityConditions",
     "StabilityReport",
     "TheoremPrediction",
-    "classify",
+    "classifications",
     "continuous_jacobian",
     "eigenvalues2",
     "jury_conditions",
-    "map_classification",
     "map_weights",
     "prediction_matches",
     "stability_conditions",
     "stability_report",
 ]
 
-# Relative tolerance for declaring an eigenvalue or a multiplier on the
-# stability boundary; the theory assumes strict inequalities throughout.
+# Relative band of the sign rules, read from one split of Jc: tr Jc for the flow,
+# P(-1) and 1 - det J for the map; the theory assumes strict inequalities throughout.
 EPS_HYPERBOLIC = 1e-9
 
 
@@ -83,7 +83,7 @@ class Regime(Enum):
 
 
 class Classification(Enum):
-    """Fixed-point types by eigenvalues, as ``classify`` returns them."""
+    """Fixed-point types, as the sign rules of ``classifications`` read them from one split of Jc."""
 
     STABLE = "stable"
     SADDLE = "saddle"
@@ -171,10 +171,6 @@ def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
     the determinant overflows (2^k brings the largest entry below 2).
     DomainError if an eigenvalue is not finite.
     """
-    return _by_modulus(_eigenvalues(m))
-
-
-def _eigenvalues(m: Matrix2) -> tuple[complex, complex]:
     if m.a12 == 0.0 or m.a21 == 0.0:
         eigs = (complex(m.a11), complex(m.a22))
     else:
@@ -185,26 +181,11 @@ def _eigenvalues(m: Matrix2) -> tuple[complex, complex]:
             eigs = tuple(complex(z.real * scale, z.imag * scale) for z in scaled)  # type: ignore[assignment]
     if not _moduli_finite(eigs):
         raise DomainError(f"eigenvalues of {tuple(m)!r}: the characteristic quadratic is out of floating-point range")
-    return eigs
+    return _by_modulus(eigs)
 
 
 def _by_modulus(eigs: tuple[complex, complex]) -> tuple[complex, complex]:
     return tuple(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))  # type: ignore[return-value]
-
-
-def classify(eigs: tuple[complex, complex]) -> Classification:
-    """The flow's classification by the eigenvalues of Jc.
-
-    Both real parts negative is stable, both positive a source, mixed a
-    saddle; a real part within EPS_HYPERBOLIC (1 + |z|) of 0 is nonhyperbolic.
-    """
-    if any(abs(z.real) <= EPS_HYPERBOLIC * (1.0 + abs(z)) for z in eigs):
-        return Classification.NONHYPERBOLIC
-    if all(z.real < 0 for z in eigs):
-        return Classification.STABLE
-    if all(z.real > 0 for z in eigs):
-        return Classification.SOURCE
-    return Classification.SADDLE
 
 
 class JuryConditions(NamedTuple):
@@ -241,17 +222,26 @@ def jury_conditions(m: Matrix2, k: int = 0) -> JuryConditions:
     return JuryConditions(det, p_minus_one, one_minus_det, hyperbolic, verdict)
 
 
-def map_classification(jc: Matrix2) -> Callable[[float, float], Classification]:
-    """The type of J = I + M, M = diag(w1, w2) Jc, by ``jury_conditions``, as a function of w1, w2 > 0.
+def classifications(jc: Matrix2) -> tuple[Classification, Callable[[float, float], Classification]]:
+    """The flow's type of Jc, and the map's type of I + M, M = diag(w1, w2) Jc, as a function of w1, w2 > 0.
 
-    tr M = w1 a11 + w2 a22 and det M = w1 w2 det Jc are formed at their own exponents, and
-    the rule reads the companion matrix of M / 2^j, 2^j bringing the larger of |tr M| and
-    sqrt|det M| into [1, 2).  Only a 1 - det J = -det M below 2^-2148 (tr M = 0) is lost.
+    Jc is split once.  The flow reads the signs of det Jc and tr Jc at their own exponents (module
+    docstring).  The map forms tr M = w1 a11 + w2 a22 and det M = w1 w2 det Jc, the same det Jc, at
+    their own exponents, and reads the companion matrix of M / 2^j, 2^j bringing the larger of |tr M|
+    and sqrt|det M| into [1, 2).  Only a 1 - det J = -det M below 2^-2148 (tr M = 0) is lost.
     """
     (m11, e11), (m12, e12), (m21, e21), (m22, e22) = map(math.frexp, jc)
     p, q, ep, eq = m11 * m22, m12 * m21, e11 + e22, e12 + e21
     det_e = max(ep, eq) if p and q else ep if p else eq
     det_jc = math.ldexp(p, ep - det_e) - math.ldexp(q, eq - det_e)  # det Jc / 2^det_e
+    diag_e = max(e11, e22) if m11 and m22 else e11 if m11 else e22
+    t11, t22 = math.ldexp(m11, e11 - diag_e), math.ldexp(m22, e22 - diag_e)  # a11 / 2^diag_e, a22 / 2^diag_e
+    if det_jc < 0:
+        flow = Classification.SADDLE
+    elif det_jc == 0 or abs(t11 + t22) <= EPS_HYPERBOLIC * (abs(t11) + abs(t22)):
+        flow = Classification.NONHYPERBOLIC
+    else:
+        flow = Classification.STABLE if t11 + t22 < 0 else Classification.SOURCE
 
     def classification(w1: float, w2: float) -> Classification:
         (v1, f1), (v2, f2) = math.frexp(w1), math.frexp(w2)
@@ -269,7 +259,7 @@ def map_classification(jc: Matrix2) -> Callable[[float, float], Classification]:
             return Classification.STABLE
         return Classification.SADDLE if (jury.p_one > 0) != (jury.p_minus_one > 0) else Classification.SOURCE
 
-    return classification
+    return flow, classification
 
 
 @dataclass(frozen=True)
@@ -371,7 +361,7 @@ def prediction_matches(prediction: TheoremPrediction, classification: Classifica
 
 
 class StabilityReport(NamedTuple):
-    """Eigenvalue analysis of one equilibrium in one regime (h is None in the continuous one)."""
+    """The sign-rule type of one equilibrium in one regime (h None for the flow), with its eigenvalues for print."""
 
     regime: Regime
     h: float | None
@@ -389,9 +379,12 @@ def stability_report(
 ) -> list[StabilityReport]:
     """Classify an equilibrium under the flow, then under the map at each h, and cross-check the closed-form criteria.
 
-    Jc, the criteria and the map's rule (``map_classification``) are set
-    up once; at each h the rule takes the weights of M = W(h) Jc (see
-    ``map_weights``), and the multipliers, 1 + eig(M), are solved for the report.
+    Jc and the criteria are set up once, and Jc is split once
+    (``classifications``): the flow's type is the sign rule of that
+    det Jc and tr Jc, and at each h the map's rule takes the weights of
+    M = W(h) Jc (see ``map_weights``) with the same det Jc.  The
+    eigenvalues of Jc and the multipliers, 1 + eig(M), are solved only to
+    be printed.
     """
     jc = continuous_jacobian(params, variant, eq.point)
     crit = stability_conditions(params, variant, eq)
@@ -402,17 +395,15 @@ def stability_report(
             regime, h, eigs, classification, crit.prediction, agree, crit.conditions, crit.side_conditions, crit.notes
         )
 
-    eigs = eigenvalues2(jc)
-    reports = [report(Regime.CONTINUOUS, None, eigs, classify(eigs))]
+    flow, verdict = classifications(jc)
+    reports = [report(Regime.CONTINUOUS, None, eigenvalues2(jc), flow)]
     weights = map_weights(params, variant, eq.point) if h_list else None
-    verdict = map_classification(jc)
     for h in h_list:
         # The multipliers, from M / 2^k with W scaled (exactly) by a power of two near 1.
         w1, w2 = weights(h)
         k = min(math.frexp(max(abs(w1), abs(w2)))[1], 1023)
         s1, s2, scale = math.ldexp(w1, -k), math.ldexp(w2, -k), math.ldexp(1.0, k)
-        scaled = Matrix2(s1 * jc.a11, s1 * jc.a12, s2 * jc.a21, s2 * jc.a22)
-        nus = _eigenvalues(scaled)
+        nus = eigenvalues2(Matrix2(s1 * jc.a11, s1 * jc.a12, s2 * jc.a21, s2 * jc.a22))
         multipliers = (1.0 + nus[0] * scale, 1.0 + nus[1] * scale)
         if not _moduli_finite(multipliers):
             raise DomainError(f"multipliers {multipliers!r} at h = {h!r} are out of floating-point range")

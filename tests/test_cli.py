@@ -208,6 +208,15 @@ class TestStabilityCommand:
         entry = [e for e in doc["equilibria"] if e["equilibrium"]["kind"] == "disease_free"][0]
         assert all(r["classification"] == "saddle" and r["theorem_prediction"] == "unstable" for r in entry["reports"])
 
+    def test_flow_reads_the_map_det_jc_at_r0_near_1(self, capsys):
+        # R0 - 1 is about 1e-11, so a Jc eigenvalue is +-2e-12: the flow reads det Jc's sign, as the map does.
+        code, out, _ = run_cli(["stability", "--beta", "0.1600000000024"], capsys)
+        assert code == 0
+        continuous = [line.split() for line in out.splitlines() if line.lstrip().startswith("continuous")]
+        assert [(words[4], words[-1]) for words in continuous] == [
+            ("source", "n/a"), ("saddle", "agrees"), ("stable", "agrees"),
+        ]
+
     def test_vertical_susceptible_free_predicted_unstable(self, capsys):
         code, out, _ = run_cli(
             ["stability", "--model", "vertical", *BENCH, "--K", "1.2", "--e", "0", "--beta", "0", "--format", "json"],
@@ -455,9 +464,10 @@ class TestPortraitCommand:
 
 
 class TestSweepCommand:
-    def test_uniform_across_step_sizes(self, capsys):
+    @pytest.mark.parametrize("beta", ["0.3", "0.1600000000024"])  # the second puts R0 within about 1e-11 of 1
+    def test_uniform_across_step_sizes(self, capsys, beta):
         code, out, _ = run_cli(
-            ["sweep", *BENCH, "--K", "1", "--e", "0.02", "--beta", "0.3", "--format", "json"],
+            ["sweep", *BENCH, "--K", "1", "--e", "0.02", "--beta", beta, "--format", "json"],
             capsys,
         )
         assert code == 0

@@ -22,11 +22,10 @@ from nsfd_epi.stability import (
     Matrix2,
     Regime,
     TheoremPrediction,
-    classify,
+    classifications,
     continuous_jacobian,
     eigenvalues2,
     jury_conditions,
-    map_classification,
     map_weights,
     prediction_matches,
     stability_conditions,
@@ -302,7 +301,7 @@ class TestEigenvalues2:
         assert not math.isfinite(m.trace * m.trace)
         eigs = eigenvalues2(m)
         assert eigs == (pytest.approx(8.3333333333e298), -0.5)
-        assert classify(eigs) is Classification.SADDLE
+        assert classifications(m)[0] is Classification.SADDLE
 
     def test_eigenvalues_past_the_float_range_are_domain_error(self):
         for m in (Matrix2(1.5e308, -1.5e308, 1.5e308, 1.5e308), Matrix2(1.7e308, 1.7e308, 1.7e308, 1.7e308)):
@@ -330,8 +329,8 @@ def test_overflowing_eigenvalues_are_2_to_the_k_times_those_of_the_matrix_over_2
 
 
 def map_verdict(*entries):
-    """The map's classification of M, through ``map_classification`` with W = I."""
-    return map_classification(Matrix2(*entries))(1.0, 1.0)
+    """The map's classification of M, through ``classifications`` with W = I."""
+    return classifications(Matrix2(*entries))[1](1.0, 1.0)
 
 
 class TestClassify:
@@ -356,16 +355,9 @@ class TestClassify:
         # det M would overflow here; the multipliers are far outside the circle.
         assert map_verdict(-1e200, 0.0, 0.0, 1e200) is Classification.SOURCE
 
-    def test_continuous_examples(self):
-        assert classify((-0.5 + 0j, -0.05 + 0j)) is Classification.STABLE
-        assert classify((0.5 + 0j, -0.05 + 0j)) is Classification.SADDLE
-        assert classify((0.5 + 0j, 0.05 + 0j)) is Classification.SOURCE
-        assert classify((0j, -0.5 + 0j)) is Classification.NONHYPERBOLIC
-
     def test_complex_pairs_use_modulus_or_real_part(self):
-        spiral = (complex(-0.1, 0.8), complex(-0.1, -0.8))
-        assert classify(spiral) is Classification.STABLE
-        # As the eigenvalues of M, the same pair gives multipliers 0.9 +- 0.8i, outside the unit circle.
+        # The stable spiral -0.1 +- 0.8i of the flow (an example of the flow's property below), as the
+        # eigenvalues of M, gives multipliers 0.9 +- 0.8i, outside the unit circle.
         assert map_verdict(-0.1, -0.8, 0.8, -0.1) is Classification.SOURCE
         assert map_verdict(-0.5, -0.5, 0.5, -0.5) is Classification.STABLE  # 0.5 +- 0.5i
         assert map_verdict(-0.2, -0.8, 0.8, -0.2) is Classification.SOURCE  # 0.8 +- 0.8i
@@ -380,7 +372,7 @@ class TestJury:
     def test_diagonal_outside_unit_interval(self):
         # J = diag(1.2, 0.5).
         res = jury_conditions(Matrix2(0.2, 0.0, 0.0, -0.5))
-        assert not res.verdict and map_classification(Matrix2(0.2, 0.0, 0.0, -0.5))(1.0, 1.0) is Classification.SADDLE
+        assert not res.verdict and map_verdict(0.2, 0.0, 0.0, -0.5) is Classification.SADDLE
 
     @pytest.mark.parametrize("j11", [0.0, 1.0])
     def test_diagonal_at_an_interval_end_needs_no_hypothesis(self, j11):
@@ -419,7 +411,7 @@ def test_jury_matches_eigenvalue_moduli(entries):
     inside = sum(mod < 1.0 for mod in moduli)
     res = jury_conditions(m)
     assert res.verdict == (inside == 2)
-    assert map_classification(m)(1.0, 1.0) is (Classification.SOURCE, Classification.SADDLE, Classification.STABLE)[inside]
+    assert map_verdict(*m) is (Classification.SOURCE, Classification.SADDLE, Classification.STABLE)[inside]
 
 
 wide_entries = st.one_of(
@@ -468,7 +460,33 @@ def test_map_classification_takes_the_exact_signs_at_any_exponent(entries, weigh
         want = Classification.SADDLE
     else:
         want = Classification.SOURCE
-    assert map_classification(Matrix2(*entries))(*weights) is want
+    assert classifications(Matrix2(*entries))[1](*weights) is want
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=st.tuples(*[wide_entries] * 4))
+@example(entries=(-1e-170, 0.0, 0.0, 1e-170))  # det Jc underflows in floats: a saddle
+@example(entries=(-0.5, -8.333333333333334e298, 0.0, 8.333333333333334e298))  # the K = 1e300 disease-free Jc
+@example(entries=(0.0, -1.0, 1.0, 0.0))  # a center, +-i
+@example(entries=(-0.1, -0.8, 0.8, -0.1))  # a stable spiral, -0.1 +- 0.8i
+def test_flow_classification_takes_the_exact_signs_at_any_exponent(entries):
+    """Any float Jc: the flow's classification is the one of det Jc and tr Jc in rationals.
+
+    det Jc = 0, or tr Jc = 0 where det Jc > 0, is nonhyperbolic.  Any other sign the verdict
+    reads, within 1e-6 of 0 relative to the sum of the moduli of its terms, is left to the band
+    and skipped.
+    """
+    a11, a12, a21, a22 = map(Fraction, entries)
+    tr, det = a11 + a22, a11 * a22 - a12 * a21
+    assume(det == 0 or abs(det) > Fraction(1, 10**6) * (abs(a11 * a22) + abs(a12 * a21)))
+    if det == 0 or (det > 0 and tr == 0):
+        want = Classification.NONHYPERBOLIC
+    elif det < 0:
+        want = Classification.SADDLE
+    else:
+        assume(abs(tr) > Fraction(1, 10**6) * (abs(a11) + abs(a22)))
+        want = Classification.STABLE if tr < 0 else Classification.SOURCE
+    assert classifications(Matrix2(*entries))[0] is want
 
 
 normal_entries = st.one_of(st.just(0.0), st.floats(2.0**-400, 1.0), st.floats(-1.0, -(2.0**-400)))
@@ -618,15 +636,15 @@ class TestStabilityReports:
         ],
     )
     def test_discrete_verdict_past_the_float_range(self, params, variant, want):
-        """Where det M or its terms leave the float range, the map reads as at moderate h: (trivial, disease-free).
+        """Where det M or its terms leave the float range, the map and the flow read as at moderate h: (trivial, disease-free).
 
         Only the trivial point of "w-times-jc-underflows" exists; at h = 1.558e58, w1 a11 is below the least double.
         """
         got = []
         for eq in all_equilibria(params, variant):
             if eq.exists:
-                _, *discrete = stability_report(params, variant, eq, (1e-300, 1e-8, 0.1, 10.0, 1.5582542291485052e58))
-                got.append({r.classification for r in discrete})
+                reports = stability_report(params, variant, eq, (1e-300, 1e-8, 0.1, 10.0, 1.5582542291485052e58))
+                got.append({r.classification for r in reports})
         assert got == [{w} for w in want]
 
     def test_prediction_matches_semantics(self):
