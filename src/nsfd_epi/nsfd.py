@@ -21,10 +21,10 @@ The horizontal variant is this map with e = 0, the vertical one with
 e = 0 and beta = 0 (so phi1 = h).  Their zero rates make the e and beta
 terms +0.0, and adding +0.0 changes no value other than -0.0, so each
 variant keeps the bits of a map written for it alone.  The Y^2/X ratio
-is formed only for the general variant with Y != 0; at X = 0 it is
-infinite, and 0 * inf would turn the horizontal map's invariant X = 0
-axis into NaN.  The general map refuses X <= 0 with Y > 0 and extends
-continuously along the X axis (Y = 0).
+is formed only where its coefficient e/K is nonzero and Y != 0; at
+X = 0 it is infinite, and 0 * inf would turn the invariant X = 0 axis
+of a map with e = 0 into NaN.  With e > 0 the map refuses X <= 0 with
+Y > 0, and it extends continuously along the X axis (Y = 0).
 
 Every term on each side is nonnegative for states in the positive
 quadrant, so positivity holds for every step size h > 0, and the fixed
@@ -133,10 +133,10 @@ def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
 
     Checks the parameters and h and computes phi1 and phi2 once.  The
     update raises DomainError for a state that is not finite, leaves the
-    nonnegative quadrant, or has X = 0 < Y under the general variant.
+    nonnegative quadrant, or has X = 0 < Y where e/K is nonzero.
     """
-    update = _map_update(*_map_constants(params, variant, h))
-    general = variant is ModelVariant.GENERAL
+    constants = _map_constants(params, variant, h)
+    update, e_k = _map_update(*constants), constants[6]  # e/K, the coefficient of Y^2/X
 
     def advance(x: float, y: float) -> tuple[float, float]:
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -144,7 +144,7 @@ def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
         if x < 0 or y < 0:
             raise _refused_state(x, y)
         ratio = 0.0
-        if general and y != 0:
+        if e_k and y != 0:
             if x == 0:
                 raise _refused_state(x, y)
             ratio = y * y / x
@@ -154,7 +154,7 @@ def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
 
 
 def _refused_state(x: float, y: float) -> DomainError:
-    """The error for a finite state the map refuses: outside the quadrant, or X = 0 < Y under the general variant."""
+    """The error for a finite state the map refuses: outside the quadrant, or X = 0 < Y where e/K is nonzero."""
     if x < 0 or y < 0:
         return DomainError(f"state ({x!r}, {y!r}) leaves the nonnegative quadrant")
     return DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
@@ -162,11 +162,11 @@ def _refused_state(x: float, y: float) -> DomainError:
 
 # map_kernel's refusals, then MAP.  The loop's bound test passes only finite
 # states, so map_kernel's finiteness test is not repeated.
-_map_scan = loop("_map_scan", "nsfd", f"{_MAP_CONSTANTS}, general", """\
+_map_scan = loop("_map_scan", "nsfd", _MAP_CONSTANTS, """\
 if px < 0 or py < 0:
     raise _refused_state(px, py)
 ratio = 0.0
-if general and py != 0:
+if e_k and py != 0:
     if px == 0:
         raise _refused_state(px, py)
     ratio = py * py / px
@@ -180,18 +180,18 @@ def map_lanes(lanes: Sequence[tuple[HostParams, ModelVariant, float]]) -> LanesK
     state the scalar update accepts, lane i steps exactly as
     ``map_kernel(*lanes[i])`` would, bit for bit.  Nothing checks the
     states: from a state the scalar update refuses (not finite, outside
-    the quadrant, or X = 0 < Y under the general variant) a lane steps
-    on to whatever the arithmetic gives, without a numpy warning, so
-    the caller tests the states it gets back.
+    the quadrant, or X = 0 < Y where e/K is nonzero) a lane steps on to
+    whatever the arithmetic gives, without a numpy warning, so the
+    caller tests the states it gets back.
     """
     import numpy as np
 
-    general = np.array([variant is ModelVariant.GENERAL for _, variant, _ in lanes])
-    update = _map_update(*np.array([_map_constants(*lane) for lane in lanes], dtype=np.float64).T.copy())
+    constants = np.array([_map_constants(*lane) for lane in lanes], dtype=np.float64).T.copy()
+    update, has_ratio = _map_update(*constants), constants[6] != 0  # e/K, the coefficient of Y^2/X
 
     def advance(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(all="ignore"):
-            return update(x, y, np.where(general & (y != 0), y * y / x, 0.0))
+            return update(x, y, np.where(has_ratio & (y != 0), y * y / x, 0.0))
 
     return advance
 
@@ -217,5 +217,5 @@ def iterate(
     recorded unless ``record_every`` thins the output; the initial and
     final states are always present.
     """
-    scan = partial(_map_scan, (*_map_constants(params, variant, h), variant is ModelVariant.GENERAL))
+    scan = partial(_map_scan, _map_constants(params, variant, h))
     return _run_monitored(scan, params, variant, s0, n_max, h, settings, record_every)

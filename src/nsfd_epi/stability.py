@@ -122,17 +122,17 @@ def map_weights(
     their derivatives are W_i = phi_i/(1 + phi_i D_i) times those of f_i.
     D1 and D2 do not depend on h and are computed once.  W(h) raises
     DomainError for an entry that is not finite or is 0; X <= 0 < Y is
-    refused for the general map, which is undefined there.
+    refused where the map forms Y^2/X (e/K nonzero), as it is undefined there.
     """
     x, y = point
     e, beta = effective_rates(params, variant)
-    ratio = 0.0
-    if e != 0.0 and y != 0.0:
+    b_x, b_y, big_k = params.b_x, params.b_y, params.K
+    e_k, ratio = e / big_k, 0.0
+    if e_k != 0.0 and y != 0.0:
         if x <= 0.0:
             raise DomainError("discrete variational matrix needs X > 0 when e > 0 and Y > 0 (contains Y^2/X)")
         ratio = y * y / x
-    b_x, b_y, big_k = params.b_x, params.b_y, params.K
-    d1 = b_x / big_k * x + b_x / big_k * y + params.u_x + beta * y + e / big_k * y + e / big_k * ratio
+    d1 = b_x / big_k * x + b_x / big_k * y + params.u_x + beta * y + e_k * y + e_k * ratio
     d2 = b_y / big_k * x + b_y / big_k * y + params.u_y
 
     def weights(h: float) -> tuple[float, float]:
@@ -276,9 +276,6 @@ class StabilityConditions:
     conditions: tuple[Condition, ...]
     side_conditions: tuple[Condition, ...] = ()
     notes: tuple[str, ...] = ()
-
-    def margins(self) -> tuple[float, ...]:
-        return tuple(c.margin for c in self.conditions + self.side_conditions)
 
 
 def stability_conditions(params: HostParams, variant: ModelVariant, eq: Equilibrium) -> StabilityConditions:

@@ -37,8 +37,6 @@ from .stability import (
     Matrix2,
     TheoremPrediction,
     jury_conditions,
-    prediction_matches,
-    stability_conditions,
     stability_report,
 )
 
@@ -58,8 +56,8 @@ __all__ = [
 
 SEED = 987134834
 
-# The random checks draw a variant as an index into this tuple; the
-# positivity sampler reads index 0 as general and 2 as vertical.
+# The strict sampler draws a variant as an index into this tuple, and
+# reads index 0 as general and 2 as vertical.
 _VARIANTS = (ModelVariant.GENERAL, ModelVariant.HORIZONTAL, ModelVariant.VERTICAL)
 
 # Samples per batch of map lanes in positivity_check, and matrices per
@@ -237,29 +235,14 @@ def reproduction_threshold_check() -> CheckResult:
     return _ok(name, "R0 = 0.75 keeps the disease-free point stable; R0 = 1.58333 destabilizes it (both regimes)")
 
 
-def _draw_strict_params(rng: np.random.Generator, variant: ModelVariant) -> HostParams:
-    while True:
-        b_x = rng.uniform(0.05, 2.0)
-        b_y = rng.uniform(0.02, b_x)
-        e = rng.uniform(0.0, b_x - b_y) if variant is ModelVariant.GENERAL else 0.0
-        u_x = rng.uniform(0.01, 1.0)
-        u_y = u_x + rng.uniform(0.01, 1.0)
-        big_k = rng.uniform(0.2, 5.0)
-        beta = 0.0 if variant is ModelVariant.VERTICAL else rng.uniform(0.01, 1.5)
-        params = HostParams(b_x=b_x, b_y=b_y, u_x=u_x, u_y=u_y, K=big_k, e=e, beta=beta)
-        if not validate_params(params, "strict"):
-            return params
-
-
-def _draw_positivity_block(
+def _draw_strict_block(
     rng: np.random.Generator, size: int
 ) -> tuple[list[tuple[HostParams, ModelVariant, float]], list[tuple[float, float]]]:
-    """``size`` positivity samples: their ``(params, variant, h)`` lanes and their starts.
+    """``size`` random strict samples: their ``(params, variant, h)`` lanes and their starts.
 
-    Each field is drawn as one array from the distribution that
-    ``_draw_strict_params`` draws a single set from, then converted to
-    Python floats.  Lanes that fail strict validation are dropped and
-    drawn again until the block is full.
+    Each field is drawn as one array, then converted to Python floats.
+    Lanes that fail strict validation are dropped and drawn again until
+    the block is full.
     """
     import numpy as np
 
@@ -320,7 +303,7 @@ def positivity_check(n_samples: int = 10_000, n_steps: int = 50) -> CheckResult:
     """Random nonstandard runs stay in the quadrant; Euler does not.
 
     The samples are drawn ``POSITIVITY_BLOCK`` at a time, each block as
-    arrays by ``_draw_positivity_block``, and each block runs as lanes
+    arrays by ``_draw_strict_block``, and each block runs as lanes
     of one map.
     """
     import numpy as np
@@ -328,7 +311,7 @@ def positivity_check(n_samples: int = 10_000, n_steps: int = 50) -> CheckResult:
     name = "positivity"
     rng = np.random.default_rng(SEED)
     for first in range(0, n_samples, POSITIVITY_BLOCK):
-        lanes, starts = _draw_positivity_block(rng, min(POSITIVITY_BLOCK, n_samples - first))
+        lanes, starts = _draw_strict_block(rng, min(POSITIVITY_BLOCK, n_samples - first))
         failure = _first_lane_failure(lanes, starts, n_steps)
         if failure is not None:
             lane, n, s = failure
@@ -396,42 +379,25 @@ def jury_oracle_check(n_samples: int = 100_000) -> CheckResult:
     return _ok(name, f"{n_samples} random matrices agree with the modulus test ({near} skipped near the circle)")
 
 
-def theorem_crosscheck(n_draws: int = 1000, margin: float = 1e-6) -> CheckResult:
-    """Closed-form predictions match eigenvalues for random strict draws."""
+def theorem_crosscheck(n_draws: int = 1000) -> CheckResult:
+    """Closed-form predictions match the sign rules' verdicts for every one of ``n_draws`` random strict sets."""
     import numpy as np
 
     name = "theorem-crosscheck"
-    rng = np.random.default_rng(SEED + 2)
-    accepted = 0
+    lanes, _ = _draw_strict_block(np.random.default_rng(SEED + 2), n_draws)
     covered = 0
-    attempts = 0
-    while accepted < n_draws:
-        attempts += 1
-        if attempts > 50 * n_draws:
-            return _fail(name, f"sampler stalled after {attempts} attempts ({accepted} accepted)")
-        variant = _VARIANTS[int(rng.integers(len(_VARIANTS)))]
-        params = _draw_strict_params(rng, variant)
-        equilibria = all_equilibria(params, variant)
-        # Keep draws that sit safely away from every decision boundary.
-        margins: list[float] = []
-        for eq in equilibria:
-            margins.extend(c.margin for c in eq.conditions)
-            if eq.exists:
-                margins.extend(stability_conditions(params, variant, eq).margins())
-        if any(math.isnan(m) for m in margins) or min(abs(m) for m in margins) <= margin:
-            continue
-        accepted += 1
-        for eq in equilibria:
+    for i, (params, variant, _) in enumerate(lanes):
+        for eq in all_equilibria(params, variant):
             if not eq.exists:
                 continue
             for rep in stability_report(params, variant, eq, (0.1, 10.0)):
                 if rep.prediction is TheoremPrediction.NOT_COVERED:
                     continue
                 covered += 1
-                if not prediction_matches(rep.prediction, rep.classification):
+                if not rep.agree:
                     return _fail(
                         name,
-                        f"{variant.value}/{eq.kind.value} ({rep.regime.value}, h={rep.h}): predicted "
+                        f"draw {i}, {variant.value}/{eq.kind.value} ({rep.regime.value}, h={rep.h}): predicted "
                         f"{rep.prediction.value} but classified {rep.classification.value} "
                         f"for params {params}",
                     )

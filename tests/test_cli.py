@@ -334,6 +334,27 @@ class TestSimulateCommand:
         assert code == 3
         assert "undefined" in err
 
+    @pytest.mark.parametrize(
+        "x0, y0, verdict",
+        [
+            ("0", "0.5", "# verdict=converged n=924 equilibrium=susceptible_free X=0.0 Y=0.6"),
+            ("1e-320", "0.6", "# verdict=converged n=50 equilibrium=susceptible_free X=0.0 Y=0.6"),
+        ],
+        ids=["infected-axis", "subnormal-x"],
+    )
+    def test_general_model_with_e_zero_runs_as_the_horizontal_one(self, x0, y0, verdict, capsys):
+        # With e = 0 the general map forms no Y^2/X, so neither start is refused or overflows.
+        rows = {}
+        for model in ("general", "horizontal"):
+            argv = ["simulate", "--model", model, "--e", "0", "--beta", "0.42", "--K", "1.2", "--x0", x0, "--y0", y0]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[1].startswith(f"# model={model} ")
+            rows[model] = lines[2:]
+        assert rows["general"] == rows["horizontal"]
+        assert rows["general"][-1] == verdict
+
     def test_huge_dt_is_runtime_error(self, capsys):
         # From the default start (0.1, 0.1), the first RK4 step at dt = 1e308 overflows.
         code, _, err = run_cli(["simulate", "--scheme", "rk4", "--dt", "1e308", "--steps", "2"], capsys)

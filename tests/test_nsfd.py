@@ -297,11 +297,12 @@ def _ref_check_state(x, y):
 def ref_step_general(params, h, s):
     x, y = s
     _ref_check_state(x, y)
-    if x == 0 and y > 0:
+    b_x, b_y, u_x, u_y, big_k, e, beta = params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta
+    # Y^2/X is formed only where its coefficient e/K is nonzero; the map is undefined at X = 0 < Y there.
+    if e / big_k != 0 and x == 0 and y > 0:
         raise DomainError("general map is undefined at X = 0 with Y > 0")
     phi1, phi2 = denominators(params, ModelVariant.GENERAL, h)
-    b_x, b_y, u_x, u_y, big_k, e, beta = params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta
-    ratio = y * y / x if y != 0 else 0.0
+    ratio = y * y / x if e / big_k != 0 and y != 0 else 0.0
     num_x = x * (1.0 + phi1 * b_x) + phi1 * e * y
     den_x = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio)
     num_y = y * (1.0 + phi2 * (b_y + beta * x))
@@ -419,9 +420,9 @@ def test_map_matches_per_variant_formulas_bit_for_bit(params, variant, h, x, y):
     params = fit_variant(params, variant)
     got = map_outcome(step, params, variant, h, (x, y))
     assert got == map_outcome(REFERENCE_MAPS[variant], params, h, (x, y))
-    if variant is ModelVariant.GENERAL and x == 0.0 and y > 0.0:
+    if variant is ModelVariant.GENERAL and params.e / params.K != 0 and x == 0.0 and y > 0.0:
         assert got == "DomainError"
-    elif variant is not ModelVariant.GENERAL and x == 0.0:
+    elif x == 0.0:
         assert got != "DomainError"
 
 
@@ -465,7 +466,7 @@ def lane_setups(draw):
     h = draw(st.floats(-12.0, 12.0).map(lambda k: 10.0**k))
     x = draw(st.one_of(densities, st.just(-0.0)))
     y = draw(st.one_of(densities, st.just(-0.0)))
-    if variant is ModelVariant.GENERAL and x == 0.0 and y != 0.0:
+    if variant is ModelVariant.GENERAL and params.e / params.K != 0 and x == 0.0 and y != 0.0:
         x = draw(st.sampled_from([5e-324, 1e-300]))  # the scalar map refuses X = 0 < Y here
     return (params, variant, h), (x, y)
 
@@ -504,6 +505,39 @@ def test_lanes_match_scalar_kernel_bit_for_bit(cases, n_steps):
             got[lane].append(bits(state))
     for lane, states in enumerate(expected):
         assert got[lane][: len(states)] == states
+
+
+# The general map with e = 0 forms no Y^2/X, so it is the horizontal map:
+# it steps X = 0 < Y, and a subnormal X whose ratio would be infinite.
+subnormals = st.floats(5e-324, 2.2250738585072014e-308)
+
+
+@settings(max_examples=300, deadline=None)
+@example(params=HORIZ_MID, h=0.1, x=0.0, y=0.5, n_steps=20)
+@example(params=HORIZ_MID, h=0.1, x=1e-320, y=0.6, n_steps=20)
+@given(
+    params=strict_params,
+    h=st.floats(-12.0, 12.0).map(lambda k: 10.0**k),
+    x=st.one_of(densities, subnormals, st.just(-0.0)),
+    y=st.one_of(densities, st.just(-0.0)),
+    n_steps=st.integers(1, 20),
+)
+def test_general_map_with_e_zero_steps_as_the_horizontal_map_bit_for_bit(params, h, x, y, n_steps):
+    params = dataclasses.replace(params, e=0.0)
+    general, horizontal = ((params, variant, h) for variant in (ModelVariant.GENERAL, ModelVariant.HORIZONTAL))
+    expected = scalar_states(horizontal, (x, y), n_steps)
+    assert len(expected) == n_steps
+    assert scalar_states(general, (x, y), n_steps) == expected
+    advance, xs, ys = map_lanes([general, horizontal]), np.full(2, x), np.full(2, y)
+    for n in range(n_steps):
+        xs, ys = advance(xs, ys)
+        assert bits((xs[0], ys[0])) == bits((xs[1], ys[1])) == expected[n]
+    # A window past the budget keeps the monitor out: the runs take every step.
+    quiet = ConvergenceSettings(window=n_steps + 1)
+    runs = [iterate(*setup, (x, y), n_steps, quiet) for setup in (general, horizontal)]
+    for run in runs:
+        assert [bits(state) for state in run.states] == [bits((x, y)), *expected]
+        assert run.verdict == Verdict(VerdictStatus.MAX_STEPS, at_step=n_steps)
 
 
 def test_lanes_step_refused_states_without_a_warning():

@@ -1,10 +1,11 @@
-"""The batched positivity and Jury-oracle checks against the per-sample loops they replaced.
+"""The random acceptance checks: positivity, the Jury oracle and the theorem cross-check.
 
 ``ref_positivity_check`` and ``ref_jury_oracle_check`` are the scalar
 loops as they were before the checks ran on lanes and blocks (the
 positivity loop draws its samples through the same block sampler).
 Both versions must return the same CheckResult, on passing runs and
-on runs forced to fail.
+on runs forced to fail.  The theorem cross-check must visit every set
+the block sampler draws, and fail at a report that disagrees.
 """
 
 import math
@@ -13,20 +14,22 @@ import numpy as np
 import pytest
 
 from nsfd_epi import nsfd, verification
+from nsfd_epi.equilibria import all_equilibria
 from nsfd_epi.harness import first_negative_step
 from nsfd_epi.model import RATES, ModelVariant, effective_rates, validate_params
 from nsfd_epi.nsfd import map_kernel
-from nsfd_epi.stability import Matrix2, jury_conditions
+from nsfd_epi.stability import Classification, Matrix2, TheoremPrediction, jury_conditions
 from nsfd_epi.verification import (
     JURY_BLOCK,
     POSITIVITY_BLOCK,
     SEED,
-    _draw_positivity_block,
+    _draw_strict_block,
     _fail,
     _ok,
     benchmark_params,
     jury_oracle_check,
     positivity_check,
+    theorem_crosscheck,
 )
 
 
@@ -34,7 +37,7 @@ def ref_positivity_check(n_samples=10_000, n_steps=50):
     name = "positivity"
     rng = np.random.default_rng(SEED)
     for first in range(0, n_samples, POSITIVITY_BLOCK):
-        lanes, starts = _draw_positivity_block(rng, min(POSITIVITY_BLOCK, n_samples - first))
+        lanes, starts = _draw_strict_block(rng, min(POSITIVITY_BLOCK, n_samples - first))
         for i, ((params, variant, h), s) in enumerate(zip(lanes, starts), start=first):
             advance = map_kernel(params, variant, h)
             for n in range(n_steps):
@@ -99,7 +102,7 @@ def test_positivity_matches_scalar_loop(n_samples, n_steps):
 @pytest.fixture(scope="module")
 def positivity_draw():
     """10,000 samples from the positivity check's sampler and seed, drawn as one block."""
-    return _draw_positivity_block(np.random.default_rng(SEED), 10_000)
+    return _draw_strict_block(np.random.default_rng(SEED), 10_000)
 
 
 def test_positivity_draw_is_strict_and_fits_each_variant(positivity_draw):
@@ -124,7 +127,7 @@ def test_positivity_draw_mixes_variants_and_axis_starts(positivity_draw):
 
 
 def test_positivity_draw_repeats_from_the_seed(positivity_draw):
-    assert _draw_positivity_block(np.random.default_rng(SEED), 10_000) == positivity_draw
+    assert _draw_strict_block(np.random.default_rng(SEED), 10_000) == positivity_draw
 
 
 def test_positivity_draw_refills_rejected_lanes(monkeypatch):
@@ -143,7 +146,7 @@ def test_positivity_draw_refills_rejected_lanes(monkeypatch):
     monkeypatch.setattr(verification, "validate_params", reject_every_seventh)
     for size in (1, 7, POSITIVITY_BLOCK):
         calls[0], accepted[:] = 0, []
-        lanes, starts = _draw_positivity_block(np.random.default_rng(SEED), size)
+        lanes, starts = _draw_strict_block(np.random.default_rng(SEED), size)
         assert len(lanes) == len(starts) == size
         assert [params for params, _, _ in lanes] == accepted
         assert calls[0] >= size + size // 6
@@ -276,3 +279,61 @@ def test_jury_oracle_on_a_grid_matches_scalar_loop(monkeypatch, grid, flipped, p
     assert got.passed is passed
     if passed:
         assert "(0 skipped" not in got.details
+
+
+@pytest.fixture(scope="module")
+def crosscheck_draw():
+    """The theorem cross-check's sets, drawn as the check draws them."""
+    lanes, _ = _draw_strict_block(np.random.default_rng(SEED + 2), 1000)
+    return [(params, variant) for params, variant, _ in lanes]
+
+
+def test_theorem_crosscheck_checks_every_draw_in_order(monkeypatch, crosscheck_draw):
+    seen = []
+    real = verification.all_equilibria
+
+    def spy(params, variant):
+        seen.append((params, variant))
+        return real(params, variant)
+
+    monkeypatch.setattr(verification, "all_equilibria", spy)
+    got = theorem_crosscheck()
+    assert got.passed, got.details
+    assert seen == crosscheck_draw
+
+
+# A classification that each coarse prediction rejects.
+CONTRARY = {TheoremPrediction.STABLE: Classification.SADDLE, TheoremPrediction.UNSTABLE: Classification.STABLE}
+
+
+@pytest.mark.parametrize("which", [0, 500, -1], ids=["first", "middle", "last"])
+def test_theorem_crosscheck_fails_at_a_disagreeing_report_and_names_its_draw(monkeypatch, crosscheck_draw, which):
+    real = verification.stability_report
+
+    def covered(params, variant):
+        """(kind, h, prediction) of each report of the set that a prediction covers, in the check's order."""
+        return [
+            (eq.kind, rep.h, rep.prediction)
+            for eq in all_equilibria(params, variant)
+            if eq.exists
+            for rep in real(params, variant, eq, (0.1, 10.0))
+            if rep.prediction is not TheoremPrediction.NOT_COVERED
+        ]
+
+    draw = [i for i, drawn in enumerate(crosscheck_draw) if covered(*drawn)][which]
+    params, variant = crosscheck_draw[draw]
+    *_, (kind, h, prediction) = covered(params, variant)  # the set's last covered report disagrees
+
+    def disagree(p, v, eq, h_list):
+        return [
+            rep._replace(classification=CONTRARY[rep.prediction], agree=False)
+            if (p, v, eq.kind, rep.h) == (params, variant, kind, h)
+            else rep
+            for rep in real(p, v, eq, h_list)
+        ]
+
+    monkeypatch.setattr(verification, "stability_report", disagree)
+    got = theorem_crosscheck()
+    assert not got.passed
+    assert got.details.startswith(f"draw {draw}, {variant.value}/{kind.value} ")
+    assert f"predicted {prediction.value} but classified {CONTRARY[prediction].value}" in got.details
