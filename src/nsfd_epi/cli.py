@@ -9,7 +9,6 @@ verification failure, 2 configuration error, 3 runtime/domain error,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -20,7 +19,8 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, Verdict
 from .equilibria import Equilibrium, ReproductionNumbers, all_equilibria, reproduction_numbers
@@ -40,6 +40,9 @@ from .nsfd import iterate
 from .readers import Reader, exactly, integer, list_of, number, one_of
 from .stability import stability_report
 from .verification import FixtureError, acceptance_check_names, load_fixture_scenarios, run_acceptance
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["RunConfig", "main"]
 
@@ -153,7 +156,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: SimpleNamespace | argparse.Namespace) -> RunConfig:
     """The config file's object with the given flags laid over it, read once by ``RunConfig.from_dict``."""
     data = {}
     if args.config:
@@ -580,7 +583,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace | argparse.Namespace) -> int:
     seed_dir = os.environ.get(SEED_DIR_ENV)
     if seed_dir and not Path(seed_dir).is_dir():
         raise ConfigError(f"{SEED_DIR_ENV}={seed_dir} is not a directory")
@@ -609,86 +612,131 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-# The flags of RunConfig fields take no type=: RunConfig.from_dict reads
+class Flag(NamedTuple):
+    """One flag of a command, declared once for argparse and for ``_read_argv``."""
+
+    flag: str
+    dest: str
+    action: str = "store"  # argparse's: "store" keeps the last value, "append" all of them, "store_true" takes none
+    read: Reader | None = None  # argparse's type=; None keeps the text
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+# The flags of RunConfig fields take no reader: RunConfig.from_dict reads
 # their strings by the rules it reads a config file by.
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=CHOICES["model"], default=None)
-    parser.add_argument("--bx", default=None, help="birth rate of uninfected hosts")
-    parser.add_argument("--by", default=None, help="birth rate of infected hosts")
-    parser.add_argument("--ux", default=None, help="death rate of uninfected hosts")
-    parser.add_argument("--uy", default=None, help="death rate of infected hosts")
-    parser.add_argument("--K", default=None, help="carrying capacity")
-    parser.add_argument("--e", default=None, help="uninfected-offspring rate of infected hosts")
-    parser.add_argument("--beta", default=None, help="horizontal transmission coefficient")
-    parser.add_argument(
-        "--permissive", action="store_true", default=None, help="downgrade biological-plausibility checks to warnings"
-    )
-    parser.add_argument("--config", default=None, help="JSON config file; explicit flags override it")
-    parser.add_argument("--format", choices=CHOICES["format"], default=None)
-    parser.add_argument("--out", default=None, help="output file (or directory for portrait); default stdout")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", choices=CHOICES["scheme"], default=None)
-    parser.add_argument("--h", action="append", default=None, help="discrete step size")
-    parser.add_argument("--dt", default=None, help="continuous step size")
-    parser.add_argument("--x0", action="append", type=number, default=None, help="initial X (repeatable)")
-    parser.add_argument("--y0", action="append", type=number, default=None, help="initial Y (repeatable)")
-    parser.add_argument("--preset", default=None, help="named initial-point set (e.g. paper-initials)")
-    parser.add_argument("--steps", default=None, help="maximum number of steps")
-    parser.add_argument("--tol-eq", dest="tol_eq", default=None, help="equilibrium match radius")
-    parser.add_argument("--tol-step", dest="tol_step", default=None, help="quiescence threshold")
-    parser.add_argument("--window", default=None, help="quiet steps required before declaring convergence")
+PARAM_FLAGS = (
+    Flag("--model", "model", choices=CHOICES["model"]),
+    Flag("--bx", "bx", help="birth rate of uninfected hosts"),
+    Flag("--by", "by", help="birth rate of infected hosts"),
+    Flag("--ux", "ux", help="death rate of uninfected hosts"),
+    Flag("--uy", "uy", help="death rate of infected hosts"),
+    Flag("--K", "K", help="carrying capacity"),
+    Flag("--e", "e", help="uninfected-offspring rate of infected hosts"),
+    Flag("--beta", "beta", help="horizontal transmission coefficient"),
+    Flag("--permissive", "permissive", "store_true", help="downgrade biological-plausibility checks to warnings"),
+    Flag("--config", "config", help="JSON config file; explicit flags override it"),
+    Flag("--format", "format", choices=CHOICES["format"]),
+    Flag("--out", "out", help="output file (or directory for portrait); default stdout"),
+)
+RUN_FLAGS = (
+    Flag("--scheme", "scheme", choices=CHOICES["scheme"]),
+    Flag("--h", "h", "append", help="discrete step size"),
+    Flag("--dt", "dt", help="continuous step size"),
+    Flag("--x0", "x0", "append", number, help="initial X (repeatable)"),
+    Flag("--y0", "y0", "append", number, help="initial Y (repeatable)"),
+    Flag("--preset", "preset", help="named initial-point set (e.g. paper-initials)"),
+    Flag("--steps", "steps", help="maximum number of steps"),
+    Flag("--tol-eq", "tol_eq", help="equilibrium match radius"),
+    Flag("--tol-step", "tol_step", help="quiescence threshold"),
+    Flag("--window", "window", help="quiet steps required before declaring convergence"),
+)
+VERIFY_FLAGS = (
+    Flag("--list", "list", "store_true", help="list scenario checks without running"),
+    Flag("--only", "only", help="run only checks whose name contains this substring"),
+    Flag("--tol-eq", "tol_eq", read=float, help="equilibrium match tolerance for convergence scenarios (default 1e-3)"),
+)
+# Each command's help and flags.
+COMMANDS = {
+    "equilibria": ("list equilibria with existence conditions and R0", PARAM_FLAGS),
+    "stability": (
+        "eigenvalue classification and theorem cross-check per equilibrium",
+        (*PARAM_FLAGS, Flag("--h", "h", "append", help="discrete step size (repeatable)")),
+    ),
+    "simulate": ("run one trajectory and write n,t,X,Y output", PARAM_FLAGS + RUN_FLAGS),
+    "portrait": ("run several trajectories (phase portrait data)", PARAM_FLAGS + RUN_FLAGS),
+    "sweep": (
+        "discrete classification across step sizes",
+        (*PARAM_FLAGS, Flag("--h", "h", "append", help="step size (repeatable)")),
+    ),
+    "verify": ("run the acceptance scenarios; exit 0 iff all pass", VERIFY_FLAGS),
+}
+_FLAGS_BY_NAME = {name: {f.flag: f for f in flags} for name, (_, flags) in COMMANDS.items()}
 
 
 @functools.cache
 def _make_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused by every later ``main`` in the process.
+    """The parser of ``COMMANDS``, built on the first argv ``_read_argv`` declines and reused by every later one.
 
     Reuse is safe because every default is None and ``parse_args``
     leaves the parser unchanged.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nsfd-epi",
         description="Host-parasite epidemic models: equilibria, stability, and positivity-preserving simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eq = sub.add_parser("equilibria", help="list equilibria with existence conditions and R0")
-    _add_param_flags(p_eq)
-
-    p_st = sub.add_parser("stability", help="eigenvalue classification and theorem cross-check per equilibrium")
-    _add_param_flags(p_st)
-    p_st.add_argument("--h", action="append", default=None, help="discrete step size (repeatable)")
-
-    p_sim = sub.add_parser("simulate", help="run one trajectory and write n,t,X,Y output")
-    _add_param_flags(p_sim)
-    _add_run_flags(p_sim)
-
-    p_por = sub.add_parser("portrait", help="run several trajectories (phase portrait data)")
-    _add_param_flags(p_por)
-    _add_run_flags(p_por)
-
-    p_sw = sub.add_parser("sweep", help="discrete classification across step sizes")
-    _add_param_flags(p_sw)
-    p_sw.add_argument("--h", action="append", default=None, help="step size (repeatable)")
-
-    p_ver = sub.add_parser("verify", help="run the acceptance scenarios; exit 0 iff all pass")
-    p_ver.add_argument("--list", action="store_true", help="list scenario checks without running")
-    p_ver.add_argument("--only", default=None, help="run only checks whose name contains this substring")
-    p_ver.add_argument(
-        "--tol-eq",
-        dest="tol_eq",
-        type=float,
-        default=None,
-        help="equilibrium match tolerance for convergence scenarios (default 1e-3)",
-    )
+    for name, (summary, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for f in flags:
+            typed = {} if f.action == "store_true" else {"type": f.read, "choices": f.choices}
+            p.add_argument(f.flag, dest=f.dest, action=f.action, default=None, help=f.help, **typed)
     return parser
 
 
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``_make_parser().parse_args(argv)`` returns, read from ``COMMANDS``; None where argv is not plain.
+
+    Plain is an exact command name, then only that command's exact flags:
+    a value flag as ``--flag=value``, or as ``--flag value`` with a value
+    not beginning with "-"; a switch bare.  Readers and choices apply as in
+    argparse.  Anything else, such as -h, an abbreviation or a value
+    argparse refuses, goes to argparse, which writes every help and error.
+    """
+    flags = _FLAGS_BY_NAME.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = {"command": argv[0], **dict.fromkeys(f.dest for f in flags.values())}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        flag = flags.get(name)
+        if flag is None or (eq and flag.action == "store_true"):
+            return None
+        if flag.action == "store_true":
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            try:
+                value = value if flag.read is None else flag.read(value)
+            except (TypeError, ValueError):
+                return None
+            if flag.choices is not None and value not in flag.choices:
+                return None
+            if flag.action == "append":
+                value = [*(values[flag.dest] or ()), value]
+        values[flag.dest] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or _make_parser().parse_args(argv)
     try:
         if args.command == "verify":
             code = _cmd_verify(args)

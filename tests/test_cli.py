@@ -647,18 +647,20 @@ def test_console_entry_point_runs(package_env):
     assert json.loads(proc.stdout)["model"] == "general"
 
 
-# Run in a fresh interpreter: notes which of numpy and orjson are loaded after
-# importing the CLI and after each command, then prints the simulate output.
+# Run in a fresh interpreter: notes which of numpy, orjson and argparse are
+# loaded after importing the CLI and after each command, then prints the
+# simulate output.  argparse stays out while every command line is plain.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from nsfd_epi.cli import main
-loaded = {"import": sorted({"numpy", "orjson"} & sys.modules.keys())}
+lazy = {"numpy", "orjson", "argparse"}
+loaded = {"import": sorted(lazy & sys.modules.keys())}
 for args in (["equilibria"], ["stability", "--format", "json"], ["sweep"], ["verify", "--list"],
              ["simulate", "--steps", "5"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(args) == 0
-    loaded[args[0]] = sorted({"numpy", "orjson"} & sys.modules.keys())
+    loaded[args[0]] = sorted(lazy & sys.modules.keys())
 print(json.dumps(loaded))
 print(out.getvalue(), end="")
 """
@@ -1126,6 +1128,96 @@ def test_parser_is_built_once_and_reused(capsys):
     assert json.loads(reused[1][1])["h_list"] == [0.1]
 
 
+# Values a flag's reader and choices take, written with no leading "-" so
+# that they are plain in either form; and values plain only as --flag=value.
+PLAIN_NUMBERS = ["0.5", "7", "1e300", "inf", "nan"]
+PLAIN_VALUES = PLAIN_NUMBERS + ["", "x", "a=b", "paper-initials"]
+EQUALS_ONLY_VALUES = ["-0.5", "-1e-3", "-inf", "-", "--x"]
+# Token runs that argparse must see: abbreviations, negative values after a
+# space, a switch given a value, help, "--", unknown flags, another
+# command's flags, a refused choice or type, positionals.
+HOSTILE_TOKENS = [
+    ["--bet", "0.1"], ["--bet=0.1"], ["--b", "1"], ["--tol", "1"], ["--p"], ["--bx=-inf"], ["--bx", "-1e-3"],
+    ["--bx", "-0.5"], ["--out", "-"], ["--permissive=1"], ["--list=1"], ["-h"], ["--help"], ["--"], ["--nope", "1"],
+    ["--list"], ["--only", "x"], ["--x0", "0.1"], ["--model", "nope"], ["--format", "xml"], ["--x0", "abc"],
+    ["--tol-eq", "abc"], ["--h", "0.1"], ["--h=0.1"], ["x"],
+]
+
+
+def plain_value(flag):
+    if flag.choices is not None:
+        return st.sampled_from(flag.choices)
+    return st.sampled_from(PLAIN_NUMBERS if flag.read is not None else PLAIN_VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv and whether it is plain: an exact command, then only its flags, each in a form ``_read_argv`` reads."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "verif", "-h"]))
+    plain = command in cli.COMMANDS
+    flags = cli.COMMANDS[command][1] if plain else cli.PARAM_FLAGS
+    argv = [command]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            argv += draw(st.sampled_from(HOSTILE_TOKENS))
+            plain = False
+            continue
+        flag = draw(st.sampled_from(flags))
+        if flag.action == "store_true":
+            argv.append(flag.flag)
+        elif draw(st.booleans()):
+            argv += [flag.flag, draw(plain_value(flag))]
+        elif flag.read is not None or flag.choices is not None:
+            argv.append(f"{flag.flag}={draw(plain_value(flag))}")
+        else:
+            argv.append(f"{flag.flag}={draw(st.sampled_from(PLAIN_VALUES + EQUALS_ONLY_VALUES))}")
+    if draw(st.integers(0, 5)) == 0:  # a value flag with no value after it
+        argv.append(draw(st.sampled_from([f.flag for f in flags if f.action != "store_true"])))
+        plain = False
+    return argv, plain
+
+
+def argparse_reading(argv):
+    """argparse's namespace for ``argv``, each value as its repr (so nan equals nan), or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = cli._make_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=command_lines())
+@example(case=(["stability", "--bet", "0.1"], False))
+@example(case=(["stability", "--b", "1"], False))
+@example(case=(["stability", "--bx=-inf"], True))
+@example(case=(["stability", "--bx", "-1e-3"], False))
+@example(case=(["stability", "--bx", "-0.5"], False))
+@example(case=(["equilibria", "--permissive=1"], False))
+@example(case=(["sweep", "-h"], False))
+@example(case=(["simulate", "--", "--bx", "1"], False))
+@example(case=(["portrait", "--nope", "1"], False))
+@example(case=(["equilibria", "--x0", "0.1"], False))
+@example(case=(["verify", "--model", "general"], False))
+@example(case=(["simulate", "--model", "nope"], False))
+@example(case=(["simulate", "--x0", "abc"], False))
+@example(case=(["stability", "--format"], False))
+@example(case=(["stability", "--h", "1", "--h=2", "--bx", "1", "--bx", "2", "--permissive", "--permissive"], True))
+@example(case=(["equilibria", "--h", "0.1"], False))
+@example(case=(["equilibria", "--h=0.1"], False))
+@example(case=(["sweep", "--h", "0.1"], True))
+@example(case=(["sweep", "--h=0.1"], True))
+def test_the_flag_reader_reads_as_argparse_or_declines(case):
+    """``_read_argv`` reads every plain argv, and whatever it reads, argparse reads alike, None defaults included."""
+    argv, plain = case
+    read = cli._read_argv(argv)
+    if plain:
+        assert read is not None
+    if read is not None:
+        assert {key: repr(value) for key, value in vars(read).items()} == argparse_reading(argv)
+
+
 # The flag grammar of the commands, and the contents of a --config file.
 # Values are passed as --flag=value, so that argparse reads "-inf" or
 # "-1e-05" as a value and not as an option.
@@ -1245,9 +1337,10 @@ def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, case):
 
 # Every RunConfig field that simulate takes as --flag=value, by flag
 # (--permissive takes no value; --h sets h and h_list).
-SIMULATE = next(a for a in cli._make_parser()._actions if a.dest == "command").choices["simulate"]
 VALUE_FLAGS = {
-    a.option_strings[0]: a.dest for a in SIMULATE._actions if a.dest in RunConfig.__dataclass_fields__ and a.nargs != 0
+    f.flag: f.dest
+    for f in cli.COMMANDS["simulate"][1]
+    if f.dest in RunConfig.__dataclass_fields__ and f.action != "store_true"
 }
 TEXT_FIELDS = {f.name for f in fields(RunConfig) if "str" in f.type}
 
