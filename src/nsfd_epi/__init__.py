@@ -38,7 +38,7 @@ from .model import (
     validate_params,
     vector_field,
 )
-from .nsfd import denominators, iterate, map_kernel, step
+from .nsfd import denominators, iterate, map_kernel, map_weights, step
 from .stability import (
     Classification,
     JuryConditions,
@@ -50,7 +50,6 @@ from .stability import (
     continuous_jacobian,
     eigenvalues2,
     jury_conditions,
-    map_weights,
     stability_report,
 )
 

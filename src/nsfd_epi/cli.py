@@ -686,10 +686,11 @@ def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsfd-epi",
         description="Host-parasite epidemic models: equilibria, stability, and positivity-preserving simulation.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for f in flags:
             typed = {} if f.action == "store_true" else {"type": f.read, "choices": f.choices}
             p.add_argument(f.flag, dest=f.dest, action=f.action, default=None, help=f.help, **typed)
@@ -702,8 +703,8 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
     Plain is an exact command name, then only that command's exact flags:
     a value flag as ``--flag=value``, or as ``--flag value`` with a value
     not beginning with "-"; a switch bare.  Readers and choices apply as in
-    argparse.  Anything else, such as -h, an abbreviation or a value
-    argparse refuses, goes to argparse, which writes every help and error.
+    argparse.  Anything else, such as -h or a value argparse refuses,
+    goes to argparse, which writes every help and error.
     """
     flags = _FLAGS_BY_NAME.get(argv[0]) if argv else None
     if flags is None:

@@ -224,9 +224,10 @@ def indented(snippet: str) -> str:
 def compiled(name: str, source: str, namespace: dict[str, Any]) -> Any:
     """Execute ``source``, which defines ``name``, in ``namespace`` and return what it defines.
 
-    It builds every generated function: ``_field`` here from ``FIELD``, the run loops from
-    ``convergence._LOOP`` and ``nsfd._map_update`` from ``nsfd.MAP``.  The text is registered in
-    ``linecache`` as ``<nsfd_epi.NAME>``, so that tracebacks and ``inspect.getsource`` show it.
+    It builds every generated function: ``_field`` here from ``FIELD``; the run loops
+    ``integrators._euler_scan``, ``_rk4_scan`` and ``nsfd._map_scan`` from ``convergence._LOOP``; and
+    ``nsfd._map_update``, ``_map_step`` and ``_brackets`` from ``nsfd``'s snippets.  The text is
+    registered in ``linecache`` as ``<nsfd_epi.NAME>``, so tracebacks and ``inspect.getsource`` show it.
     """
     filename = f"<nsfd_epi.{name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)

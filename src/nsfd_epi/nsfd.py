@@ -30,22 +30,27 @@ Every term on each side is nonnegative for states in the positive
 quadrant, so positivity holds for every step size h > 0, and the fixed
 points coincide with the continuous equilibria.
 
-The update is written once, as the text ``MAP``, and compiled at import
-into ``_map_update`` and ``_map_scan``.  ``map_kernel`` runs
-``_map_update`` on one checked state; ``map_lanes`` runs it on float64
-arrays, one element per (params, variant, h) lane, with the same bits
-per lane.  Lanes pay off only in bulk: below about 30 lanes one numpy
-step costs more than the scalar steps it replaces.  ``iterate`` runs
-``_map_scan``, ``convergence``'s run loop with ``map_kernel``'s
-refusals and ``MAP`` as its step; tests pin it bit for bit, and error
-for error, against ``map_kernel`` stepped by a reference loop.
+What the map decides is written once, as text compiled at import:
+``RATIO`` (its refusals, and Y^2/X), ``D1`` and ``D2`` (the brackets of
+its denominators), ``MAP`` (the update) and ``FINITE`` (a finiteness test).
+
+    map_kernel    returns _map_step     FINITE + RATIO + MAP
+    iterate       runs _map_scan        RATIO + MAP in convergence's run loop
+    map_lanes     runs _map_update      MAP, the caller's ratio, on float64 lanes
+    map_weights   reads _brackets       FINITE + RATIO, then D1 and D2
+
+The run loop's bound test passes only finite states.  Each lane keeps the
+scalar bits; below about 30 lanes one numpy step costs more than the scalar
+steps it replaces.  Tests pin the loop to ``map_kernel`` bit for bit and
+error for error, the lanes bit for bit, and ``map_weights``'s refusals to
+``map_kernel``'s.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
 from .convergence import _finish, _refused  # noqa: F401  # read by the loop compiled here
@@ -61,6 +66,7 @@ __all__ = [
     "iterate",
     "map_kernel",
     "map_lanes",
+    "map_weights",
     "step",
 ]
 
@@ -69,12 +75,7 @@ __all__ = [
 PHI1_SERIES_CUTOFF = 1e-8
 
 
-class DenominatorPair(NamedTuple):
-    phi1: float
-    phi2: float
-
-
-def denominators(params: HostParams, variant: ModelVariant, h: float) -> DenominatorPair:
+def denominators(params: HostParams, variant: ModelVariant, h: float) -> tuple[float, float]:
     """Denominator functions (phi1, phi2) for a variant at step size h.
 
     phi1 is strictly increasing in h, equals h + O(h^2) for small h,
@@ -86,7 +87,7 @@ def denominators(params: HostParams, variant: ModelVariant, h: float) -> Denomin
     _, beta = effective_rates(params, variant)
     decay = beta * params.K * params.u_y
     if decay == 0.0:
-        return DenominatorPair(h, h)
+        return h, h
     if params.b_y <= 0:
         raise DomainError(f"phi1 needs b_y > 0 when beta*K*u_y > 0, got b_y = {params.b_y!r}")
     rate = decay / params.b_y
@@ -95,7 +96,7 @@ def denominators(params: HostParams, variant: ModelVariant, h: float) -> Denomin
         phi1 = h * (1.0 - 0.5 * z)
     else:
         phi1 = -math.expm1(-z) / rate
-    return DenominatorPair(phi1, h)
+    return phi1, h
 
 
 def _map_constants(params: HostParams, variant: ModelVariant, h: float) -> tuple[float, ...]:
@@ -110,21 +111,50 @@ def _map_constants(params: HostParams, variant: ModelVariant, h: float) -> tuple
     return (1.0 + phi1 * b_x, phi1 * e, phi1, b_x / big_k, params.u_x, beta, e / big_k, phi2, b_y, b_y / big_k, params.u_y)
 
 
-# The map's update, its one expression: from (px, py) and the caller's ratio py^2/px
-# to (x, y), the constants named as in _MAP_CONSTANTS.  Floats and float64 arrays (one
-# element per lane) go through it alike, each + * / rounded once, so lanes keep the scalar bits.
-MAP = """\
-x = (px * gain_x + phi1_e * py) / (1.0 + phi1 * (bx_k * px + bx_k * py + u_x + beta * py + e_k * py + e_k * ratio))
-y = py * (1.0 + phi2 * (b_y + beta * px)) / (1.0 + phi2 * (by_k * px + by_k * py + u_y))
+# The map's refusals of a state (px, py), and its ratio py^2/px where the coefficient e/K is nonzero.
+RATIO = """\
+if px < 0 or py < 0:
+    raise _refused_state(px, py)
+ratio = 0.0
+if e_k and py != 0:
+    if px == 0:
+        raise _refused_state(px, py)
+    ratio = py * py / px
+"""
+# The brackets of the map's denominators 1 + phi1 D1 and 1 + phi2 D2; they do not depend on h.
+D1 = "bx_k * px + bx_k * py + u_x + beta * py + e_k * py + e_k * ratio"
+D2 = "by_k * px + by_k * py + u_y"
+# The map's update, its one expression: from (px, py) and the ratio to (x, y), the constants named as
+# in _MAP_CONSTANTS.  Floats and float64 arrays (one element per lane) go through it alike, each + * /
+# rounded once, so lanes keep the scalar bits.
+MAP = f"""\
+x = (px * gain_x + phi1_e * py) / (1.0 + phi1 * ({D1}))
+y = py * (1.0 + phi2 * (b_y + beta * px)) / (1.0 + phi2 * ({D2}))
+"""
+FINITE = """\
+if not (math.isfinite(px) and math.isfinite(py)):
+    raise DomainError(f"state ({px!r}, {py!r}) is not finite")
 """
 _MAP_CONSTANTS = "gain_x, phi1_e, phi1, bx_k, u_x, beta, e_k, phi2, b_y, by_k, u_y"
-# map_kernel and map_lanes read _map_update as a module global when they build their update.
+# map_kernel, map_lanes and map_weights read these factories as module globals when they build.
 _map_update = compiled("_map_update", f"""\
 def _map_update({_MAP_CONSTANTS}):
     def update(px, py, ratio):
 {indented(MAP)}
         return x, y
     return update
+""", globals())
+_map_step = compiled("_map_step", f"""\
+def _map_step({_MAP_CONSTANTS}):
+    def advance(px, py):
+{indented(FINITE + RATIO + MAP)}
+        return x, y
+    return advance
+""", globals())
+_brackets = compiled("_brackets", f"""\
+def _brackets({_MAP_CONSTANTS}, px, py):
+{indented(FINITE + RATIO)}
+        return {D1}, {D2}
 """, globals())
 
 
@@ -135,22 +165,7 @@ def map_kernel(params: HostParams, variant: ModelVariant, h: float) -> Kernel:
     update raises DomainError for a state that is not finite, leaves the
     nonnegative quadrant, or has X = 0 < Y where e/K is nonzero.
     """
-    constants = _map_constants(params, variant, h)
-    update, e_k = _map_update(*constants), constants[6]  # e/K, the coefficient of Y^2/X
-
-    def advance(x: float, y: float) -> tuple[float, float]:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError(f"state ({x!r}, {y!r}) is not finite")
-        if x < 0 or y < 0:
-            raise _refused_state(x, y)
-        ratio = 0.0
-        if e_k and y != 0:
-            if x == 0:
-                raise _refused_state(x, y)
-            ratio = y * y / x
-        return update(x, y, ratio)
-
-    return advance
+    return _map_step(*_map_constants(params, variant, h))
 
 
 def _refused_state(x: float, y: float) -> DomainError:
@@ -160,17 +175,32 @@ def _refused_state(x: float, y: float) -> DomainError:
     return DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
 
 
-# map_kernel's refusals, then MAP.  The loop's bound test passes only finite
-# states, so map_kernel's finiteness test is not repeated.
-_map_scan = loop("_map_scan", "nsfd", _MAP_CONSTANTS, """\
-if px < 0 or py < 0:
-    raise _refused_state(px, py)
-ratio = 0.0
-if e_k and py != 0:
-    if px == 0:
-        raise _refused_state(px, py)
-    ratio = py * py / px
-""" + MAP, globals())
+_map_scan = loop("_map_scan", "nsfd", _MAP_CONSTANTS, RATIO + MAP, globals())
+
+
+def map_weights(
+    params: HostParams, variant: ModelVariant, point: tuple[float, float]
+) -> Callable[[float], tuple[float, float]]:
+    """The diagonal W(h) of J - I = W Jc at a fixed point of the variant's map.
+
+    The increments are phi_i f_i / (1 + phi_i D_i), with f the vector
+    field and D_i the brackets of the map's denominators, so where f = 0
+    their derivatives are W_i = phi_i/(1 + phi_i D_i) times those of f_i.
+    D1 and D2 are computed once, from the map's own text, at a point the
+    map accepts (else its DomainError).  W(h) raises DomainError for an
+    entry that is not finite or is 0.
+    """
+    x, y = point
+    d1, d2 = _brackets(*_map_constants(params, variant, 1.0), x, y)  # any h: the brackets do not read phi
+
+    def weights(h: float) -> tuple[float, float]:
+        phi1, phi2 = denominators(params, variant, h)
+        w1, w2 = phi1 / (1.0 + phi1 * d1), phi2 / (1.0 + phi2 * d2)
+        if not (math.isfinite(w1) and math.isfinite(w2) and w1 != 0.0 and w2 != 0.0):
+            raise DomainError(f"discrete linearization at ({x!r}, {y!r}) with h = {h!r} is out of floating-point range")
+        return w1, w2
+
+    return weights
 
 
 def map_lanes(lanes: Sequence[tuple[HostParams, ModelVariant, float]]) -> LanesKernel:

@@ -8,9 +8,9 @@ The continuous variational matrix at (X, Y) has entries
     a22 = b_y g - b_y Y/K - u_y + beta X,     g = 1 - (X+Y)/K
 
 and the discrete map's variational matrix at a fixed point follows
-from it: J - I = W Jc, with W = diag(phi1/(1 + phi1 D1),
-phi2/(1 + phi2 D2)) positive (``map_weights``), the elementary-stability
-argument of Anguelov & Lubuma (2001) in matrix form.
+from it: J - I = W Jc, W = diag(phi1/(1 + phi1 D1), phi2/(1 + phi2 D2))
+positive (``nsfd.map_weights``, from the map's own text), the
+elementary-stability argument of Anguelov & Lubuma (2001) in matrix form.
 
 Both verdicts are sign rules read from one split of Jc
 (``classifications``), with det Jc and tr Jc at their own exponents.
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from . import nsfd
 from .equilibria import Condition, Equilibrium, EquilibriumKind, reproduction_numbers
 from .model import DomainError, HostParams, ModelVariant, effective_rates
+from .nsfd import map_weights
 
 __all__ = [
     "Classification",
@@ -51,7 +51,6 @@ __all__ = [
     "continuous_jacobian",
     "eigenvalues2",
     "jury_conditions",
-    "map_weights",
     "prediction_matches",
     "stability_conditions",
     "stability_report",
@@ -110,39 +109,6 @@ def continuous_jacobian(params: HostParams, variant: ModelVariant, point: tuple[
     a21 = -b_y * y / big_k + beta * y
     a22 = b_y * g - b_y * y / big_k - u_y + beta * x
     return Matrix2(a11, a12, a21, a22)
-
-
-def map_weights(
-    params: HostParams, variant: ModelVariant, point: tuple[float, float]
-) -> Callable[[float], tuple[float, float]]:
-    """The diagonal W(h) of J - I = W Jc at a fixed point of the variant's map.
-
-    The increments are phi_i f_i / (1 + phi_i D_i), with f the vector
-    field and D_i the brackets of the map's denominators, so where f = 0
-    their derivatives are W_i = phi_i/(1 + phi_i D_i) times those of f_i.
-    D1 and D2 do not depend on h and are computed once.  W(h) raises
-    DomainError for an entry that is not finite or is 0; X <= 0 < Y is
-    refused where the map forms Y^2/X (e/K nonzero), as it is undefined there.
-    """
-    x, y = point
-    e, beta = effective_rates(params, variant)
-    b_x, b_y, big_k = params.b_x, params.b_y, params.K
-    e_k, ratio = e / big_k, 0.0
-    if e_k != 0.0 and y != 0.0:
-        if x <= 0.0:
-            raise DomainError("discrete variational matrix needs X > 0 when e > 0 and Y > 0 (contains Y^2/X)")
-        ratio = y * y / x
-    d1 = b_x / big_k * x + b_x / big_k * y + params.u_x + beta * y + e_k * y + e_k * ratio
-    d2 = b_y / big_k * x + b_y / big_k * y + params.u_y
-
-    def weights(h: float) -> tuple[float, float]:
-        phi1, phi2 = nsfd.denominators(params, variant, h)
-        w1, w2 = phi1 / (1.0 + phi1 * d1), phi2 / (1.0 + phi2 * d2)
-        if not (math.isfinite(w1) and math.isfinite(w2) and w1 != 0.0 and w2 != 0.0):
-            raise DomainError(f"discrete linearization at ({x!r}, {y!r}) with h = {h!r} is out of floating-point range")
-        return w1, w2
-
-    return weights
 
 
 def _characteristic_roots(m: Matrix2) -> tuple[complex, complex]:

@@ -133,6 +133,17 @@ class TestConfig:
         assert refused.value.code == 2
         assert err.splitlines()[-1].endswith(f"error: argument {flag}: invalid number value: 'abc'")
 
+    @pytest.mark.parametrize(
+        "argv", [["equilibria", "--h", "0.1"], ["verify", "--h", "0.1"], ["equilibria", "--bet", "0.3"]]
+    )
+    def test_a_prefix_of_a_flag_is_refused_not_read_as_that_flag(self, argv, capsys):
+        # "--h" must not pass for "--help" (help, exit 0, the step size dropped), nor "--bet" for "--beta".
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (refused.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == f"nsfd-epi: error: unrecognized arguments: {' '.join(argv[1:])}"
+
     @pytest.mark.parametrize("flag", ["--steps=2.7", "--window=true", "--preset=nowhere", "--tol-eq=inf",
                                       "--tol-step=inf", "--tol-eq=0"])
     def test_flag_of_the_wrong_kind_is_config_error(self, flag, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interi
 from nsfd_epi.model import (
     BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, field_kernel, vector_field
 )
-from nsfd_epi.nsfd import denominators, iterate, map_kernel, map_lanes, step
+from nsfd_epi import nsfd
+from nsfd_epi.nsfd import denominators, iterate, map_kernel, map_lanes, map_weights, step
 from nsfd_epi.verification import SCENARIOS, benchmark_params
 
 GENERAL_LOW = benchmark_params(ModelVariant.GENERAL, 0.1)
@@ -24,24 +27,24 @@ VERT = benchmark_params(ModelVariant.VERTICAL, 0.0)
 class TestDenominators:
     def test_benchmark_values(self):
         # 40-digit evaluations of b_y(1 - exp(-beta K u_y h / b_y)) / (beta K u_y).
-        assert denominators(GENERAL_HIGH, ModelVariant.GENERAL, 0.1).phi1 == pytest.approx(
+        assert denominators(GENERAL_HIGH, ModelVariant.GENERAL, 0.1)[0] == pytest.approx(
             0.09925373597958226, abs=1e-15
         )
-        assert denominators(GENERAL_LOW, ModelVariant.GENERAL, 0.1).phi1 == pytest.approx(
+        assert denominators(GENERAL_LOW, ModelVariant.GENERAL, 0.1)[0] == pytest.approx(
             0.09975041614635373, abs=1e-15
         )
-        assert denominators(GENERAL_LOW, ModelVariant.GENERAL, 0.1).phi2 == 0.1
+        assert denominators(GENERAL_LOW, ModelVariant.GENERAL, 0.1)[1] == 0.1
 
     def test_no_contact_limit_is_plain_step(self):
         no_beta = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.0)
         for h in (1e-3, 0.1, 5.0, 100.0):
-            assert denominators(no_beta, ModelVariant.GENERAL, h).phi1 == h
+            assert denominators(no_beta, ModelVariant.GENERAL, h)[0] == h
         assert denominators(VERT, ModelVariant.VERTICAL, 2.5) == (2.5, 2.5)
 
     def test_saturation_for_large_steps(self):
         p = GENERAL_HIGH
         cap = p.b_y / (p.beta * p.K * p.u_y)
-        phi1 = denominators(p, ModelVariant.GENERAL, 1e6).phi1
+        phi1 = denominators(p, ModelVariant.GENERAL, 1e6)[0]
         assert phi1 == pytest.approx(cap, abs=1e-9)
         assert phi1 <= cap
 
@@ -51,8 +54,8 @@ class TestDenominators:
         p = GENERAL_HIGH
         rate = p.beta * p.K * p.u_y / p.b_y
         h_cut = 1e-8 / rate
-        below = denominators(p, ModelVariant.GENERAL, h_cut * 0.99).phi1 / (h_cut * 0.99)
-        above = denominators(p, ModelVariant.GENERAL, h_cut * 1.01).phi1 / (h_cut * 1.01)
+        below = denominators(p, ModelVariant.GENERAL, h_cut * 0.99)[0] / (h_cut * 0.99)
+        above = denominators(p, ModelVariant.GENERAL, h_cut * 1.01)[0] / (h_cut * 1.01)
         assert below == pytest.approx(above, rel=1e-9)
         assert below == pytest.approx(1.0, abs=1e-7)
 
@@ -69,8 +72,8 @@ def test_phi1_is_strictly_increasing_and_bounded(h1, h2):
     # ulp of the limit value and float monotonicity must plateau.
     p = GENERAL_HIGH
     cap = p.b_y / (p.beta * p.K * p.u_y)
-    phi_a = denominators(p, ModelVariant.GENERAL, min(h1, h2)).phi1
-    phi_b = denominators(p, ModelVariant.GENERAL, max(h1, h2)).phi1
+    phi_a = denominators(p, ModelVariant.GENERAL, min(h1, h2))[0]
+    phi_b = denominators(p, ModelVariant.GENERAL, max(h1, h2))[0]
     assert 0.0 < phi_a < cap and 0.0 < phi_b < cap
     if abs(h1 - h2) > 1e-9:
         assert phi_a < phi_b
@@ -86,7 +89,7 @@ class TestStepGeneral:
     def test_axis_follows_logistic_update(self):
         p = GENERAL_HIGH
         h = 0.1
-        phi1 = denominators(p, ModelVariant.GENERAL, h).phi1
+        phi1 = denominators(p, ModelVariant.GENERAL, h)[0]
         out = step(p, ModelVariant.GENERAL, h, (0.4, 0.0))
         assert out.Y == 0.0
         expected = 0.4 * (1.0 + phi1 * p.b_x) / (1.0 + phi1 * (p.b_x / p.K * 0.4 + p.u_x))
@@ -294,20 +297,25 @@ def _ref_check_state(x, y):
         raise DomainError(f"state ({x!r}, {y!r}) leaves the nonnegative quadrant")
 
 
-def ref_step_general(params, h, s):
-    x, y = s
-    _ref_check_state(x, y)
+def ref_brackets_general(params, x, y):
+    """The brackets D1, D2 of the general map's denominators 1 + phi_i D_i at a state it accepts."""
     b_x, b_y, u_x, u_y, big_k, e, beta = params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta
     # Y^2/X is formed only where its coefficient e/K is nonzero; the map is undefined at X = 0 < Y there.
     if e / big_k != 0 and x == 0 and y > 0:
         raise DomainError("general map is undefined at X = 0 with Y > 0")
-    phi1, phi2 = denominators(params, ModelVariant.GENERAL, h)
     ratio = y * y / x if e / big_k != 0 and y != 0 else 0.0
-    num_x = x * (1.0 + phi1 * b_x) + phi1 * e * y
-    den_x = 1.0 + phi1 * (b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio)
-    num_y = y * (1.0 + phi2 * (b_y + beta * x))
-    den_y = 1.0 + phi2 * (b_y / big_k * x + b_y / big_k * y + u_y)
-    return num_x / den_x, num_y / den_y
+    d1 = b_x / big_k * x + b_x / big_k * y + u_x + beta * y + e / big_k * y + e / big_k * ratio
+    return d1, b_y / big_k * x + b_y / big_k * y + u_y
+
+
+def ref_step_general(params, h, s):
+    x, y = s
+    _ref_check_state(x, y)
+    d1, d2 = ref_brackets_general(params, x, y)
+    phi1, phi2 = denominators(params, ModelVariant.GENERAL, h)
+    num_x = x * (1.0 + phi1 * params.b_x) + phi1 * params.e * y
+    num_y = y * (1.0 + phi2 * (params.b_y + params.beta * x))
+    return num_x / (1.0 + phi1 * d1), num_y / (1.0 + phi2 * d2)
 
 
 def ref_step_horizontal(params, h, s):
@@ -550,6 +558,62 @@ def test_lanes_step_refused_states_without_a_warning():
     for start in ((0.0, 0.5), (-1.0, 0.2)):
         with pytest.raises(DomainError):
             map_kernel(*setups[0])(*start)
+
+
+# The map's linearization reads the map's own refusals and brackets: it refuses exactly the
+# states the map refuses, with the same message, and its W(h) is phi_i/(1 + phi_i D_i) with
+# the reference brackets, bit for bit.
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.5), (-0.0, 0.5), (-1.0, 0.2), (0.3, -0.1), (0.0, 0.0), (math.nan, 0.2)])
+@pytest.mark.parametrize(
+    "params, variant",
+    [
+        (GENERAL_HIGH, ModelVariant.GENERAL),
+        (dataclasses.replace(GENERAL_HIGH, e=0.0), ModelVariant.GENERAL),
+        (HORIZ_MID, ModelVariant.HORIZONTAL),
+    ],
+    ids=["general", "general-e0", "horizontal"],
+)
+def test_map_weights_refuse_exactly_what_the_map_refuses(params, variant, point):
+    messages = []
+    for refuse in (lambda: map_kernel(params, variant, 0.1)(*point), lambda: map_weights(params, variant, point)):
+        try:
+            refuse()
+            messages.append(None)
+        except DomainError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
+    x, y = point
+    finite = math.isfinite(x) and math.isfinite(y)
+    assert (messages[0] is not None) == (not finite or x < 0 or y < 0 or (params.e != 0 and x == 0 < y))
+
+
+@pytest.mark.parametrize("h", [1e-8, 0.1, 10.0, 1e200])
+def test_map_weights_match_the_reference_brackets_bit_for_bit(h):
+    checked = 0
+    for params, variant in [
+        (GENERAL_LOW, ModelVariant.GENERAL),
+        (GENERAL_HIGH, ModelVariant.GENERAL),
+        (HORIZ_MID, ModelVariant.HORIZONTAL),
+        (VERT, ModelVariant.VERTICAL),
+    ]:
+        for eq in all_equilibria(params, variant):
+            if eq.exists:
+                (d1, d2), (phi1, phi2) = ref_brackets_general(params, *eq.point), denominators(params, variant, h)
+                want = (phi1 / (1.0 + phi1 * d1), phi2 / (1.0 + phi2 * d2))
+                assert bits(map_weights(params, variant, eq.point)(h)) == bits(want)
+                checked += 1
+    assert checked == 12
+
+
+def test_the_maps_brackets_and_ratio_are_written_once():
+    # A second copy of the brackets or the ratio could drift from the map, and J - I = W Jc with it.
+    sources = {path.name: path.read_text() for path in Path(nsfd.__file__).parent.glob("*.py")}
+    for text in (nsfd.D1, nsfd.D2, "py * py / px"):
+        assert sum(source.count(text) for source in sources.values()) == 1, text
+    assert "ratio" not in sources["stability.py"]
+    assert not re.search(r"\b(\w+) \* \1 /", sources["stability.py"])
 
 
 # The RK4 loop writes the field out in each stage for speed.  Staged

@@ -208,9 +208,8 @@ def test_sympy_map_increment_is_w_times_the_field_so_j_minus_i_is_w_jc_at_a_fixe
     # 3. The symbolic map, W and Jc are the code's, at an interior fixed point.
     eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
     p, h = GENERAL_HIGH, 0.1
-    phis = denominators(p, ModelVariant.GENERAL, h)
     at = {X: eq.point.X, Y: eq.point.Y, b_x: p.b_x, b_y: p.b_y, u_x: p.u_x, u_y: p.u_y, K: p.K, e: p.e, beta: p.beta}
-    at.update({phi1: phis.phi1, phi2: phis.phi2})
+    at.update(zip((phi1, phi2), denominators(p, ModelVariant.GENERAL, h)))
     stepped = step(p, ModelVariant.GENERAL, h, eq.point)
     assert [float(expr.subs(at)) for expr in new] == pytest.approx(stepped, rel=1e-14)
     assert [float(expr.subs(at)) for expr in w] == pytest.approx(

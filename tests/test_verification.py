@@ -167,32 +167,38 @@ def drawn_lanes(monkeypatch, n_samples):
     return lanes
 
 
-PHI2 = 7  # position of phi2, which equals h, in the constants _map_update takes
+PHI2 = 7  # position of phi2, which equals h, in the constants the map's factories take
 
 
 def break_map(monkeypatch, faults):
-    """Patch the shared map update: the sample with step size h gets ``value`` as X after step ``n``.
+    """Patch the map's factories: the sample with step size h gets ``value`` as X after step ``n``.
 
-    ``faults`` maps h to (n, value).  Each update that the scalar and
-    lane kernels build counts its own calls, so the n-th call is step n
-    of its sample or block.
+    ``faults`` maps h to (n, value).  The lanes build their update from
+    ``_map_update`` and ``map_kernel`` builds its step from ``_map_step``,
+    so the lanes and the scalar loops see the same fault.  Each update or
+    step built counts its own calls, so the n-th call is step n of its
+    sample or block.
     """
-    real = nsfd._map_update
 
-    def broken(*constants):
-        update, phi2, calls = real(*constants), constants[PHI2], [0]
+    def broken(real):
+        def build(*constants):
+            advance, phi2, calls = real(*constants), constants[PHI2], [0]
 
-        def faulty(x, y, ratio):
-            calls[0] += 1
-            x1, y1 = update(x, y, ratio)
-            for h, (n, value) in faults.items():
-                if calls[0] == n:
-                    x1 = np.where(phi2 == h, value, x1) if isinstance(x1, np.ndarray) else (value if phi2 == h else x1)
-            return x1, y1
+            def faulty(*args):
+                calls[0] += 1
+                x1, y1 = advance(*args)
+                for h, (n, value) in faults.items():
+                    if calls[0] == n:
+                        at_h = phi2 == h
+                        x1 = np.where(at_h, value, x1) if isinstance(x1, np.ndarray) else (value if at_h else x1)
+                return x1, y1
 
-        return faulty
+            return faulty
 
-    monkeypatch.setattr(nsfd, "_map_update", broken)
+        return build
+
+    for factory in ("_map_update", "_map_step"):
+        monkeypatch.setattr(nsfd, factory, broken(getattr(nsfd, factory)))
 
 
 @pytest.mark.parametrize(
