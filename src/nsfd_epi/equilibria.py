@@ -44,6 +44,7 @@ __all__ = [
     "ReproductionNumbers",
     "all_equilibria",
     "disease_free_equilibrium",
+    "horizontal_threshold",
     "interior_coefficients",
     "interior_equilibrium",
     "reproduction_numbers",
@@ -147,16 +148,24 @@ def susceptible_free_equilibrium(params: HostParams, variant: ModelVariant) -> E
     With e > 0 infected hosts shed uninfected offspring, the Y axis is
     not invariant, and no susceptible-free equilibrium exists: asking
     for one under the general variant raises NotAnEquilibriumError.
+    With b_y <= 0 it does not exist, at (0, nan), and b_y > 0 fails beside b_y > u_y.
     """
     if variant is ModelVariant.GENERAL and params.e > 0:
         raise NotAnEquilibriumError(
             "the Y axis is not invariant when e > 0; the general model has no susceptible-free equilibrium"
         )
-    if params.b_y <= 0:
-        raise DomainError(f"susceptible-free equilibrium needs b_y > 0, got {params.b_y!r}")
-    ybar = params.K * (1.0 - params.u_y / params.b_y)
     cond = Condition("b_y > u_y", params.b_y > params.u_y, params.b_y - params.u_y)
+    if params.b_y <= 0:
+        no_births = Condition("b_y > 0", False, params.b_y)
+        return Equilibrium(EquilibriumKind.SUSCEPTIBLE_FREE, State(0.0, math.nan), False, (cond, no_births))
+    ybar = params.K * (1.0 - params.u_y / params.b_y)
     return Equilibrium(EquilibriumKind.SUSCEPTIBLE_FREE, State(0.0, ybar), cond.holds, (cond,))
+
+
+def horizontal_threshold(params: HostParams) -> float:
+    """b_x u_y/b_y - (u_x + beta K (1 - u_y/b_y)): uninfected hosts' growth rate at E2 (e = 0), NaN for b_y <= 0."""
+    b_x, b_y, u_x, u_y = params.b_x, params.b_y, params.u_x, params.u_y
+    return b_x * u_y / b_y - (u_x + params.beta * params.K * (1.0 - u_y / b_y)) if b_y > 0 else math.nan
 
 
 def interior_coefficients(params: HostParams) -> InteriorCoefficients:
@@ -227,7 +236,7 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
     quadratic's coefficients, its discriminant, X* or Y* leave the
     floating-point range (as at K = 1e300 or b_x = 1e300), the candidate
     does not exist, at (nan, nan), and its last condition,
-    "coefficients in floating-point range", fails.
+    "coefficients in floating-point range" (b_y > 0 where b_y <= 0), fails.
 
     Horizontal variant (e = 0): rational closed forms; exists iff
     b_x > u_x, b_y > u_y, b_x u_y / b_y > u_x + beta K (1 - u_y/b_y)
@@ -251,11 +260,12 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
             Condition("b_y > u_y", b_y > u_y, b_y - u_y),
             Condition("b_y > beta*K", b_y > params.beta * big_k, b_y - params.beta * big_k),
         ]
+        if not b_y > 0:
+            conditions.append(Condition("b_y > 0", False, b_y))
+            return Equilibrium(EquilibriumKind.INTERIOR, State(math.nan, math.nan), False, tuple(conditions))
         try:
             coeffs = interior_coefficients(params)
         except DomainError:
-            if not b_y > 0:
-                raise
             coeffs = None
         if coeffs is not None and coeffs.A == 0.0:
             raise DegenerateQuadraticError(
@@ -290,15 +300,11 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
     x = (b_x * u_y - b_y * u_x - params.beta * big_k * (b_y - u_y)) / denom
     y = (b_y * u_x - b_x * u_y + params.beta * big_k * (b_x - u_x)) / denom
     r = reproduction_numbers(params) if b_x > 0 and u_y > 0 else None
-    threshold_margin = b_x * u_y / b_y - (u_x + params.beta * big_k * (1.0 - u_y / b_y)) if b_y > 0 else math.nan
+    threshold = horizontal_threshold(params)
     conditions = [
         Condition("b_x > u_x", b_x > u_x, b_x - u_x),
         Condition("b_y > u_y", b_y > u_y, b_y - u_y),
-        Condition(
-            "b_x*u_y/b_y > u_x + beta*K*(1 - u_y/b_y)",
-            not math.isnan(threshold_margin) and threshold_margin > 0,
-            threshold_margin,
-        ),
+        Condition("b_x*u_y/b_y > u_x + beta*K*(1 - u_y/b_y)", threshold > 0, threshold),
         Condition("R0 > 1", r is not None and r.R0 > 1, r.R0 - 1.0 if r is not None else math.nan),
         Condition("beta*(beta*K + b_x - b_y) > 0", denom > 0, denom),
     ]

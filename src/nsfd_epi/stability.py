@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from .equilibria import Condition, Equilibrium, EquilibriumKind, reproduction_numbers
+from .equilibria import Condition, Equilibrium, EquilibriumKind, horizontal_threshold, reproduction_numbers
 from .model import DomainError, HostParams, ModelVariant, effective_rates
 from .nsfd import map_weights
 
@@ -230,17 +230,15 @@ def classifications(jc: Matrix2) -> tuple[Classification, Callable[[float, float
 
 @dataclass(frozen=True)
 class StabilityConditions:
-    """A closed-form prediction and the inequalities behind it.
+    """A closed-form prediction and the inequalities its theorem adds to existence.
 
-    ``side_conditions`` are hypotheses the stability argument needs on
-    top of the existence clause (recorded separately because they are
-    standing biological assumptions rather than per-equilibrium
-    criteria); the prediction requires both lists to hold.
+    Existence is the listing's job: the criteria are read only for a
+    point that exists, and ``conditions`` hold what stability needs
+    beyond that, each with its margin.
     """
 
     prediction: TheoremPrediction
     conditions: tuple[Condition, ...]
-    side_conditions: tuple[Condition, ...] = ()
     notes: tuple[str, ...] = ()
 
 
@@ -248,70 +246,39 @@ def stability_conditions(params: HostParams, variant: ModelVariant, eq: Equilibr
     """Evaluate the closed-form stability criteria for one equilibrium (none for one that does not exist)."""
     if not eq.exists:
         return StabilityConditions(TheoremPrediction.NOT_COVERED, ())
-    b_x, b_y, u_x, u_y, big_k = params.b_x, params.b_y, params.u_x, params.u_y, params.K
+    b_x, b_y, u_x, u_y = params.b_x, params.b_y, params.u_x, params.u_y
     e, beta = effective_rates(params, variant)
-
+    notes: tuple[str, ...] = ()
     if eq.kind is EquilibriumKind.TRIVIAL:
-        conds = (
-            Condition("b_x < u_x", b_x < u_x, u_x - b_x),
-            Condition("b_y < u_y", b_y < u_y, u_y - b_y),
-        )
-        if all(c.holds for c in conds):
-            return StabilityConditions(TheoremPrediction.STABLE, conds)
-        return StabilityConditions(TheoremPrediction.NOT_COVERED, conds)
-
-    if eq.kind is EquilibriumKind.DISEASE_FREE:
-        if b_x <= 0 or u_y <= 0:
+        conds = (Condition("b_x < u_x", b_x < u_x, u_x - b_x), Condition("b_y < u_y", b_y < u_y, u_y - b_y))
+    elif eq.kind is EquilibriumKind.DISEASE_FREE:
+        if u_y <= 0:  # R0 is undefined
             return StabilityConditions(TheoremPrediction.NOT_COVERED, ())
-        r = reproduction_numbers(params)
-        conds = (
-            Condition("b_x > u_x", b_x > u_x, b_x - u_x),
-            Condition("R0 < 1", r.R0 < 1, 1.0 - r.R0),
-        )
-        if conds[0].holds and conds[1].holds:
-            return StabilityConditions(TheoremPrediction.STABLE, conds)
-        if conds[0].holds and r.R0 > 1:
+        r0 = reproduction_numbers(params).R0
+        conds = (Condition("R0 < 1", r0 < 1, 1.0 - r0),)
+        if r0 > 1:
             return StabilityConditions(TheoremPrediction.UNSTABLE, conds)
-        return StabilityConditions(TheoremPrediction.NOT_COVERED, conds)
-
-    if eq.kind is EquilibriumKind.SUSCEPTIBLE_FREE:
-        if variant is ModelVariant.VERTICAL or beta == 0.0:
-            # Uninfected hosts invade when b_x u_y / b_y > u_x, making the
-            # point a saddle; strict parameter sets always have it.
-            margin = b_x * u_y / b_y - u_x if b_y > 0 else math.nan
-            side = (Condition("b_x*u_y/b_y > u_x", not math.isnan(margin) and margin > 0, margin),)
-            prediction = TheoremPrediction.UNSTABLE if side[0].holds else TheoremPrediction.NOT_COVERED
-            return StabilityConditions(prediction, (), side)
-        margin = b_x * u_y / b_y - (u_x + beta * big_k * (1.0 - u_y / b_y)) if b_y > 0 else math.nan
-        conds = (
-            Condition("b_y > u_y", b_y > u_y, b_y - u_y),
-            Condition(
-                "b_x*u_y/b_y < u_x + beta*K*(1 - u_y/b_y)",
-                not math.isnan(margin) and margin < 0,
-                -margin,
-            ),
-        )
-        if all(c.holds for c in conds):
-            return StabilityConditions(TheoremPrediction.STABLE, conds)
-        return StabilityConditions(TheoremPrediction.NOT_COVERED, conds)
-
-    # Interior equilibrium: stable whenever it exists (the same
-    # inequalities decide both regimes).
-    conds = eq.conditions
-    if variant is ModelVariant.GENERAL:
+    elif eq.kind is EquilibriumKind.SUSCEPTIBLE_FREE and (variant is ModelVariant.VERTICAL or beta == 0.0):
+        # Uninfected hosts invade when b_x u_y / b_y > u_x, making the point a saddle; strict parameter sets
+        # always have it.  Not horizontal_threshold: 0 * (1 - u_y/b_y) is NaN where u_y/b_y overflows.
+        margin = b_x * u_y / b_y - u_x
+        prediction = TheoremPrediction.UNSTABLE if margin > 0 else TheoremPrediction.NOT_COVERED
+        return StabilityConditions(prediction, (Condition("b_x*u_y/b_y > u_x", margin > 0, margin),))
+    elif eq.kind is EquilibriumKind.SUSCEPTIBLE_FREE:
+        margin = horizontal_threshold(params)
+        conds = (Condition("b_x*u_y/b_y < u_x + beta*K*(1 - u_y/b_y)", margin < 0, -margin),)
+    elif variant is ModelVariant.GENERAL:  # the interior points: the same inequalities decide both regimes
         margin = b_x - (b_y + e)
-        side = (Condition("b_x >= b_y + e", margin >= 0, margin),)
+        conds = (Condition("b_x >= b_y + e", margin >= 0, margin),)
         notes = ("the negative-trace/positive-determinant argument uses b_x >= b_y + e beyond existence",)
-        if all(c.holds for c in conds) and margin >= 0:
-            return StabilityConditions(TheoremPrediction.STABLE, conds, side, notes)
-        return StabilityConditions(TheoremPrediction.NOT_COVERED, conds, side, notes)
-    notes = (
-        "endemic stability threshold uses beta*K*(1 - u_y/b_y); the u_x/b_x "
-        "variant sometimes quoted is inconsistent with the closed-form equilibrium",
-    )
-    if all(c.holds for c in conds):
-        return StabilityConditions(TheoremPrediction.STABLE, conds, (), notes)
-    return StabilityConditions(TheoremPrediction.NOT_COVERED, conds, (), notes)
+    else:
+        conds = ()
+        notes = (
+            "endemic stability threshold uses beta*K*(1 - u_y/b_y); the u_x/b_x "
+            "variant sometimes quoted is inconsistent with the closed-form equilibrium",
+        )
+    prediction = TheoremPrediction.STABLE if all(c.holds for c in conds) else TheoremPrediction.NOT_COVERED
+    return StabilityConditions(prediction, conds, notes)
 
 
 def prediction_matches(prediction: TheoremPrediction, classification: Classification) -> bool:
@@ -333,7 +300,6 @@ class StabilityReport(NamedTuple):
     prediction: TheoremPrediction
     agree: bool
     conditions: tuple[Condition, ...] = ()
-    side_conditions: tuple[Condition, ...] = ()
     notes: tuple[str, ...] = ()
 
 
@@ -354,9 +320,7 @@ def stability_report(
 
     def report(regime: Regime, h: float | None, eigs: tuple, classification: Classification) -> StabilityReport:
         agree = prediction_matches(crit.prediction, classification)
-        return StabilityReport(
-            regime, h, eigs, classification, crit.prediction, agree, crit.conditions, crit.side_conditions, crit.notes
-        )
+        return StabilityReport(regime, h, eigs, classification, crit.prediction, agree, crit.conditions, crit.notes)
 
     flow, verdict = classifications(jc)
     reports = [report(Regime.CONTINUOUS, None, eigenvalues2(jc), flow)]

@@ -4,9 +4,10 @@
 binding that holds them.  A rename or deletion of one of them would
 only show when the benchmark runs; this test makes it fail here.  The
 README commands must also keep the bytes that ``perfbench/digests.py``
-records, and one seeded pass of ``portrait``, ``analysis`` and the edge
-probe must each meet ``perfbench/check.py``'s contract (rows per step,
-the index's final states, the closed-form answers).
+records, ``perfbench/selftest.py`` must pass, and one seeded pass of
+``portrait``, ``analysis`` and the edge probe must each meet
+``perfbench/check.py``'s contract (rows per step, the index's final
+states, the closed-form answers).
 """
 
 import importlib.util
@@ -80,6 +81,16 @@ def test_readme_commands_write_the_recorded_bytes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "7/7 README command outputs match digests.json" in proc.stdout
+
+
+def test_benchmark_selftest_passes(package_env):
+    """``perfbench/selftest.py``, the benchmark's own unit tests, pass against the package under test."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=TRACER_PATH.parent.parent, capture_output=True, text=True, env=package_env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr.rstrip().endswith("OK"), proc.stderr
 
 
 OPS_PER_PASS = {"portrait": 54, "analysis": 300, "edge": 24}

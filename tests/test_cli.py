@@ -290,6 +290,12 @@ class TestSimulateCommand:
         assert run_cli(self.ARGS + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rk4_without_infected_births_converges_to_the_disease_free_point(self, capsys):
+        # The listing now holds the points at b_y = 0, so the monitor has one to match.
+        code, out, err = run_cli(["simulate", "--by", "0", "--permissive", "--scheme", "rk4"], capsys)
+        assert code == 0 and "error" not in err
+        assert out.splitlines()[-1].startswith("# verdict=converged n=12015 equilibrium=disease_free ")
+
     def test_zero_steps_writes_initial_row_only(self, capsys):
         code, out, _ = run_cli(self.ARGS + ["--steps", "0"], capsys)
         assert code == 0
@@ -826,6 +832,27 @@ class TestOutOfRangeInputs:
             assert "R0 = nan (V0 = nan, H0 = nan)" in out.splitlines()
             words = " ".join(out.split())
             assert "disease_free (nan, 0) does not exist b_x > u_x FAILS margin -0.1 b_x > 0 FAILS" in words
+
+    BY_ZERO = {
+        "general": ([], ["interior"]),
+        "horizontal": (["--model", "horizontal", "--e", "0"], ["susceptible_free", "interior"]),
+        "vertical": (["--model", "vertical", "--e", "0", "--beta", "0"], ["susceptible_free"]),
+    }
+
+    @pytest.mark.parametrize("case", BY_ZERO)
+    def test_equilibria_list_the_points_without_infected_births(self, case, capsys):
+        # b_y = 0 passes --permissive: the Y-axis point and the general interior are undefined.
+        args, missing = self.BY_ZERO[case]
+        code, out, err = run_cli(["equilibria", "--by", "0", "--permissive", *args, "--format", "json"], capsys)
+        assert code == 0 and "error" not in err
+        listed = json.loads(out)["equilibria"]
+        assert [(eq["kind"], eq["exists"]) for eq in listed] == [
+            ("trivial", True), ("disease_free", True), *((kind, False) for kind in missing),
+        ]
+        for eq in listed[2:]:
+            if eq["kind"] == "susceptible_free" or case == "general":
+                assert eq["point"][1] is None
+                assert eq["conditions"][-1] == {"name": "b_y > 0", "holds": False, "margin": 0.0}
 
     @pytest.mark.parametrize("command", ["stability", "sweep"])
     def test_analysis_without_births_skips_the_disease_free_point(self, command, capsys):

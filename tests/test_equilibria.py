@@ -110,6 +110,14 @@ class TestBoundaryEquilibria:
         eq = susceptible_free_equilibrium(p, ModelVariant.HORIZONTAL)
         assert not eq.exists and eq.point.Y == 0.0
 
+    @pytest.mark.parametrize("b_y", [0.0, -0.5])
+    def test_susceptible_free_without_infected_births_does_not_exist(self, b_y):
+        # K(1 - u_y/b_y) is undefined: not existing, at (0, nan), with b_y > 0 failing beside b_y > u_y.
+        p = HostParams(b_x=0.6, b_y=b_y, u_x=0.1, u_y=-1.0, K=1.0)
+        eq = susceptible_free_equilibrium(p, ModelVariant.VERTICAL)
+        assert not eq.exists and eq.point.X == 0.0 and math.isnan(eq.point.Y)
+        assert eq.conditions == (("b_y > u_y", True, b_y + 1.0), ("b_y > 0", False, b_y))
+
     def test_susceptible_free_rejected_with_vertical_leakage(self):
         with pytest.raises(NotAnEquilibriumError):
             susceptible_free_equilibrium(GENERAL_LOW, ModelVariant.GENERAL)
@@ -141,9 +149,13 @@ class TestInteriorEquilibrium:
         eq = interior_equilibrium(replace(GENERAL_HIGH, K=1e300), ModelVariant.GENERAL)
         assert not eq.exists and math.isnan(eq.point.X) and math.isnan(eq.point.Y)
         assert eq.conditions[-1].name == "coefficients in floating-point range" and not eq.conditions[-1].holds
-        # b_y <= 0 is no range problem: it still raises.
+        # b_y <= 0 is no range problem: the candidate does not exist, with b_y > 0 failing last.
+        eq = interior_equilibrium(replace(GENERAL_HIGH, b_y=0.0), ModelVariant.GENERAL)
+        assert not eq.exists and math.isnan(eq.point.X) and math.isnan(eq.point.Y)
+        assert eq.conditions[-1] == ("b_y > 0", False, 0.0)
+        # interior_coefficients itself still refuses it.
         with pytest.raises(DomainError, match="need b_y > 0"):
-            interior_equilibrium(replace(GENERAL_HIGH, b_y=0.0), ModelVariant.GENERAL)
+            interior_coefficients(replace(GENERAL_HIGH, b_y=0.0))
 
     def test_general_benchmark_point(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)

@@ -2,16 +2,20 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nsfd_epi
 from nsfd_epi.equilibria import (
+    EquilibriumKind,
     all_equilibria,
     disease_free_equilibrium,
     interior_equilibrium,
+    reproduction_numbers,
     susceptible_free_equilibrium,
     trivial_equilibrium,
 )
@@ -556,7 +560,7 @@ class TestTheoremPrediction:
         assert stability_conditions(params, variant, eq).prediction is TheoremPrediction.NOT_COVERED
         for rep in stability_report(params, variant, eq, (0.1,)):
             assert rep.classification is Classification.STABLE and not rep.agree
-            assert [(c.name, c.holds) for c in rep.side_conditions] == [("b_x*u_y/b_y > u_x", False)]
+            assert [(c.name, c.holds) for c in rep.conditions] == [("b_x*u_y/b_y > u_x", False)]
 
     def test_nonexistent_equilibrium_not_covered(self):
         eq = interior_equilibrium(GENERAL_LOW, ModelVariant.GENERAL)
@@ -572,6 +576,52 @@ class TestTheoremPrediction:
             stability_conditions(GENERAL_LOW, ModelVariant.GENERAL, eq).prediction
             is TheoremPrediction.NOT_COVERED
         )
+
+
+# Permissive rates: 0, negative, subnormal, normal and up to 1e300; K > 0 over the same range.
+permissive_rates = st.one_of(
+    st.just(0.0), st.floats(-2.0, 0.0), st.floats(5e-324, 2.0**-1022), st.floats(0.0, 2.0), st.floats(0.0, 1e300)
+)
+
+
+@st.composite
+def permissive_sets(draw):
+    variant = draw(st.sampled_from(list(ModelVariant)))
+    b_x, b_y, u_x, u_y = (draw(permissive_rates) for _ in range(4))
+    big_k = draw(st.floats(5e-324, 1e300))
+    e = draw(permissive_rates) if variant is ModelVariant.GENERAL else 0.0
+    beta = 0.0 if variant is ModelVariant.VERTICAL else draw(st.one_of(st.just(0.0), permissive_rates))
+    return HostParams(b_x, b_y, u_x, u_y, big_k, e, beta), variant
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=permissive_sets())
+@example(case=(HostParams(0.6, 0.0, 0.1, 0.2, 1.0, 0.02, 0.1), ModelVariant.GENERAL))  # b_y = 0
+@example(case=(HostParams(0.6, 0.0, 0.1, 0.2, 1.0, 0.0, 0.1), ModelVariant.HORIZONTAL))
+@example(case=(HostParams(-1.0, 5e-324, 0.1, -1.0, 1.0), ModelVariant.VERTICAL))  # u_y/b_y overflows
+@example(case=(HostParams(0.6, 0.4, 0.1, 0.0, 1.0, 0.02, 0.3), ModelVariant.GENERAL))  # R0 undefined
+def test_criteria_read_only_what_stability_adds_to_existence(case):
+    """The criteria never re-decide existence: for every listed point they hold or fail on their own inequalities."""
+    params, variant = case
+    for eq in all_equilibria(params, variant):
+        crit = stability_conditions(params, variant, eq)
+        if not eq.exists:
+            assert (crit.prediction, crit.conditions) == (TheoremPrediction.NOT_COVERED, ())
+        elif crit.prediction is TheoremPrediction.STABLE:
+            assert all(c.holds for c in crit.conditions), (eq, crit)
+        elif crit.prediction is TheoremPrediction.UNSTABLE:
+            if eq.kind is EquilibriumKind.DISEASE_FREE:
+                assert reproduction_numbers(params).R0 > 1, (eq, crit)
+            else:
+                assert eq.kind is EquilibriumKind.SUSCEPTIBLE_FREE and params.beta == 0.0, (eq, crit)
+                assert params.b_x * params.u_y / params.b_y - params.u_x > 0, (eq, crit)
+
+
+def test_the_horizontal_threshold_is_written_once():
+    # The horizontal interior's existence and the susceptible-free point's stability read one expression.
+    sources = [path.read_text() for path in Path(nsfd_epi.__file__).parent.glob("*.py")]
+    assert sum(source.count("* (1.0 - u_y / b_y)") for source in sources) == 1
+    assert not any("side_conditions" in source for source in sources)
 
 
 def rescaled(params, factor, keep=""):
