@@ -292,8 +292,7 @@ def _eq_dict(eq: Equilibrium) -> dict[str, Any]:
 # commands
 
 
-def _cmd_equilibria(config: RunConfig) -> int:
-    _check_params(config)
+def _cmd_equilibria(config: RunConfig) -> str:
     params, variant = config.params(), config.variant()
     equilibria = all_equilibria(params, variant)
     try:
@@ -308,8 +307,7 @@ def _cmd_equilibria(config: RunConfig) -> int:
                              "xbar_negative": None if math.isnan(r.R0) else r.xbar_negative},
             "equilibria": [_eq_dict(eq) for eq in equilibria],
         }
-        _emit(_json_text(doc), config.out)
-        return EXIT_OK
+        return _json_text(doc)
     if config.format == "csv":
         lines = [f"# model={variant.value} " + " ".join(f"{k}={_fmt(v)}" for k, v in _params_dict(config).items())]
         lines.append(f"# V0={_fmt(r.V0)} H0={_fmt(r.H0)} R0={_fmt(r.R0)}")
@@ -317,8 +315,7 @@ def _cmd_equilibria(config: RunConfig) -> int:
         for eq in equilibria:
             failed = ";".join(c.name for c in eq.failed_conditions())
             lines.append(f"{eq.kind.value},{_fmt(eq.point.X)},{_fmt(eq.point.Y)},{int(eq.exists)},{failed}")
-        _emit("\n".join(lines), config.out)
-        return EXIT_OK
+        return "\n".join(lines)
     # plain text table
     lines = [f"model: {variant.value}", f"R0 = {r.R0:.6g} (V0 = {r.V0:.6g}, H0 = {r.H0:.6g})"]
     for eq in equilibria:
@@ -327,8 +324,7 @@ def _cmd_equilibria(config: RunConfig) -> int:
         for c in eq.conditions:
             mark = "ok" if c.holds else "FAILS"
             lines.append(f"      {c.name:45s} {mark:5s} margin {c.margin:+.4g}")
-    _emit("\n".join(lines), config.out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def _params_dict(config: RunConfig) -> dict[str, float]:
@@ -347,8 +343,7 @@ def _report_dict(report) -> dict[str, Any]:
     }
 
 
-def _cmd_stability(config: RunConfig) -> int:
-    _check_params(config)
+def _cmd_stability(config: RunConfig) -> str:
     params, variant = config.params(), config.variant()
     h_list = config.h_list or [config.h]
     equilibria = all_equilibria(params, variant)
@@ -363,8 +358,7 @@ def _cmd_stability(config: RunConfig) -> int:
                 for eq, reports in entries
             ],
         }
-        _emit(_json_text(doc), config.out)
-        return EXIT_OK
+        return _json_text(doc)
     if config.format == "csv":
         lines = ["kind,regime,h,lambda1_re,lambda1_im,lambda2_re,lambda2_im,classification,theorem,agree"]
         for eq, reports in entries:
@@ -375,8 +369,7 @@ def _cmd_stability(config: RunConfig) -> int:
                     f"{_fmt(l1.real)},{_fmt(l1.imag)},{_fmt(l2.real)},{_fmt(l2.imag)},"
                     f"{rep.classification.value},{rep.prediction.value},{int(rep.agree)}"
                 )
-        _emit("\n".join(lines), config.out)
-        return EXIT_OK
+        return "\n".join(lines)
     lines = [f"model: {variant.value}  (h tested: {', '.join(_fmt(h) for h in h_list)})"]
     for eq, reports in entries:
         lines.append(
@@ -396,8 +389,7 @@ def _cmd_stability(config: RunConfig) -> int:
         for rep in reports[:1]:
             for note in rep.notes:
                 lines.append(f"      note: {note}")
-    _emit("\n".join(lines), config.out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
@@ -491,21 +483,17 @@ def _trajectory_json(config: RunConfig, s0: State, run: Trajectory) -> dict[str,
     }
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    _check_params(config)
+def _cmd_simulate(config: RunConfig) -> str:
     points = config.points()
     if len(points) != 1:
         raise ConfigError("simulate takes exactly one initial point; use portrait for several")
     run = _simulate_one(config, points[0])
     if config.format == "json":
-        _emit(_json_text(_trajectory_json(config, points[0], run)), config.out)
-    else:
-        _emit(_trajectory_csv(config, points[0], run, _heads(run)), config.out)
-    return EXIT_OK
+        return _json_text(_trajectory_json(config, points[0], run))
+    return _trajectory_csv(config, points[0], run, _heads(run))
 
 
-def _cmd_portrait(config: RunConfig) -> int:
-    _check_params(config)
+def _cmd_portrait(config: RunConfig) -> str | None:
     points = config.points()
     if config.format != "json" and (config.out is None or config.out == "-"):
         raise ConfigError("portrait with csv output needs --out DIRECTORY; only --format json writes to stdout")
@@ -515,8 +503,7 @@ def _cmd_portrait(config: RunConfig) -> int:
             "config": config.to_dict(),
             "trajectories": [_trajectory_json(config, s0, run) for s0, run in runs],
         }
-        _emit(_json_text(doc), config.out)
-        return EXIT_OK
+        return _json_text(doc)
     # Every run shares h and records every step from 0, so the longest run's cells serve them all.
     heads = _heads(max((run for _, run in runs), key=lambda run: run.steps[-1]))
     out_dir = Path(config.out)
@@ -532,11 +519,10 @@ def _cmd_portrait(config: RunConfig) -> int:
             )
         (out_dir / "index.csv").write_text("\n".join(index_lines) + "\n")
     print(f"wrote {len(runs)} trajectories and index.csv to {out_dir}")
-    return EXIT_OK
+    return None
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    _check_params(config)
+def _cmd_sweep(config: RunConfig) -> str:
     params, variant = config.params(), config.variant()
     h_list = config.h_list or SWEEP_H_LIST
     results = []
@@ -562,8 +548,7 @@ def _cmd_sweep(config: RunConfig) -> int:
             ],
             "all_uniform": all(res.uniform for res in results),
         }
-        _emit(_json_text(doc), config.out)
-        return EXIT_OK
+        return _json_text(doc)
     if config.format == "csv":
         lines = ["kind,h,classification,continuous,uniform"]
         for res in results:
@@ -572,15 +557,13 @@ def _cmd_sweep(config: RunConfig) -> int:
                     f"{res.equilibrium.kind.value},{_fmt(en.h)},{en.classification.value},"
                     f"{res.continuous.value},{int(res.uniform)}"
                 )
-        _emit("\n".join(lines), config.out)
-        return EXIT_OK
+        return "\n".join(lines)
     lines = [f"model: {variant.value}  (h: {', '.join(_fmt(h) for h in h_list)})"]
     for res in results:
         flag = "h-independent" if res.uniform else "VARIES WITH h"
         match = "matches continuous" if res.matches_continuous else f"continuous is {res.continuous.value}"
         lines.append(f"  {res.equilibrium.kind.value:17s} {res.entries[0].classification.value:13s} {flag}; {match}")
-    _emit("\n".join(lines), config.out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def _cmd_verify(args: SimpleNamespace | argparse.Namespace) -> int:
@@ -656,22 +639,25 @@ VERIFY_FLAGS = (
     Flag("--only", "only", help="run only checks whose name contains this substring"),
     Flag("--tol-eq", "tol_eq", read=float, help="equilibrium match tolerance for convergence scenarios (default 1e-3)"),
 )
-# Each command's help and flags.
+# Each command's help, flags and handler.  A config command's handler takes the checked RunConfig and
+# returns the text for --out or stdout (None if it wrote its own); verify's returns the exit code.
 COMMANDS = {
-    "equilibria": ("list equilibria with existence conditions and R0", PARAM_FLAGS),
+    "equilibria": ("list equilibria with existence conditions and R0", PARAM_FLAGS, _cmd_equilibria),
     "stability": (
         "eigenvalue classification and theorem cross-check per equilibrium",
         (*PARAM_FLAGS, Flag("--h", "h", "append", help="discrete step size (repeatable)")),
+        _cmd_stability,
     ),
-    "simulate": ("run one trajectory and write n,t,X,Y output", PARAM_FLAGS + RUN_FLAGS),
-    "portrait": ("run several trajectories (phase portrait data)", PARAM_FLAGS + RUN_FLAGS),
+    "simulate": ("run one trajectory and write n,t,X,Y output", PARAM_FLAGS + RUN_FLAGS, _cmd_simulate),
+    "portrait": ("run several trajectories (phase portrait data)", PARAM_FLAGS + RUN_FLAGS, _cmd_portrait),
     "sweep": (
         "discrete classification across step sizes",
         (*PARAM_FLAGS, Flag("--h", "h", "append", help="step size (repeatable)")),
+        _cmd_sweep,
     ),
-    "verify": ("run the acceptance scenarios; exit 0 iff all pass", VERIFY_FLAGS),
+    "verify": ("run the acceptance scenarios; exit 0 iff all pass", VERIFY_FLAGS, _cmd_verify),
 }
-_FLAGS_BY_NAME = {name: {f.flag: f for f in flags} for name, (_, flags) in COMMANDS.items()}
+_FLAGS_BY_NAME = {name: {f.flag: f for f in flags} for name, (_, flags, _) in COMMANDS.items()}
 
 
 @functools.cache
@@ -689,7 +675,7 @@ def _make_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, flags) in COMMANDS.items():
+    for name, (summary, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for f in flags:
             typed = {} if f.action == "store_true" else {"type": f.read, "choices": f.choices}
@@ -738,18 +724,17 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv) or _make_parser().parse_args(argv)
+    handler = COMMANDS[args.command][2]
     try:
-        if args.command == "verify":
-            code = _cmd_verify(args)
+        if handler is _cmd_verify:
+            code = handler(args)
         else:
-            commands = {
-                "equilibria": _cmd_equilibria,
-                "stability": _cmd_stability,
-                "simulate": _cmd_simulate,
-                "portrait": _cmd_portrait,
-                "sweep": _cmd_sweep,
-            }
-            code = commands[args.command](_build_config(args))
+            config = _build_config(args)
+            _check_params(config)
+            text = handler(config)
+            if text is not None:
+                _emit(text, config.out)
+            code = EXIT_OK
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

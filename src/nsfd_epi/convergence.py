@@ -230,11 +230,7 @@ def _run_monitored(
         raise DomainError(f"initial state {s!r} is not finite")
     if settings is None:
         settings = ConvergenceSettings()
-    try:
-        known = all_equilibria(params, variant)
-    except DomainError:
-        known = ()  # implausible parameters: no limit matching, divergence only
-    monitor = ConvergenceMonitor(settings, known, params.K)
+    monitor = ConvergenceMonitor(settings, all_equilibria(params, variant), params.K)
     if max(abs(s[0]), abs(s[1])) > monitor.bound:
         recorded_states, verdict = list(s), Verdict(VerdictStatus.DIVERGED, at_step=0)
     else:

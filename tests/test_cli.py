@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from nsfd_epi import cli
 from nsfd_epi.cli import RunConfig, main
-from nsfd_epi.convergence import Trajectory, Verdict, VerdictStatus
+from nsfd_epi.convergence import ConvergenceSettings, Trajectory, Verdict, VerdictStatus
 from nsfd_epi.equilibria import EquilibriumKind, all_equilibria
-from nsfd_epi.model import ModelVariant, State
-from nsfd_epi.verification import load_fixture_scenarios
+from nsfd_epi.model import ModelVariant, State, validate_params
+from nsfd_epi.verification import Scenario, benchmark_params, load_fixture_scenarios
 
 BENCH = ["--bx", "0.6", "--by", "0.4", "--ux", "0.1", "--uy", "0.2"]
 
@@ -1417,3 +1417,135 @@ def test_a_flag_and_a_config_value_are_read_alike(tmp_path, monkeypatch, data):
     from_file = {name: value, "h_list": [value]} if name == "h" else {name: value}
     (tmp_path / "run.json").write_text(json.dumps(from_file))
     assert outcome([f"{flag}={text}"]) == outcome([f"--config={tmp_path / 'run.json'}"])
+
+
+# What each config command needs beyond the rates to run quickly and write to stdout.
+QUICK_FLAGS = {"simulate": ["--steps", "3"], "portrait": ["--steps", "3", "--format", "json"]}
+
+
+@pytest.mark.parametrize("command", ["equilibria", "stability", "simulate", "portrait", "sweep"])
+def test_every_config_command_checks_its_parameters_once(command, capsys):
+    """A strict violation exits 2 with each violation's line once; --permissive warns once per violation."""
+    argv = [command, "--ux", "0.3", "--uy", "0.2", *QUICK_FLAGS.get(command, [])]
+    violations = validate_params(RunConfig(ux=0.3, uy=0.2).params(), "strict")
+    assert violations
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "".join(f"error: parameter violation: {v}\n" for v in violations) + "error: invalid parameters\n"
+    code, out, err = run_cli([*argv, "--permissive"], capsys)
+    assert code == 0 and out
+    assert err == "".join(f"warning: {v}\n" for v in violations)
+
+
+def test_run_config_defaults_are_the_librarys():
+    """RunConfig restates the benchmark set, the detector's thresholds and a scenario's step budget."""
+    config = RunConfig()
+    assert config.params() == benchmark_params(ModelVariant.GENERAL, 0.1)
+    assert config.settings() == ConvergenceSettings()
+    assert config.steps == Scenario.__dataclass_fields__["max_steps"].default
+
+
+def command_outcome(argv, cwd):
+    """``main(argv)`` run in ``cwd``: its exit code and the sha256 of its stdout, of its stderr and of the files it wrote.
+
+    The files' digest runs over each file's path relative to ``cwd`` and its
+    bytes, in path order; it is None where none was written.  ``run.json``
+    is the config file the table reads, not output.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help, or a command line argparse refuses
+            code = exc.code
+    written = sorted(p for p in cwd.rglob("*") if p.is_file() and p.name != "run.json")
+    files = hashlib.sha256()
+    for path in written:
+        files.update(path.relative_to(cwd).as_posix().encode() + b"\0" + path.read_bytes())
+    return (
+        code,
+        hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+        hashlib.sha256(stderr.getvalue().encode()).hexdigest(),
+        files.hexdigest() if written else None,
+    )
+
+
+# The config file that the table's --config rows read.
+PARITY_CONFIG = {"beta": 0.3, "format": "csv", "h_list": [0.5, 5.0]}
+EMPTY = hashlib.sha256(b"").hexdigest()
+# Command lines, run in an empty directory holding PARITY_CONFIG as run.json, with the exit code and
+# the sha256 of stdout, of stderr and of the files written (see command_outcome), recorded at commit
+# 4e4e9b6, where each command's handler still checked its parameters and wrote its own text.  They
+# cover every command in every format, --out to a file, to "-" and to a directory, every help, and
+# each documented error: exit 2 for config, exit 3 for domain, exit 1 for a failed check.
+PARITY = [
+    ("equilibria", 0, "18ba05baf13e1a0a648573e7de2d045a04154797dcba5a1df15dd33423be7463", EMPTY, None),
+    ("equilibria --format csv --beta 0.3", 0, "7b7c9786666bf69e4f9b8ea04d226b5b0c7651b536a83747d294405c77e01ee9", EMPTY, None),
+    ("equilibria --format json --model horizontal --K 1.2 --e 0", 0, "f6c7d7af9ea4f9b23ac0b443dd753386fd6c6d7a8255128fb693a4b1bcd3d074", EMPTY, None),
+    ("equilibria --format text --model vertical --K 1.2 --e 0 --beta 0", 0, "9c0bbbc42bd3ac1b8728b7fd988ef078cf9281969ea1be1f069b2a75cd5e5683", EMPTY, None),
+    ("equilibria --by 0 --permissive --format json", 0, "3a0059ec2be25ed29109fc9ebca9f3b0f987b75b0addab0fca698daa3e9d5992", EMPTY, None),
+    ("stability", 0, "85e02f9df7df7335fdec4e0fb98dad7f33422ea0e48549c4cde56250d18f9638", EMPTY, None),
+    ("stability --format csv --beta 0.3 --h 0.1 --h 10", 0, "ba16a3503e209bee9eed2f9b735599484be4a10ced8d10e5256ab657e5899fee", EMPTY, None),
+    ("stability --format json --model horizontal --K 1.2 --e 0 --h 1e-8 --h 1 --h 1e200", 0, "fd78e1e8ba9cf5f5852f39d7a04401acabde465751784246e9c635aaa4ee1f1b", EMPTY, None),
+    ("stability --format text --ux 0.3 --uy 0.2 --permissive", 0, "618fb243be7b7c0255412c5924e4aa62e987ed6ee04526b0e0ad77423f07fb53", "e239e0010127f40bf6073ffb1bcb4b333329aa704b0e143fa510e78b1827b297", None),
+    ("sweep", 0, "f4d87a7c68ac85a31393b770be1d757997a9028938ffd86b99880e7856d87f96", EMPTY, None),
+    ("sweep --format csv --beta 0.3", 0, "30950630c5cc3b537021ec1fcbf69d58a5ba5d30f16ac45efbeb6f7001bf2d55", EMPTY, None),
+    ("sweep --format json --model horizontal --K 1.2 --e 0 --beta 0.42 --h 0.5 --h 50", 0, "933149d7bb01a4ff095be08f536da0f51a9c32f2a86128607d2bd455ab9a6224", EMPTY, None),
+    ("sweep --config run.json", 0, "8a1f15150d58c7719eb693134815965019524d397d476d5cf90fecb9b7d3fe4f", EMPTY, None),
+    ("simulate --steps 30", 0, "20a77ba2456c506458d94b79f60347cd4f557e8bb4791591a753e1a25838d585", EMPTY, None),
+    ("simulate --format csv --beta 0.3 --steps 20 --x0 0.5 --y0 0.3", 0, "7623a3afb6aa8d79311bb99091a9ea2c50d7694ee683526b07a1efa3baa169c6", EMPTY, None),
+    ("simulate --format json --scheme rk4 --steps 10 --dt 0.1", 0, "b48505f6fabb4492d9b94169926225609ac5798b8584a7b37f70a3cb325a51a5", EMPTY, None),
+    ("simulate --format text --scheme euler --dt 0.5 --steps 10 --x0 0.1 --y0 0.9", 0, "3183f3cfded9cafb8b25c4c23787494e415b045ccd554fd657abcfdaf5bdc6a2", EMPTY, None),
+    ("simulate --h 5 --beta 0.3", 0, "05c1a89cd71591d637aecf5fad901b5c18f943ed98efe3cf614a5851050f7e65", EMPTY, None),
+    ("simulate --model horizontal --K 1.2 --e 0 --beta 0.42 --h 2 --steps 200 --config run.json", 0, "3985ce9dc7c5ce8d27ad4a2daf8d79ff6bf09aadc01c64d6df4419559c9583ed", EMPTY, None),
+    ("portrait --format json --steps 5 --x0 0.1 --y0 0.2 --x0 1.5 --y0 0.5", 0, "8b1b127d56d0d8147c462d167fcb8bc045177ad4f5c5efb8a4a038cfe82017a9", EMPTY, None),
+    ("portrait --preset paper-initials --steps 40 --out portrait", 0, "8c7907381c6372ce305011233cdd27c8ec8b2df0543890f84dd57fb2f4330a61", EMPTY, "e69321e9154c6adaba56b7b29a9be0c347ef09f666eb97e3ecb21e22df7e9880"),
+    ("portrait --format text --scheme rk4 --steps 10 --out portrait", 0, "f2fb7e638010e665dd45a285390b8f2cd3f8f1a474cbb942d68b2b457a1af187", EMPTY, "70d311819b23bbd9ca2afc61e43a71c75d355ec889e997052069a440b566c7c1"),
+    ("portrait --format json --steps 3 --out portrait.json", 0, EMPTY, EMPTY, "a686568bb07906790d681430575c3eb36318aa7a8fe369fb5ad949689a17cad9"),
+    ("equilibria --format json --out eq.json", 0, EMPTY, EMPTY, "7eea2a963a7fa7995177281e2ebfb6fa71b79cae06654e01bd774ee23e817703"),
+    ("stability --format csv --out -", 0, "f431f58c31b2d6ac9d65e7234b42790a9732173e422d8c8e1d0fbaa6f44f6f31", EMPTY, None),
+    ("simulate --steps 5 --out run.csv", 0, EMPTY, EMPTY, "a556967f7adb92ea20fd063448974f7402e5ad4155fe96410bf4ef2d107c1a85"),
+    ("sweep --out missing/sweep.txt", 2, EMPTY, "72ac3cbc55b55fca38505364f92f945ed49c115a6a5bb4c7f29e948409c8a22c", None),
+    ("simulate --steps 3 --out .", 2, EMPTY, "fc54914d6ff5e087d4ed99e1d73b4e65fc89451a9ac4119050b37731f4586849", None),
+    ("-h", 0, "b8b7878d130919100bcfe3ba63df3beac13181ee8120d4037fde5530cb68c0b6", EMPTY, None),
+    ("equilibria -h", 0, "f7028a8afecc3dd516c1c0fb939c2dc7f8ce594d8ad7d0732aaf15f3f31c6781", EMPTY, None),
+    ("stability -h", 0, "f88c2262b7597583037031477fd45da9cafa274e4989fd02aaa29cf7f3522359", EMPTY, None),
+    ("simulate -h", 0, "87a672ac70ec58b34757028c8037661630e8d4b60061d987bb5f9d0b57e318ae", EMPTY, None),
+    ("portrait -h", 0, "c9fb45987baa8a7488943e0b504223e9ae73fc3bd4aadf285f0ebe214b9cb752", EMPTY, None),
+    ("sweep -h", 0, "19d53d37231211beb2ce6ecabbc16da6c0b297741defc8180625a2f99b743c13", EMPTY, None),
+    ("verify -h", 0, "3d6f4d9bf9e920bbbb987e7165d82c0308ff140d58b8e123b8a37fc05b36f7e0", EMPTY, None),
+    ("equilibria --ux 0.3 --uy 0.2", 2, EMPTY, "82a65cd42cee555d5bc245551fe3c1f1dd269eae012445b0421d457e1f6e4dc5", None),
+    ("simulate --ux 0.3 --uy 0.2 --steps 3", 2, EMPTY, "82a65cd42cee555d5bc245551fe3c1f1dd269eae012445b0421d457e1f6e4dc5", None),
+    ("portrait --ux 0.3 --uy 0.2 --permissive --steps 3 --format json", 0, "b5d65300480cceb266a89b2dcce26fdaf7d2fede89fbc1b6017f4193e7cc6c56", "e239e0010127f40bf6073ffb1bcb4b333329aa704b0e143fa510e78b1827b297", None),
+    ("portrait --steps 3", 2, EMPTY, "c1dae28252ed26b4838692b3522390b08f4a99181c8370f9710d11c29506b041", None),
+    ("simulate --preset paper-initials --steps 3", 2, EMPTY, "33a23ba888f348a93e4abf598da45e362ae151da80deb76db2d1b0654728652e", None),
+    ("equilibria --config nowhere.json", 2, EMPTY, "c6d6fd254a758e09b96a1711ae9168b4ec8493ecf50ea5757b4158e1c22cba37", None),
+    ("equilibria --format xml", 2, EMPTY, "95178012dd9087922ea3f97a8911c34cb57c96136f96d363dc5b2856ca5036b5", None),
+    ("stability --model vertical", 3, EMPTY, "e2d0f3f8ddf87caa64af02328e4cd8ac76975b745f0a9f88b8ec9367009cd495", None),
+    ("simulate --x0 1e-320 --y0 1 --h 1 --beta 0.3", 3, EMPTY, "494531fe25337e45c7bc822100a93482134e1f828bb6d2fa0497c9f26e5766e5", None),
+    ("stability --by 0 --permissive", 3, EMPTY, "5d9aa21c997e6debf253776e17cc95335d903d979568a68b65d08b8f65cc9d30", None),
+    ("verify --list", 0, "2a9dc03c40f48f7bb55e4ab2ac4ad3dbcf3ae84c1cfe7662bb6fde0faa60be1a", EMPTY, None),
+    ("verify --only jury-eigenvalue-oracle", 0, "d2b8c327586d9eabc0ef4f773cb477b2a4210317e7a079609418269ba7d750c9", EMPTY, None),
+    ("verify --only converges:vertical --tol-eq 1e-9", 1, "ad89ce29d99147dd02ea913a0947772b87fa6e9ef7e8c0263f6b71893b69735b", EMPTY, None),
+    ("verify --only no-such-check", 2, EMPTY, "48dd44189169123e22e6014bbf572087bf702e988242f8ede2c679d72fa5cc53", None),
+]
+
+
+# The rows whose text argparse writes, help and its own errors, were recorded on Python 3.11, and
+# argparse words and lays out that text differently in other versions.
+ARGPARSE_TEXT = pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's text differs by Python version")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, files",
+    [
+        pytest.param(*row, id=row[0], marks=ARGPARSE_TEXT if row[0].endswith("-h") or "xml" in row[0] else ())
+        for row in PARITY
+    ],
+)
+def test_outputs_keep_their_recorded_bytes(argv, code, out, err, files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    monkeypatch.delenv(cli.SEED_DIR_ENV, raising=False)
+    (tmp_path / "run.json").write_text(json.dumps(PARITY_CONFIG))
+    assert command_outcome(argv.split(), tmp_path) == (code, out, err, files)

@@ -65,11 +65,7 @@ class RefMonitor:
 def ref_run_monitored(advance, params, variant, s0, n_steps, settings, record_every, scheme):
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    try:
-        known = all_equilibria(params, variant)
-    except DomainError:
-        known = ()
-    monitor = RefMonitor(settings, known, params.K)
+    monitor = RefMonitor(settings, all_equilibria(params, variant), params.K)
     s = (float(s0[0]), float(s0[1]))
     recorded_steps = [0]
     recorded_states = [s]

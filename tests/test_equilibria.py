@@ -24,6 +24,7 @@ from nsfd_epi.model import (
     HostParams,
     ModelVariant,
     NotAnEquilibriumError,
+    VariantParameterError,
     vector_field,
 )
 from nsfd_epi.verification import benchmark_params
@@ -334,3 +335,34 @@ def test_positive_root_keeps_the_bits_of_minus_2c_over_denom_where_that_is_finit
     old = -2.0 * c / denom
     if math.isfinite(old):
         assert x.hex() == old.hex()
+
+
+# Rates at the edges of the float range.  Each is also an explicit example, given to every rate at
+# once, and to every rate but those the variant does not use, which are 0.
+EDGE_RATES = (0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, math.inf, -math.inf, math.nan)
+edge_rates = st.one_of(st.sampled_from(EDGE_RATES), st.floats(-2.0, 2.0), st.floats())
+UNUSED_RATES = {ModelVariant.GENERAL: (), ModelVariant.HORIZONTAL: ("e",), ModelVariant.VERTICAL: ("e", "beta")}
+
+
+def with_edge_examples(test):
+    for value in EDGE_RATES:
+        for variant, unused in UNUSED_RATES.items():
+            params = HostParams(*[value] * 7)
+            test = example(params=params, variant=variant)(test)
+            test = example(params=replace(params, **dict.fromkeys(unused, 0.0)), variant=variant)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@given(params=st.builds(HostParams, *[edge_rates] * 7), variant=st.sampled_from(list(ModelVariant)))
+@with_edge_examples
+def test_listing_raises_only_for_rates_the_variant_does_not_use(params, variant):
+    """``all_equilibria`` lists the points at any rates, and refuses only a rate the variant does not use.
+
+    The run loop matches its limit against this listing with no fallback,
+    so any other error here would end a run at implausible rates.
+    """
+    try:
+        all_equilibria(params, variant)
+    except VariantParameterError:
+        assert any(getattr(params, name) != 0 for name in UNUSED_RATES[variant])
