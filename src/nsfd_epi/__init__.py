@@ -36,7 +36,6 @@ from .model import (
     Violation,
     field_kernel,
     validate_params,
-    vector_field,
 )
 from .nsfd import denominators, iterate, map_kernel, map_weights, step
 from .stability import (

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, Verdict
-from .equilibria import Equilibrium, ReproductionNumbers, all_equilibria, reproduction_numbers
+from .equilibria import Equilibrium, all_equilibria, reproduction_numbers
 from .harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, step_size_sweep
 from .integrators import simulate_continuous
 from .model import (
@@ -295,10 +295,7 @@ def _eq_dict(eq: Equilibrium) -> dict[str, Any]:
 def _cmd_equilibria(config: RunConfig) -> str:
     params, variant = config.params(), config.variant()
     equilibria = all_equilibria(params, variant)
-    try:
-        r = reproduction_numbers(params)
-    except DomainError:  # u_y = 0 passes --permissive: the points exist, R0 does not
-        r = ReproductionNumbers(math.nan, math.nan, math.nan)
+    r = reproduction_numbers(params)
     if config.format == "json":
         doc = {
             "model": variant.value,

@@ -16,7 +16,8 @@ closed forms.
 
 Existence conditions are reported with signed margins (distance from
 the inequality boundary) so near-degenerate parameter sets are visible
-to callers; existence itself uses exact strict comparisons.
+to callers; existence itself uses exact strict comparisons.  A number
+undefined at the given rates, such as R0 at u_y = 0, reads NaN, as a margin does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import NamedTuple
 
 from .model import (
     DegenerateQuadraticError,
-    DomainError,
     HostParams,
     ModelVariant,
     NotAnEquilibriumError,
@@ -113,9 +113,9 @@ class ReproductionNumbers(NamedTuple):
 
 
 def reproduction_numbers(params: HostParams) -> ReproductionNumbers:
-    """Basic reproduction number decomposition at the disease-free state."""
-    if params.b_x <= 0 or params.u_y <= 0:
-        raise DomainError(f"reproduction numbers need b_x > 0 and u_y > 0, got b_x = {params.b_x!r}, u_y = {params.u_y!r}")
+    """Basic reproduction number decomposition at the disease-free state; all NaN unless b_x and u_y are positive."""
+    if not (params.b_x > 0 and params.u_y > 0):
+        return ReproductionNumbers(math.nan, math.nan, math.nan)
     v0 = (params.b_y / params.b_x) * (params.u_x / params.u_y)
     headroom = 1.0 - params.u_x / params.b_x
     h0 = (params.beta / params.u_y) * params.K * headroom
@@ -145,14 +145,15 @@ def disease_free_equilibrium(params: HostParams) -> Equilibrium:
 def susceptible_free_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibrium:
     """(0, K(1 - u_y/b_y)); exists iff b_y > u_y.  Requires e = 0.
 
-    With e > 0 infected hosts shed uninfected offspring, the Y axis is
-    not invariant, and no susceptible-free equilibrium exists: asking
-    for one under the general variant raises NotAnEquilibriumError.
+    With e != 0 infected hosts shed (or, at e < 0, withdraw) uninfected
+    offspring, so dX/dt = e*Y*(1 - Y/K) on the Y axis, which is not
+    invariant, and no susceptible-free equilibrium exists: asking for one
+    under the general variant raises NotAnEquilibriumError.
     With b_y <= 0 it does not exist, at (0, nan), and b_y > 0 fails beside b_y > u_y.
     """
-    if variant is ModelVariant.GENERAL and params.e > 0:
+    if variant is ModelVariant.GENERAL and params.e != 0.0:
         raise NotAnEquilibriumError(
-            "the Y axis is not invariant when e > 0; the general model has no susceptible-free equilibrium"
+            "the Y axis is not invariant when e != 0; the general model has no susceptible-free equilibrium"
         )
     cond = Condition("b_y > u_y", params.b_y > params.u_y, params.b_y - params.u_y)
     if params.b_y <= 0:
@@ -173,11 +174,11 @@ def interior_coefficients(params: HostParams) -> InteriorCoefficients:
 
     A carries a factor beta and C a factor e, so the quadratic
     degenerates in the sub-variants (handled by interior_equilibrium).
-    Raises DomainError when b_y <= 0, or when K or b_y is so large or
-    so small that a coefficient's squares overflow or divide by zero.
+    All three are NaN when b_y <= 0, or when K or b_y is so large or so
+    small that a coefficient's squares overflow or divide by zero.
     """
-    if params.b_y <= 0:
-        raise DomainError(f"interior coefficients need b_y > 0, got {params.b_y!r}")
+    if not params.b_y > 0:
+        return InteriorCoefficients(math.nan, math.nan, math.nan)
     b_x, b_y, u_x, u_y, big_k, e, beta = (
         params.b_x,
         params.b_y,
@@ -198,9 +199,7 @@ def interior_coefficients(params: HostParams) -> InteriorCoefficients:
         c = -e * big_k**2 * (b_y - u_y) * u_y / b_y**2
     except (OverflowError, ZeroDivisionError):
         # K**2 overflows above about 1.3e154; b_y**2 underflows to 0 below about 1.5e-154.
-        raise DomainError(
-            f"interior coefficients are out of floating-point range at K = {big_k!r}, b_y = {b_y!r}"
-        ) from None
+        return InteriorCoefficients(math.nan, math.nan, math.nan)
     return InteriorCoefficients(a, b, c)
 
 
@@ -263,16 +262,13 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
         if not b_y > 0:
             conditions.append(Condition("b_y > 0", False, b_y))
             return Equilibrium(EquilibriumKind.INTERIOR, State(math.nan, math.nan), False, tuple(conditions))
-        try:
-            coeffs = interior_coefficients(params)
-        except DomainError:
-            coeffs = None
-        if coeffs is not None and coeffs.A == 0.0:
+        coeffs = interior_coefficients(params)
+        if coeffs.A == 0.0:
             raise DegenerateQuadraticError(
                 "interior quadratic degenerates (A = 0, typically beta = 0); "
                 "use the horizontal or vertical variant for this parameter set"
             )
-        x, disc = (math.nan, math.nan) if coeffs is None else _positive_quadratic_root(coeffs)
+        x, disc = _positive_quadratic_root(coeffs)
         y = (params.beta * big_k - b_y) * x / b_y + big_k * (b_y - u_y) / b_y
         # The coefficients, B^2 or the point itself can overflow although every rate is finite.
         if not math.isfinite(disc) or (disc >= 0 and not (math.isfinite(x) and math.isfinite(y))):
@@ -299,13 +295,13 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
         )
     x = (b_x * u_y - b_y * u_x - params.beta * big_k * (b_y - u_y)) / denom
     y = (b_y * u_x - b_x * u_y + params.beta * big_k * (b_x - u_x)) / denom
-    r = reproduction_numbers(params) if b_x > 0 and u_y > 0 else None
+    r0 = reproduction_numbers(params).R0
     threshold = horizontal_threshold(params)
     conditions = [
         Condition("b_x > u_x", b_x > u_x, b_x - u_x),
         Condition("b_y > u_y", b_y > u_y, b_y - u_y),
         Condition("b_x*u_y/b_y > u_x + beta*K*(1 - u_y/b_y)", threshold > 0, threshold),
-        Condition("R0 > 1", r is not None and r.R0 > 1, r.R0 - 1.0 if r is not None else math.nan),
+        Condition("R0 > 1", r0 > 1, r0 - 1.0),
         Condition("beta*(beta*K + b_x - b_y) > 0", denom > 0, denom),
     ]
     exists = all(c.holds for c in conditions)
@@ -315,17 +311,16 @@ def interior_equilibrium(params: HostParams, variant: ModelVariant) -> Equilibri
 def all_equilibria(params: HostParams, variant: ModelVariant) -> tuple[Equilibrium, ...]:
     """Every equilibrium candidate of the variant, existence flags included.
 
-    A degenerate interior candidate (see interior_equilibrium) is silently
-    omitted; the general variant includes the susceptible-free point only
-    when e = 0 makes the Y axis invariant.  VariantParameterError as in effective_rates.
+    Each constructor decides whether the variant has its point: one that
+    raises NotAnEquilibriumError (the general susceptible-free point at
+    e != 0, the vertical interior) or DegenerateQuadraticError (see
+    interior_equilibrium) is omitted.  VariantParameterError as in effective_rates.
     """
     effective_rates(params, variant)
     out = [trivial_equilibrium(), disease_free_equilibrium(params)]
-    if variant is not ModelVariant.GENERAL or params.e == 0.0:
-        out.append(susceptible_free_equilibrium(params, variant))
-    if variant is not ModelVariant.VERTICAL:
+    for candidate in (susceptible_free_equilibrium, interior_equilibrium):
         try:
-            out.append(interior_equilibrium(params, variant))
-        except DegenerateQuadraticError:
+            out.append(candidate(params, variant))
+        except (NotAnEquilibriumError, DegenerateQuadraticError):
             pass
     return tuple(out)

@@ -43,7 +43,6 @@ __all__ = [
     "effective_rates",
     "field_kernel",
     "validate_params",
-    "vector_field",
 ]
 
 
@@ -251,19 +250,3 @@ def field_kernel(params: HostParams, variant: ModelVariant) -> Kernel:
     state.  Raises VariantParameterError if ``params`` contradicts ``variant``.
     """
     return _field(params.b_x, params.b_y, params.u_x, params.u_y, params.K, *effective_rates(params, variant))
-
-
-def vector_field(params: HostParams, variant: ModelVariant, s: tuple[float, float]) -> tuple[float, float]:
-    """Right-hand side (dX/dt, dY/dt) of the variant's ODE system at s.
-
-    Defined for every finite state, including negative ones (needed to
-    follow positivity-violating trajectories of naive discretizations).
-
-    Raises:
-        DomainError: if either component of ``s`` is not finite.
-        VariantParameterError: if ``params`` contradicts ``variant``.
-    """
-    x, y = s
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"state ({x!r}, {y!r}) is not finite")
-    return field_kernel(params, variant)(x, y)

@@ -252,9 +252,7 @@ def stability_conditions(params: HostParams, variant: ModelVariant, eq: Equilibr
     if eq.kind is EquilibriumKind.TRIVIAL:
         conds = (Condition("b_x < u_x", b_x < u_x, u_x - b_x), Condition("b_y < u_y", b_y < u_y, u_y - b_y))
     elif eq.kind is EquilibriumKind.DISEASE_FREE:
-        if u_y <= 0:  # R0 is undefined
-            return StabilityConditions(TheoremPrediction.NOT_COVERED, ())
-        r0 = reproduction_numbers(params).R0
+        r0 = reproduction_numbers(params).R0  # NaN where undefined: neither < 1 nor > 1
         conds = (Condition("R0 < 1", r0 < 1, 1.0 - r0),)
         if r0 > 1:
             return StabilityConditions(TheoremPrediction.UNSTABLE, conds)

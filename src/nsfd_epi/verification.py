@@ -28,7 +28,7 @@ from .equilibria import (
 from .harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, first_negative_step, step_size_sweep
 from .integrators import _check_dt, simulate_continuous
 from .model import (
-    RATES, DomainError, HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params, vector_field
+    RATES, DomainError, HostParams, ModelVariant, State, effective_rates, field_kernel, validate_params
 )
 from .nsfd import denominators, iterate, map_kernel, map_lanes
 from .readers import integer, list_of, number
@@ -192,7 +192,7 @@ def interior_algebra_check() -> CheckResult:
     x, y = eq.point
     quad_res = abs(a * x * x + b * x + c)
     quad_tol = 1e-10 * max(abs(a), abs(b), abs(c))
-    dx, dy = vector_field(params, ModelVariant.GENERAL, eq.point)
+    dx, dy = field_kernel(params, ModelVariant.GENERAL)(*eq.point)
     vf_res = max(abs(dx), abs(dy))
     vf_tol = 1e-9 * (1.0 + max(abs(x), abs(y)))
     if not eq.exists:

@@ -635,6 +635,13 @@ class TestVerifyCommand:
         assert code == 2
         assert f"bad scenario fixture {tmp_path / 'bad.json'}: " in err
 
+    @pytest.mark.parametrize("args", [["verify", "--list"], ["verify", "--only", "fixture"]], ids=["list", "run"])
+    def test_seed_dir_that_is_a_file_is_config_error(self, tmp_path, monkeypatch, capsys, args):
+        seed = tmp_path / "fixture.json"
+        seed.write_text("{}")
+        monkeypatch.setenv("NSFD_EPI_SEED_DIR", str(seed))
+        assert run_cli(args, capsys) == (2, "", f"error: NSFD_EPI_SEED_DIR={seed} is not a directory\n")
+
 
 def test_closed_stdout_exits_quietly(package_env):
     # The pipe's read end is closed before each command starts, as by a `| head -1`

@@ -270,6 +270,12 @@ def test_run_refuses_step_counts_that_are_not_integers(scheme, n_steps, record_e
 
 
 @pytest.mark.parametrize("scheme", ["nsfd", "rk4", "euler"])
+def test_run_refuses_record_every_below_one(scheme):
+    with pytest.raises(DomainError, match="record_every must be >= 1, got 0"):
+        run_loop(GENERAL, ModelVariant.GENERAL, 0.1, (0.3, 0.2), 10, ConvergenceSettings(), 0, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["nsfd", "rk4", "euler"])
 def test_run_takes_numpy_integer_step_counts(scheme):
     def bits(n_steps, record_every):
         run = run_loop(GENERAL, ModelVariant.GENERAL, 0.1, (0.3, 0.2), n_steps, QUIET, record_every, scheme)

@@ -20,19 +20,18 @@ from nsfd_epi.equilibria import (
 )
 from nsfd_epi.model import (
     DegenerateQuadraticError,
-    DomainError,
     HostParams,
     ModelVariant,
     NotAnEquilibriumError,
     VariantParameterError,
-    vector_field,
+    field_kernel,
 )
 from nsfd_epi.verification import benchmark_params
 
 
 def equilibrium_residual(params, variant, eq):
     """Infinity norm of the vector field at the equilibrium point."""
-    dx, dy = vector_field(params, variant, eq.point)
+    dx, dy = field_kernel(params, variant)(*eq.point)
     return max(abs(dx), abs(dy))
 
 
@@ -73,10 +72,10 @@ class TestReproductionNumbers:
         assert r.xbar_negative and r.H0 < 0
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            reproduction_numbers(HostParams(b_x=0.0, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0))
-        with pytest.raises(DomainError):
-            reproduction_numbers(HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.0, K=1.0))
+        # Undefined without b_x > 0 and u_y > 0: every number reads NaN, nothing raises.
+        for b_x, u_y in [(0.0, 0.2), (-0.1, 0.2), (0.6, 0.0), (0.6, -0.2), (0.0, 0.0)]:
+            r = reproduction_numbers(HostParams(b_x=b_x, b_y=0.4, u_x=0.1, u_y=u_y, K=1.0))
+            assert all(math.isnan(v) for v in (r.V0, r.H0, r.R0)) and not r.xbar_negative
 
 
 class TestBoundaryEquilibria:
@@ -123,6 +122,17 @@ class TestBoundaryEquilibria:
         with pytest.raises(NotAnEquilibriumError):
             susceptible_free_equilibrium(GENERAL_LOW, ModelVariant.GENERAL)
 
+    @pytest.mark.parametrize("e", [-0.05, -5e-324, 5e-324])
+    def test_susceptible_free_rejected_with_any_nonzero_leakage(self, e):
+        # At e < 0 too, dX/dt = e*Y*(1 - Y/K) != 0 on the Y axis: (0, 0.5) is no equilibrium.
+        p = HostParams(0.6, 0.4, 0.1, 0.2, 1.0, e=-0.05, beta=0.1)
+        dx, _ = field_kernel(p, ModelVariant.GENERAL)(0.0, 0.5)
+        assert dx == pytest.approx(-0.0125)
+        with pytest.raises(NotAnEquilibriumError, match="e != 0"):
+            susceptible_free_equilibrium(replace(p, e=e), ModelVariant.GENERAL)
+        kinds = [eq.kind for eq in all_equilibria(replace(p, e=e), ModelVariant.GENERAL)]
+        assert EquilibriumKind.SUSCEPTIBLE_FREE not in kinds
+
     def test_susceptible_free_allowed_for_general_without_leakage(self):
         p = benchmark_params(ModelVariant.VERTICAL, 0.0)
         eq = susceptible_free_equilibrium(p, ModelVariant.GENERAL)
@@ -154,9 +164,10 @@ class TestInteriorEquilibrium:
         eq = interior_equilibrium(replace(GENERAL_HIGH, b_y=0.0), ModelVariant.GENERAL)
         assert not eq.exists and math.isnan(eq.point.X) and math.isnan(eq.point.Y)
         assert eq.conditions[-1] == ("b_y > 0", False, 0.0)
-        # interior_coefficients itself still refuses it.
-        with pytest.raises(DomainError, match="need b_y > 0"):
-            interior_coefficients(replace(GENERAL_HIGH, b_y=0.0))
+        # interior_coefficients reads NaN where it is undefined or its squares leave the float range.
+        for params in (replace(GENERAL_HIGH, b_y=0.0), replace(GENERAL_HIGH, b_y=-0.5),
+                       replace(GENERAL_HIGH, K=1e300), replace(GENERAL_HIGH, b_y=1e-170, u_y=1e-171)):
+            assert all(math.isnan(v) for v in interior_coefficients(params))
 
     def test_general_benchmark_point(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
@@ -360,9 +371,19 @@ def test_listing_raises_only_for_rates_the_variant_does_not_use(params, variant)
     """``all_equilibria`` lists the points at any rates, and refuses only a rate the variant does not use.
 
     The run loop matches its limit against this listing with no fallback,
-    so any other error here would end a run at implausible rates.
+    so any other error here would end a run at implausible rates.  R0 and
+    the interior coefficients raise nothing either: R0 is all NaN exactly
+    where b_x > 0 and u_y > 0 fails, and the formula's value elsewhere.
     """
     try:
         all_equilibria(params, variant)
     except VariantParameterError:
         assert any(getattr(params, name) != 0 for name in UNUSED_RATES[variant])
+    r = reproduction_numbers(params)
+    b_x, b_y, u_x, u_y = params.b_x, params.b_y, params.u_x, params.u_y
+    if b_x > 0 and u_y > 0:
+        v0, h0 = (b_y / b_x) * (u_x / u_y), (params.beta / u_y) * params.K * (1.0 - u_x / b_x)
+        assert [x.hex() for x in r[:3]] == [v0.hex(), h0.hex(), (v0 + h0).hex()]
+    else:
+        assert all(math.isnan(x) for x in r[:3]) and not r.xbar_negative
+    interior_coefficients(params)

@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
+from nsfd_epi import harness
 from nsfd_epi.equilibria import EquilibriumKind, all_equilibria, interior_equilibrium, trivial_equilibrium
 from nsfd_epi.harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, first_negative_step, step_size_sweep
-from nsfd_epi.model import DomainError, ModelVariant
+from nsfd_epi.integrators import euler_kernel
+from nsfd_epi.model import DomainError, HostParams, ModelVariant
 from nsfd_epi.stability import Classification
 from nsfd_epi.verification import benchmark_params
 
@@ -52,6 +56,30 @@ class TestEulerFailureDemo:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(DomainError):
             first_negative_step(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9), 1.0, scheme="rk4")
+
+    @pytest.mark.parametrize("s0", [(math.nan, 0.1), (0.1, math.inf)])
+    def test_start_that_is_not_finite_rejected(self, s0):
+        with pytest.raises(DomainError, match="is not finite"):
+            first_negative_step(GENERAL_HIGH, ModelVariant.GENERAL, s0, 1.0)
+
+    def test_diverging_run_stops_past_the_bound(self, monkeypatch):
+        # dX/dt = X and dY/dt = Y, so Euler at h = 1 doubles both: 0.5 * 2**21 is the first past 1e6 * K.
+        steps = 0
+
+        def counting_kernel(*args):
+            advance = euler_kernel(*args)
+
+            def counted(x, y):
+                nonlocal steps
+                steps += 1
+                return advance(x, y)
+
+            return counted
+
+        monkeypatch.setattr(harness, "euler_kernel", counting_kernel)
+        growth = HostParams(b_x=0.0, b_y=0.0, u_x=-1.0, u_y=-1.0, K=1.0)
+        assert first_negative_step(growth, ModelVariant.VERTICAL, (0.5, 0.5), 1.0) is None
+        assert steps == 21
 
 
 def test_preset_registry():

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd_epi.model import (
-    DomainError,
     HostParams,
     ModelVariant,
     State,
     VariantParameterError,
+    field_kernel,
     validate_params,
-    vector_field,
 )
 from nsfd_epi.verification import benchmark_params
 
@@ -73,54 +72,44 @@ class TestVectorField:
             (ModelVariant.HORIZONTAL, benchmark_params(ModelVariant.HORIZONTAL, 0.3)),
             (ModelVariant.VERTICAL, benchmark_params(ModelVariant.VERTICAL, 0.0)),
         ]:
-            assert vector_field(params, variant, (0.0, 0.0)) == (0.0, 0.0)
+            assert field_kernel(params, variant)(0.0, 0.0) == (0.0, 0.0)
 
     def test_disease_free_point_is_an_equilibrium(self):
         p = GENERAL_LOW
         xbar = p.K * (1.0 - p.u_x / p.b_x)
-        dx, dy = vector_field(p, ModelVariant.GENERAL, (xbar, 0.0))
+        dx, dy = field_kernel(p, ModelVariant.GENERAL)(xbar, 0.0)
         assert abs(dx) < 1e-12 and dy == 0.0
 
     def test_hand_evaluated_point(self):
         # At (0.1, 0.9) with beta=0.3 the crowding term vanishes, leaving
         # dX = (-u_x - beta*0.9)*0.1 = -0.037 and
         # dY = (-u_y + beta*0.1)*0.9 = -0.153.
-        dx, dy = vector_field(GENERAL_HIGH, ModelVariant.GENERAL, (0.1, 0.9))
+        dx, dy = field_kernel(GENERAL_HIGH, ModelVariant.GENERAL)(0.1, 0.9)
         assert dx == pytest.approx(-0.037, abs=1e-12)
         assert dy == pytest.approx(-0.153, abs=1e-12)
 
     def test_matches_expanded_form(self):
         for s in [(0.1, 0.9), (0.5, 0.2), (1.3, 0.7), (0.0, 0.4), (2.0, 0.0)]:
-            got = vector_field(GENERAL_HIGH, ModelVariant.GENERAL, s)
+            got = field_kernel(GENERAL_HIGH, ModelVariant.GENERAL)(*s)
             want = expanded_field(GENERAL_HIGH, *s)
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
             assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
 
     def test_density_regulation_at_capacity(self):
         p = GENERAL_LOW
-        dx, dy = vector_field(p, ModelVariant.GENERAL, (p.K, 0.0))
+        dx, dy = field_kernel(p, ModelVariant.GENERAL)(p.K, 0.0)
         assert dx == pytest.approx(-p.u_x * p.K, rel=1e-15)
         assert dy == 0.0
 
-    def test_nonfinite_state_rejected(self):
-        with pytest.raises(DomainError):
-            vector_field(GENERAL_LOW, ModelVariant.GENERAL, (math.nan, 0.1))
-
     def test_variant_forced_zeros_enforced(self):
         with pytest.raises(VariantParameterError):
-            vector_field(GENERAL_LOW, ModelVariant.HORIZONTAL, (0.1, 0.1))
+            field_kernel(GENERAL_LOW, ModelVariant.HORIZONTAL)(0.1, 0.1)
         with pytest.raises(VariantParameterError):
-            vector_field(
-                HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.2, e=0.0, beta=0.1),
-                ModelVariant.VERTICAL,
-                (0.1, 0.1),
-            )
+            field_kernel(HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.2, e=0.0, beta=0.1), ModelVariant.VERTICAL)
 
     def test_general_with_zero_rates_is_permitted(self):
         p = benchmark_params(ModelVariant.VERTICAL, 0.0)
-        assert vector_field(p, ModelVariant.GENERAL, (0.4, 0.3)) == vector_field(
-            p, ModelVariant.VERTICAL, (0.4, 0.3)
-        )
+        assert field_kernel(p, ModelVariant.GENERAL)(0.4, 0.3) == field_kernel(p, ModelVariant.VERTICAL)(0.4, 0.3)
 
 
 coords = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -130,14 +119,14 @@ coords = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 @given(x=coords, y=coords)
 def test_vertical_equals_general_with_zero_rates(x, y):
     p = benchmark_params(ModelVariant.VERTICAL, 0.0)
-    assert vector_field(p, ModelVariant.VERTICAL, (x, y)) == vector_field(p, ModelVariant.GENERAL, (x, y))
+    assert field_kernel(p, ModelVariant.VERTICAL)(x, y) == field_kernel(p, ModelVariant.GENERAL)(x, y)
 
 
 @settings(max_examples=200, deadline=None)
 @given(x=coords)
 def test_x_axis_is_invariant(x):
     for variant, beta in [(ModelVariant.GENERAL, 0.3), (ModelVariant.HORIZONTAL, 0.3), (ModelVariant.VERTICAL, 0.0)]:
-        _, dy = vector_field(benchmark_params(variant, beta), variant, (x, 0.0))
+        _, dy = field_kernel(benchmark_params(variant, beta), variant)(x, 0.0)
         assert dy == 0.0
 
 
@@ -145,10 +134,10 @@ def test_x_axis_is_invariant(x):
 @given(y=st.floats(min_value=1e-9, max_value=3.0))
 def test_y_axis_invariant_only_without_vertical_leakage(y):
     horizontal = benchmark_params(ModelVariant.HORIZONTAL, 0.3)
-    dx, _ = vector_field(horizontal, ModelVariant.HORIZONTAL, (0.0, y))
+    dx, _ = field_kernel(horizontal, ModelVariant.HORIZONTAL)(0.0, y)
     assert dx == 0.0
     general = benchmark_params(ModelVariant.GENERAL, 0.3)
-    dx, _ = vector_field(general, ModelVariant.GENERAL, (0.0, y))
+    dx, _ = field_kernel(general, ModelVariant.GENERAL)(0.0, y)
     expected = general.e * (1.0 - y / general.K) * y
     assert dx == pytest.approx(expected, rel=1e-15, abs=1e-300)
     if y < general.K:

@@ -12,7 +12,7 @@ from nsfd_epi.convergence import ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.integrators import euler_kernel, simulate_continuous
 from nsfd_epi.equilibria import all_equilibria, disease_free_equilibrium, interior_equilibrium
 from nsfd_epi.model import (
-    BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, field_kernel, vector_field
+    BlowUpError, DomainError, HostParams, ModelVariant, effective_rates, field_kernel
 )
 from nsfd_epi import nsfd
 from nsfd_epi.nsfd import denominators, iterate, map_kernel, map_lanes, map_weights, step
@@ -243,7 +243,7 @@ def test_one_step_defect_shrinks_linearly_with_h():
         worst = 0.0
         for s in grid:
             nxt = step(params, ModelVariant.GENERAL, h, s)
-            fx, fy = vector_field(params, ModelVariant.GENERAL, s)
+            fx, fy = field_kernel(params, ModelVariant.GENERAL)(*s)
             worst = max(worst, abs((nxt.X - s[0]) / phi1 - fx), abs((nxt.Y - s[1]) / phi2 - fy))
         defects.append(worst)
     for a, b in zip(defects, defects[1:]):

@@ -19,7 +19,7 @@ from nsfd_epi.equilibria import (
     susceptible_free_equilibrium,
     trivial_equilibrium,
 )
-from nsfd_epi.model import DomainError, HostParams, ModelVariant, vector_field
+from nsfd_epi.model import DomainError, HostParams, ModelVariant, field_kernel
 from nsfd_epi.nsfd import denominators, step
 from nsfd_epi.stability import (
     Classification,
@@ -103,8 +103,13 @@ class TestContinuousJacobian:
         ]:
             for point in [(0.3, 0.5), (1.1, 0.2), (0.05, 0.9)]:
                 got = continuous_jacobian(params, variant, point)
-                want = fd_jacobian(lambda s: vector_field(params, variant, s), point)
+                want = fd_jacobian(lambda s: field_kernel(params, variant)(*s), point)
                 assert_matrices_close(got, want)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.2), (0.3, math.inf)])
+    def test_point_that_is_not_finite_rejected(self, point):
+        with pytest.raises(DomainError, match="is not finite"):
+            continuous_jacobian(GENERAL_HIGH, ModelVariant.GENERAL, point)
 
     def test_interior_trace_and_determinant(self):
         eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
