@@ -13,11 +13,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
@@ -222,38 +222,32 @@ def _emit(text: str, out: str | None) -> None:
             Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-# The types whose subclasses json writes too, in its order of tests; its words for None, the bools and float specials.
-_JSON_TYPES = (str, int, float, list, tuple, dict)
-_JSON_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_EXPONENT = re.compile(rb"e-?[1-9]")  # orjson's 1e16 and 1.5e-7 (json: 1e+16, 1.5e-07), not "negative-trace"
 
 
-def _json_text(obj: Any, indent: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2)``, in one recursive pass; dict keys must be strings.
+def _json_text(doc: Any) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, written by orjson wherever its bytes are the same.
 
-    ``indent`` comes before ``obj``'s closing bracket.  Leaves are written by
-    json's own functions; CPython's C encoder ignores ``indent``, and its
-    Python encoder makes a generator per container.
+    json writes the document instead where orjson refuses it (a non-string
+    key, an int past 64 bits, a numpy scalar, a lone surrogate, deep
+    nesting) or where its bytes may differ: a character json escapes
+    (non-ASCII, DEL), an exponent, fixed notation in [1e-5, 1e-4)
+    ("0.00005" for 5e-05), or a nan or inf written as null.  A text that
+    holds null is read back: a nan or inf comes back as None, which
+    equals no float, so the document read back differs from ``doc``.
+    orjson is imported on first use.
     """
-    kind = type(obj)
-    while True:  # a second turn writes a subclass, such as np.float64, as its base type
-        if kind is str:
-            return encode_basestring_ascii(obj)
-        if obj is None or kind is bool:
-            return _JSON_WORDS[obj]
-        if kind is int:
-            return int.__repr__(obj)
-        if kind is float:
-            text = float.__repr__(obj)
-            return _JSON_WORDS.get(text, text)
-        inner = indent + "  "
-        if kind is list or kind is tuple:
-            return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in obj])}{indent}]" if obj else "[]"
-        if kind is dict:
-            items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
-            return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if obj else "{}"
-        kind = next((base for base in _JSON_TYPES if isinstance(obj, base)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    import orjson
+
+    try:
+        text = orjson.dumps(doc, option=orjson.OPT_INDENT_2)
+    except TypeError:  # orjson.JSONEncodeError
+        return json.dumps(doc, indent=2)
+    if not text.isascii() or b"\x7f" in text or _EXPONENT.search(text) or b"0.0000" in text or (
+        b"null" in text and orjson.loads(text) != doc  # not null alone: every stability document holds "h": null
+    ):
+        return json.dumps(doc, indent=2)
+    return text.decode()
 
 
 def _verdict_dict(verdict: Verdict) -> dict[str, Any]:

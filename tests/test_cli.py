@@ -673,13 +673,14 @@ def test_console_entry_point_runs(package_env):
 
 # Run in a fresh interpreter: notes which of numpy, orjson and argparse are
 # loaded after importing the CLI and after each command, then prints the
-# simulate output.  argparse stays out while every command line is plain.
+# simulate output.  argparse stays out while every command line is plain;
+# orjson comes in with the first JSON document.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from nsfd_epi.cli import main
 lazy = {"numpy", "orjson", "argparse"}
 loaded = {"import": sorted(lazy & sys.modules.keys())}
-for args in (["equilibria"], ["stability", "--format", "json"], ["sweep"], ["verify", "--list"],
+for args in (["equilibria"], ["sweep"], ["verify", "--list"], ["stability", "--format", "json"],
              ["simulate", "--steps", "5"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -697,7 +698,8 @@ def test_commands_without_arrays_start_without_numpy(package_env, capsys):
     assert proc.returncode == 0, proc.stderr
     loaded, simulated = proc.stdout.split("\n", 1)
     assert json.loads(loaded) == {
-        "import": [], "equilibria": [], "stability": [], "sweep": [], "verify": [], "simulate": ["numpy", "orjson"],
+        "import": [], "equilibria": [], "sweep": [], "verify": [],
+        "stability": ["orjson"], "simulate": ["numpy", "orjson"],
     }
     assert simulated == run_cli(["simulate", "--steps", "5"], capsys)[1]
 
@@ -1087,15 +1089,51 @@ JSON_DOCS = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(JSON_STRINGS, children, max_size=4),
+        st.dictionaries(st.one_of(JSON_STRINGS, JSON_INTS, cells, st.booleans(), st.none()), children, max_size=4),
     ),
     max_leaves=40,
 )
 
 
+def nested(depth):
+    doc = []
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+# The examples below are each case where orjson's bytes differ from json's or orjson refuses the document:
+# non-finite floats (alone, and beside a None, which orjson also writes as null); floats that orjson writes
+# with an exponent or in fixed notation below 1e-4 (5.6095191361280416e-05 is a rate of the benchmark's
+# analysis traffic; 1e40 defeats an exponent test that matches only e1 to e3); characters json escapes; ints
+# past 64 bits; numpy scalars; non-string keys; nesting past orjson's limit.  -0.0, the subclasses and the
+# tuples are cases where the two modules agree.
 @settings(max_examples=300, deadline=None)
 @given(doc=JSON_DOCS)
 @example(doc={"é\"\\\x00": [-0.0, math.nan, [], {}, ()], "": {"x": [[{}]], "y": " 😀"}})
+@example(doc=math.nan)
+@example(doc=math.inf)
+@example(doc=-math.inf)
+@example(doc=[None, math.nan])
+@example(doc={"h": None, "x": [1.0, math.inf]})
+@example(doc=[None, -math.inf, None])
+@example(doc=1e-5)
+@example(doc={"e": 5.6095191361280416e-05})
+@example(doc=[9.99e-05])
+@example(doc=1e16)
+@example(doc=[1e40])
+@example(doc=5e-324)
+@example(doc=-0.0)
+@example(doc="é")
+@example(doc=["\u2028"])
+@example(doc={"x": "\ud800"})
+@example(doc="\x7f")
+@example(doc=2**64)
+@example(doc=[IntSub(3), {StrSub("k"): StrSub("v")}])
+@example(doc={"x": np.float64(0.1)})
+@example(doc=(1, (2.5, "a"), []))
+@example(doc=nested(300))
+@example(doc={1: 2, 2.5: [None], True: {}, None: "n", math.nan: 0})
 def test_json_writer_matches_json_dumps(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
@@ -1106,6 +1144,35 @@ def test_json_writer_refuses_what_json_refuses():
             json.dumps(doc, indent=2)
         with pytest.raises(TypeError):
             cli._json_text(doc)
+
+
+class JsonDumpsCalled(Exception):
+    pass
+
+
+def refuse_json_dumps(*args, **kwargs):
+    raise JsonDumpsCalled
+
+
+# The documents of the benchmark's analysis traffic are written by orjson alone, stability's with its
+# continuous report's "h": null among them; a rate in [1e-5, 1e-4) sends a document to json.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibria", "--beta", "0.3"],
+        ["stability", "--beta", "0.3", "--h", "0.1", "--h", "10"],
+        ["stability"],
+        ["sweep", "--beta", "0.3"],
+    ],
+    ids=" ".join,
+)
+def test_json_commands_skip_json_dumps(argv, capsys, monkeypatch):
+    argv = [*argv, "--format", "json"]
+    written = run_cli(argv, capsys)
+    monkeypatch.setattr(cli.json, "dumps", refuse_json_dumps)
+    assert run_cli(argv, capsys) == written
+    with pytest.raises(JsonDumpsCalled):
+        main([*argv, "--e", "5.6095191361280416e-05"])
 
 
 @pytest.mark.parametrize(
