@@ -192,15 +192,15 @@ def _build_config(args: SimpleNamespace | argparse.Namespace) -> RunConfig:
 
 
 def _check_params(config: RunConfig) -> None:
-    mode = "permissive" if config.permissive else "strict"
-    violations = validate_params(config.params(), mode)
-    if violations:
-        for v in violations:
-            print(f"error: parameter violation: {v}", file=sys.stderr)
+    """Exit 2 on any violation, or with --permissive on a hard one only and warn of the rest."""
+    violations = validate_params(config.params())
+    errors = [v for v in violations if v.hard or not config.permissive]
+    for v in errors:
+        print(f"error: parameter violation: {v}", file=sys.stderr)
+    if errors:
         raise ConfigError("invalid parameters")
-    if config.permissive:
-        for v in validate_params(config.params(), "strict"):
-            print(f"warning: {v}", file=sys.stderr)
+    for v in violations:
+        print(f"warning: {v}", file=sys.stderr)
 
 
 @contextmanager
@@ -516,11 +516,7 @@ def _cmd_portrait(config: RunConfig) -> str | None:
 def _cmd_sweep(config: RunConfig) -> str:
     params, variant = config.params(), config.variant()
     h_list = config.h_list or SWEEP_H_LIST
-    results = []
-    for eq in all_equilibria(params, variant):
-        if not eq.exists:
-            continue
-        results.append(step_size_sweep(params, variant, eq, h_list))
+    results = step_size_sweep(params, variant, h_list)
     if config.format == "json":
         doc = {
             "model": variant.value,
@@ -530,7 +526,7 @@ def _cmd_sweep(config: RunConfig) -> str:
                 {
                     "kind": res.equilibrium.kind.value,
                     "point": [res.equilibrium.point.X, res.equilibrium.point.Y],
-                    "continuous": res.continuous.value,
+                    "continuous": res.continuous.classification.value,
                     "per_h": [{"h": en.h, "classification": en.classification.value} for en in res.entries],
                     "uniform": res.uniform,
                     "matches_continuous": res.matches_continuous,
@@ -546,13 +542,14 @@ def _cmd_sweep(config: RunConfig) -> str:
             for en in res.entries:
                 lines.append(
                     f"{res.equilibrium.kind.value},{_fmt(en.h)},{en.classification.value},"
-                    f"{res.continuous.value},{int(res.uniform)}"
+                    f"{res.continuous.classification.value},{int(res.uniform)}"
                 )
         return "\n".join(lines)
     lines = [f"model: {variant.value}  (h: {', '.join(_fmt(h) for h in h_list)})"]
     for res in results:
         flag = "h-independent" if res.uniform else "VARIES WITH h"
-        match = "matches continuous" if res.matches_continuous else f"continuous is {res.continuous.value}"
+        continuous = res.continuous.classification.value
+        match = "matches continuous" if res.matches_continuous else f"continuous is {continuous}"
         lines.append(f"  {res.equilibrium.kind.value:17s} {res.entries[0].classification.value:13s} {flag}; {match}")
     return "\n".join(lines)
 

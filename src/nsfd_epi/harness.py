@@ -1,21 +1,21 @@
 """Initial-point presets, step-size sweeps and the Euler positivity demo.
 
-``step_size_sweep`` classifies one equilibrium under the discrete map
-at each step size of a list, and ``first_negative_step`` finds the
-first iterate of forward Euler, or of the nonstandard map, with a
-negative component.
+``step_size_sweep`` classifies every existing equilibrium of a model
+under the flow and under the discrete map at each step size of a list,
+and ``first_negative_step`` finds the first iterate of forward Euler,
+or of the nonstandard map, with a negative component.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .equilibria import Equilibrium
+from .equilibria import Equilibrium, all_equilibria
 from .integrators import euler_kernel
 from .model import DomainError, HostParams, ModelVariant, State
 from .nsfd import map_kernel, step  # noqa: F401  # step is unused, but the benchmark's tracer patches harness.step
-from .stability import Classification, StabilityReport, stability_report
+from .stability import StabilityReport, stability_report
 
 __all__ = [
     "INITIAL_POINT_PRESETS",
@@ -40,40 +40,35 @@ INITIAL_POINT_PRESETS: dict[str, tuple[State, ...]] = {
 SWEEP_H_LIST = (0.01, 0.1, 1.0, 10.0, 50.0)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Discrete classification of one equilibrium across step sizes."""
+class SweepResult(NamedTuple):
+    """One equilibrium's report under the flow and under the map at each step size."""
 
     equilibrium: Equilibrium
     entries: tuple[StabilityReport, ...]
-    continuous: Classification
+    continuous: StabilityReport
     uniform: bool
     matches_continuous: bool
 
 
 def step_size_sweep(
-    params: HostParams,
-    variant: ModelVariant,
-    equilibrium: Equilibrium,
-    h_list: tuple[float, ...] | list[float],
-) -> SweepResult:
-    """Classify an equilibrium under the discrete map at each step size.
+    params: HostParams, variant: ModelVariant, h_list: tuple[float, ...] | list[float]
+) -> list[SweepResult]:
+    """Classify every existing equilibrium, in listing order, under the flow and the map at each step size.
 
-    ``uniform`` is true iff every h yields the same classification; the
-    continuous classification is included for consistency checks.
+    ``uniform`` is true iff every h yields the same classification, and
+    ``matches_continuous`` iff that one classification is the flow's.
     """
-    if not equilibrium.exists:
-        raise DomainError(f"cannot sweep a nonexistent equilibrium ({equilibrium.kind.value})")
-    continuous, *entries = stability_report(params, variant, equilibrium, h_list)
-    classes = {entry.classification for entry in entries}
-    uniform = len(classes) == 1
-    return SweepResult(
-        equilibrium=equilibrium,
-        entries=tuple(entries),
-        continuous=continuous.classification,
-        uniform=uniform,
-        matches_continuous=uniform and classes == {continuous.classification},
-    )
+    results = []
+    for eq in all_equilibria(params, variant):
+        if not eq.exists:
+            continue
+        continuous, *entries = stability_report(params, variant, eq, h_list)
+        classes = {entry.classification for entry in entries}
+        uniform = len(classes) == 1
+        results.append(
+            SweepResult(eq, tuple(entries), continuous, uniform, uniform and classes == {continuous.classification})
+        )
+    return results
 
 
 def first_negative_step(

@@ -25,7 +25,7 @@ import linecache
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Literal, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "BlowUpError",
@@ -37,7 +37,6 @@ __all__ = [
     "NotAnEquilibriumError",
     "RATES",
     "State",
-    "ValidationMode",
     "VariantParameterError",
     "Violation",
     "effective_rates",
@@ -122,63 +121,58 @@ class ModelVariant(Enum):
     VERTICAL = "vertical"
 
 
-ValidationMode = Literal["strict", "permissive"]
-
 # A one-step update or a vector field: (X, Y) -> a pair of floats.
 Kernel = Callable[[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
 class Violation:
-    """A failed parameter predicate, named after the predicate itself."""
+    """A failed parameter predicate, named after the predicate itself; ``hard`` if no run may proceed past it."""
 
     predicate: str
     message: str
+    hard: bool = False
 
     def __str__(self) -> str:
         return f"{self.predicate}: {self.message}"
 
 
-def validate_params(params: HostParams, mode: ValidationMode = "strict") -> list[Violation]:
-    """Diagnose a parameter set; returns the violated predicates.
+def validate_params(params: HostParams) -> list[Violation]:
+    """Diagnose a parameter set; returns every violated predicate once, the hard ones first.
 
-    Strict mode (the default) enforces finiteness, nonnegativity, K > 0,
-    and the biological assumptions u_y > u_x and b_x >= b_y + e that the
-    stability theory relies on.  Permissive mode keeps only finiteness
-    and K > 0 as hard violations, downgrading the rest to warnings so
-    that deliberately implausible demonstration runs can proceed
-    (callers can recover the downgraded set by diffing against strict).
+    The hard violations are a rate that is not finite and K <= 0.  The
+    others are a negative rate and the biological assumptions u_y > u_x
+    and b_x >= b_y + e that the stability theory relies on; the CLI's
+    --permissive downgrades those to warnings, so that deliberately
+    implausible demonstration runs can proceed.
     """
     violations: list[Violation] = []
     for name in RATES.values():
         value = getattr(params, name)
         if not math.isfinite(value):
-            violations.append(Violation(f"{name} finite", f"{name} = {value!r} is not finite"))
+            violations.append(Violation(f"{name} finite", f"{name} = {value!r} is not finite", hard=True))
     if math.isfinite(params.K) and params.K <= 0:
-        violations.append(Violation("K > 0", f"carrying capacity K = {params.K!r} must be positive"))
-    if mode == "strict":
-        for name in RATES.values():
-            value = getattr(params, name)
-            if math.isfinite(value) and value < 0 and name != "K":
-                violations.append(Violation(f"{name} >= 0", f"{name} = {value!r} is negative"))
-        if math.isfinite(params.u_x) and math.isfinite(params.u_y) and not params.u_y > params.u_x:
-            violations.append(
-                Violation("u_y > u_x", f"infected death rate u_y = {params.u_y!r} does not exceed u_x = {params.u_x!r}")
+        violations.append(Violation("K > 0", f"carrying capacity K = {params.K!r} must be positive", hard=True))
+    for name in RATES.values():
+        value = getattr(params, name)
+        if math.isfinite(value) and value < 0 and name != "K":
+            violations.append(Violation(f"{name} >= 0", f"{name} = {value!r} is negative"))
+    if math.isfinite(params.u_x) and math.isfinite(params.u_y) and not params.u_y > params.u_x:
+        violations.append(
+            Violation("u_y > u_x", f"infected death rate u_y = {params.u_y!r} does not exceed u_x = {params.u_x!r}")
+        )
+    if (
+        math.isfinite(params.b_x)
+        and math.isfinite(params.b_y)
+        and math.isfinite(params.e)
+        and not params.b_x >= params.b_y + params.e
+    ):
+        violations.append(
+            Violation(
+                "b_x >= b_y + e",
+                f"uninfected birth rate b_x = {params.b_x!r} is below b_y + e = {params.b_y + params.e!r}",
             )
-        if (
-            math.isfinite(params.b_x)
-            and math.isfinite(params.b_y)
-            and math.isfinite(params.e)
-            and not params.b_x >= params.b_y + params.e
-        ):
-            violations.append(
-                Violation(
-                    "b_x >= b_y + e",
-                    f"uninfected birth rate b_x = {params.b_x!r} is below b_y + e = {params.b_y + params.e!r}",
-                )
-            )
-    elif mode != "permissive":
-        raise ValueError(f"unknown validation mode {mode!r}")
+        )
     return violations
 
 

@@ -152,7 +152,7 @@ def _ok(name: str, details: str) -> CheckResult:
 
 
 def convergence_check(scenario: Scenario, match_tol: float = 1e-3) -> CheckResult:
-    """Both schemes reach the scenario's equilibrium from every start."""
+    """Both schemes converge from every start to a point of the scenario's kind, near its expected point."""
     name = f"converges:{scenario.name}"
     worst = 0.0
     ex, ey = scenario.expected_point
@@ -172,6 +172,9 @@ def convergence_check(scenario: Scenario, match_tol: float = 1e-3) -> CheckResul
             run = start()
             if not run.verdict.converged:
                 return _fail(name, f"{label} run from {tuple(s0)} ended {run.verdict.status.value}")
+            if run.verdict.kind is not scenario.expected_kind:
+                got, wanted = run.verdict.kind.value, scenario.expected_kind.value
+                return _fail(name, f"{label} run from {tuple(s0)} converged to the {got} point, not the {wanted} point")
             d = max(abs(run.final_state.X - ex), abs(run.final_state.Y - ey))
             worst = max(worst, d)
             if d > match_tol:
@@ -264,7 +267,7 @@ def _draw_strict_block(
         columns = (kind, b_x, b_y, u_x, u_y, big_k, e, beta, h, x0, y0)
         for k, *rates, step, x, y in zip(*(column.tolist() for column in columns)):
             params = HostParams(*rates)
-            if not validate_params(params, "strict"):
+            if not validate_params(params):
                 lanes.append((params, _VARIANTS[k], step))
                 starts.append((x, y))
     return lanes, starts
@@ -334,18 +337,16 @@ def step_size_independence_check() -> CheckResult:
     name = "step-size-independence"
     checked = 0
     for scenario in SCENARIOS:
-        for eq in all_equilibria(scenario.params, scenario.variant):
-            if not eq.exists:
-                continue
-            sweep = step_size_sweep(scenario.params, scenario.variant, eq, SWEEP_H_LIST)
+        for sweep in step_size_sweep(scenario.params, scenario.variant, SWEEP_H_LIST):
+            kind = sweep.equilibrium.kind.value
             if not sweep.uniform:
                 got = {entry.h: entry.classification.value for entry in sweep.entries}
-                return _fail(name, f"{scenario.name}/{eq.kind.value}: classifications differ across h: {got}")
+                return _fail(name, f"{scenario.name}/{kind}: classifications differ across h: {got}")
             if not sweep.matches_continuous:
                 return _fail(
                     name,
-                    f"{scenario.name}/{eq.kind.value}: discrete {sweep.entries[0].classification.value} "
-                    f"vs continuous {sweep.continuous.value}",
+                    f"{scenario.name}/{kind}: discrete {sweep.entries[0].classification.value} "
+                    f"vs continuous {sweep.continuous.classification.value}",
                 )
             checked += 1
     return _ok(name, f"{checked} equilibria × {len(SWEEP_H_LIST)} step sizes, all classifications h-independent")
@@ -387,18 +388,16 @@ def theorem_crosscheck(n_draws: int = 1000) -> CheckResult:
     lanes, _ = _draw_strict_block(np.random.default_rng(SEED + 2), n_draws)
     covered = 0
     for i, (params, variant, _) in enumerate(lanes):
-        for eq in all_equilibria(params, variant):
-            if not eq.exists:
-                continue
-            for rep in stability_report(params, variant, eq, (0.1, 10.0)):
+        for sweep in step_size_sweep(params, variant, (0.1, 10.0)):
+            for rep in (sweep.continuous, *sweep.entries):
                 if rep.prediction is TheoremPrediction.NOT_COVERED:
                     continue
                 covered += 1
                 if not rep.agree:
                     return _fail(
                         name,
-                        f"draw {i}, {variant.value}/{eq.kind.value} ({rep.regime.value}, h={rep.h}): predicted "
-                        f"{rep.prediction.value} but classified {rep.classification.value} "
+                        f"draw {i}, {variant.value}/{sweep.equilibrium.kind.value} ({rep.regime.value}, "
+                        f"h={rep.h}): predicted {rep.prediction.value} but classified {rep.classification.value} "
                         f"for params {params}",
                     )
     return _ok(name, f"{covered} covered equilibrium reports across {n_draws} draws all match")

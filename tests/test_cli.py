@@ -567,6 +567,25 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
+    def test_fixture_of_the_wrong_kind_fails(self, tmp_path, monkeypatch, capsys):
+        """The runs reach the expected point, the horizontal interior point, but it is not of the expected kind."""
+        fixture = {
+            "name": "wrong-kind",
+            "model": "horizontal",
+            "params": {"bx": 0.6, "by": 0.4, "ux": 0.1, "uy": 0.2, "K": 1.2, "beta": 0.3},
+            "expected_kind": "susceptible_free",
+            "expected_point": [0.0476, 0.5952],
+        }
+        (tmp_path / "case.json").write_text(json.dumps(fixture))
+        monkeypatch.setenv("NSFD_EPI_SEED_DIR", str(tmp_path))
+        code, out, err = run_cli(["verify", "--only", "wrong-kind"], capsys)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "FAIL  converges:wrong-kind  continuous run from (0.1, 0.1) converged to the interior point, "
+            "not the susceptible_free point",
+            "0/1 checks passed",
+        ]
+
     def test_fixture_run_settings_are_read(self, tmp_path):
         fixture = {
             "name": "fixture-horizontal",
@@ -1501,7 +1520,7 @@ QUICK_FLAGS = {"simulate": ["--steps", "3"], "portrait": ["--steps", "3", "--for
 def test_every_config_command_checks_its_parameters_once(command, capsys):
     """A strict violation exits 2 with each violation's line once; --permissive warns once per violation."""
     argv = [command, "--ux", "0.3", "--uy", "0.2", *QUICK_FLAGS.get(command, [])]
-    violations = validate_params(RunConfig(ux=0.3, uy=0.2).params(), "strict")
+    violations = validate_params(RunConfig(ux=0.3, uy=0.2).params())
     assert violations
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
@@ -1509,6 +1528,16 @@ def test_every_config_command_checks_its_parameters_once(command, capsys):
     code, out, err = run_cli([*argv, "--permissive"], capsys)
     assert code == 0 and out
     assert err == "".join(f"warning: {v}\n" for v in violations)
+
+
+@pytest.mark.parametrize("command", ["equilibria", "stability", "simulate", "portrait", "sweep"])
+def test_permissive_forgives_only_the_biological_violations(command, capsys):
+    """A rate that is not finite fails with or without --permissive; only without it is u_y <= u_x an error too."""
+    argv = [command, "--bx", "inf", "--ux", "0.3", "--uy", "0.2", *QUICK_FLAGS.get(command, [])]
+    finite = "error: parameter violation: b_x finite: b_x = inf is not finite\n"
+    order = "error: parameter violation: u_y > u_x: infected death rate u_y = 0.2 does not exceed u_x = 0.3\n"
+    assert run_cli([*argv, "--permissive"], capsys) == (2, "", finite + "error: invalid parameters\n")
+    assert run_cli(argv, capsys) == (2, "", finite + order + "error: invalid parameters\n")
 
 
 def test_run_config_defaults_are_the_librarys():

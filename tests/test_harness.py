@@ -3,7 +3,7 @@ import math
 import pytest
 
 from nsfd_epi import harness
-from nsfd_epi.equilibria import EquilibriumKind, all_equilibria, interior_equilibrium, trivial_equilibrium
+from nsfd_epi.equilibria import EquilibriumKind, all_equilibria, interior_equilibrium
 from nsfd_epi.harness import INITIAL_POINT_PRESETS, SWEEP_H_LIST, first_negative_step, step_size_sweep
 from nsfd_epi.integrators import euler_kernel
 from nsfd_epi.model import DomainError, HostParams, ModelVariant
@@ -14,29 +14,49 @@ GENERAL_LOW = benchmark_params(ModelVariant.GENERAL, 0.1)
 GENERAL_HIGH = benchmark_params(ModelVariant.GENERAL, 0.3)
 
 
+def swept(params, kind):
+    """The general model's sweep result for its point of ``kind``."""
+    (res,) = [r for r in step_size_sweep(params, ModelVariant.GENERAL, SWEEP_H_LIST) if r.equilibrium.kind is kind]
+    return res
+
+
 class TestStepSizeSweep:
     def test_interior_is_stable_for_all_steps(self):
-        eq = interior_equilibrium(GENERAL_HIGH, ModelVariant.GENERAL)
-        res = step_size_sweep(GENERAL_HIGH, ModelVariant.GENERAL, eq, SWEEP_H_LIST)
+        res = swept(GENERAL_HIGH, EquilibriumKind.INTERIOR)
         assert res.uniform and res.matches_continuous
         assert {e.classification for e in res.entries} == {Classification.STABLE}
 
     def test_origin_is_a_source_for_all_steps(self):
-        res = step_size_sweep(GENERAL_HIGH, ModelVariant.GENERAL, trivial_equilibrium(), SWEEP_H_LIST)
+        res = swept(GENERAL_HIGH, EquilibriumKind.TRIVIAL)
         assert res.uniform
         assert {e.classification for e in res.entries} == {Classification.SOURCE}
-        assert res.continuous is Classification.SOURCE
+        assert res.continuous.classification is Classification.SOURCE
 
     def test_disease_free_stable_below_threshold(self):
-        eq = [e for e in all_equilibria(GENERAL_LOW, ModelVariant.GENERAL) if e.kind is EquilibriumKind.DISEASE_FREE][0]
-        res = step_size_sweep(GENERAL_LOW, ModelVariant.GENERAL, eq, SWEEP_H_LIST)
+        res = swept(GENERAL_LOW, EquilibriumKind.DISEASE_FREE)
         assert res.uniform and res.matches_continuous
         assert {e.classification for e in res.entries} == {Classification.STABLE}
 
-    def test_nonexistent_equilibrium_rejected(self):
-        eq = interior_equilibrium(GENERAL_LOW, ModelVariant.GENERAL)
-        with pytest.raises(DomainError):
-            step_size_sweep(GENERAL_LOW, ModelVariant.GENERAL, eq, (0.1,))
+    def test_a_point_that_does_not_exist_is_not_swept(self):
+        assert not interior_equilibrium(GENERAL_LOW, ModelVariant.GENERAL).exists
+        kinds = [r.equilibrium.kind for r in step_size_sweep(GENERAL_LOW, ModelVariant.GENERAL, (0.1,))]
+        assert EquilibriumKind.INTERIOR not in kinds
+
+    @pytest.mark.parametrize(
+        "params, variant",
+        [
+            (GENERAL_LOW, ModelVariant.GENERAL),
+            (GENERAL_HIGH, ModelVariant.GENERAL),
+            (benchmark_params(ModelVariant.HORIZONTAL, 0.42), ModelVariant.HORIZONTAL),
+            (benchmark_params(ModelVariant.VERTICAL, 0.0), ModelVariant.VERTICAL),
+        ],
+    )
+    def test_results_are_the_existing_points_in_listing_order(self, params, variant):
+        h_list = (0.1, 10.0)
+        results = step_size_sweep(params, variant, h_list)
+        assert [r.equilibrium for r in results] == [eq for eq in all_equilibria(params, variant) if eq.exists]
+        for r in results:
+            assert r.continuous.h is None and [e.h for e in r.entries] == list(h_list)
 
 
 class TestEulerFailureDemo:

@@ -36,33 +36,42 @@ def expanded_field(p: HostParams, x: float, y: float) -> tuple[float, float]:
 
 class TestValidateParams:
     def test_benchmark_set_is_strictly_valid(self):
-        assert validate_params(GENERAL_LOW, "strict") == []
+        assert validate_params(GENERAL_LOW) == []
 
     def test_death_rate_ordering_violation(self):
         p = HostParams(b_x=0.6, b_y=0.4, u_x=0.3, u_y=0.2, K=1.0, e=0.02, beta=0.1)
-        assert "u_y > u_x" in [v.predicate for v in validate_params(p, "strict")]
+        assert "u_y > u_x" in [v.predicate for v in validate_params(p)]
 
     def test_birth_rate_ordering_violation(self):
         p = HostParams(b_x=0.41, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.1)
-        assert "b_x >= b_y + e" in [v.predicate for v in validate_params(p, "strict")]
+        assert "b_x >= b_y + e" in [v.predicate for v in validate_params(p)]
 
     def test_permissive_downgrades_biological_checks(self):
         p = HostParams(b_x=0.41, b_y=0.4, u_x=0.3, u_y=0.2, K=1.0, e=0.02, beta=0.1)
-        assert validate_params(p, "permissive") == []
-        assert len(validate_params(p, "strict")) == 2
+        assert [v for v in validate_params(p) if v.hard] == []
+        assert len(validate_params(p)) == 2
 
     def test_nonpositive_carrying_capacity_always_fails(self):
         p = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=0.0)
-        assert "K > 0" in [v.predicate for v in validate_params(p, "permissive")]
+        assert "K > 0" in [v.predicate for v in validate_params(p) if v.hard]
 
     def test_nonfinite_always_fails(self):
         p = HostParams(b_x=math.inf, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0)
-        assert "b_x finite" in [v.predicate for v in validate_params(p, "permissive")]
+        assert "b_x finite" in [v.predicate for v in validate_params(p) if v.hard]
+
+    def test_every_violation_once_the_hard_ones_first(self):
+        p = HostParams(b_x=0.6, b_y=0.4, u_x=0.3, u_y=0.2, K=-1.0, e=-0.1, beta=math.inf)
+        assert [(v.predicate, v.hard) for v in validate_params(p)] == [
+            ("beta finite", True),
+            ("K > 0", True),
+            ("e >= 0", False),
+            ("u_y > u_x", False),
+        ]
 
     def test_negative_rate_strict_only(self):
         p = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.0, beta=-0.1)
-        assert "beta >= 0" in [v.predicate for v in validate_params(p, "strict")]
-        assert validate_params(p, "permissive") == []
+        assert "beta >= 0" in [v.predicate for v in validate_params(p)]
+        assert [v for v in validate_params(p) if v.hard] == []
 
 
 class TestVectorField:

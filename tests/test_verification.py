@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from nsfd_epi import nsfd, verification
+from nsfd_epi import harness, nsfd, verification
 from nsfd_epi.equilibria import all_equilibria
 from nsfd_epi.harness import first_negative_step
 from nsfd_epi.model import RATES, ModelVariant, effective_rates, validate_params
@@ -109,7 +109,7 @@ def test_positivity_draw_is_strict_and_fits_each_variant(positivity_draw):
     lanes, starts = positivity_draw
     assert len(lanes) == len(starts) == 10_000
     for (params, variant, h), (x0, y0) in zip(lanes, starts):
-        assert validate_params(params, "strict") == []
+        assert validate_params(params) == []
         assert effective_rates(params, variant) == (params.e, params.beta)
         assert (params.e == 0.0) is not (variant is ModelVariant.GENERAL)
         assert (params.beta == 0.0) is (variant is ModelVariant.VERTICAL)
@@ -134,11 +134,11 @@ def test_positivity_draw_refills_rejected_lanes(monkeypatch):
     real = verification.validate_params
     calls, accepted = [0], []
 
-    def reject_every_seventh(params, mode):
+    def reject_every_seventh(params):
         calls[0] += 1
         if calls[0] % 7 == 0:
             return ["rejected"]
-        violations = real(params, mode)
+        violations = real(params)
         if not violations:
             accepted.append(params)
         return violations
@@ -296,13 +296,13 @@ def crosscheck_draw():
 
 def test_theorem_crosscheck_checks_every_draw_in_order(monkeypatch, crosscheck_draw):
     seen = []
-    real = verification.all_equilibria
+    real = harness.all_equilibria
 
     def spy(params, variant):
         seen.append((params, variant))
         return real(params, variant)
 
-    monkeypatch.setattr(verification, "all_equilibria", spy)
+    monkeypatch.setattr(harness, "all_equilibria", spy)
     got = theorem_crosscheck()
     assert got.passed, got.details
     assert seen == crosscheck_draw
@@ -314,7 +314,7 @@ CONTRARY = {TheoremPrediction.STABLE: Classification.SADDLE, TheoremPrediction.U
 
 @pytest.mark.parametrize("which", [0, 500, -1], ids=["first", "middle", "last"])
 def test_theorem_crosscheck_fails_at_a_disagreeing_report_and_names_its_draw(monkeypatch, crosscheck_draw, which):
-    real = verification.stability_report
+    real = harness.stability_report
 
     def covered(params, variant):
         """(kind, h, prediction) of each report of the set that a prediction covers, in the check's order."""
@@ -338,7 +338,7 @@ def test_theorem_crosscheck_fails_at_a_disagreeing_report_and_names_its_draw(mon
             for rep in real(p, v, eq, h_list)
         ]
 
-    monkeypatch.setattr(verification, "stability_report", disagree)
+    monkeypatch.setattr(harness, "stability_report", disagree)
     got = theorem_crosscheck()
     assert not got.passed
     assert got.details.startswith(f"draw {draw}, {variant.value}/{kind.value} ")
