@@ -38,7 +38,7 @@ from .model import (
 )
 from .nsfd import iterate
 from .readers import Reader, exactly, integer, list_of, number, one_of
-from .stability import stability_report
+from .stability import spectrum, stability_report
 from .verification import FixtureError, acceptance_check_names, load_fixture_scenarios, run_acceptance
 
 if TYPE_CHECKING:
@@ -322,11 +322,11 @@ def _params_dict(config: RunConfig) -> dict[str, float]:
     return {key: getattr(config, key) for key in RATES}
 
 
-def _report_dict(report) -> dict[str, Any]:
+def _report_dict(report, eigs: tuple[complex, complex]) -> dict[str, Any]:
     return {
         "regime": report.regime.value,
         "h": report.h,
-        "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
+        "eigenvalues": [[z.real, z.imag] for z in eigs],
         "classification": report.classification.value,
         "theorem_prediction": report.prediction.value,
         "agree": report.agree,
@@ -334,18 +334,32 @@ def _report_dict(report) -> dict[str, Any]:
     }
 
 
+def _spectra(params: HostParams, variant: ModelVariant, eq: Equilibrium, h_list: list[float]) -> list[tuple]:
+    """Each report of a point with its ``spectrum``, refused as if each h's weights and multipliers came in turn.
+
+    On a refused weight the reports before it are made again, one h more each time, and their numbers solved first.
+    """
+    try:
+        reports = stability_report(params, variant, eq, h_list)
+    except DomainError:
+        for n in range(len(h_list)):
+            spectrum(stability_report(params, variant, eq, h_list[:n])[-1])
+        raise
+    return [(rep, spectrum(rep)) for rep in reports]
+
+
 def _cmd_stability(config: RunConfig) -> str:
     params, variant = config.params(), config.variant()
     h_list = config.h_list or [config.h]
     equilibria = all_equilibria(params, variant)
-    entries = [(eq, stability_report(params, variant, eq, h_list) if eq.exists else []) for eq in equilibria]
+    entries = [(eq, _spectra(params, variant, eq, h_list) if eq.exists else []) for eq in equilibria]
     if config.format == "json":
         doc = {
             "model": variant.value,
             "params": _params_dict(config),
             "h_list": h_list,
             "equilibria": [
-                {"equilibrium": _eq_dict(eq), "reports": [_report_dict(r) for r in reports]}
+                {"equilibrium": _eq_dict(eq), "reports": [_report_dict(*r) for r in reports]}
                 for eq, reports in entries
             ],
         }
@@ -353,8 +367,7 @@ def _cmd_stability(config: RunConfig) -> str:
     if config.format == "csv":
         lines = ["kind,regime,h,lambda1_re,lambda1_im,lambda2_re,lambda2_im,classification,theorem,agree"]
         for eq, reports in entries:
-            for rep in reports:
-                l1, l2 = rep.eigenvalues
+            for rep, (l1, l2) in reports:
                 lines.append(
                     f"{eq.kind.value},{rep.regime.value},{'' if rep.h is None else _fmt(rep.h)},"
                     f"{_fmt(l1.real)},{_fmt(l1.imag)},{_fmt(l2.real)},{_fmt(l2.imag)},"
@@ -367,17 +380,15 @@ def _cmd_stability(config: RunConfig) -> str:
             f"  {eq.kind.value:17s} ({eq.point.X:.6g}, {eq.point.Y:.6g})"
             + ("" if eq.exists else "  [does not exist]")
         )
-        for rep in reports:
-            eig_txt = ", ".join(
-                f"{z.real:+.5g}" + (f"{z.imag:+.5g}i" if z.imag else "") for z in rep.eigenvalues
-            )
+        for rep, eigs in reports:
+            eig_txt = ", ".join(f"{z.real:+.5g}" + (f"{z.imag:+.5g}i" if z.imag else "") for z in eigs)
             h_txt = "continuous" if rep.h is None else f"discrete h={rep.h:g}"
             agree = "agrees" if rep.agree else ("n/a" if rep.prediction.value == "not_covered" else "DISAGREES")
             lines.append(
                 f"      {h_txt:18s} eig [{eig_txt}]  {rep.classification.value:13s} "
                 f"theorem: {rep.prediction.value:11s} {agree}"
             )
-        for rep in reports[:1]:
+        for rep, _ in reports[:1]:
             for note in rep.notes:
                 lines.append(f"      note: {note}")
     return "\n".join(lines)

@@ -26,6 +26,9 @@ EPS_HYPERBOLIC of 0 relative to |a11| + |a22|, the map where a real multiplier
 is within about 4 EPS_HYPERBOLIC of -1, or a complex pair's 1 - det J within
 EPS_HYPERBOLIC of 0 relative to |tr M| + |det M|.  The closed-form
 criteria (stability_conditions), the same in both regimes, cross-check both.
+A Jc entry that is not finite has no sign to read and is refused.  No
+verdict reads an eigenvalue: only ``spectrum`` solves those of Jc and the
+multipliers 1 + eig(M), the numbers ``stability`` prints.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "eigenvalues2",
     "jury_conditions",
     "prediction_matches",
+    "spectrum",
     "stability_conditions",
     "stability_report",
 ]
@@ -125,7 +129,12 @@ def _characteristic_roots(m: Matrix2) -> tuple[complex, complex]:
 
 
 def _moduli_finite(eigs: tuple[complex, complex]) -> bool:
-    return all(math.isfinite(math.hypot(z.real, z.imag)) for z in eigs)
+    z1, z2 = eigs
+    return math.isfinite(math.hypot(z1.real, z1.imag)) and math.isfinite(math.hypot(z2.real, z2.imag))
+
+
+def _out_of_range(m: Matrix2) -> DomainError:
+    return DomainError(f"eigenvalues of {tuple(m)!r}: the characteristic quadratic is out of floating-point range")
 
 
 def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
@@ -146,12 +155,14 @@ def eigenvalues2(m: Matrix2) -> tuple[complex, complex]:
             scaled = _characteristic_roots(Matrix2(*(a / scale for a in m)))
             eigs = tuple(complex(z.real * scale, z.imag * scale) for z in scaled)  # type: ignore[assignment]
     if not _moduli_finite(eigs):
-        raise DomainError(f"eigenvalues of {tuple(m)!r}: the characteristic quadratic is out of floating-point range")
+        raise _out_of_range(m)
     return _by_modulus(eigs)
 
 
 def _by_modulus(eigs: tuple[complex, complex]) -> tuple[complex, complex]:
-    return tuple(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))  # type: ignore[return-value]
+    """Larger modulus first, then larger real and imaginary part; a tie keeps the given order."""
+    z1, z2 = eigs
+    return (z2, z1) if (abs(z1), z1.real, z1.imag) < (abs(z2), z2.real, z2.imag) else eigs
 
 
 class JuryConditions(NamedTuple):
@@ -194,9 +205,14 @@ def classifications(jc: Matrix2) -> tuple[Classification, Callable[[float, float
     Jc is split once.  The flow reads the signs of det Jc and tr Jc at their own exponents (module
     docstring).  The map forms tr M = w1 a11 + w2 a22 and det M = w1 w2 det Jc, the same det Jc, at
     their own exponents, and reads the companion matrix of M / 2^j, 2^j bringing the larger of |tr M|
-    and sqrt|det M| into [1, 2).  Only a 1 - det J = -det M below 2^-2148 (tr M = 0) is lost.
+    and sqrt|det M| into [1, 2); past the multipliers' float range, where 2^-j would be subnormal, 4^j
+    brings the larger of |2 tr M| and |det M| into [1/4, 1) instead, so that P(-1) and 1 - det J keep
+    their signs.  Only a 1 - det J = -det M below 2^-2148 (tr M = 0) is lost.
+    DomainError for a Jc entry that is not finite, which has no sign to read.
     """
     (m11, e11), (m12, e12), (m21, e21), (m22, e22) = map(math.frexp, jc)
+    if not math.isfinite(m11 + m12 + m21 + m22):  # the mantissas of finite entries are below 1 in size
+        raise _out_of_range(jc)
     p, q, ep, eq = m11 * m22, m12 * m21, e11 + e22, e12 + e21
     det_e = max(ep, eq) if p and q else ep if p else eq
     det_jc = math.ldexp(p, ep - det_e) - math.ldexp(q, eq - det_e)  # det Jc / 2^det_e
@@ -217,6 +233,8 @@ def classifications(jc: Matrix2) -> tuple[Classification, Callable[[float, float
         det, de = math.frexp(v1 * v2 * det_jc)
         tr_e, de = tr_e + top, de + f1 + f2 + det_e  # tr M = tr 2^tr_e, det M = det 2^de
         j = max(tr_e if tr else -5000, (de + 1) // 2 if det else -5000) - 1  # M = 0 reads nonhyperbolic at any j
+        if j > 1022:
+            j = (max(tr_e + 1, de) + 1) // 2
         det = math.ldexp(det, de - 2 * j) or math.copysign(math.ulp(0.0) * (det != 0), det)
         jury = jury_conditions(Matrix2(math.ldexp(tr, tr_e - j), -det, 1.0, 0.0), j)
         if not jury.hyperbolic:
@@ -289,16 +307,17 @@ def prediction_matches(prediction: TheoremPrediction, classification: Classifica
 
 
 class StabilityReport(NamedTuple):
-    """The sign-rule type of one equilibrium in one regime (h None for the flow), with its eigenvalues for print."""
+    """The sign-rule type of one equilibrium in one regime (h None for the flow), and Jc and W(h) for ``spectrum``."""
 
     regime: Regime
     h: float | None
-    eigenvalues: tuple[complex, complex]
     classification: Classification
     prediction: TheoremPrediction
     agree: bool
-    conditions: tuple[Condition, ...] = ()
-    notes: tuple[str, ...] = ()
+    conditions: tuple[Condition, ...]
+    notes: tuple[str, ...]
+    jacobian: Matrix2
+    weights: tuple[float, float] | None
 
 
 def stability_report(
@@ -309,28 +328,40 @@ def stability_report(
     Jc and the criteria are set up once, and Jc is split once
     (``classifications``): the flow's type is the sign rule of that
     det Jc and tr Jc, and at each h the map's rule takes the weights of
-    M = W(h) Jc (see ``map_weights``) with the same det Jc.  The
-    eigenvalues of Jc and the multipliers, 1 + eig(M), are solved only to
-    be printed.
+    M = W(h) Jc (see ``map_weights``) with the same det Jc.  No
+    eigenvalue is solved; ``spectrum`` solves those a report prints.
     """
     jc = continuous_jacobian(params, variant, eq.point)
     crit = stability_conditions(params, variant, eq)
 
-    def report(regime: Regime, h: float | None, eigs: tuple, classification: Classification) -> StabilityReport:
+    def report(regime: Regime, h: float | None, classification: Classification, w: tuple | None) -> StabilityReport:
         agree = prediction_matches(crit.prediction, classification)
-        return StabilityReport(regime, h, eigs, classification, crit.prediction, agree, crit.conditions, crit.notes)
+        return StabilityReport(regime, h, classification, crit.prediction, agree, crit.conditions, crit.notes, jc, w)
 
     flow, verdict = classifications(jc)
-    reports = [report(Regime.CONTINUOUS, None, eigenvalues2(jc), flow)]
+    reports = [report(Regime.CONTINUOUS, None, flow, None)]
     weights = map_weights(params, variant, eq.point) if h_list else None
     for h in h_list:
-        # The multipliers, from M / 2^k with W scaled (exactly) by a power of two near 1.
-        w1, w2 = weights(h)
-        k = min(math.frexp(max(abs(w1), abs(w2)))[1], 1023)
-        s1, s2, scale = math.ldexp(w1, -k), math.ldexp(w2, -k), math.ldexp(1.0, k)
-        nus = eigenvalues2(Matrix2(s1 * jc.a11, s1 * jc.a12, s2 * jc.a21, s2 * jc.a22))
-        multipliers = (1.0 + nus[0] * scale, 1.0 + nus[1] * scale)
-        if not _moduli_finite(multipliers):
-            raise DomainError(f"multipliers {multipliers!r} at h = {h!r} are out of floating-point range")
-        reports.append(report(Regime.DISCRETE, h, _by_modulus(multipliers), verdict(w1, w2)))
+        w = weights(h)
+        reports.append(report(Regime.DISCRETE, h, verdict(*w), w))
     return reports
+
+
+def spectrum(report: StabilityReport) -> tuple[complex, complex]:
+    """What ``stability`` prints for a report, larger modulus first: eig(Jc), or the multipliers 1 + eig(W(h) Jc).
+
+    M = W(h) Jc is formed from Jc and W scaled (exactly) by a power of two near 1,
+    and solved by ``eigenvalues2``.  DomainError where an eigenvalue or a
+    multiplier is not a finite double; the verdicts never read these numbers.
+    """
+    jc = report.jacobian
+    if report.weights is None:
+        return eigenvalues2(jc)
+    w1, w2 = report.weights
+    k = min(math.frexp(max(abs(w1), abs(w2)))[1], 1023)
+    s1, s2, scale = math.ldexp(w1, -k), math.ldexp(w2, -k), math.ldexp(1.0, k)
+    nus = eigenvalues2(Matrix2(s1 * jc.a11, s1 * jc.a12, s2 * jc.a21, s2 * jc.a22))
+    multipliers = (1.0 + nus[0] * scale, 1.0 + nus[1] * scale)
+    if not _moduli_finite(multipliers):
+        raise DomainError(f"multipliers {multipliers!r} at h = {report.h!r} are out of floating-point range")
+    return _by_modulus(multipliers)

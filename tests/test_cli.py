@@ -13,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nsfd_epi import cli
+from nsfd_epi import cli, stability
 from nsfd_epi.cli import RunConfig, main
 from nsfd_epi.convergence import ConvergenceSettings, Trajectory, Verdict, VerdictStatus
 from nsfd_epi.equilibria import EquilibriumKind, all_equilibria
 from nsfd_epi.model import ModelVariant, State, validate_params
-from nsfd_epi.verification import Scenario, benchmark_params, load_fixture_scenarios
+from nsfd_epi.verification import Scenario, _draw_strict_block, benchmark_params, load_fixture_scenarios
 
 BENCH = ["--bx", "0.6", "--by", "0.4", "--ux", "0.1", "--uy", "0.2"]
 
@@ -910,6 +910,61 @@ class TestOutOfRangeInputs:
         else:
             assert [(eq["kind"], eq["continuous"]) for eq in listed] == [("trivial", "source"), ("disease_free", "saddle")]
 
+    # The horizontal model's disease-free point: b_y Y/K overflows, so Jc holds -inf.
+    NON_FINITE_JC = [
+        "--model", "horizontal", "--bx", "7.698882330111818e-24", "--by", "2.973827052366007e+128", "--ux", "0",
+        "--uy", "1.6673362787634752e-41", "--K", "2.0892778635522588e+227", "--e", "0",
+        "--beta", "1.5896682892121024e-259", "--h", "2759.4635580217646", "--permissive",
+    ]
+
+    @pytest.mark.parametrize("command", ["stability", "sweep"])
+    def test_a_jacobian_that_is_not_finite_is_refused(self, command, capsys):
+        code, out, err = run_cli([command, *self.NON_FINITE_JC], capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == (
+            "error: eigenvalues of (-3.3212587670418355e-32, 0.0, -inf, -inf): "
+            "the characteristic quadratic is out of floating-point range"
+        )
+
+    # The trivial point at h = 7.47e233: the multipliers, about 2.9e-17 and 3.3e457, make a saddle.
+    PRINTED_OVERFLOW = [
+        "--bx", "0", "--by", "4.3747620421144325e+223", "--ux", "7.0677599900031544e-217", "--uy", "0",
+        "--K", "5.89956611837978e+34", "--e", "2.6756405045193972e-14", "--beta", "0",
+        "--h", "7.470632174208838e+233", "--permissive", "--format", "json",
+    ]
+
+    def test_sweep_reports_the_verdict_where_only_the_printed_multipliers_overflow(self, capsys):
+        code, out, err = run_cli(["sweep", *self.PRINTED_OVERFLOW], capsys)
+        assert code == 0 and "error" not in err
+        (trivial,) = json.loads(out)["equilibria"]
+        assert (trivial["kind"], trivial["continuous"], trivial["per_h"][0]["classification"]) == (
+            "trivial", "saddle", "saddle",
+        )
+        code, out, err = run_cli(["stability", *self.PRINTED_OVERFLOW], capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == (
+            "error: multipliers ((inf+0j), 0j) at h = 7.470632174208838e+233 are out of floating-point range"
+        )
+
+    # The trivial point: its multipliers overflow at the first h, and W(h) at the second.
+    TWO_REFUSALS = [
+        "--model", "vertical", "--bx", "0", "--by", "1.0948745553849556e+184", "--ux", "7.236167913269007e+23",
+        "--uy", "1.6218993649656602e-290", "--K", "22292252640436.207", "--e", "0", "--beta", "0",
+        "--h", "6.26923643580809e+135", "--h", "3.125030521048249e+299", "--permissive",
+    ]
+
+    @pytest.mark.parametrize(
+        "command, refusal",
+        [
+            ("stability", "multipliers ((inf+0j), 0j) at h = 6.26923643580809e+135 are out of floating-point range"),
+            ("sweep", "discrete linearization at (0.0, 0.0) with h = 3.125030521048249e+299 is out of floating-point range"),
+        ],
+    )
+    def test_each_h_is_refused_in_turn(self, command, refusal, capsys):
+        """``stability`` refuses the first h's printed multipliers before the second h's weights; ``sweep`` prints none."""
+        code, out, err = run_cli([command, *self.TWO_REFUSALS], capsys)
+        assert (code, out, err.splitlines()[-1]) == (3, "", f"error: {refusal}")
+
     def test_huge_capacity_simulates_without_limit_matching(self, capsys):
         # Only the interior point is not computable, so the run matches the
         # other equilibria; K * DIVERGENCE_FACTOR is inf, so no finite state diverges.
@@ -1652,3 +1707,85 @@ def test_outputs_keep_their_recorded_bytes(argv, code, out, err, files, tmp_path
     monkeypatch.delenv(cli.SEED_DIR_ENV, raising=False)
     (tmp_path / "run.json").write_text(json.dumps(PARITY_CONFIG))
     assert command_outcome(argv.split(), tmp_path) == (code, out, err, files)
+
+
+def count_eigenvalue_solves(monkeypatch):
+    calls = []
+    real = stability.eigenvalues2
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(stability, "eigenvalues2", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["sweep", "--format", fmt] for fmt in ("text", "csv", "json")),
+        *(["verify", "--only", name] for name in ("step-size", "theorem", "reproduction")),
+    ],
+    ids=lambda argv: "-".join(argv[::2]),
+)
+def test_only_stability_solves_eigenvalues(argv, monkeypatch, capsys):
+    calls = count_eigenvalue_solves(monkeypatch)
+    code, _, _ = run_cli(argv, capsys)
+    assert (code, calls) == (0, [])
+    run_cli(["stability"], capsys)
+    assert calls  # the spy sees the solves of the command that prints them
+
+
+extreme_rates = st.one_of(
+    st.just(0.0), st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024))
+)
+
+
+@st.composite
+def analysis_sets(draw):
+    """A strict set from the acceptance checks' sampler, or any non-negative rates with --permissive."""
+    if draw(st.booleans()):
+        (lane,), _ = _draw_strict_block(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 1)
+        params, variant, _ = lane
+        rates, extra = [params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta], []
+        h_list = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
+    else:
+        variant = draw(st.sampled_from(list(ModelVariant)))
+        rates, extra = [draw(extreme_rates) for _ in range(7)], ["--permissive"]
+        h_list = draw(st.lists(extreme_rates.filter(bool), min_size=1, max_size=3))
+    if variant is not ModelVariant.GENERAL:
+        rates[5] = 0.0
+    if variant is ModelVariant.VERTICAL:
+        rates[6] = 0.0
+    flags = [arg for name, v in zip(("bx", "by", "ux", "uy", "K", "e", "beta"), rates) for arg in (f"--{name}", repr(v))]
+    return ["--model", variant.value, *flags, *(arg for h in h_list for arg in ("--h", repr(h))), *extra]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=analysis_sets())
+@example(argv=TestOutOfRangeInputs.PRINTED_OVERFLOW[:-2])
+@example(argv=TestOutOfRangeInputs.NON_FINITE_JC)
+def test_sweep_classifies_as_stability_prints(argv, capsys):
+    """Where ``stability`` prints its reports, ``sweep`` gives each existing point the same verdicts at each h.
+
+    ``sweep`` refuses only what ``stability`` refuses too; ``stability`` alone refuses numbers it prints.
+    """
+    code, out, _ = run_cli(["stability", *argv, "--format", "json"], capsys)
+    sweep_code, sweep_out, _ = run_cli(["sweep", *argv, "--format", "json"], capsys)
+    assert code in (0, 2, 3) and sweep_code in (0, 2, 3)
+    if sweep_code != 0:
+        assert code == sweep_code
+    if code != 0:
+        return
+    assert sweep_code == 0
+    printed = [
+        (eq["equilibrium"]["kind"], [(r["h"], r["classification"]) for r in eq["reports"]])
+        for eq in json.loads(out)["equilibria"]
+        if eq["reports"]
+    ]
+    swept = [
+        (eq["kind"], [(None, eq["continuous"])] + [(en["h"], en["classification"]) for en in eq["per_h"]])
+        for eq in json.loads(sweep_out)["equilibria"]
+    ]
+    assert swept == printed

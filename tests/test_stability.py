@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nsfd_epi
+from nsfd_epi import stability
 from nsfd_epi.equilibria import (
     EquilibriumKind,
     all_equilibria,
@@ -32,6 +33,7 @@ from nsfd_epi.stability import (
     jury_conditions,
     map_weights,
     prediction_matches,
+    spectrum,
     stability_conditions,
     stability_report,
 )
@@ -136,7 +138,7 @@ class TestDiscreteJacobian:
         phi1, phi2 = denominators(GENERAL_LOW, ModelVariant.GENERAL, 0.1)
         assert increment_matrix(GENERAL_LOW, ModelVariant.GENERAL, (0.0, 0.0), 0.1).a21 == 0.0
         _, rep = stability_report(GENERAL_LOW, ModelVariant.GENERAL, trivial_equilibrium(), (0.1,))
-        eigs = rep.eigenvalues
+        eigs = spectrum(rep)
         expected_1 = (1.0 + phi1 * GENERAL_LOW.b_x) / (1.0 + phi1 * GENERAL_LOW.u_x)
         expected_2 = (1.0 + phi2 * GENERAL_LOW.b_y) / (1.0 + phi2 * GENERAL_LOW.u_y)
         assert eigs[0].real == pytest.approx(expected_1, rel=1e-12)
@@ -165,7 +167,7 @@ class TestDiscreteJacobian:
                 assert_matrices_close(got, forward_fd_jacobian(lambda s: step(params, variant, h, s), eq.point))
                 want = sorted(np.linalg.eigvals(np.array(got).reshape(2, 2)), key=lambda z: (-abs(z), -z.real))
                 rep = stability_report(params, variant, eq, (h,))[1]
-                for g, w in zip(rep.eigenvalues, want):
+                for g, w in zip(spectrum(rep), want):
                     assert cmath.isclose(g, complex(w), rel_tol=1e-12, abs_tol=1e-12)
                 checked += 1
         assert checked == 10
@@ -177,7 +179,7 @@ class TestDiscreteJacobian:
         ]:
             assert all(0.0 < w < 0.1 for w in map_weights(params, variant, eq.point)(0.1))
             reports = stability_report(params, variant, eq, (0.1,))
-            assert all(math.isfinite(abs(z)) for rep in reports for z in rep.eigenvalues)
+            assert all(math.isfinite(abs(z)) for rep in reports for z in spectrum(rep))
 
     def test_axis_with_infected_hosts_rejected(self):
         with pytest.raises(DomainError):
@@ -252,7 +254,7 @@ def test_multipliers_and_verdicts_match_a_50_digit_evaluation(h):
             rep = stability_report(params, variant, eq, (h,))[1]
             assert rep.classification is want, (variant, eq.kind, h)
             mus = sorted((complex(1 + nu) for nu in nus), key=lambda z: (-abs(z), -z.real, -z.imag))
-            for got, exact in zip(rep.eigenvalues, mus):
+            for got, exact in zip(spectrum(rep), mus):
                 assert cmath.isclose(got, exact, rel_tol=1e-14, abs_tol=1e-15)
 
 
@@ -344,6 +346,44 @@ def test_overflowing_eigenvalues_are_2_to_the_k_times_those_of_the_matrix_over_2
     else:
         with pytest.raises(DomainError):
             eigenvalues2(m)
+
+
+# Finite parts, zeros of both signs among them, so that ties of modulus, real and imaginary part all occur.
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-1e300, 1e300, allow_nan=False))
+complexes = st.builds(complex, parts, parts)
+equal_moduli = st.one_of(
+    complexes.map(lambda z: (z, z.conjugate())),
+    complexes.map(lambda z: (z.conjugate(), z)),
+    parts.map(lambda r: (complex(r), complex(-r))),
+    parts.map(lambda r: (complex(-r), complex(r))),
+    complexes.map(lambda z: (z, z)),
+    complexes.map(lambda z: (z, complex(-z.real, z.imag))),
+)
+
+
+def bits(eigs):
+    return [(z.real.hex(), math.copysign(1.0, z.real), z.imag.hex(), math.copysign(1.0, z.imag)) for z in eigs]
+
+
+@settings(max_examples=500, deadline=None)
+@given(eigs=st.one_of(st.tuples(complexes, complexes), equal_moduli))
+def test_the_printing_helpers_match_their_sorted_and_generator_forms(eigs):
+    """``_by_modulus`` is ``sorted`` by (-|z|, -re, -im), ties in the given order; ``_moduli_finite`` is ``all`` over hypot."""
+    want = tuple(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))
+    assert bits(stability._by_modulus(eigs)) == bits(want)
+    assert stability._moduli_finite(eigs) == all(math.isfinite(math.hypot(z.real, z.imag)) for z in eigs)
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", range(4))
+def test_a_jacobian_entry_that_is_not_finite_gets_no_verdict(special, at):
+    entries = [-0.5, 1.0, 1.0, -1.0]
+    entries[at] = special
+    with pytest.raises(DomainError) as info:
+        classifications(Matrix2(*entries))
+    assert str(info.value) == (
+        f"eigenvalues of {tuple(entries)!r}: the characteristic quadratic is out of floating-point range"
+    )
 
 
 def map_verdict(*entries):
@@ -454,19 +494,24 @@ wide_weights = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.i
     weights=(8.960535833409753e-108, 1.5582542291485052e58),
 )
 @example(entries=(0.5, 0.0, 0.0, -0.5), weights=(2.0**-1074, 2.0**1023))  # each weight at an end of the float range
+@example(  # a trivial point at h = 7.47e233: tr M = 2^1519 and det M = -tr M, multipliers 2.9e-17 and 3.3e457
+    entries=(-7.0677599900031544e-217, 2.6756405045193972e-14, 0.0, 4.3747620421144325e223),
+    weights=(1.4148754363679993e216, 7.470632174208838e233),
+)
+@example(entries=(-1.7e308, 0.0, 0.0, -1.7e308), weights=(1.7e308, 1.7e308))  # tr M near 2^2049, det M near 2^4096
+@example(entries=(-(2.0**-1074), 1.7e308, -1.7e308, 0.0), weights=(1.7e308, 1.7e308))  # det M leads, tr M subnormal
 def test_map_classification_takes_the_exact_signs_at_any_exponent(entries, weights):
     """Any float Jc and weights: the classification is the one of P(1), P(-1) and 1 - det J of M = diag(w) Jc in rationals.
 
     A sign within 1e-6 of 0, relative to the sum of the moduli of the
-    terms that form it, is left to the bands and skipped.  So is M where
-    a multiplier, 1 + eig(M), is not a finite double (``stability_report``
-    refuses it first), and a 1 - det J below 2^-2148, which ``jury_conditions``
-    cannot hold at any scale (it needs tr M = 0 and det M that small).
+    terms that form it, is left to the bands and skipped.  So is a
+    1 - det J below 2^-2148, which ``jury_conditions`` cannot hold at any
+    scale (it needs tr M = 0 and det M that small).  M may lie past the
+    float range, where a multiplier 1 + eig(M) is not a finite double.
     """
     w1, w2 = map(Fraction, weights)
     a11, a12, a21, a22 = (w * Fraction(a) for w, a in zip((w1, w1, w2, w2), entries))
     tr, det = a11 + a22, a11 * a22 - a12 * a21
-    assume(abs(tr) <= 2**1022 and abs(det) <= 2**2044)  # |eig(M)| <= 2^1023
     assume(abs(tr + det) >= Fraction(1, 2**2148))
     diagonal, products = abs(a11) + abs(a22), abs(a11 * a22) + abs(a12 * a21)
     signs = (det, 4 + 2 * tr + det, -(tr + det))
