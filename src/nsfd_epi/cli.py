@@ -334,25 +334,13 @@ def _report_dict(report, eigs: tuple[complex, complex]) -> dict[str, Any]:
     }
 
 
-def _spectra(params: HostParams, variant: ModelVariant, eq: Equilibrium, h_list: list[float]) -> list[tuple]:
-    """Each report of a point with its ``spectrum``, refused as if each h's weights and multipliers came in turn.
-
-    On a refused weight the reports before it are made again, one h more each time, and their numbers solved first.
-    """
-    try:
-        reports = stability_report(params, variant, eq, h_list)
-    except DomainError:
-        for n in range(len(h_list)):
-            spectrum(stability_report(params, variant, eq, h_list[:n])[-1])
-        raise
-    return [(rep, spectrum(rep)) for rep in reports]
-
-
 def _cmd_stability(config: RunConfig) -> str:
+    """Classify every existing point in listing order, as ``sweep`` does; solve the printed numbers only after that."""
     params, variant = config.params(), config.variant()
     h_list = config.h_list or [config.h]
     equilibria = all_equilibria(params, variant)
-    entries = [(eq, _spectra(params, variant, eq, h_list) if eq.exists else []) for eq in equilibria]
+    classified = [stability_report(params, variant, eq, h_list) if eq.exists else [] for eq in equilibria]
+    entries = [(eq, [(rep, spectrum(rep)) for rep in reps]) for eq, reps in zip(equilibria, classified)]
     if config.format == "json":
         doc = {
             "model": variant.value,

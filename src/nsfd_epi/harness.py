@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .convergence import DIVERGENCE_FACTOR
 from .equilibria import Equilibrium, all_equilibria
 from .integrators import euler_kernel
 from .model import DomainError, HostParams, ModelVariant, State
@@ -96,7 +97,7 @@ def first_negative_step(
         advance = map_kernel(params, variant, h)
     else:
         raise DomainError(f"unknown scheme {scheme!r}")
-    limit = 1e6 * max(params.K, 1.0)
+    limit = DIVERGENCE_FACTOR * max(params.K, 1.0)
     for n in range(1, max_steps + 1):
         x, y = advance(x, y)
         if x < 0 or y < 0:

@@ -351,8 +351,8 @@ def spectrum(report: StabilityReport) -> tuple[complex, complex]:
     """What ``stability`` prints for a report, larger modulus first: eig(Jc), or the multipliers 1 + eig(W(h) Jc).
 
     M = W(h) Jc is formed from Jc and W scaled (exactly) by a power of two near 1,
-    and solved by ``eigenvalues2``.  DomainError where an eigenvalue or a
-    multiplier is not a finite double; the verdicts never read these numbers.
+    and solved by ``eigenvalues2``.  DomainError where an eigenvalue or a multiplier is not a finite
+    double; no verdict reads them, and ``stability`` solves them only after every point is classified.
     """
     jc = report.jacobian
     if report.weights is None:

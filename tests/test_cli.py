@@ -953,17 +953,16 @@ class TestOutOfRangeInputs:
         "--h", "6.26923643580809e+135", "--h", "3.125030521048249e+299", "--permissive",
     ]
 
-    @pytest.mark.parametrize(
-        "command, refusal",
-        [
-            ("stability", "multipliers ((inf+0j), 0j) at h = 6.26923643580809e+135 are out of floating-point range"),
-            ("sweep", "discrete linearization at (0.0, 0.0) with h = 3.125030521048249e+299 is out of floating-point range"),
-        ],
-    )
-    def test_each_h_is_refused_in_turn(self, command, refusal, capsys):
-        """``stability`` refuses the first h's printed multipliers before the second h's weights; ``sweep`` prints none."""
+    @pytest.mark.parametrize("command", ["stability", "sweep"])
+    def test_each_h_is_refused_in_turn(self, command, capsys):
+        """Both commands refuse the second h's weights: ``stability`` classifies every h before it solves a number."""
         code, out, err = run_cli([command, *self.TWO_REFUSALS], capsys)
-        assert (code, out, err.splitlines()[-1]) == (3, "", f"error: {refusal}")
+        assert (code, out, err.splitlines()[-1]) == (
+            3,
+            "",
+            "error: discrete linearization at (0.0, 0.0) with h = 3.125030521048249e+299"
+            " is out of floating-point range",
+        )
 
     def test_huge_capacity_simulates_without_limit_matching(self, capsys):
         # Only the interior point is not computable, so the run matches the
@@ -1742,24 +1741,34 @@ extreme_rates = st.one_of(
 )
 
 
-@st.composite
-def analysis_sets(draw):
-    """A strict set from the acceptance checks' sampler, or any non-negative rates with --permissive."""
-    if draw(st.booleans()):
-        (lane,), _ = _draw_strict_block(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 1)
-        params, variant, _ = lane
-        rates, extra = [params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta], []
-        h_list = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
-    else:
-        variant = draw(st.sampled_from(list(ModelVariant)))
-        rates, extra = [draw(extreme_rates) for _ in range(7)], ["--permissive"]
-        h_list = draw(st.lists(extreme_rates.filter(bool), min_size=1, max_size=3))
+def set_argv(variant, rates, h_list, extra):
+    """The flags of one parameter set, with e = 0 off the general model and beta = 0 in the vertical one."""
     if variant is not ModelVariant.GENERAL:
         rates[5] = 0.0
     if variant is ModelVariant.VERTICAL:
         rates[6] = 0.0
     flags = [arg for name, v in zip(("bx", "by", "ux", "uy", "K", "e", "beta"), rates) for arg in (f"--{name}", repr(v))]
     return ["--model", variant.value, *flags, *(arg for h in h_list for arg in ("--h", repr(h))), *extra]
+
+
+@st.composite
+def extreme_sets(draw):
+    """Any non-negative rates of any variant, with 1-3 positive step sizes and --permissive."""
+    variant = draw(st.sampled_from(list(ModelVariant)))
+    rates = [draw(extreme_rates) for _ in range(7)]
+    h_list = draw(st.lists(extreme_rates.filter(bool), min_size=1, max_size=3))
+    return set_argv(variant, rates, h_list, ["--permissive"])
+
+
+@st.composite
+def analysis_sets(draw):
+    """A strict set from the acceptance checks' sampler, or any non-negative rates with --permissive."""
+    if draw(st.booleans()):
+        (lane,), _ = _draw_strict_block(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 1)
+        params, variant, _ = lane
+        rates = [params.b_x, params.b_y, params.u_x, params.u_y, params.K, params.e, params.beta]
+        return set_argv(variant, rates, draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3)), [])
+    return draw(extreme_sets())
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1789,3 +1798,22 @@ def test_sweep_classifies_as_stability_prints(argv, capsys):
         for eq in json.loads(sweep_out)["equilibria"]
     ]
     assert swept == printed
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=extreme_sets(), fmt=st.sampled_from(["text", "csv", "json"]))
+@example(argv=TestOutOfRangeInputs.TWO_REFUSALS, fmt="text")
+@example(argv=TestOutOfRangeInputs.PRINTED_OVERFLOW[:-2], fmt="json")
+@example(argv=TestOutOfRangeInputs.NON_FINITE_JC, fmt="csv")
+def test_stability_refuses_where_sweep_refuses(argv, fmt, capsys):
+    """``stability`` refuses wherever ``sweep`` with the same --h list refuses, with the same message.
+
+    Only where ``sweep`` prints its verdicts may ``stability`` refuse a number that it alone prints.
+    """
+    sweep_code, _, sweep_err = run_cli(["sweep", *argv, "--format", fmt], capsys)
+    code, _, err = run_cli(["stability", *argv, "--format", fmt], capsys)
+    if sweep_code != 0:
+        assert (code, err.splitlines()[-1]) == (sweep_code, sweep_err.splitlines()[-1])
+    elif code != 0:
+        last = err.splitlines()[-1]
+        assert code == 3 and ("eigenvalues of" in last or "multipliers" in last)

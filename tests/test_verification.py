@@ -1,14 +1,18 @@
-"""The random acceptance checks: positivity, the Jury oracle and the theorem cross-check.
+"""The acceptance checks: the random ones against their scalar loops, and every check's failures.
 
 ``ref_positivity_check`` and ``ref_jury_oracle_check`` are the scalar
 loops as they were before the checks ran on lanes and blocks (the
 positivity loop draws its samples through the same block sampler).
 Both versions must return the same CheckResult, on passing runs and
 on runs forced to fail.  The theorem cross-check must visit every set
-the block sampler draws, and fail at a report that disagrees.
+the block sampler draws, and fail at a report that disagrees.  The
+deterministic checks must fail, with their exact details, wherever one
+name they read gives a wrong answer.
 """
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ import pytest
 from nsfd_epi import harness, nsfd, verification
 from nsfd_epi.equilibria import all_equilibria
 from nsfd_epi.harness import first_negative_step
-from nsfd_epi.model import RATES, ModelVariant, effective_rates, validate_params
+from nsfd_epi.model import RATES, ModelVariant, State, effective_rates, validate_params
 from nsfd_epi.nsfd import map_kernel
 from nsfd_epi.stability import Classification, Matrix2, TheoremPrediction, jury_conditions
 from nsfd_epi.verification import (
@@ -27,8 +31,12 @@ from nsfd_epi.verification import (
     _fail,
     _ok,
     benchmark_params,
+    consistency_order_check,
+    interior_algebra_check,
     jury_oracle_check,
     positivity_check,
+    reproduction_threshold_check,
+    step_size_independence_check,
     theorem_crosscheck,
 )
 
@@ -343,3 +351,111 @@ def test_theorem_crosscheck_fails_at_a_disagreeing_report_and_names_its_draw(mon
     assert not got.passed
     assert got.details.startswith(f"draw {draw}, {variant.value}/{kind.value} ")
     assert f"predicted {prediction.value} but classified {CONTRARY[prediction].value}" in got.details
+
+
+def missing(real):
+    """``interior_equilibrium`` with every point marked missing."""
+    return lambda p, v: replace(real(p, v), exists=False)
+
+
+def off_horizontal(real):
+    """``interior_equilibrium`` with the horizontal point moved off its closed form."""
+    return lambda p, v: replace(real(p, v), point=State(0.05, 0.6)) if v is ModelVariant.HORIZONTAL else real(p, v)
+
+
+def one_scheme(scheme, index):
+    """``first_negative_step`` that returns ``index`` for one scheme."""
+    return lambda real: lambda *args, **kw: index if kw["scheme"] == scheme else real(*args, **kw)
+
+
+def each_sweep(change):
+    """``step_size_sweep`` with ``change`` made to each result."""
+    return lambda real: lambda *args: [change(sweep) for sweep in real(*args)]
+
+
+def second_h_saddle(sweep):
+    first, second, *rest = sweep.entries
+    second = second._replace(classification=Classification.SADDLE)
+    return sweep._replace(entries=(first, second, *rest), uniform=False)
+
+
+def flow_stable(sweep):
+    continuous = sweep.continuous._replace(classification=Classification.STABLE)
+    return sweep._replace(continuous=continuous, matches_continuous=False)
+
+
+# Each FAIL branch of the deterministic checks: the check, the one name of ``verification`` it reads that is
+# replaced, the replacement made from the real one, and the details the check must give.
+FAIL_BRANCHES = [
+    pytest.param(
+        interior_algebra_check, "interior_equilibrium", missing,
+        "endemic equilibrium unexpectedly missing", id="interior-missing",
+    ),
+    pytest.param(
+        interior_algebra_check, "interior_coefficients", lambda real: lambda p: (0.0, 0.0, 1.0),
+        "quadratic residual 1.000e+00 exceeds 1.000e-10", id="interior-quadratic",
+    ),
+    pytest.param(
+        # The tolerance is 1e-9 (1 + max(X, Y)) at the general interior point (0.1818..., 0.4545...).
+        interior_algebra_check, "field_kernel", lambda real: lambda p, v: lambda x, y: (1.0, 0.0),
+        "vector-field residual 1.000e+00 exceeds 1.455e-09", id="interior-field",
+    ),
+    pytest.param(
+        interior_algebra_check, "interior_equilibrium", off_horizontal,
+        "closed form (0.05, 0.6) differs from (0.047619, 0.595238)", id="interior-horizontal",
+    ),
+    pytest.param(
+        reproduction_threshold_check, "reproduction_numbers", lambda real: lambda p: real(p)._replace(R0=0.7),
+        "R0 at beta=0.1 is 0.7, expected 0.75", id="threshold-low",
+    ),
+    pytest.param(
+        reproduction_threshold_check, "reproduction_numbers",
+        lambda real: lambda p: real(p)._replace(R0=1.5) if p.beta == 0.3 else real(p),
+        "R0 at beta=0.3 is 1.5, expected 19/12 = 1.58333...", id="threshold-high",
+    ),
+    pytest.param(
+        reproduction_threshold_check, "stability_report",
+        lambda real: lambda *args: [rep._replace(classification=Classification.SOURCE) for rep in real(*args)],
+        "disease-free point at beta=0.1 classified source (continuous), expected stable", id="threshold-type",
+    ),
+    pytest.param(
+        reproduction_threshold_check, "interior_equilibrium", missing,
+        "endemic equilibrium should exist at beta=0.3", id="threshold-endemic",
+    ),
+    pytest.param(
+        lambda: positivity_check(n_samples=0), "first_negative_step", one_scheme("euler", 2),
+        "forward Euler at h=10 should go negative at step 1, got 2", id="positivity-euler",
+    ),
+    pytest.param(
+        lambda: positivity_check(n_samples=0), "first_negative_step", one_scheme("nsfd", 7),
+        "nonstandard map went negative at step 7", id="positivity-nsfd",
+    ),
+    pytest.param(
+        step_size_independence_check, "step_size_sweep", each_sweep(second_h_saddle),
+        "general-disease-free/trivial: classifications differ across h: "
+        "{0.01: 'source', 0.1: 'saddle', 1.0: 'source', 10.0: 'source', 50.0: 'source'}",
+        id="step-size-across-h",
+    ),
+    pytest.param(
+        step_size_independence_check, "step_size_sweep", each_sweep(flow_stable),
+        "general-disease-free/trivial: discrete source vs continuous stable", id="step-size-flow",
+    ),
+    pytest.param(
+        # A map that stands still leaves the defect |f| at every h, so each ratio is exactly 1.
+        consistency_order_check, "map_kernel", lambda real: lambda p, v, h: lambda x, y: (x, y),
+        "general: defect ratios [1.0, 1.0] outside [0.033, 0.333]", id="consistency-defect",
+    ),
+    pytest.param(
+        # Final X = dt: the errors against dt = 1e-4 are 0.0999 and 0.0499.
+        consistency_order_check, "simulate_continuous",
+        lambda real: lambda p, v, s0, dt, steps, **kw: SimpleNamespace(final_state=(dt, 0.0)),
+        "RK4 halving ratio 2.00 outside [12, 20]", id="consistency-rk4",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, name, fake, details", FAIL_BRANCHES)
+def test_each_check_fails_where_a_name_it_reads_is_wrong(monkeypatch, check, name, fake, details):
+    monkeypatch.setattr(verification, name, fake(getattr(verification, name)))
+    got = check()
+    assert (got.passed, got.details) == (False, details)
