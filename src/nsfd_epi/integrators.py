@@ -5,9 +5,13 @@ kept deliberately naive to demonstrate the positivity failures the
 nonstandard maps avoid.  Neither scheme clamps states: negative or
 diverging trajectories are reported as-is.
 
-Both run in ``convergence``'s run loop, compiled at import with their
-step built from ``model.FIELD``: four stages for ``_rk4_scan``, one for
-``_euler_scan``.  Tests pin them bit for bit against ``field_kernel``
+Both run in ``convergence``'s run loop with their step built from
+``model.FIELD``: four stages for RK4, one for Euler.  Each loop is
+compiled on its first run.  RK4 has one for each form of
+``model.FORMS``: where ``model.zero_rates`` allows it, a run at e = 0
+(horizontal, or general) cuts the field's e term, and one at beta = 0
+too its beta terms, with the full field's bits.  Euler always steps
+the full field.  Tests pin both bit for bit against ``field_kernel``
 composed four times and against ``euler_kernel`` (the one-step Euler
 kernel), each stepped by a reference loop.
 """
@@ -19,7 +23,7 @@ from functools import partial
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
 from .convergence import _finish, _refused  # noqa: F401  # read by the loops compiled here
-from .model import FIELD, RATE_NAMES, DomainError, HostParams, Kernel, ModelVariant, effective_rates, field_kernel
+from .model import FIELD, FORMS, RATE_NAMES, DomainError, HostParams, Kernel, ModelVariant, field_kernel, rates, without
 
 __all__ = ["euler_kernel", "simulate_continuous"]
 
@@ -41,22 +45,28 @@ def euler_kernel(params: HostParams, variant: ModelVariant, dt: float) -> Kernel
     return advance
 
 
-# RK4: the field at each of the four stages, then their weighted sum.
-_rk4_scan = loop("_rk4_scan", "rk4", f"{RATE_NAMES}, dt, half, sixth", "".join([
-    FIELD.format(x="px", y="py", dx="k1x", dy="k1y"),
-    "x2, y2 = px + half * k1x, py + half * k1y\n",
-    FIELD.format(x="x2", y="y2", dx="k2x", dy="k2y"),
-    "x3, y3 = px + half * k2x, py + half * k2y\n",
-    FIELD.format(x="x3", y="y3", dx="k3x", dy="k3y"),
-    "x4, y4 = px + dt * k3x, py + dt * k3y\n",
-    FIELD.format(x="x4", y="y4", dx="k4x", dy="k4y"),
-    "x = px + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)\n",
-    "y = py + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)\n",
-]), globals())
-# Forward Euler: the field once, then the step euler_kernel takes.
-_euler_scan = loop("_euler_scan", "euler", f"{RATE_NAMES}, dt", "".join([
-    FIELD.format(x="px", y="py", dx="dx", dy="dy"), "x = px + dt * dx\n", "y = py + dt * dy\n"
-]), globals())
+def _rk4_step(field: str) -> str:
+    """RK4's step: ``field`` at each of the four stages, then their weighted sum."""
+    return "".join([
+        field.format(x="px", y="py", dx="k1x", dy="k1y"),
+        "x2, y2 = px + half * k1x, py + half * k1y\n",
+        field.format(x="x2", y="y2", dx="k2x", dy="k2y"),
+        "x3, y3 = px + half * k2x, py + half * k2y\n",
+        field.format(x="x3", y="y3", dx="k3x", dy="k3y"),
+        "x4, y4 = px + dt * k3x, py + dt * k3y\n",
+        field.format(x="x4", y="y4", dx="k4x", dy="k4y"),
+        "x = px + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)\n",
+        "y = py + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)\n",
+    ])
+
+
+# RK4 in every form of model.FORMS; forward Euler in the full form only, the step euler_kernel takes.
+_rk4_run = loop("_rk4_scan", "rk4", f"{RATE_NAMES}, dt, half, sixth", [
+    _rk4_step(without(FIELD, *cut)) for cut in FORMS
+], globals())
+_euler_run = loop("_euler_scan", "euler", f"{RATE_NAMES}, dt", [
+    FIELD.format(x="px", y="py", dx="dx", dy="dy") + "x = px + dt * dx\ny = py + dt * dy\n"
+], globals())
 
 
 def simulate_continuous(
@@ -77,6 +87,9 @@ def simulate_continuous(
     _check_dt(dt)
     if scheme not in ("rk4", "euler"):
         raise DomainError(f"unknown continuous scheme {scheme!r}")
-    rates = (params.b_x, params.b_y, params.u_x, params.u_y, params.K, *effective_rates(params, variant), dt)
-    scan = partial(_rk4_scan, (*rates, 0.5 * dt, dt / 6.0)) if scheme == "rk4" else partial(_euler_scan, rates)
+    values = rates(params, variant)
+    if scheme == "rk4":
+        scan = partial(_rk4_run, values, (*values, dt, 0.5 * dt, dt / 6.0))
+    else:
+        scan = partial(_euler_run, values, (*values, dt))
     return _run_monitored(scan, params, variant, s0, n_max, dt, settings, record_every)

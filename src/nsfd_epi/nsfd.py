@@ -19,26 +19,31 @@ with phi1 -> h as beta -> 0.  One map serves the whole model family:
 
 The horizontal variant is this map with e = 0, the vertical one with
 e = 0 and beta = 0 (so phi1 = h).  Their zero rates make the e and beta
-terms +0.0, and adding +0.0 changes no value other than -0.0, so each
-variant keeps the bits of a map written for it alone.  The Y^2/X ratio
-is formed only where its coefficient e/K is nonzero and Y != 0; at
-X = 0 it is infinite, and 0 * inf would turn the invariant X = 0 axis
-of a map with e = 0 into NaN.  With e > 0 the map refuses X <= 0 with
-Y > 0, and it extends continuously along the X axis (Y = 0).
+terms signed zeros, which the run loop of ``iterate`` cuts from the text
+where ``model.zero_rates`` allows it, keeping the map's bits.  The Y^2/X
+ratio is formed only where its coefficient e/K is nonzero and Y != 0;
+at X = 0 it is infinite, and 0 * inf would turn the invariant X = 0
+axis of a map with e = 0 into NaN.  With e > 0 the map refuses X <= 0
+with Y > 0, and it extends continuously along the X axis (Y = 0).
 
 Every term on each side is nonnegative for states in the positive
 quadrant, so positivity holds for every step size h > 0, and the fixed
 points coincide with the continuous equilibria.
 
-What the map decides is written once, as text compiled at import:
-``RATIO`` (its refusals, and Y^2/X), ``D1`` and ``D2`` (the brackets of
-its denominators), ``MAP`` (the update) and ``FINITE`` (a finiteness test).
+What the map decides is written once, as text: ``QUADRANT`` (its
+refusal of a state outside the quadrant), ``RATIO`` (that, then the
+refusal of X = 0 < Y and Y^2/X), ``D1`` and ``D2`` (the brackets of its
+denominators), ``MAP`` (the update) and ``FINITE`` (a finiteness test).
 
     map_kernel    returns _map_step     FINITE + RATIO + MAP
-    iterate       runs _map_scan        RATIO + MAP in convergence's run loop
+    iterate       runs _map_scan        RATIO + MAP in convergence's run loop;
+                  _map_scan_no_e        QUADRANT + MAP without its e terms where e = 0;
+                  _map_scan_no_e_no_beta  and without its beta terms where beta = 0 too
     map_lanes     runs _map_update      MAP, the caller's ratio, on float64 lanes
     map_weights   reads _brackets       FINITE + RATIO, then D1 and D2
 
+The functions in the second column are compiled at import, except the
+run loops, each compiled on its first run (see ``convergence.loop``).
 The run loop's bound test passes only finite states.  Each lane keeps the
 scalar bits; below about 30 lanes one numpy step costs more than the scalar
 steps it replaces.  Tests pin the loop to ``map_kernel`` bit for bit and
@@ -54,7 +59,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
 from .convergence import _finish, _refused  # noqa: F401  # read by the loop compiled here
-from .model import DomainError, HostParams, Kernel, ModelVariant, State, compiled, effective_rates, indented
+from .model import (
+    DomainError, HostParams, Kernel, ModelVariant, State, compiled, effective_rates, indented, rates, without
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,10 +118,13 @@ def _map_constants(params: HostParams, variant: ModelVariant, h: float) -> tuple
     return (1.0 + phi1 * b_x, phi1 * e, phi1, b_x / big_k, params.u_x, beta, e / big_k, phi2, b_y, b_y / big_k, params.u_y)
 
 
-# The map's refusals of a state (px, py), and its ratio py^2/px where the coefficient e/K is nonzero.
-RATIO = """\
+# The map's refusal of a state (px, py) outside the quadrant; then, in RATIO, its ratio py^2/px
+# where the coefficient e/K is nonzero, which refuses X = 0 < Y.
+QUADRANT = """\
 if px < 0 or py < 0:
     raise _refused_state(px, py)
+"""
+RATIO = QUADRANT + """\
 ratio = 0.0
 if e_k and py != 0:
     if px == 0:
@@ -175,7 +185,11 @@ def _refused_state(x: float, y: float) -> DomainError:
     return DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
 
 
-_map_scan = loop("_map_scan", "nsfd", _MAP_CONSTANTS, RATIO + MAP, globals())
+# The run loop's step in each form of model.FORMS: the map, without its e terms and ratio, and
+# without its beta terms too.
+_map_run = loop("_map_scan", "nsfd", _MAP_CONSTANTS, [
+    RATIO + MAP, QUADRANT + without(MAP, "phi1_e", "e_k"), QUADRANT + without(MAP, "phi1_e", "e_k", "beta")
+], globals())
 
 
 def map_weights(
@@ -247,5 +261,5 @@ def iterate(
     recorded unless ``record_every`` thins the output; the initial and
     final states are always present.
     """
-    scan = partial(_map_scan, _map_constants(params, variant, h))
+    scan = partial(_map_run, rates(params, variant), _map_constants(params, variant, h))
     return _run_monitored(scan, params, variant, s0, n_max, h, settings, record_every)

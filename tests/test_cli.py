@@ -1736,9 +1736,10 @@ def test_only_stability_solves_eigenvalues(argv, monkeypatch, capsys):
     assert calls  # the spy sees the solves of the command that prints them
 
 
-extreme_rates = st.one_of(
-    st.just(0.0), st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024))
-)
+# Any positive double from the smallest subnormal up; the step sizes draw from it directly, since
+# filtering the zeros out of extreme_rates rejected enough draws to fail Hypothesis's health check.
+positive_rates = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1024))
+extreme_rates = st.one_of(st.just(0.0), positive_rates)
 
 
 def set_argv(variant, rates, h_list, extra):
@@ -1756,7 +1757,7 @@ def extreme_sets(draw):
     """Any non-negative rates of any variant, with 1-3 positive step sizes and --permissive."""
     variant = draw(st.sampled_from(list(ModelVariant)))
     rates = [draw(extreme_rates) for _ in range(7)]
-    h_list = draw(st.lists(extreme_rates.filter(bool), min_size=1, max_size=3))
+    h_list = draw(st.lists(positive_rates, min_size=1, max_size=3))
     return set_argv(variant, rates, h_list, ["--permissive"])
 
 

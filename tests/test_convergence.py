@@ -1,5 +1,8 @@
+import dataclasses
 import inspect
 import math
+import subprocess
+import sys
 import traceback
 
 import numpy as np
@@ -10,8 +13,8 @@ from hypothesis import strategies as st
 from nsfd_epi.convergence import ENDS_ONLY, ConvergenceMonitor, ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from nsfd_epi.integrators import euler_kernel, simulate_continuous
-from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates
-from nsfd_epi import nsfd
+from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates, without
+from nsfd_epi import integrators, nsfd
 from nsfd_epi.nsfd import iterate, map_kernel
 from test_nsfd import ref_rk4
 
@@ -184,6 +187,7 @@ QUIET = ConvergenceSettings(tol_step=1e-3, window=3, tol_eq=1e-3)  # converges a
 GROWTH = HostParams(b_x=0.0, b_y=0.0, u_x=-0.5, u_y=0.0, K=1.0)  # X grows without bound at h = 1
 # The step at which each scheme's run from (1, 0) under GROWTH leaves the bound 1e6, and a divisor of it.
 DIVERGES_AT = {"nsfd": (20, 4), "rk4": (28, 7), "euler": (35, 5)}
+HORIZONTAL = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, beta=0.1)  # simulate --model horizontal --e 0
 
 
 def edge_examples(test):
@@ -199,6 +203,18 @@ def edge_examples(test):
             (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, -1e-300), 5, QUIET, 1),  # and leaving the quadrant
         ]:
             test = example(case)(test)
+    # Each half of the guard that lets a loop cut the zero-rate terms (model.zero_rates).  From
+    # X = -0.0 the full field writes X = 0.0, where RK4 without the e term keeps -0.0.  At u_x < 0
+    # the full map writes X = -0.0 at every step, where the map without its e terms alternates 0.0
+    # and -0.0 from step 2.
+    for case in [
+        (HORIZONTAL, ModelVariant.HORIZONTAL, "rk4", 0.01, (-0.0, 0.5), 3, ConvergenceSettings(), 1),
+        (
+            dataclasses.replace(HORIZONTAL, u_x=-50.0), ModelVariant.HORIZONTAL, "nsfd", 1.0, (0.0, 0.5), 4,
+            ConvergenceSettings(), 1,
+        ),
+    ]:
+        test = example(case)(test)
     return test
 
 
@@ -285,15 +301,43 @@ def test_run_takes_numpy_integer_step_counts(scheme):
 
 
 def test_generated_loops_show_their_source():
-    # The loops are compiled from text; linecache holds it for inspect and tracebacks.
-    assert nsfd.MAP.splitlines()[0] in inspect.getsource(nsfd._map_scan)
-    huge = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1e100, e=0.02, beta=0.3)
+    # Each form of the loops is compiled from text; linecache holds it for inspect and tracebacks.
+    # A general run takes the form by the value of its rates.
     few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3)
-    with pytest.raises(BlowUpError) as raised:
-        run_loop(huge, ModelVariant.GENERAL, 10.0, (1.2, 0.15), 6, few, 4, "rk4")
-    frames = traceback.extract_tb(raised.value.__traceback__)
-    lines = [frame.line for frame in frames if frame.filename == "<nsfd_epi._rk4_scan>"]
-    assert lines == ["verdict = _refused('rk4', n, px, py, x, y)"]
+    for e, beta, suffix, cut in [
+        (0.02, 0.3, "", ()),
+        (0.0, 0.3, "_no_e", ("phi1_e", "e_k")),
+        (0.0, 0.0, "_no_e_no_beta", ("phi1_e", "e_k", "beta")),
+    ]:
+        params = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=e, beta=beta)
+        iterate(params, ModelVariant.GENERAL, 0.1, (0.3, 0.2), 1)
+        source = inspect.getsource(getattr(nsfd, "_map_scan" + suffix))
+        assert without(nsfd.MAP, *cut).splitlines()[0] in source
+        assert ("ratio" in source) is not bool(cut) and not any(f" {name} *" in source for name in cut)
+        overflows = dataclasses.replace(params, b_x=1e300)  # the first step's second stage starts from X = inf
+        with pytest.raises(BlowUpError) as raised:
+            run_loop(overflows, ModelVariant.GENERAL, 1e10, (0.1, 0.1), 6, few, 4, "rk4")
+        frames = traceback.extract_tb(raised.value.__traceback__)
+        lines = [frame.line for frame in frames if frame.filename == f"<nsfd_epi._rk4_scan{suffix}>"]
+        assert lines == ["verdict = _refused('rk4', n, px, py, x, y)"]
+        assert ("e * g" in inspect.getsource(getattr(integrators, "_rk4_scan" + suffix))) is not bool(cut)
+
+
+def test_loops_compile_on_first_use(package_env):
+    # Import and the commands that run no trajectory compile no loop; a vertical run compiles its form alone.
+    code = """\
+import contextlib, io, linecache
+from nsfd_epi import cli
+def loops(argvs):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in argvs]
+    print(codes, sorted(name for name in linecache.cache if "_scan" in name))
+loops([])
+loops([["equilibria"], ["stability"], ["sweep"]])
+loops([["simulate", "--model", "vertical", "--e", "0", "--beta", "0", "--steps", "1"]])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.stdout.splitlines() == ["[] []", "[0, 0, 0] []", "[0] ['<nsfd_epi._map_scan_no_e_no_beta>']"], proc.stderr
 
 
 def test_proximity_test_names_the_nearest_equilibrium():

@@ -609,8 +609,11 @@ def test_map_weights_match_the_reference_brackets_bit_for_bit(h):
 
 def test_the_maps_brackets_and_ratio_are_written_once():
     # A second copy of the brackets or the ratio could drift from the map, and J - I = W Jc with it.
+    # Each term that a sub-model's run loop cuts is written once too: the loops' forms are cut from
+    # the one text of the field and of the map, not restated.
     sources = {path.name: path.read_text() for path in Path(nsfd.__file__).parent.glob("*.py")}
-    for text in (nsfd.D1, nsfd.D2, "py * py / px"):
+    cut_terms = ("e * g * {y}", "beta * {y}", "beta * {x}", "phi1_e * py", "e_k * py", "e_k * ratio", "beta * py", "beta * px")
+    for text in (nsfd.D1, nsfd.D2, "py * py / px", *cut_terms):
         assert sum(source.count(text) for source in sources.values()) == 1, text
     assert "ratio" not in sources["stability.py"]
     assert not re.search(r"\b(\w+) \* \1 /", sources["stability.py"])
@@ -665,3 +668,55 @@ def test_fused_rk4_matches_field_kernel_staged_bit_for_bit(params, variant, dt, 
         fused.append(rk4_once(p, variant, dt, x, y))
         staged.append(finite_bits(staged_rk4(field_kernel(p, variant), dt)(x, y)))
     assert fused == staged
+
+
+# The RK4 counterpart of the map's test above: a general run with e = 0 takes the same form of the
+# loop as a horizontal run, chosen by the rates' values, and both give the full field's bits,
+# staged through field_kernel, and its verdicts.  A start past the divergence limit, 1e6 K, runs
+# at K = its reach, so that 1e300 components step (and overflow).
+
+
+def rk4_outcome(params, variant, dt, start, n_steps):
+    """The states and verdict of a run that the monitor stays out of, or the message of its BlowUpError."""
+    try:
+        run = simulate_continuous(params, variant, start, dt, n_steps, ConvergenceSettings(window=n_steps + 1))
+    except BlowUpError as exc:
+        return str(exc)
+    return [bits(state) for state in run.states], run.verdict
+
+
+def staged_outcome(params, dt, start, n_steps):
+    """``rk4_outcome`` of the full field stepped by ``staged_rk4``, with the run loop's bound and refusals."""
+    advance, bound = staged_rk4(field_kernel(params, ModelVariant.GENERAL), dt), 1e6 * params.K
+    states, s = [bits(start)], start
+    for n in range(1, n_steps + 1):
+        p, s = s, advance(*s)
+        states.append(bits(s))
+        if not all(map(math.isfinite, s)):
+            return f"rk4 update overflowed at step {n} from {p!r}"
+        if max(abs(s[0]), abs(s[1])) > bound:
+            return states, Verdict(VerdictStatus.DIVERGED, at_step=n)
+    return states, Verdict(VerdictStatus.MAX_STEPS, at_step=n_steps)
+
+
+rk4_starts = st.one_of(densities, subnormals, st.sampled_from([-0.0, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(params=HORIZ_MID, dt=0.01, x=-0.0, y=0.5, n_steps=3)
+@example(params=HORIZ_MID, dt=0.01, x=5e-324, y=1e300, n_steps=2)
+@given(
+    params=strict_params,
+    dt=st.floats(-6.0, 3.0).map(lambda k: 10.0**k),
+    x=rk4_starts,
+    y=rk4_starts,
+    n_steps=st.integers(1, 20),
+)
+def test_general_rk4_with_e_zero_steps_as_the_horizontal_rk4_bit_for_bit(params, dt, x, y, n_steps):
+    params = dataclasses.replace(params, e=0.0)
+    reach = max(abs(x), abs(y))
+    if reach > 1e6 * params.K:
+        params = dataclasses.replace(params, K=reach)
+    expected = staged_outcome(params, dt, (x, y), n_steps)
+    assert rk4_outcome(params, ModelVariant.GENERAL, dt, (x, y), n_steps) == expected
+    assert rk4_outcome(params, ModelVariant.HORIZONTAL, dt, (x, y), n_steps) == expected
