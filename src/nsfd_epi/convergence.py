@@ -15,14 +15,16 @@ and compiles it on the first run that takes it, so that a step makes no
 Python call and an import compiles no loop.  RK4 and the map have a
 step for each form of ``model.FORMS``, and a run takes the one that
 ``model.zero_rates`` allows: the sub-models' zero-rate terms cut, where
-that keeps the full step's bits.  The loop tests divergence, movement
-and the quiet-run count with local comparisons, and calls
-``ConvergenceMonitor.update``, the proximity test, only once the run
-has been quiet for a window.  Its set-up and rare paths are plain
-functions: ``_run_monitored``, ``_refused`` and ``_finish``.  It records
-states only, flat, ``[x0, y0, x1, y1, ...]``, which numpy reads about
-three times as fast as pairs; the recorded steps are every
-``record_every``-th from 0 and the last.  ``ConvergenceMonitor`` stays
+that keeps the full step's bits.  RK4's full form has a C twin, which
+a run takes in place of every form where it loaded (see ``native``).
+The loop tests divergence, movement and the quiet-run count with local
+comparisons, and calls ``ConvergenceMonitor.update``, the proximity
+test, only once the run has been quiet for a window.  Its set-up and
+rare paths are plain functions: ``_run_monitored``, ``_refused`` and
+``_finish``.  It records states only, flat, ``[x0, y0, x1, y1, ...]``,
+which numpy reads about three times as fast as pairs; the recorded
+steps are every ``record_every``-th from 0 and the last.
+``ConvergenceMonitor`` stays
 a class whose ``update`` is read once per run, because the benchmark's
 tracer wraps it to count proximity tests.
 """
@@ -41,6 +43,8 @@ from .model import FORMS, BlowUpError, DomainError, HostParams, ModelVariant, St
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .native import Twin
 
 __all__ = [
     "ConvergenceMonitor",
@@ -175,31 +179,40 @@ def {name}(constants, monitor, s0, n_limit, record_every):
 
 
 def loop(
-    name: str, scheme: str, constants: str, steps: Sequence[str], namespace: dict[str, Any]
+    name: str, scheme: str, constants: str, steps: Sequence[str], namespace: dict[str, Any],
+    native: Callable[[], Twin] | None = None,
 ) -> Callable[..., Recorded]:
     """The scheme's run ``(rates, values, monitor, s0, n_limit, record_every) -> Recorded``.
 
     ``steps`` holds the step's text in the forms of ``model.FORMS``, or
-    in the full form alone.  A run takes the form that ``zero_rates``
-    allows at ``rates`` (RATE_NAMES order) from s0, and the loop of that
-    form unpacks ``values`` into the names ``constants`` lists and runs
-    the step once a step; ``scheme`` names it in a blow-up's message.
-    Each form's loop is compiled on its first run and kept in
-    ``namespace``, which must hold ``_refused`` and ``_finish``, under
-    its name: ``name``, then ``_no_`` and each rate the form cuts.
+    in the full form alone.  A run takes the twin of the full form that
+    ``native()`` gives where it loaded and ``takes`` the run; else the form
+    that ``zero_rates`` allows at ``rates`` (RATE_NAMES order) from s0.
+    The loop of that form unpacks ``values`` into the names
+    ``constants`` lists and runs the step once a step; ``scheme`` names
+    it in a blow-up's message.  Each form's loop is compiled on its first
+    run and kept in ``namespace``, which must hold ``_refused`` and
+    ``_finish``, under its name: ``name``, then ``_no_`` and each rate
+    the form cuts.
     """
     names = [name + "".join(f"_no_{rate}" for rate in cut) for cut in FORMS[: len(steps)]]
+
+    def python(form: int) -> Callable[..., Recorded]:
+        built = namespace.get(names[form])
+        if built is None:
+            source = _LOOP.format(name=names[form], scheme=scheme, constants=constants, step=indented(steps[form]))
+            built = compiled(names[form], source, namespace)
+        return built
 
     def run(
         rates: tuple[float, ...], values: tuple[float, ...], monitor: ConvergenceMonitor,
         s0: tuple[float, float], n_limit: int, record_every: int,
     ) -> Recorded:
-        form = min(zero_rates(rates, s0), len(steps) - 1)
-        built = namespace.get(names[form])
-        if built is None:
-            source = _LOOP.format(name=names[form], scheme=scheme, constants=constants, step=indented(steps[form]))
-            built = compiled(names[form], source, namespace)
-        return built(values, monitor, s0, n_limit, record_every)
+        if native is not None:
+            twin = native()
+            if twin.takes(values, n_limit, python):
+                return twin(values, monitor, s0, n_limit, record_every)
+        return python(min(zero_rates(rates, s0), len(steps) - 1))(values, monitor, s0, n_limit, record_every)
 
     return run
 

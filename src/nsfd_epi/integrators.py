@@ -11,19 +11,27 @@ compiled on its first run.  RK4 has one for each form of
 ``model.FORMS``: where ``model.zero_rates`` allows it, a run at e = 0
 (horizontal, or general) cuts the field's e term, and one at beta = 0
 too its beta terms, with the full field's bits.  Euler always steps
-the full field.  Tests pin both bit for bit against ``field_kernel``
-composed four times and against ``euler_kernel`` (the one-step Euler
-kernel), each stepped by a reference loop.
+the full field.  RK4's full form also has a C twin, ``rk4_twin()`` (see
+``native``): built by the first RK4 run of a process and taken only
+where its canary matched the Python loop bit for bit, it runs every
+RK4 run at K != 0, in any form's bits.  Tests pin both schemes bit for
+bit against ``field_kernel`` composed four times and against
+``euler_kernel`` (the one-step Euler kernel), each stepped by a
+reference loop, and RK4 through the twin and the Python loops alike.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
+from typing import TYPE_CHECKING
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
 from .convergence import _finish, _refused  # noqa: F401  # read by the loops compiled here
 from .model import FIELD, FORMS, RATE_NAMES, DomainError, HostParams, Kernel, ModelVariant, field_kernel, rates, without
+
+if TYPE_CHECKING:
+    from .native import CanaryRun, Twin
 
 __all__ = ["euler_kernel", "simulate_continuous"]
 
@@ -46,24 +54,65 @@ def euler_kernel(params: HostParams, variant: ModelVariant, dt: float) -> Kernel
 
 
 def _rk4_step(field: str) -> str:
-    """RK4's step: ``field`` at each of the four stages, then their weighted sum."""
+    """RK4's step: ``field`` at each of the four stages, then their weighted sum, one assignment a line.
+
+    Each line is then also a C statement without its ``;`` (see ``native``).
+    """
     return "".join([
         field.format(x="px", y="py", dx="k1x", dy="k1y"),
-        "x2, y2 = px + half * k1x, py + half * k1y\n",
+        "x2 = px + half * k1x\ny2 = py + half * k1y\n",
         field.format(x="x2", y="y2", dx="k2x", dy="k2y"),
-        "x3, y3 = px + half * k2x, py + half * k2y\n",
+        "x3 = px + half * k2x\ny3 = py + half * k2y\n",
         field.format(x="x3", y="y3", dx="k3x", dy="k3y"),
-        "x4, y4 = px + dt * k3x, py + dt * k3y\n",
+        "x4 = px + dt * k3x\ny4 = py + dt * k3y\n",
         field.format(x="x4", y="y4", dx="k4x", dy="k4y"),
         "x = px + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)\n",
         "y = py + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)\n",
     ])
 
 
-# RK4 in every form of model.FORMS; forward Euler in the full form only, the step euler_kernel takes.
-_rk4_run = loop("_rk4_scan", "rk4", f"{RATE_NAMES}, dt, half, sixth", [
+_RK4_CONSTANTS = f"{RATE_NAMES}, dt, half, sixth"
+
+
+def _rk4_constants(values: tuple[float, ...], dt: float) -> tuple[float, ...]:
+    """The RK4 loop's constants, named as in _RK4_CONSTANTS: the rates, then dt, dt / 2 and dt / 6."""
+    return (*values, dt, 0.5 * dt, dt / 6.0)
+
+
+def _canary() -> list[CanaryRun]:
+    """The C twin's canary runs, recorded at every step, through each of its returns to Python.
+
+    At dt = 0.1 the general run is quiet from its first step and its
+    proximity test converges at step 12, or the run stops at its budget
+    of 13; it leaves the bound, still finite, at step 28 when X grows
+    without bound, and overflows at K = 1e100 and dt = 10.  The last
+    starts from X = -0.0, which the field writes as 0.0.
+    """
+    from .native import CanaryMonitor
+
+    general, quiet = (0.6, 0.4, 0.1, 0.2, 1.0, 0.02, 0.3), ConvergenceSettings(tol_step=0.05, window=3)
+    return [
+        (_rk4_constants(general, 0.1), CanaryMonitor(1e6, quiet, 12), (0.3, 0.2), 40),
+        (_rk4_constants(general, 0.1), CanaryMonitor(1e6, quiet, 99), (0.3, 0.2), 13),
+        (_rk4_constants((0.0, 0.0, -0.5, 0.0, 1.0, 0.0, 0.0), 1.0), CanaryMonitor(1e6, quiet, 99), (1.0, 0.0), 40),
+        (_rk4_constants((*general[:4], 1e100, *general[5:]), 10.0), CanaryMonitor(1e106, quiet, 99), (1.2, 0.15), 9),
+        (_rk4_constants((0.6, 0.4, 0.1, 0.2, 1.0, 0.0, 0.1), 0.01), CanaryMonitor(1e6, quiet, 99), (-0.0, 0.5), 7),
+    ]
+
+
+@cache
+def rk4_twin() -> Twin:
+    """The C twin of RK4's full loop, one per process; ``native`` is imported by the first RK4 run."""
+    from .native import Twin
+
+    return Twin("_rk4_loop", "rk4", _RK4_CONSTANTS, _rk4_step(FIELD), "big_k", _canary)
+
+
+# RK4 in every form of model.FORMS, with the full form's C twin; forward Euler in the full form
+# only, the step euler_kernel takes.
+_rk4_run = loop("_rk4_scan", "rk4", _RK4_CONSTANTS, [
     _rk4_step(without(FIELD, *cut)) for cut in FORMS
-], globals())
+], globals(), rk4_twin)
 _euler_run = loop("_euler_scan", "euler", f"{RATE_NAMES}, dt", [
     FIELD.format(x="px", y="py", dx="dx", dy="dy") + "x = px + dt * dx\ny = py + dt * dy\n"
 ], globals())
@@ -89,7 +138,7 @@ def simulate_continuous(
         raise DomainError(f"unknown continuous scheme {scheme!r}")
     values = rates(params, variant)
     if scheme == "rk4":
-        scan = partial(_rk4_run, values, (*values, dt, 0.5 * dt, dt / 6.0))
+        scan = partial(_rk4_run, values, _rk4_constants(values, dt))
     else:
         scan = partial(_euler_run, values, (*values, dt))
     return _run_monitored(scan, params, variant, s0, n_max, dt, settings, record_every)

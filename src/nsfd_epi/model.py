@@ -201,8 +201,8 @@ def effective_rates(params: HostParams, variant: ModelVariant) -> tuple[float, f
 
 
 # The vector field's one expression: g, then {dx} and {dy} at ({x}, {y}), the rates named as
-# in RATE_NAMES.  field_kernel and the Euler and RK4 loops of integrators are compiled from it; the
-# RK4 loop's sub-model forms cut the e and beta terms from it (see FORMS).
+# in RATE_NAMES.  field_kernel, the Euler and RK4 loops of integrators and the RK4 loop's C twin
+# are compiled from it; the RK4 loop's sub-model forms cut the e and beta terms from it (see FORMS).
 FIELD = """\
 g = 1.0 - ({x} + {y}) / big_k
 {dx} = (b_x * g - u_x - beta * {y}) * {x} + e * g * {y}

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import inspect
 import math
 import subprocess
 import sys
 import traceback
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from nsfd_epi.convergence import ENDS_ONLY, ConvergenceMonitor, ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from nsfd_epi.integrators import euler_kernel, simulate_continuous
-from nsfd_epi.model import BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates, without
-from nsfd_epi import integrators, nsfd
+from nsfd_epi.model import FIELD, BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates, without
+from nsfd_epi import integrators, native, nsfd
 from nsfd_epi.nsfd import iterate, map_kernel
 from test_nsfd import ref_rk4
 
@@ -24,7 +26,9 @@ from test_nsfd import ref_rk4
 # ``iterate`` against this loop stepping ``map_kernel``, the Euler loop
 # against it stepping ``euler_kernel``, and the RK4 loop of
 # ``simulate_continuous`` against it driven by the test's own RK4 step,
-# ``ref_rk4``.
+# ``ref_rk4``.  RK4 runs three ways: through the C twin of its loop
+# (where a compiler is found), through the twin returning to Python every
+# few steps and rows, and through the Python loops.
 
 
 class RefMonitor:
@@ -98,6 +102,24 @@ def reference_kernel(params, variant, h, scheme):
         return euler_kernel(params, variant, h)
     e, beta = effective_rates(params, variant)
     return lambda x, y: ref_rk4(params.b_x, params.b_y, params.u_x, params.u_y, params.K, e, beta, x, y, h)
+
+
+@contextlib.contextmanager
+def python_rk4():
+    """RK4 runs take the Python loops, as where the C twin's build failed: no compiler is found."""
+    with mock.patch.multiple(integrators.rk4_twin(), function=None, failure=None):
+        with mock.patch.object(native, "compiler", lambda: None):
+            yield
+
+
+def straddled():
+    """The C twin returns to Python every 3 steps and every 2 recorded rows."""
+    return mock.patch.multiple(native, CHUNK=3, CAPACITY=4)
+
+
+# The ways a scheme's runs are taken; each must give the reference's bits.
+LOOPS = {"nsfd": [contextlib.nullcontext], "euler": [contextlib.nullcontext],
+         "rk4": [contextlib.nullcontext, straddled, python_rk4]}
 
 
 def run_loop(params, variant, h, s0, n_steps, run_settings, record_every, scheme):
@@ -215,6 +237,20 @@ def edge_examples(test):
         ),
     ]:
         test = example(case)(test)
+    # The C twin's edges: a quiet count and a recorded row across its returns to Python (straddled),
+    # quiet runs whose proximity tests fail until the budget, an overflow, K = 0 (where Python
+    # raises ZeroDivisionError and the twin does not run), -0.0 starts, and a window and a
+    # record_every past the twin's 64-bit counters.
+    for case in [
+        (GENERAL, ModelVariant.GENERAL, "rk4", 0.1, INTERIOR, 12, ConvergenceSettings(1e-3, 5, 1e-3), 2),
+        (GENERAL, ModelVariant.GENERAL, "rk4", 0.1, (0.19, 0.45), 13, ConvergenceSettings(0.1, 2, 1e-6), 3),
+        (dataclasses.replace(GENERAL, K=1e100), ModelVariant.GENERAL, "rk4", 10.0, (1.2, 0.15), 6, QUIET, 4),
+        (dataclasses.replace(GENERAL, K=0.0), ModelVariant.GENERAL, "rk4", 0.1, (0.0, 0.0), 5, QUIET, 1),
+        (GENERAL, ModelVariant.GENERAL, "rk4", 0.1, (-0.0, -0.0), 5, QUIET, 1),
+        (GENERAL, ModelVariant.GENERAL, "rk4", 0.1, (0.3, -0.0), 5, QUIET, 1),
+        (GENERAL, ModelVariant.GENERAL, "rk4", 0.1, INTERIOR, 9, ConvergenceSettings(1e-3, 2**64 + 1, 1e-3), 2**64 + 1),
+    ]:
+        test = example(case)(test)
     return test
 
 
@@ -228,13 +264,15 @@ def test_run_loop_matches_reference_bit_for_bit(case):
     except DomainError:
         assume(False)
     ref = outcome(lambda: ref_run_monitored(advance, params, variant, s0, n_steps, run_settings, record_every, scheme))
-    new = outcome(lambda: run_loop(params, variant, h, s0, n_steps, run_settings, record_every, scheme))
-    if new[0] == "ok":
-        run = new[1]
-        with np.errstate(over="ignore"):
-            assert run.times.tobytes() == (run.steps * h).tobytes()
-        new = ("ok", (run.steps, run.states, run.verdict))
-    same_bits(ref, new)
+    for taken in LOOPS[scheme]:
+        with taken():
+            new = outcome(lambda: run_loop(params, variant, h, s0, n_steps, run_settings, record_every, scheme))
+        if new[0] == "ok":
+            run = new[1]
+            with np.errstate(over="ignore"):
+                assert run.times.tobytes() == (run.steps * h).tobytes()
+            new = ("ok", (run.steps, run.states, run.verdict))
+        same_bits(ref, new)
 
 
 def test_run_loop_reaches_each_verdict():
@@ -302,7 +340,7 @@ def test_run_takes_numpy_integer_step_counts(scheme):
 
 def test_generated_loops_show_their_source():
     # Each form of the loops is compiled from text; linecache holds it for inspect and tracebacks.
-    # A general run takes the form by the value of its rates.
+    # A general run takes the form by the value of its rates; RK4 runs take the Python loops here.
     few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3)
     for e, beta, suffix, cut in [
         (0.02, 0.3, "", ()),
@@ -315,29 +353,38 @@ def test_generated_loops_show_their_source():
         assert without(nsfd.MAP, *cut).splitlines()[0] in source
         assert ("ratio" in source) is not bool(cut) and not any(f" {name} *" in source for name in cut)
         overflows = dataclasses.replace(params, b_x=1e300)  # the first step's second stage starts from X = inf
-        with pytest.raises(BlowUpError) as raised:
+        with python_rk4(), pytest.raises(BlowUpError) as raised:
             run_loop(overflows, ModelVariant.GENERAL, 1e10, (0.1, 0.1), 6, few, 4, "rk4")
         frames = traceback.extract_tb(raised.value.__traceback__)
         lines = [frame.line for frame in frames if frame.filename == f"<nsfd_epi._rk4_scan{suffix}>"]
         assert lines == ["verdict = _refused('rk4', n, px, py, x, y)"]
         assert ("e * g" in inspect.getsource(getattr(integrators, "_rk4_scan" + suffix))) is not bool(cut)
+    # The C twin's text holds the full step's lines, each as a statement.
+    for line in integrators._rk4_step(FIELD).splitlines():
+        assert f"        {line};\n" in integrators.rk4_twin().source
 
 
 def test_loops_compile_on_first_use(package_env):
-    # Import and the commands that run no trajectory compile no loop; a vertical run compiles its form alone.
+    # Import and the commands that run no trajectory compile no loop and load no ctypes; a vertical
+    # run compiles its form alone.  No NSFD run imports RK4's C twin (numpy imports ctypes itself).
     code = """\
-import contextlib, io, linecache
+import contextlib, io, linecache, sys
 from nsfd_epi import cli
 def loops(argvs):
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [cli.main(argv) for argv in argvs]
-    print(codes, sorted(name for name in linecache.cache if "_scan" in name))
+    print(codes, sorted(name for name in linecache.cache if "_scan" in name), "ctypes" in sys.modules,
+          "nsfd_epi.native" in sys.modules)
 loops([])
 loops([["equilibria"], ["stability"], ["sweep"]])
 loops([["simulate", "--model", "vertical", "--e", "0", "--beta", "0", "--steps", "1"]])
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env, timeout=120)
-    assert proc.stdout.splitlines() == ["[] []", "[0, 0, 0] []", "[0] ['<nsfd_epi._map_scan_no_e_no_beta>']"], proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[] [] False False",
+        "[0, 0, 0] [] False False",
+        "[0] ['<nsfd_epi._map_scan_no_e_no_beta>'] True False",
+    ], proc.stderr
 
 
 def test_proximity_test_names_the_nearest_equilibrium():
