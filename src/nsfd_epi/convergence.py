@@ -9,14 +9,11 @@ infinity norm exceeds ``divergence_factor * scale`` (scale is the
 carrying capacity) is declared diverged.
 
 One run loop applies the rule: ``_LOOP``, written once as source text
-with the step left open.  ``loop`` splices in a scheme's step (the NSFD
-map's is ``nsfd.MAP``; Euler's and RK4's are built from ``model.FIELD``)
+with the step left open.  ``loop`` splices in one step text (the NSFD
+map's are built from ``nsfd.MAP``; Euler's and RK4's from ``model.FIELD``)
 and compiles it on the first run that takes it, so that a step makes no
-Python call and an import compiles no loop.  RK4 and the map have a
-step for each form of ``model.FORMS``, and a run takes the one that
-``model.zero_rates`` allows: the sub-models' zero-rate terms cut, where
-that keeps the full step's bits.  RK4's full form has a C twin, which
-a run takes in place of every form where it loaded (see ``native``).
+Python call and an import compiles no loop.  RK4's loop has a C twin,
+which a run takes where it loaded (see ``native``).
 The loop tests divergence, movement and the quiet-run count with local
 comparisons, and calls ``ConvergenceMonitor.update``, the proximity
 test, only once the run has been quiet for a window.  Its set-up and
@@ -39,7 +36,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
-from .model import FORMS, BlowUpError, DomainError, HostParams, ModelVariant, State, compiled, indented, zero_rates
+from .model import BlowUpError, DomainError, HostParams, ModelVariant, State, compiled, indented
 
 if TYPE_CHECKING:
     import numpy as np
@@ -179,40 +176,35 @@ def {name}(constants, monitor, s0, n_limit, record_every):
 
 
 def loop(
-    name: str, scheme: str, constants: str, steps: Sequence[str], namespace: dict[str, Any],
+    name: str, scheme: str, constants: str, step: str, namespace: dict[str, Any],
     native: Callable[[], Twin] | None = None,
 ) -> Callable[..., Recorded]:
-    """The scheme's run ``(rates, values, monitor, s0, n_limit, record_every) -> Recorded``.
+    """The scheme's run ``(values, monitor, s0, n_limit, record_every) -> Recorded``.
 
-    ``steps`` holds the step's text in the forms of ``model.FORMS``, or
-    in the full form alone.  A run takes the twin of the full form that
-    ``native()`` gives where it loaded and ``takes`` the run; else the form
-    that ``zero_rates`` allows at ``rates`` (RATE_NAMES order) from s0.
-    The loop of that form unpacks ``values`` into the names
-    ``constants`` lists and runs the step once a step; ``scheme`` names
-    it in a blow-up's message.  Each form's loop is compiled on its first
-    run and kept in ``namespace``, which must hold ``_refused`` and
-    ``_finish``, under its name: ``name``, then ``_no_`` and each rate
-    the form cuts.
+    A run takes the twin that ``native()`` gives where it loaded and
+    ``takes`` the run; else the loop ``name``, which unpacks ``values``
+    into the names ``constants`` lists and runs ``step`` once a step.
+    ``scheme`` names it in a blow-up's message.  The loop is compiled on
+    its first run and kept in ``namespace``, which must hold ``_refused``
+    and ``_finish``.
     """
-    names = [name + "".join(f"_no_{rate}" for rate in cut) for cut in FORMS[: len(steps)]]
 
-    def python(form: int) -> Callable[..., Recorded]:
-        built = namespace.get(names[form])
+    def python() -> Callable[..., Recorded]:
+        built = namespace.get(name)
         if built is None:
-            source = _LOOP.format(name=names[form], scheme=scheme, constants=constants, step=indented(steps[form]))
-            built = compiled(names[form], source, namespace)
+            source = _LOOP.format(name=name, scheme=scheme, constants=constants, step=indented(step))
+            built = compiled(name, source, namespace)
         return built
 
     def run(
-        rates: tuple[float, ...], values: tuple[float, ...], monitor: ConvergenceMonitor,
-        s0: tuple[float, float], n_limit: int, record_every: int,
+        values: tuple[float, ...], monitor: ConvergenceMonitor, s0: tuple[float, float], n_limit: int,
+        record_every: int,
     ) -> Recorded:
         if native is not None:
             twin = native()
-            if twin.takes(values, n_limit, python):
+            if twin.takes(values, n_limit, python()):
                 return twin(values, monitor, s0, n_limit, record_every)
-        return python(min(zero_rates(rates, s0), len(steps) - 1))(values, monitor, s0, n_limit, record_every)
+        return python()(values, monitor, s0, n_limit, record_every)
 
     return run
 

@@ -6,18 +6,16 @@ nonstandard maps avoid.  Neither scheme clamps states: negative or
 diverging trajectories are reported as-is.
 
 Both run in ``convergence``'s run loop with their step built from
-``model.FIELD``: four stages for RK4, one for Euler.  Each loop is
-compiled on its first run.  RK4 has one for each form of
-``model.FORMS``: where ``model.zero_rates`` allows it, a run at e = 0
-(horizontal, or general) cuts the field's e term, and one at beta = 0
-too its beta terms, with the full field's bits.  Euler always steps
-the full field.  RK4's full form also has a C twin, ``rk4_twin()`` (see
-``native``): built by the first RK4 run of a process and taken only
-where its canary matched the Python loop bit for bit, it runs every
-RK4 run at K != 0, in any form's bits.  Tests pin both schemes bit for
-bit against ``field_kernel`` composed four times and against
-``euler_kernel`` (the one-step Euler kernel), each stepped by a
-reference loop, and RK4 through the twin and the Python loops alike.
+``model.FIELD``, the full field at every rate: four stages for RK4, one
+for Euler.  Each loop is compiled on its first run.  RK4's loop also
+has a C twin, ``rk4_twin()`` (see ``native``): built by the first RK4
+run of a process and taken only where its canary matched the Python
+loop bit for bit, it runs every RK4 run at K != 0.  The Python loop is
+the canary's reference and runs the rest, as where no compiler is
+found.  Tests pin both schemes bit for bit against ``field_kernel``
+composed four times and against ``euler_kernel`` (the one-step Euler
+kernel), each stepped by a reference loop, and RK4 through the twin
+and the Python loop alike.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
 from .convergence import _finish, _refused  # noqa: F401  # read by the loops compiled here
-from .model import FIELD, FORMS, RATE_NAMES, DomainError, HostParams, Kernel, ModelVariant, field_kernel, rates, without
+from .model import FIELD, RATE_NAMES, DomainError, HostParams, Kernel, ModelVariant, field_kernel, rates
 
 if TYPE_CHECKING:
     from .native import CanaryRun, Twin
@@ -102,20 +100,17 @@ def _canary() -> list[CanaryRun]:
 
 @cache
 def rk4_twin() -> Twin:
-    """The C twin of RK4's full loop, one per process; ``native`` is imported by the first RK4 run."""
+    """The C twin of RK4's loop, one per process; ``native`` is imported by the first RK4 run."""
     from .native import Twin
 
     return Twin("_rk4_loop", "rk4", _RK4_CONSTANTS, _rk4_step(FIELD), "big_k", _canary)
 
 
-# RK4 in every form of model.FORMS, with the full form's C twin; forward Euler in the full form
-# only, the step euler_kernel takes.
-_rk4_run = loop("_rk4_scan", "rk4", _RK4_CONSTANTS, [
-    _rk4_step(without(FIELD, *cut)) for cut in FORMS
-], globals(), rk4_twin)
-_euler_run = loop("_euler_scan", "euler", f"{RATE_NAMES}, dt", [
+# RK4 with its C twin; forward Euler, the step euler_kernel takes.
+_rk4_run = loop("_rk4_scan", "rk4", _RK4_CONSTANTS, _rk4_step(FIELD), globals(), rk4_twin)
+_euler_run = loop("_euler_scan", "euler", f"{RATE_NAMES}, dt", (
     FIELD.format(x="px", y="py", dx="dx", dy="dy") + "x = px + dt * dx\ny = py + dt * dy\n"
-], globals())
+), globals())
 
 
 def simulate_continuous(
@@ -138,7 +133,7 @@ def simulate_continuous(
         raise DomainError(f"unknown continuous scheme {scheme!r}")
     values = rates(params, variant)
     if scheme == "rk4":
-        scan = partial(_rk4_run, values, _rk4_constants(values, dt))
+        scan = partial(_rk4_run, _rk4_constants(values, dt))
     else:
-        scan = partial(_euler_run, values, (*values, dt))
+        scan = partial(_euler_run, (*values, dt))
     return _run_monitored(scan, params, variant, s0, n_max, dt, settings, record_every)

@@ -202,45 +202,18 @@ def effective_rates(params: HostParams, variant: ModelVariant) -> tuple[float, f
 
 # The vector field's one expression: g, then {dx} and {dy} at ({x}, {y}), the rates named as
 # in RATE_NAMES.  field_kernel, the Euler and RK4 loops of integrators and the RK4 loop's C twin
-# are compiled from it; the RK4 loop's sub-model forms cut the e and beta terms from it (see FORMS).
+# are compiled from it, whole at every rate.
 FIELD = """\
 g = 1.0 - ({x} + {y}) / big_k
 {dx} = (b_x * g - u_x - beta * {y}) * {x} + e * g * {y}
 {dy} = (b_y * g - u_y + beta * {x}) * {y}
 """
 RATE_NAMES = "b_x, b_y, u_x, u_y, big_k, e, beta"
-# The forms of a run loop's step, each named by the rates whose terms it cuts; zero_rates picks one.
-FORMS = ((), ("e",), ("e", "beta"))
 
 
 def rates(params: HostParams, variant: ModelVariant) -> tuple[float, ...]:
     """The variant's rates in RATE_NAMES order, e and beta as it uses them (see effective_rates)."""
     return (params.b_x, params.b_y, params.u_x, params.u_y, params.K, *effective_rates(params, variant))
-
-
-def zero_rates(values: tuple[float, ...], start: tuple[float, float]) -> int:
-    """The index in FORMS of the step a run at these rates (RATE_NAMES order) may take from ``start``.
-
-    A form that cuts zero-rate terms keeps the full step's bits where
-    no start component is -0.0 and every rate is finite and >= 0; else
-    the full form (0) runs.  A cut term is a signed zero, or NaN where
-    the state it leads to is not finite, which both forms refuse.
-    Under round-to-nearest a + b is -0.0 only when both terms are, so
-    no state and no RK4 stage (a state plus a product) is ever -0.0,
-    and a cut zero changes at most the sign of a zero slope, which
-    adding it to such a state drops.  With rates >= 0 the map's gain
-    and both its denominators stay >= 1, so its X never turns -0.0 and
-    1.0 + phi times a signed zero is 1.0.  Each half of the guard has
-    its counterexample: RK4 from X = -0.0, which the full field turns
-    to +0.0, and the map at u_x < 0, whose negative denominator makes
-    X = -0.0 by itself.
-    """
-    *_, e, beta = values
-    if e != 0.0 or not all(0.0 <= value < math.inf for value in values):
-        return 0
-    if any(value == 0.0 and math.copysign(1.0, value) < 0.0 for value in start):
-        return 0
-    return 2 if beta == 0.0 else 1
 
 
 def without(text: str, *names: str) -> str:
@@ -266,7 +239,7 @@ def compiled(name: str, source: str, namespace: dict[str, Any]) -> Any:
 
     It builds every generated function: at import, ``_field`` here from ``FIELD`` and
     ``nsfd._map_update``, ``_map_step`` and ``_brackets`` from ``nsfd``'s snippets; on first use,
-    each form of the run loops from ``convergence._LOOP`` (see ``convergence.loop``).  The text is
+    each run loop from ``convergence._LOOP`` (see ``convergence.loop``).  The text is
     registered in ``linecache`` as ``<nsfd_epi.NAME>``, so tracebacks and ``inspect.getsource`` show it.
     """
     filename = f"<nsfd_epi.{name}>"

@@ -1,6 +1,6 @@
 """A run loop as machine code: the C twin of ``convergence._LOOP`` for one step text.
 
-RK4's full step, ``integrators._rk4_step(model.FIELD)``, is written one
+RK4's step, ``integrators._rk4_step(model.FIELD)``, is written one
 assignment per line, so that each of its lines with a ``;`` is C.  A
 ``Twin`` splices it into ``_C_LOOP``, which steps and tests as
 ``_LOOP`` does.  It is built on the first run that asks for it, once
@@ -216,9 +216,9 @@ def _outcome(run: Callable[[], Recorded]) -> tuple[Any, ...]:
 
 
 class Twin:
-    """The C twin of a run loop's full form, built and checked on its first use.
+    """The C twin of a run loop, built and checked on its first use.
 
-    ``step`` is the full form's step text, one assignment per line, in
+    ``step`` is the loop's step text, one assignment per line, in
     the names ``constants`` lists; the step divides by ``divisor`` alone.
     ``canary()`` gives the canary's runs.  ``function`` is the loaded C
     loop, or None; ``failure`` says why it did not load, or is None
@@ -244,17 +244,17 @@ class Twin:
         self.failure: str | None = None
         self._lock = threading.Lock()
 
-    def takes(self, values: Sequence[float], n_limit: int, python: Callable[[int], Callable[..., Recorded]]) -> bool:
+    def takes(self, values: Sequence[float], n_limit: int, python: Callable[..., Recorded]) -> bool:
         """Whether a run at ``values`` of at most ``n_limit`` steps takes the twin.
 
         The first call builds the twin and runs its canary against
-        ``python(0)``, the Python loop of the full form.  A run takes
-        the twin where it loaded, its divisor is not zero (where Python
+        ``python``, the Python loop of the same step.  A run takes the
+        twin where it loaded, its divisor is not zero (where Python
         raises ZeroDivisionError, C would divide) and ``n_limit`` is
         below ``BUDGET_LIMIT``.
         """
         if self.function is None and self.failure is None:
-            self._load(python(0))
+            self._load(python)
         return self.function is not None and values[self.divisor] != 0.0 and n_limit < BUDGET_LIMIT
 
     def __call__(

@@ -20,7 +20,7 @@ with phi1 -> h as beta -> 0.  One map serves the whole model family:
 The horizontal variant is this map with e = 0, the vertical one with
 e = 0 and beta = 0 (so phi1 = h).  Their zero rates make the e and beta
 terms signed zeros, which the run loop of ``iterate`` cuts from the text
-where ``model.zero_rates`` allows it, keeping the map's bits.  The Y^2/X
+where ``zero_rates`` allows it, keeping the map's bits.  The Y^2/X
 ratio is formed only where its coefficient e/K is nonzero and Y != 0;
 at X = 0 it is infinite, and 0 * inf would turn the invariant X = 0
 axis of a map with e = 0 into NaN.  With e > 0 the map refuses X <= 0
@@ -43,7 +43,8 @@ denominators), ``MAP`` (the update) and ``FINITE`` (a finiteness test).
     map_weights   reads _brackets       FINITE + RATIO, then D1 and D2
 
 The functions in the second column are compiled at import, except the
-run loops, each compiled on its first run (see ``convergence.loop``).
+run loops, built from ``MAP_STEPS``, each on its first run (see
+``convergence.loop``).
 The run loop's bound test passes only finite states.  Each lane keeps the
 scalar bits; below about 30 lanes one numpy step costs more than the scalar
 steps it replaces.  Tests pin the loop to ``map_kernel`` bit for bit and
@@ -54,11 +55,10 @@ error for error, the lanes bit for bit, and ``map_weights``'s refusals to
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
-from .convergence import _finish, _refused  # noqa: F401  # read by the loop compiled here
+from .convergence import ConvergenceMonitor, ConvergenceSettings, Recorded, Trajectory, _run_monitored, loop
+from .convergence import _finish, _refused  # noqa: F401  # read by the loops compiled here
 from .model import (
     DomainError, HostParams, Kernel, ModelVariant, State, compiled, effective_rates, indented, rates, without
 )
@@ -185,11 +185,36 @@ def _refused_state(x: float, y: float) -> DomainError:
     return DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
 
 
-# The run loop's step in each form of model.FORMS: the map, without its e terms and ratio, and
-# without its beta terms too.
-_map_run = loop("_map_scan", "nsfd", _MAP_CONSTANTS, [
-    RATIO + MAP, QUADRANT + without(MAP, "phi1_e", "e_k"), QUADRANT + without(MAP, "phi1_e", "e_k", "beta")
-], globals())
+# The run loop's forms, each its name and its step: the map, without its e terms and ratio, and
+# without its beta terms too.  zero_rates picks one.
+MAP_STEPS = (
+    ("_map_scan", RATIO + MAP),
+    ("_map_scan_no_e", QUADRANT + without(MAP, "phi1_e", "e_k")),
+    ("_map_scan_no_e_no_beta", QUADRANT + without(MAP, "phi1_e", "e_k", "beta")),
+)
+_map_runs = [loop(name, "nsfd", _MAP_CONSTANTS, step, globals()) for name, step in MAP_STEPS]
+
+
+def zero_rates(values: tuple[float, ...], start: tuple[float, float]) -> int:
+    """The index in MAP_STEPS of the form a run at these rates (RATE_NAMES order) may take from ``start``.
+
+    A form that cuts zero-rate terms keeps the full map's bits where
+    no start component is -0.0 and every rate is finite and >= 0; else
+    the full form (0) runs.  A cut term is a signed zero, because the
+    step reads finite states only.  Under round-to-nearest, adding a
+    signed zero to a sum leaves it as it is unless the sum is -0.0.
+    With rates >= 0 the map's gain and both its denominators stay >= 1,
+    so its X never turns -0.0 and 1.0 + phi times a signed zero is 1.0.
+    Each half of the guard has its counterexample: the map from
+    X = -0.0, which the full map turns to +0.0, and the map at u_x < 0,
+    whose negative denominator makes X = -0.0 by itself.
+    """
+    *_, e, beta = values
+    if e != 0.0 or not all(0.0 <= value < math.inf for value in values):
+        return 0
+    if any(value == 0.0 and math.copysign(1.0, value) < 0.0 for value in start):
+        return 0
+    return 2 if beta == 0.0 else 1
 
 
 def map_weights(
@@ -209,7 +234,8 @@ def map_weights(
 
     def weights(h: float) -> tuple[float, float]:
         phi1, phi2 = denominators(params, variant, h)
-        w1, w2 = phi1 / (1.0 + phi1 * d1), phi2 / (1.0 + phi2 * d2)
+        den1, den2 = 1.0 + phi1 * d1, 1.0 + phi2 * d2  # 0 where a bracket is -1/phi: an infinite entry
+        w1, w2 = (phi1 / den1, phi2 / den2) if den1 and den2 else (math.inf, math.inf)
         if not (math.isfinite(w1) and math.isfinite(w2) and w1 != 0.0 and w2 != 0.0):
             raise DomainError(f"discrete linearization at ({x!r}, {y!r}) with h = {h!r} is out of floating-point range")
         return w1, w2
@@ -261,5 +287,9 @@ def iterate(
     recorded unless ``record_every`` thins the output; the initial and
     final states are always present.
     """
-    scan = partial(_map_run, rates(params, variant), _map_constants(params, variant, h))
+    values, constants = rates(params, variant), _map_constants(params, variant, h)
+
+    def scan(monitor: ConvergenceMonitor, s: tuple[float, float], n_limit: int, every: int) -> Recorded:
+        return _map_runs[zero_rates(values, s)](constants, monitor, s, n_limit, every)
+
     return _run_monitored(scan, params, variant, s0, n_max, h, settings, record_every)

@@ -1484,6 +1484,8 @@ def cli_cases(draw):
 @example(case=(["stability", "--bx=1e300"], None, None))
 @example(case=(["sweep", "--bx=1.3e154", "--by=1.3e154", "--ux=2.9", "--uy=1.3e154", "--beta=2.9"], None, None))
 @example(case=(["stability", "--uy=2.2e-313", "--permissive", "--h=2.2e-313"], None, None))
+# 1 + phi1 D1 is exactly 0 at h = 0.1: W's entry is infinite.
+@example(case=(["stability", "--uy=-1.3e+154", "--e=0.0", "--beta=-5.4560717808184424e+16", "--permissive"], None, None))
 @example(case=(["simulate", "--steps=3"], "dir", None))
 @example(case=(["portrait", "--format=json", "--steps=3"], "dir", None))
 @example(case=(["portrait", "--steps=3"], "-", None))

@@ -28,7 +28,7 @@ from test_nsfd import ref_rk4
 # ``simulate_continuous`` against it driven by the test's own RK4 step,
 # ``ref_rk4``.  RK4 runs three ways: through the C twin of its loop
 # (where a compiler is found), through the twin returning to Python every
-# few steps and rows, and through the Python loops.
+# few steps and rows, and through the Python loop.
 
 
 class RefMonitor:
@@ -106,7 +106,7 @@ def reference_kernel(params, variant, h, scheme):
 
 @contextlib.contextmanager
 def python_rk4():
-    """RK4 runs take the Python loops, as where the C twin's build failed: no compiler is found."""
+    """RK4 runs take the Python loop, as where the C twin's build failed: no compiler is found."""
     with mock.patch.multiple(integrators.rk4_twin(), function=None, failure=None):
         with mock.patch.object(native, "compiler", lambda: None):
             yield
@@ -225,16 +225,22 @@ def edge_examples(test):
             (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, -1e-300), 5, QUIET, 1),  # and leaving the quadrant
         ]:
             test = example(case)(test)
-    # Each half of the guard that lets a loop cut the zero-rate terms (model.zero_rates).  From
-    # X = -0.0 the full field writes X = 0.0, where RK4 without the e term keeps -0.0.  At u_x < 0
-    # the full map writes X = -0.0 at every step, where the map without its e terms alternates 0.0
-    # and -0.0 from step 2.
+    # Each half of the guard that lets the map's loop cut the zero-rate terms (nsfd.zero_rates).
+    # From X = -0.0 at the benchmark's horizontal rates the full map writes X = 0.0 from step 1,
+    # where the map without its e terms keeps -0.0.  At u_x < 0 the full map writes X = -0.0 at
+    # every step, where the map without its e terms alternates 0.0 and -0.0 from step 2.  RK4
+    # steps the full field at every rate; from X = -0.0 the field writes X = 0.0, in the twin
+    # and the Python loop alike.
     for case in [
-        (HORIZONTAL, ModelVariant.HORIZONTAL, "rk4", 0.01, (-0.0, 0.5), 3, ConvergenceSettings(), 1),
+        (
+            dataclasses.replace(HORIZONTAL, K=1.2, beta=0.3), ModelVariant.HORIZONTAL, "nsfd", 0.1, (-0.0, 0.5), 3,
+            ConvergenceSettings(), 1,
+        ),
         (
             dataclasses.replace(HORIZONTAL, u_x=-50.0), ModelVariant.HORIZONTAL, "nsfd", 1.0, (0.0, 0.5), 4,
             ConvergenceSettings(), 1,
         ),
+        (HORIZONTAL, ModelVariant.HORIZONTAL, "rk4", 0.01, (-0.0, 0.5), 3, ConvergenceSettings(), 1),
     ]:
         test = example(case)(test)
     # The C twin's edges: a quiet count and a recorded row across its returns to Python (straddled),
@@ -339,8 +345,9 @@ def test_run_takes_numpy_integer_step_counts(scheme):
 
 
 def test_generated_loops_show_their_source():
-    # Each form of the loops is compiled from text; linecache holds it for inspect and tracebacks.
-    # A general run takes the form by the value of its rates; RK4 runs take the Python loops here.
+    # Each loop is compiled from text; linecache holds it for inspect and tracebacks.  A general
+    # map run takes its form by the value of its rates; RK4 takes its one Python loop here, the
+    # full field at every rate.
     few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3)
     for e, beta, suffix, cut in [
         (0.02, 0.3, "", ()),
@@ -356,9 +363,11 @@ def test_generated_loops_show_their_source():
         with python_rk4(), pytest.raises(BlowUpError) as raised:
             run_loop(overflows, ModelVariant.GENERAL, 1e10, (0.1, 0.1), 6, few, 4, "rk4")
         frames = traceback.extract_tb(raised.value.__traceback__)
-        lines = [frame.line for frame in frames if frame.filename == f"<nsfd_epi._rk4_scan{suffix}>"]
+        assert [frame.filename for frame in frames if frame.filename.startswith("<")] == ["<nsfd_epi._rk4_scan>"]
+        lines = [frame.line for frame in frames if frame.filename == "<nsfd_epi._rk4_scan>"]
         assert lines == ["verdict = _refused('rk4', n, px, py, x, y)"]
-        assert ("e * g" in inspect.getsource(getattr(integrators, "_rk4_scan" + suffix))) is not bool(cut)
+        assert "e * g" in inspect.getsource(integrators._rk4_scan)
+    assert not [name for name in vars(integrators) if name.startswith("_rk4_scan_no_")]
     # The C twin's text holds the full step's lines, each as a statement.
     for line in integrators._rk4_step(FIELD).splitlines():
         assert f"        {line};\n" in integrators.rk4_twin().source

@@ -1,4 +1,4 @@
-"""RK4's C twin: where it loads, its canary, and the Python loops where it does not."""
+"""RK4's C twin: where it loads, its canary, and the Python loop where it does not."""
 
 import contextlib
 import dataclasses
@@ -27,7 +27,7 @@ def general_run():
 
 @needs_compiler
 def test_native_loop_loads_where_a_compiler_is_found():
-    # Where a compiler is found, RK4 must not fall back to the Python loops without a word.
+    # Where a compiler is found, RK4 must not fall back to the Python loop without a word.
     simulate_continuous(GENERAL, ModelVariant.GENERAL, (0.3, 0.2), 0.1, 1)
     assert integrators.rk4_twin().function is not None, integrators.rk4_twin().failure
 

@@ -609,8 +609,8 @@ def test_map_weights_match_the_reference_brackets_bit_for_bit(h):
 
 def test_the_maps_brackets_and_ratio_are_written_once():
     # A second copy of the brackets or the ratio could drift from the map, and J - I = W Jc with it.
-    # Each term that a sub-model's run loop cuts is written once too: the loops' forms are cut from
-    # the one text of the field and of the map, not restated.
+    # Each term that a sub-model's map loop cuts is written once too, and each zero-rate term of the
+    # field: the map's forms are cut from its one text, and RK4 steps the one field, not restated.
     sources = {path.name: path.read_text() for path in Path(nsfd.__file__).parent.glob("*.py")}
     cut_terms = ("e * g * {y}", "beta * {y}", "beta * {x}", "phi1_e * py", "e_k * py", "e_k * ratio", "beta * py", "beta * px")
     for text in (nsfd.D1, nsfd.D2, "py * py / px", *cut_terms):
@@ -670,9 +670,9 @@ def test_fused_rk4_matches_field_kernel_staged_bit_for_bit(params, variant, dt, 
     assert fused == staged
 
 
-# The RK4 counterpart of the map's test above: a general run with e = 0 takes the same form of the
-# loop as a horizontal run, chosen by the rates' values, and both give the full field's bits,
-# staged through field_kernel, and its verdicts.  A start past the divergence limit, 1e6 K, runs
+# The RK4 counterpart of the map's test above: a general run with e = 0 and a horizontal run both
+# step the full field, through the C twin where it loaded, and give the full field's bits, staged
+# through field_kernel, and its verdicts.  A start past the divergence limit, 1e6 K, runs
 # at K = its reach, so that 1e300 components step (and overflow).
 
 
