@@ -10,10 +10,11 @@ carrying capacity) is declared diverged.
 
 One run loop applies the rule: ``_LOOP``, written once as source text
 with the step left open.  ``loop`` splices in one step text (the NSFD
-map's are built from ``nsfd.MAP``; Euler's and RK4's from ``model.FIELD``)
-and compiles it on the first run that takes it, so that a step makes no
-Python call and an import compiles no loop.  RK4's loop has a C twin,
-which a run takes where it loaded (see ``native``).
+map's is ``nsfd.RATIO + nsfd.MAP``; Euler's and RK4's are built from
+``model.FIELD``) and compiles it on the first run that takes it, so that
+a step makes no Python call and an import compiles no loop.  The map's
+and RK4's loops have C twins, which a run in their domain takes where
+they loaded (see ``native``).
 The loop tests divergence, movement and the quiet-run count with local
 comparisons, and calls ``ConvergenceMonitor.update``, the proximity
 test, only once the run has been quiet for a window.  Its set-up and

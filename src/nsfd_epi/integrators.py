@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
 from .convergence import _finish, _refused  # noqa: F401  # read by the loops compiled here
@@ -98,12 +98,17 @@ def _canary() -> list[CanaryRun]:
     ]
 
 
+def _nonzero_k(values: Sequence[float]) -> bool:
+    """Whether K, the one divisor of RK4's step (the fifth constant), is not 0, where Python raises ZeroDivisionError."""
+    return values[4] != 0.0
+
+
 @cache
 def rk4_twin() -> Twin:
     """The C twin of RK4's loop, one per process; ``native`` is imported by the first RK4 run."""
     from .native import Twin
 
-    return Twin("_rk4_loop", "rk4", _RK4_CONSTANTS, _rk4_step(FIELD), "big_k", _canary)
+    return Twin("_rk4_loop", "rk4", _RK4_CONSTANTS, _rk4_step(FIELD), _nonzero_k, _canary)
 
 
 # RK4 with its C twin; forward Euler, the step euler_kernel takes.

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import linecache
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, NamedTuple
@@ -214,19 +213,6 @@ RATE_NAMES = "b_x, b_y, u_x, u_y, big_k, e, beta"
 def rates(params: HostParams, variant: ModelVariant) -> tuple[float, ...]:
     """The variant's rates in RATE_NAMES order, e and beta as it uses them (see effective_rates)."""
     return (params.b_x, params.b_y, params.u_x, params.u_y, params.K, *effective_rates(params, variant))
-
-
-def without(text: str, *names: str) -> str:
-    """``text`` without each product term led by one of ``names``, and the `` + `` or `` - `` before it.
-
-    Raises ValueError for a name that leads no term, so that an edit of
-    the text cannot leave a form with a zero term it meant to cut.
-    """
-    for name in names:
-        text, cut = re.subn(rf" [-+] {name} \* [\w{{}}]+(?: \* [\w{{}}]+)*", "", text)
-        if not cut:
-            raise ValueError(f"no term led by {name!r} in {text!r}")
-    return text
 
 
 def indented(snippet: str) -> str:

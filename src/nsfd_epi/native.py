@@ -1,11 +1,13 @@
 """A run loop as machine code: the C twin of ``convergence._LOOP`` for one step text.
 
-RK4's step, ``integrators._rk4_step(model.FIELD)``, is written one
-assignment per line, so that each of its lines with a ``;`` is C.  A
-``Twin`` splices it into ``_C_LOOP``, which steps and tests as
-``_LOOP`` does.  It is built on the first run that asks for it, once
-per process, with the compiler Python was built with
-(``sysconfig``'s ``CC``) at ``-O2 -fno-fast-math -ffp-contract=off``,
+RK4's step, ``integrators._rk4_step(model.FIELD)``, and the NSFD map's,
+``nsfd.RATIO + nsfd.MAP``, are written one statement per line.  A
+``Twin`` turns each line into C (``_c_step``: an assignment takes a
+``;``, an ``if …:`` a braced C ``if`` with ``||`` and ``&&``, and a
+``raise`` a return to Python) and splices the step into ``_C_LOOP``,
+which steps and tests as ``_LOOP`` does.  It is built on the first run
+that asks for it, once per process, with the compiler Python was built
+with (``sysconfig``'s ``CC``) at ``-O2 -fno-fast-math -ffp-contract=off``,
 in a private temporary directory, with the compiler's output captured
 and a timeout; ``ctypes`` loads the library and the directory is
 removed.  The twin is taken only if its canary, a few fixed runs
@@ -16,10 +18,12 @@ load, and for a run outside its domain, the run takes the Python loop.
 The C loop returns to Python wherever ``_LOOP`` would call Python or
 Python must see the run: when the run has been quiet for a window
 (``ConvergenceMonitor.update``, the proximity test, runs in Python),
-when a state leaves the bound (``_refused``), when its record buffer is
-full, and at least every ``CHUNK`` steps, so that signals and other
-threads get in.  The first RK4 run of a process imports this module
-and ``ctypes`` and starts the compiler; no other run and no import does.
+when a state leaves the bound (``_refused``), when the step refuses its
+state (the twin's ``refused`` raises the Python loop's own error), when
+its record buffer is full, and at least every ``CHUNK`` steps, so that
+signals and other threads get in.  The first run of a process that has
+a twin imports this module and ``ctypes`` and starts the compiler; no
+other run and no import does.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 60
 # A run whose step budget reaches this could overflow the loop's 64-bit counters.
 BUDGET_LIMIT = 1 << 62
-# Why a C call returned: its stop step, a state beyond the bound, a quiet window, a full buffer.
-STOPPED, LEFT, QUIET, FULL = range(4)
+# Why a C call returned: its stop step, a state beyond the bound, a quiet window, a full buffer, a refused state.
+STOPPED, LEFT, QUIET, FULL, REFUSED = range(5)
 
 # The twin of convergence._LOOP, its step left open.  c holds the constants, then the bound and
 # tol_step; s the state x, y and the state before it, px, py; k the step n, the step to stop at,
@@ -170,11 +174,39 @@ def _built(name: str, source: str) -> Any:
     return function
 
 
+def _c_step(step: str) -> str:
+    """The step text as C, line by line, in the loop body.
+
+    An assignment takes a ``;``; ``if …:`` opens a braced C ``if``,
+    its ``or`` and ``and`` written ``||`` and ``&&``, which the dedent
+    after its block closes; ``raise …`` returns to Python with
+    ``REFUSED`` before the step assigns x and y.
+    """
+    lines: list[str] = []
+    depth = 0
+    for line in step.splitlines():
+        statement = line.lstrip()
+        level = (len(line) - len(statement)) // 4
+        while depth > level:
+            depth -= 1
+            lines.append("    " * depth + "}")
+        if statement.startswith("if ") and statement.endswith(":"):
+            condition = statement[3:-1].replace(" or ", " || ").replace(" and ", " && ")
+            lines.append(f"{'    ' * level}if ({condition}) {{")
+            depth += 1
+        elif statement.startswith("raise "):
+            lines.append(f"{'    ' * level}code = {REFUSED}; break;")
+        else:
+            lines.append(f"{'    ' * level}{statement};")
+    lines += ["    " * open_block + "}" for open_block in reversed(range(depth))]
+    return "\n".join(f"        {line}" for line in lines)
+
+
 def _scan(
-    function: Any, scheme: str, values: Sequence[float], monitor: ConvergenceMonitor | CanaryMonitor,
+    twin: Twin, function: Any, values: Sequence[float], monitor: ConvergenceMonitor | CanaryMonitor,
     s0: tuple[float, float], n_limit: int, record_every: int, chunk: int, capacity: int,
 ) -> Recorded:
-    """``_LOOP``'s run through the C ``function``: at most ``chunk`` steps and ``capacity`` recorded doubles a call."""
+    """``_LOOP``'s run through the C ``function`` of ``twin``: at most ``chunk`` steps and ``capacity`` doubles a call."""
     from ctypes import c_double, c_int64
 
     settings, update = monitor.settings, monitor.update
@@ -191,8 +223,10 @@ def _scan(
         code = function(c, s, k, out)
         states += out[: k[6]]
         n, x, y = k[0], s[0], s[1]
+        if code == REFUSED:
+            raise twin.refused(s[2], s[3])
         if code == LEFT:
-            verdict = _refused(scheme, n, s[2], s[3], x, y)
+            verdict = _refused(twin.scheme, n, s[2], s[3], x, y)
             break
         if code == QUIET:
             verdict = update((x, y), n)
@@ -218,26 +252,29 @@ def _outcome(run: Callable[[], Recorded]) -> tuple[Any, ...]:
 class Twin:
     """The C twin of a run loop, built and checked on its first use.
 
-    ``step`` is the loop's step text, one assignment per line, in
-    the names ``constants`` lists; the step divides by ``divisor`` alone.
-    ``canary()`` gives the canary's runs.  ``function`` is the loaded C
-    loop, or None; ``failure`` says why it did not load, or is None
-    where no build was tried.
+    ``step`` is the loop's step text, one statement per line (see
+    ``_c_step``), in the names ``constants`` lists.  ``domain(values)``
+    says whether C computes what Python does at those constants: the
+    step may divide only where Python raises no ZeroDivisionError.
+    ``refused(px, py)`` is the error the step raises for a state it
+    refuses.  ``canary()`` gives the canary's runs.  ``function`` is
+    the loaded C loop, or None; ``failure`` says why it did not load,
+    or is None where no build was tried.
     """
 
     def __init__(
-        self, name: str, scheme: str, constants: str, step: str, divisor: str, canary: Callable[[], list[CanaryRun]]
+        self, name: str, scheme: str, constants: str, step: str, domain: Callable[[Sequence[float]], bool],
+        canary: Callable[[], list[CanaryRun]], refused: Callable[[float, float], Exception] | None = None,
     ) -> None:
         names = constants.split(", ")
-        temporaries = sorted(set(re.findall(r"^(\w+) = ", step, re.MULTILINE)) - {"x", "y"})
-        self.name, self.scheme, self.canary = name, scheme, canary
-        self.divisor = names.index(divisor)
+        temporaries = sorted(set(re.findall(r"^ *(\w+) = ", step, re.MULTILINE)) - {"x", "y"})
+        self.name, self.scheme, self.domain, self.canary, self.refused = name, scheme, domain, canary, refused
         self.source = _C_LOOP.format(
             name=name,
             constants=", ".join(f"{constant} = c[{i}]" for i, constant in enumerate(names)),
             n_constants=len(names),
             temporaries=", ".join(temporaries),
-            step="\n".join(f"        {line};" for line in step.splitlines()),
+            step=_c_step(step),
             STOPPED=STOPPED, LEFT=LEFT, QUIET=QUIET, FULL=FULL,
         )
         self.function: Any = None
@@ -247,21 +284,22 @@ class Twin:
     def takes(self, values: Sequence[float], n_limit: int, python: Callable[..., Recorded]) -> bool:
         """Whether a run at ``values`` of at most ``n_limit`` steps takes the twin.
 
-        The first call builds the twin and runs its canary against
-        ``python``, the Python loop of the same step.  A run takes the
-        twin where it loaded, its divisor is not zero (where Python
-        raises ZeroDivisionError, C would divide) and ``n_limit`` is
-        below ``BUDGET_LIMIT``.
+        A run takes it where ``values`` lie in its domain, ``n_limit``
+        is below ``BUDGET_LIMIT`` and the twin loaded.  The first such
+        run builds the twin and runs its canary against ``python``, the
+        Python loop of the same step.
         """
+        if not (self.domain(values) and n_limit < BUDGET_LIMIT):
+            return False
         if self.function is None and self.failure is None:
             self._load(python)
-        return self.function is not None and values[self.divisor] != 0.0 and n_limit < BUDGET_LIMIT
+        return self.function is not None
 
     def __call__(
         self, values: Sequence[float], monitor: ConvergenceMonitor, s0: tuple[float, float], n_limit: int,
         record_every: int,
     ) -> Recorded:
-        return _scan(self.function, self.scheme, values, monitor, s0, n_limit, record_every, CHUNK, CAPACITY)
+        return _scan(self, self.function, values, monitor, s0, n_limit, record_every, CHUNK, CAPACITY)
 
     def _load(self, python: Callable[..., Recorded]) -> None:
         with self._lock:
@@ -274,7 +312,7 @@ class Twin:
                     # A buffer of 3 rows fills before a chunk of 5 steps ends, and one of 4 after a chunk of 3.
                     for chunk, capacity in (5, 6), (3, 8):
                         native = _outcome(
-                            lambda: _scan(function, self.scheme, values, monitor, s0, n_limit, 1, chunk, capacity)
+                            lambda: _scan(self, function, values, monitor, s0, n_limit, 1, chunk, capacity)
                         )
                         if native != expected:
                             raise NativeError(f"canary: the run from {s0!r} at {values!r} differs from the Python loop")

@@ -18,11 +18,9 @@ with phi1 -> h as beta -> 0.  One map serves the whole model family:
               / [1 + phi2 (b_y X_n/K + b_y Y_n/K + u_y)]
 
 The horizontal variant is this map with e = 0, the vertical one with
-e = 0 and beta = 0 (so phi1 = h).  Their zero rates make the e and beta
-terms signed zeros, which the run loop of ``iterate`` cuts from the text
-where ``zero_rates`` allows it, keeping the map's bits.  The Y^2/X
-ratio is formed only where its coefficient e/K is nonzero and Y != 0;
-at X = 0 it is infinite, and 0 * inf would turn the invariant X = 0
+e = 0 and beta = 0 (so phi1 = h); every variant steps the whole map.
+The Y^2/X ratio is formed only where its coefficient e/K is nonzero and
+Y != 0; at X = 0 it is infinite, and 0 * inf would turn the invariant X = 0
 axis of a map with e = 0 into NaN.  With e > 0 the map refuses X <= 0
 with Y > 0, and it extends continuously along the X axis (Y = 0).
 
@@ -30,41 +28,45 @@ Every term on each side is nonnegative for states in the positive
 quadrant, so positivity holds for every step size h > 0, and the fixed
 points coincide with the continuous equilibria.
 
-What the map decides is written once, as text: ``QUADRANT`` (its
-refusal of a state outside the quadrant), ``RATIO`` (that, then the
-refusal of X = 0 < Y and Y^2/X), ``D1`` and ``D2`` (the brackets of its
-denominators), ``MAP`` (the update) and ``FINITE`` (a finiteness test).
+What the map decides is written once, as text: ``RATIO`` (its refusal
+of a state outside the quadrant, then of X = 0 < Y, and Y^2/X), ``D1``
+and ``D2`` (the brackets of its denominators), ``MAP`` (the update) and
+``FINITE`` (a finiteness test).
 
     map_kernel    returns _map_step     FINITE + RATIO + MAP
-    iterate       runs _map_scan        RATIO + MAP in convergence's run loop;
-                  _map_scan_no_e        QUADRANT + MAP without its e terms where e = 0;
-                  _map_scan_no_e_no_beta  and without its beta terms where beta = 0 too
+    iterate       runs _map_scan        RATIO + MAP in convergence's run loop,
+                  or map_twin()         the same text as C (see native)
     map_lanes     runs _map_update      MAP, the caller's ratio, on float64 lanes
     map_weights   reads _brackets       FINITE + RATIO, then D1 and D2
 
 The functions in the second column are compiled at import, except the
-run loops, built from ``MAP_STEPS``, each on its first run (see
-``convergence.loop``).
+run loop, compiled on its first run (see ``convergence.loop``), and its
+C twin, built by the first run of a process that takes it: a run whose
+map constants are all finite and >= 0, so that both denominators are
+>= 1.  The Python loop is the canary's reference and the loop where no
+compiler is found, and runs the rest, as at a negative rate.
 The run loop's bound test passes only finite states.  Each lane keeps the
 scalar bits; below about 30 lanes one numpy step costs more than the scalar
-steps it replaces.  Tests pin the loop to ``map_kernel`` bit for bit and
-error for error, the lanes bit for bit, and ``map_weights``'s refusals to
-``map_kernel``'s.
+steps it replaces.  Tests pin the Python loop and its twin to
+``map_kernel`` bit for bit and error for error, the lanes bit for bit,
+and ``map_weights``'s refusals to ``map_kernel``'s.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .convergence import ConvergenceMonitor, ConvergenceSettings, Recorded, Trajectory, _run_monitored, loop
+from .convergence import ConvergenceSettings, Trajectory, _run_monitored, loop
 from .convergence import _finish, _refused  # noqa: F401  # read by the loops compiled here
-from .model import (
-    DomainError, HostParams, Kernel, ModelVariant, State, compiled, effective_rates, indented, rates, without
-)
+from .model import DomainError, HostParams, Kernel, ModelVariant, State, compiled, effective_rates, indented
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .native import CanaryRun, Twin
 
     LanesKernel = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -118,13 +120,11 @@ def _map_constants(params: HostParams, variant: ModelVariant, h: float) -> tuple
     return (1.0 + phi1 * b_x, phi1 * e, phi1, b_x / big_k, params.u_x, beta, e / big_k, phi2, b_y, b_y / big_k, params.u_y)
 
 
-# The map's refusal of a state (px, py) outside the quadrant; then, in RATIO, its ratio py^2/px
-# where the coefficient e/K is nonzero, which refuses X = 0 < Y.
-QUADRANT = """\
+# The map's refusal of a state (px, py) outside the quadrant, then its ratio py^2/px where the
+# coefficient e/K is nonzero, which refuses X = 0 < Y.
+RATIO = """\
 if px < 0 or py < 0:
     raise _refused_state(px, py)
-"""
-RATIO = QUADRANT + """\
 ratio = 0.0
 if e_k and py != 0:
     if px == 0:
@@ -185,36 +185,50 @@ def _refused_state(x: float, y: float) -> DomainError:
     return DomainError("general map is undefined at X = 0 with Y > 0 (contains Y^2/X)")
 
 
-# The run loop's forms, each its name and its step: the map, without its e terms and ratio, and
-# without its beta terms too.  zero_rates picks one.
-MAP_STEPS = (
-    ("_map_scan", RATIO + MAP),
-    ("_map_scan_no_e", QUADRANT + without(MAP, "phi1_e", "e_k")),
-    ("_map_scan_no_e_no_beta", QUADRANT + without(MAP, "phi1_e", "e_k", "beta")),
-)
-_map_runs = [loop(name, "nsfd", _MAP_CONSTANTS, step, globals()) for name, step in MAP_STEPS]
+def _nonnegative(values: Sequence[float]) -> bool:
+    """Whether every map constant is finite and >= 0: then both denominators are >= 1, and C divides by no 0."""
+    return all(0.0 <= value < math.inf for value in values)
 
 
-def zero_rates(values: tuple[float, ...], start: tuple[float, float]) -> int:
-    """The index in MAP_STEPS of the form a run at these rates (RATE_NAMES order) may take from ``start``.
+def _canary() -> list[CanaryRun]:
+    """The C twin's canary runs, recorded at every step, through each of its returns to Python.
 
-    A form that cuts zero-rate terms keeps the full map's bits where
-    no start component is -0.0 and every rate is finite and >= 0; else
-    the full form (0) runs.  A cut term is a signed zero, because the
-    step reads finite states only.  Under round-to-nearest, adding a
-    signed zero to a sum leaves it as it is unless the sum is -0.0.
-    With rates >= 0 the map's gain and both its denominators stay >= 1,
-    so its X never turns -0.0 and 1.0 + phi times a signed zero is 1.0.
-    Each half of the guard has its counterexample: the map from
-    X = -0.0, which the full map turns to +0.0, and the map at u_x < 0,
-    whose negative denominator makes X = -0.0 by itself.
+    At h = 0.1 the general run is quiet from its first step and its
+    proximity test converges at step 12, or the run stops at its budget
+    of 13.  At K = 10 and h = 1, Y passes a bound of 1 at step 8; at
+    K = 1e300 and h = 1000 the update overflows at step 2.  The last
+    three start from X = 1e-320, which rounds to 0 at step 1 so that
+    the step refuses X = 0 < Y at step 2; from Y < 0, refused at step
+    1; and from X = -0.0 at e = 0, which the map writes as 0.0.
     """
-    *_, e, beta = values
-    if e != 0.0 or not all(0.0 <= value < math.inf for value in values):
-        return 0
-    if any(value == 0.0 and math.copysign(1.0, value) < 0.0 for value in start):
-        return 0
-    return 2 if beta == 0.0 else 1
+    from .native import CanaryMonitor
+
+    quiet = ConvergenceSettings(tol_step=0.05, window=3)
+
+    def constants(h: float, **rates: float) -> tuple[float, ...]:
+        general = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=0.02, beta=0.3)
+        return _map_constants(replace(general, **rates), ModelVariant.GENERAL, h)
+
+    return [
+        (constants(0.1), CanaryMonitor(1e6, quiet, 12), (0.3, 0.2), 40),
+        (constants(0.1), CanaryMonitor(1e6, quiet, 99), (0.3, 0.2), 13),
+        (constants(1.0, K=10.0), CanaryMonitor(1.0, quiet, 99), (0.3, 0.2), 40),
+        (constants(1000.0, K=1e300, u_y=0.0), CanaryMonitor(1e306, quiet, 99), (1e305, 0.1), 9),
+        (constants(1.0), CanaryMonitor(1e6, quiet, 99), (1e-320, 1.0), 9),
+        (constants(0.1), CanaryMonitor(1e6, quiet, 99), (0.3, -1e-300), 5),
+        (constants(0.1, e=0.0), CanaryMonitor(1e6, quiet, 99), (-0.0, 0.5), 7),
+    ]
+
+
+@cache
+def map_twin() -> Twin:
+    """The C twin of the map's run loop, one per process; ``native`` is imported by the first map run."""
+    from .native import Twin
+
+    return Twin("_map_loop", "nsfd", _MAP_CONSTANTS, RATIO + MAP, _nonnegative, _canary, _refused_state)
+
+
+_map_run = loop("_map_scan", "nsfd", _MAP_CONSTANTS, RATIO + MAP, globals(), map_twin)
 
 
 def map_weights(
@@ -287,9 +301,5 @@ def iterate(
     recorded unless ``record_every`` thins the output; the initial and
     final states are always present.
     """
-    values, constants = rates(params, variant), _map_constants(params, variant, h)
-
-    def scan(monitor: ConvergenceMonitor, s: tuple[float, float], n_limit: int, every: int) -> Recorded:
-        return _map_runs[zero_rates(values, s)](constants, monitor, s, n_limit, every)
-
+    scan = partial(_map_run, _map_constants(params, variant, h))
     return _run_monitored(scan, params, variant, s0, n_max, h, settings, record_every)

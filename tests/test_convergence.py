@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nsfd_epi.convergence import ENDS_ONLY, ConvergenceMonitor, ConvergenceSettings, Verdict, VerdictStatus
 from nsfd_epi.equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from nsfd_epi.integrators import euler_kernel, simulate_continuous
-from nsfd_epi.model import FIELD, BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates, without
+from nsfd_epi.model import FIELD, BlowUpError, DomainError, HostParams, ModelVariant, State, effective_rates
 from nsfd_epi import integrators, native, nsfd
 from nsfd_epi.nsfd import iterate, map_kernel
 from test_nsfd import ref_rk4
@@ -26,9 +26,9 @@ from test_nsfd import ref_rk4
 # ``iterate`` against this loop stepping ``map_kernel``, the Euler loop
 # against it stepping ``euler_kernel``, and the RK4 loop of
 # ``simulate_continuous`` against it driven by the test's own RK4 step,
-# ``ref_rk4``.  RK4 runs three ways: through the C twin of its loop
-# (where a compiler is found), through the twin returning to Python every
-# few steps and rows, and through the Python loop.
+# ``ref_rk4``.  The map and RK4 run three ways: through the C twin of
+# their loop (where a compiler is found), through the twin returning to
+# Python every few steps and rows, and through the Python loop.
 
 
 class RefMonitor:
@@ -105,11 +105,19 @@ def reference_kernel(params, variant, h, scheme):
 
 
 @contextlib.contextmanager
-def python_rk4():
-    """RK4 runs take the Python loop, as where the C twin's build failed: no compiler is found."""
-    with mock.patch.multiple(integrators.rk4_twin(), function=None, failure=None):
+def python_loop(twin):
+    """Runs take the Python loop, as where the C ``twin``'s build failed: no compiler is found."""
+    with mock.patch.multiple(twin, function=None, failure=None):
         with mock.patch.object(native, "compiler", lambda: None):
             yield
+
+
+def python_rk4():
+    return python_loop(integrators.rk4_twin())
+
+
+def python_map():
+    return python_loop(nsfd.map_twin())
 
 
 def straddled():
@@ -118,7 +126,7 @@ def straddled():
 
 
 # The ways a scheme's runs are taken; each must give the reference's bits.
-LOOPS = {"nsfd": [contextlib.nullcontext], "euler": [contextlib.nullcontext],
+LOOPS = {"nsfd": [contextlib.nullcontext, straddled, python_map], "euler": [contextlib.nullcontext],
          "rk4": [contextlib.nullcontext, straddled, python_rk4]}
 
 
@@ -225,12 +233,12 @@ def edge_examples(test):
             (GENERAL, ModelVariant.GENERAL, scheme, 0.1, (0.3, -1e-300), 5, QUIET, 1),  # and leaving the quadrant
         ]:
             test = example(case)(test)
-    # Each half of the guard that lets the map's loop cut the zero-rate terms (nsfd.zero_rates).
-    # From X = -0.0 at the benchmark's horizontal rates the full map writes X = 0.0 from step 1,
-    # where the map without its e terms keeps -0.0.  At u_x < 0 the full map writes X = -0.0 at
-    # every step, where the map without its e terms alternates 0.0 and -0.0 from step 2.  RK4
-    # steps the full field at every rate; from X = -0.0 the field writes X = 0.0, in the twin
-    # and the Python loop alike.
+    # Two runs where the map without its zero-rate terms loses the whole map's bits.  From
+    # X = -0.0 at the benchmark's horizontal rates the map writes X = 0.0 from step 1, where the
+    # map without its e terms keeps -0.0; this start takes the C twin.  At u_x < 0 the map writes
+    # X = -0.0 at every step, where the map without its e terms alternates 0.0 and -0.0 from
+    # step 2; a negative rate takes the Python loop.  RK4 steps the full field at every rate;
+    # from X = -0.0 the field writes X = 0.0, in the twin and the Python loop alike.
     for case in [
         (
             dataclasses.replace(HORIZONTAL, K=1.2, beta=0.3), ModelVariant.HORIZONTAL, "nsfd", 0.1, (-0.0, 0.5), 3,
@@ -241,6 +249,20 @@ def edge_examples(test):
             ConvergenceSettings(), 1,
         ),
         (HORIZONTAL, ModelVariant.HORIZONTAL, "rk4", 0.01, (-0.0, 0.5), 3, ConvergenceSettings(), 1),
+    ]:
+        test = example(case)(test)
+    # The map's C twin returns to Python for each refusal of the step: a negative start, X = 0 < Y
+    # at e > 0, and `simulate --x0 1e-320 --y0 1 --h 1 --beta 0.3`, whose X rounds to 0 at step 1;
+    # and for a finite divergence (Y passes 1e6 at step 11) and an overflow (step 2).  At K = 0
+    # the map's constants raise ZeroDivisionError before any run.
+    sir = HostParams(b_x=0.0, b_y=0.0, u_x=0.0, u_y=0.0, K=1.0, beta=1e-7)
+    for case in [
+        (GENERAL, ModelVariant.GENERAL, "nsfd", 0.1, (-1.0, 0.5), 5, QUIET, 1),
+        (GENERAL, ModelVariant.GENERAL, "nsfd", 0.1, (0.0, 0.5), 5, QUIET, 1),
+        (GENERAL, ModelVariant.GENERAL, "nsfd", 1.0, (1e-320, 1.0), 100_000, ConvergenceSettings(), 1),
+        (sir, ModelVariant.HORIZONTAL, "nsfd", 1.0, (9e5, 5e5), 15, ConvergenceSettings(), 4),
+        (dataclasses.replace(GENERAL, K=1e300, u_y=0.0), ModelVariant.GENERAL, "nsfd", 1000.0, (1e305, 0.1), 6, QUIET, 1),
+        (dataclasses.replace(GENERAL, K=0.0), ModelVariant.GENERAL, "nsfd", 0.1, (0.3, 0.2), 5, QUIET, 1),
     ]:
         test = example(case)(test)
     # The C twin's edges: a quiet count and a recorded row across its returns to Python (straddled),
@@ -269,7 +291,12 @@ def test_run_loop_matches_reference_bit_for_bit(case):
         advance = reference_kernel(params, variant, h, scheme)
     except DomainError:
         assume(False)
-    ref = outcome(lambda: ref_run_monitored(advance, params, variant, s0, n_steps, run_settings, record_every, scheme))
+    except ZeroDivisionError as error:  # the map's constants at K = 0
+        ref = ("raised", ZeroDivisionError, str(error))
+    else:
+        ref = outcome(
+            lambda: ref_run_monitored(advance, params, variant, s0, n_steps, run_settings, record_every, scheme)
+        )
     for taken in LOOPS[scheme]:
         with taken():
             new = outcome(lambda: run_loop(params, variant, h, s0, n_steps, run_settings, record_every, scheme))
@@ -345,20 +372,18 @@ def test_run_takes_numpy_integer_step_counts(scheme):
 
 
 def test_generated_loops_show_their_source():
-    # Each loop is compiled from text; linecache holds it for inspect and tracebacks.  A general
-    # map run takes its form by the value of its rates; RK4 takes its one Python loop here, the
-    # full field at every rate.
+    # Each loop is compiled from text; linecache holds it for inspect and tracebacks.  The map and
+    # RK4 each take their one Python loop here, the whole step at every rate.
     few = ConvergenceSettings(tol_step=1e-3, window=2, tol_eq=1e-3)
-    for e, beta, suffix, cut in [
-        (0.02, 0.3, "", ()),
-        (0.0, 0.3, "_no_e", ("phi1_e", "e_k")),
-        (0.0, 0.0, "_no_e_no_beta", ("phi1_e", "e_k", "beta")),
-    ]:
+    for e, beta in [(0.02, 0.3), (0.0, 0.3), (0.0, 0.0)]:
         params = HostParams(b_x=0.6, b_y=0.4, u_x=0.1, u_y=0.2, K=1.0, e=e, beta=beta)
-        iterate(params, ModelVariant.GENERAL, 0.1, (0.3, 0.2), 1)
-        source = inspect.getsource(getattr(nsfd, "_map_scan" + suffix))
-        assert without(nsfd.MAP, *cut).splitlines()[0] in source
-        assert ("ratio" in source) is not bool(cut) and not any(f" {name} *" in source for name in cut)
+        with python_map(), pytest.raises(DomainError) as raised:
+            iterate(params, ModelVariant.GENERAL, 0.1, (0.3, -0.5), 6)
+        frames = traceback.extract_tb(raised.value.__traceback__)
+        assert [frame.filename for frame in frames if frame.filename.startswith("<")] == ["<nsfd_epi._map_scan>"]
+        lines = [frame.line for frame in frames if frame.filename == "<nsfd_epi._map_scan>"]
+        assert lines == ["raise _refused_state(px, py)"]
+        assert nsfd.MAP.splitlines()[0] in inspect.getsource(nsfd._map_scan)
         overflows = dataclasses.replace(params, b_x=1e300)  # the first step's second stage starts from X = inf
         with python_rk4(), pytest.raises(BlowUpError) as raised:
             run_loop(overflows, ModelVariant.GENERAL, 1e10, (0.1, 0.1), 6, few, 4, "rk4")
@@ -368,14 +393,17 @@ def test_generated_loops_show_their_source():
         assert lines == ["verdict = _refused('rk4', n, px, py, x, y)"]
         assert "e * g" in inspect.getsource(integrators._rk4_scan)
     assert not [name for name in vars(integrators) if name.startswith("_rk4_scan_no_")]
-    # The C twin's text holds the full step's lines, each as a statement.
-    for line in integrators._rk4_step(FIELD).splitlines():
-        assert f"        {line};\n" in integrators.rk4_twin().source
+    assert not [name for name in vars(nsfd) if name.startswith("_map_scan_no_")]
+    # The C twins' text holds each assignment of the whole step as a statement.
+    for step, twin in [(integrators._rk4_step(FIELD), integrators.rk4_twin()), (nsfd.RATIO + nsfd.MAP, nsfd.map_twin())]:
+        for line in step.splitlines():
+            if " = " in line:
+                assert f"        {line};\n" in twin.source
 
 
 def test_loops_compile_on_first_use(package_env):
-    # Import and the commands that run no trajectory compile no loop and load no ctypes; a vertical
-    # run compiles its form alone.  No NSFD run imports RK4's C twin (numpy imports ctypes itself).
+    # Import and the commands that run no trajectory compile no loop and load neither ctypes nor
+    # native; a vertical NSFD run compiles the map's one Python loop and imports native for its twin.
     code = """\
 import contextlib, io, linecache, sys
 from nsfd_epi import cli
@@ -392,7 +420,7 @@ loops([["simulate", "--model", "vertical", "--e", "0", "--beta", "0", "--steps",
     assert proc.stdout.splitlines() == [
         "[] [] False False",
         "[0, 0, 0] [] False False",
-        "[0] ['<nsfd_epi._map_scan_no_e_no_beta>'] True False",
+        "[0] ['<nsfd_epi._map_scan>'] True True",
     ], proc.stderr
 
 
