@@ -17,7 +17,6 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
@@ -390,8 +389,8 @@ def _simulate_one(config: RunConfig, s0: State) -> Trajectory:
     return simulate_continuous(params, variant, s0, config.dt, config.steps, settings, scheme=config.scheme)
 
 
-# The cells that _float_cells gives orjson in one call: enough to spread the call's cost, few enough
-# that a long run's text is never held whole.  Over a portrait pass, 4096 ran no faster and peaked higher.
+# Rows per orjson call, over their X and Y cells or their step numbers: enough to spread a call's cost, few enough
+# that a long run's text is never held whole.  Over portrait passes, 512 and 1024 ran alike and 2048 up to 4% slower.
 ROW_BLOCK = 1024
 
 # The decades [1e-d, 1e-(d-1)) whose exponent d has one digit, with that exponent as orjson and as repr
@@ -400,48 +399,60 @@ ROW_BLOCK = 1024
 PADDED_DECADES = [(float(f"1e-{d}"), float(f"1e-{d - 1}"), f"e-{d},", f"e-0{d},") for d in (6, 7, 8, 9)]
 
 
-def _float_cells(values: Any) -> Iterator[str]:
-    """``repr`` of each float of the 1-d array ``values``, in order, written ``ROW_BLOCK`` at a time.
+def _float_cells(values: Any) -> list[str]:
+    """``repr`` of each float of the 1-d array ``values``, in order, from one orjson call.
 
     orjson writes repr's shortest round-trip digits, in repr's notation for
-    0 and for magnitudes in [1e-4, 1e16).  Below 1e-5 it writes repr's
-    exponent notation with the exponent unpadded (1.5e-7 for 1.5e-07), so
-    ``str.replace`` pads the exponents 6 to 9 in each block that holds a
-    cell of that decade.  repr writes the other cells: [1e-5, 1e-4), which
-    orjson writes in fixed notation (0.00003 for 3e-05), 1e16 up, nan and
+    0 and for magnitudes in [1e-4, 1e16).  Below 1e-5 it leaves repr's
+    exponent unpadded (1.5e-7 for 1.5e-07), so ``str.replace`` pads the
+    exponent of each decade 6 to 9 that holds a cell.  In [1e-5, 1e-4) it
+    writes fixed notation (0.0000325 for 3.25e-05), which slicing rewrites
+    as repr's, sign kept.  repr writes the other cells: 1e16 up, nan and
     inf.  Both modules are imported on first use.
     """
     import numpy as np
     import orjson
 
-    def block_cells(start: int) -> list[str]:
-        block = np.ascontiguousarray(values[start : start + ROW_BLOCK], dtype=np.float64)  # orjson takes C order only
-        # A "," after every cell, the last one too, ends each exponent, so "e-6," cannot match e-60.
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() + ","
-        magnitude = np.abs(block)
-        tiny = magnitude[magnitude < 1e-5]
-        if tiny.size:
-            for lower, upper, unpadded, padded in PADDED_DECADES:
-                if ((tiny >= lower) & (tiny < upper)).any():
-                    text = text.replace(unpadded, padded)
-        cells = text.split(",")
-        cells.pop()
-        other = ((magnitude >= 1e-5) & (magnitude < 1e-4)) | ~(magnitude < 1e16)
-        for i, x in zip(np.flatnonzero(other).tolist(), block[other].tolist()):
-            cells[i] = repr(x)
-        return cells
-
-    return chain.from_iterable(map(block_cells, range(0, len(values), ROW_BLOCK)))
+    values = np.ascontiguousarray(values, dtype=np.float64)  # orjson takes C order only
+    # A "," after every cell, the last one too, ends each exponent, so "e-6," cannot match e-60.
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() + ","
+    magnitude = np.abs(values)
+    tiny = magnitude[magnitude < 1e-5]
+    if tiny.size:
+        for lower, upper, unpadded, padded in PADDED_DECADES:
+            if ((tiny >= lower) & (tiny < upper)).any():
+                text = text.replace(unpadded, padded)
+    cells = text[:-1].split(",") if values.size else []
+    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+        sign, _, digits = cells[i].partition("0.0000")
+        cells[i] = f"{sign}{digits[0]}.{digits[1:]}e-05" if len(digits) > 1 else f"{sign}{digits}e-05"
+    for i in np.flatnonzero(~(magnitude < 1e16)).tolist():
+        cells[i] = repr(float(values[i]))
+    return cells
 
 
 def _heads(run: Trajectory) -> list[str]:
-    """The ``n,t`` cells of each row of ``run``; for a run that records every step, entry n is step n's."""
-    # A memoryview yields the step numbers as Python ints, so str writes them without a numpy scalar.
-    return list(map(",".join, zip(map(str, memoryview(run.steps)), _float_cells(run.times))))
+    """The ``n,t`` cells of each row of ``run``; for a run that records every step, entry n is step n's.
+
+    One orjson call writes the step numbers of ``ROW_BLOCK`` rows, and one
+    ``_float_cells`` call their times.
+    """
+    import orjson
+
+    heads: list[str] = []
+    for start in range(0, len(run.steps), ROW_BLOCK):
+        steps = orjson.dumps(run.steps[start : start + ROW_BLOCK], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        heads += map(",".join, zip(steps.split(","), _float_cells(run.times[start : start + ROW_BLOCK])))
+    return heads
 
 
 def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory, heads: list[str]) -> str:
-    """The CSV of ``run``, whose row of step n begins with ``heads[n]`` (see ``_heads``)."""
+    """The CSV of ``run``, whose row of step n begins with ``heads[n]`` (see ``_heads``).
+
+    Each block of ``ROW_BLOCK`` rows takes one ``_float_cells`` call over
+    its X and Y cells, flat in row order, and one join of a list that slice
+    assignments fill with each row's head, X, Y, commas and newline.
+    """
     meta = _params_dict(config)
     step_txt = f"h={_fmt(config.h)}" if config.scheme == "nsfd" else f"dt={_fmt(config.dt)}"
     lines = [
@@ -451,14 +462,16 @@ def _trajectory_csv(config: RunConfig, s0: State, run: Trajectory, heads: list[s
         + f" x0={_fmt(s0.X)} y0={_fmt(s0.Y)}",
         "n,t,X,Y",
     ]
-    rows = zip(
-        map(heads.__getitem__, memoryview(run.steps)),
-        _float_cells(run.states[:, 0]),
-        _float_cells(run.states[:, 1]),
-    )
-    lines.extend(map(",".join, rows))
-    lines.append(_verdict_comment(run.verdict))
-    return "\n".join(lines)
+    text = ["\n".join(lines) + "\n"]
+    for start in range(0, len(run.steps), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        cells = _float_cells(run.states[block].ravel())
+        parts = ["", ",", "", ",", "", "\n"] * (len(cells) // 2)
+        parts[0::6] = map(heads.__getitem__, memoryview(run.steps[block]))
+        parts[2::6], parts[4::6] = cells[0::2], cells[1::2]
+        text.append("".join(parts))
+    text.append(_verdict_comment(run.verdict))
+    return "".join(text)
 
 
 def _trajectory_json(config: RunConfig, s0: State, run: Trajectory) -> dict[str, Any]:

@@ -34,7 +34,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, MutableSequence, Sequence
 
 from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
 from .model import BlowUpError, DomainError, HostParams, ModelVariant, State, compiled, indented
@@ -140,8 +140,9 @@ class ConvergenceMonitor:
         return None
 
 
-# A run loop's recorded states, flat as [x0, y0, x1, y1, ...], and its verdict, whose at_step is the last step.
-Recorded = tuple[list[float], Verdict]
+# A run loop's recorded states, flat as [x0, y0, x1, y1, ...]: a list from the Python loop, whose append costs a
+# quarter of array.append's, an array("d") from a C twin; and its verdict, whose at_step is the last step.
+Recorded = tuple[MutableSequence[float], Verdict]
 
 
 # The run loop, its step from (px, py) to (x, y) left open.  The chained bound test fails for a state
@@ -217,14 +218,16 @@ def _refused(scheme: str, n: int, px: float, py: float, x: float, y: float) -> V
     return Verdict(VerdictStatus.DIVERGED, at_step=n)
 
 
-def _finish(states: list[float], n: int, x: float, y: float, verdict: Verdict | None, record_every: int) -> Recorded:
+def _finish(
+    states: MutableSequence[float], n: int, x: float, y: float, verdict: Verdict | None, record_every: int
+) -> Recorded:
     """Record step n's state (x, y) if it is not yet; a run with no verdict stopped at its budget.
 
     A loop records a multiple of ``record_every`` after its tests, so a
     run that stopped by a verdict has not recorded its last step.
     """
     if verdict is not None or n % record_every:
-        states += (x, y)
+        states.extend((x, y))
     return states, Verdict(VerdictStatus.MAX_STEPS, at_step=n) if verdict is None else verdict
 
 

@@ -216,12 +216,13 @@ def _scan(
     c = (c_double * (len(values) + 2))(*values, monitor.bound, settings.tol_step)
     s = (c_double * 4)(*s0, *s0)
     k = (c_int64 * 8)(0, 0, 0, window, every, every, 0, capacity)
-    out = (c_double * capacity)()
-    states, verdict = list(s0), None
+    buffer = array("d", bytes(8 * capacity))  # the C loop records into it, so a record makes no Python float
+    out = (c_double * capacity).from_buffer(buffer)
+    states, verdict = array("d", s0), None
     while True:
         k[1] = min(k[0] + chunk, n_limit)
         code = function(c, s, k, out)
-        states += out[: k[6]]
+        states += buffer[: k[6]]
         n, x, y = k[0], s[0], s[1]
         if code == REFUSED:
             raise twin.refused(s[2], s[3])
@@ -234,7 +235,7 @@ def _scan(
                 break
             if n == k[4]:  # the record the C loop left for after the proximity test
                 k[4] += every
-                states += (x, y)
+                states.extend((x, y))
         elif code == STOPPED and n == n_limit:
             break
     return _finish(states, n, x, y, verdict, record_every)

@@ -1089,15 +1089,45 @@ def test_trajectory_writers_match_the_scalar_loops(case):
 
 
 def test_csv_rows_match_repr_across_blocks():
-    """Over 2 * ROW_BLOCK + 1 rows, each row is its step number and ``",".join(map(repr, row))`` of its t, X, Y."""
+    """Each row is its step number and ``",".join(map(repr, row))`` of its t, X, Y, at every block boundary.
+
+    The runs have 1, ROW_BLOCK, ROW_BLOCK + 1 and 2 * ROW_BLOCK + 1 rows.
+    X and Y share one orjson text and one padding pass a block, so
+    NOTATION_FLOATS go in X alone, then in Y alone; every other X and Y
+    cell is at least 1.2e-4 in magnitude, so a pass that read one column
+    only would leave the other's exponents unpadded.  The last cell of
+    each block, Y of its last row, lies in [1e-5, 1e-4).  t, which
+    ``_heads`` writes, holds NOTATION_FLOATS too.
+    """
     rng = np.random.default_rng(5)
-    n = 2 * cli.ROW_BLOCK + 1
-    cells = np.ldexp(rng.random((n, 3)), rng.integers(-20, 60, (n, 3))) * rng.choice([-1.0, 1.0], (n, 3))
-    cells.flat[::7] = np.resize(NOTATION_FLOATS, cells.flat[::7].shape)
-    cells[-1] = NOTATION_FLOATS[:3]
-    run = Trajectory(np.arange(n, dtype=np.int64), cells[:, 0].copy(), cells[:, 1:].copy(), VERDICTS[0])
-    lines = cli._trajectory_csv(RunConfig(), State(0.1, 0.1), run, cli._heads(run)).split("\n")
-    assert lines[3:-1] == [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(cells.tolist())]
+    block = cli.ROW_BLOCK
+    for n in (1, block, block + 1, 2 * block + 1):
+        for column in (1, 2):
+            magnitudes = np.ldexp(rng.uniform(1.0, 2.0, (n, 3)), rng.integers(-13, 60, (n, 3)))
+            cells = magnitudes * rng.choice([-1.0, 1.0], (n, 3))
+            cells[::3, column] = np.resize(NOTATION_FLOATS, cells[::3, column].shape)
+            cells[1::3, 0] = np.resize(NOTATION_FLOATS, cells[1::3, 0].shape)
+            cells[block - 1 :: block, 2] = -3.25e-05
+            cells[-1, 2] = 2e-05
+            run = Trajectory(np.arange(n, dtype=np.int64), cells[:, 0].copy(), cells[:, 1:].copy(), VERDICTS[0])
+            lines = cli._trajectory_csv(RunConfig(), State(0.1, 0.1), run, cli._heads(run)).split("\n")
+            expected = [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(cells.tolist())]
+            assert lines[3:-1] == expected, (n, column)
+
+
+# The largest double below 1e-4: orjson writes magnitudes in [1e-5, BELOW_1E_4] as 0.0000 and the digits.
+BELOW_1E_4 = math.nextafter(1e-4, 0)
+
+
+@given(value=st.floats(1e-5, BELOW_1E_4) | st.floats(-BELOW_1E_4, -1e-5))
+@example(value=1e-05)
+@example(value=-1e-05)
+@example(value=2e-05)
+@example(value=BELOW_1E_4)
+@example(value=math.nextafter(1e-5, 1))
+def test_float_cells_rewrite_the_decade_below_1e_4_as_repr(value):
+    """``_float_cells`` writes a float whose magnitude is in [1e-5, 1e-4) as ``repr`` does, either sign."""
+    assert cli._float_cells(np.array([value, 0.5, -value])) == [repr(value), "0.5", repr(-value)]
 
 
 def test_float_cells_match_repr():
@@ -1112,6 +1142,7 @@ def test_float_cells_match_repr():
     decimal = rng.uniform(1.0, 10.0, 30_000) * 10.0 ** rng.integers(-12, 21, 30_000) * rng.choice([-1.0, 1.0], 30_000)
     values = np.concatenate([bits, decimal, decimal[np.argsort(np.abs(decimal))], NOTATION_FLOATS])
     assert list(cli._float_cells(values)) == list(map(repr, values.tolist()))
+    assert cli._float_cells(values[:0]) == []
 
 
 @pytest.mark.parametrize(
